@@ -1,15 +1,23 @@
 #!/usr/bin/env bash
-# Full verification matrix: builds and runs the test suite in three
-# configurations — plain, AddressSanitizer+UBSan, and ThreadSanitizer.
-# The TSan leg is what proves the parallel execution engine free of data
-# races; the differential tests in parallel_exec_test.cc drive every
-# parallel operator at DOP 4 under it.
+# Full verification matrix: builds and runs the test suite in four
+# configurations — plain, AddressSanitizer+UBSan, ThreadSanitizer, and
+# Release. The TSan leg is what proves the parallel execution engine free of
+# data races; the differential tests in parallel_exec_test.cc drive every
+# parallel operator at DOP 4 under it. The Release leg exists because the
+# build uses -Werror and GCC's inlining-driven warnings (-Wrestrict,
+# -Wformat-truncation, -Wnonnull, -Warray-bounds) fire only at -O3: every
+# CMake build type must compile, and the optimized one is what benches run.
 #
-# The robustness suites (fault_matrix_test, wire_fuzz_test, recovery_test)
-# are additionally invoked by name under both sanitizer legs: the fault
-# matrix and the wire fuzzer are exactly the tests whose failure mode is
-# memory corruption / a race in the recovery paths, so they must stay green
-# under ASan and TSan even if the main ctest selection is ever narrowed.
+# The robustness suites (fault_matrix_test, wire_fuzz_test,
+# dbms_exec_ops_test, recovery_test) are additionally invoked by name under
+# both sanitizer legs: the fault matrix and the wire fuzzer are exactly the
+# tests whose failure mode is memory corruption / a race in the recovery
+# paths, so they must stay green under ASan and TSan even if the main ctest
+# selection is ever narrowed. dbms_exec_ops_test joins them because the
+# table scan evaluates WHERE on the page's encoded rows through the codec's
+# per-column reader (TupleView): its differential suite walks tombstoned
+# and relocated slots, and ASan is what proves no read leaves a slot's
+# bytes; wire_fuzz_test fuzzes the same reader on damaged encodings.
 #
 # The observability suites (obs_test, trace_test, explain_analyze_test) get
 # the same treatment — the metrics registry and trace recorder are written
@@ -37,7 +45,7 @@ cd "$(dirname "$0")/.."
 
 JOBS="${1:-$(nproc)}"
 
-ROBUSTNESS_SUITES='^(fault_matrix_test|wire_fuzz_test|recovery_test)$'
+ROBUSTNESS_SUITES='^(fault_matrix_test|wire_fuzz_test|dbms_exec_ops_test|recovery_test)$'
 OBS_SUITES='^(obs_test|trace_test|explain_analyze_test)$'
 ADAPT_SUITES='^(plan_cache_test|feedback_test|fingerprint_test)$'
 # The batch/tuple differential sweeps: exec_property_test proves every
@@ -74,9 +82,13 @@ check_leaks() {
 }
 
 run_config() {
-  local name="$1" dir="$2" sanitize="$3"
+  local name="$1" dir="$2" sanitize="$3" build_type="${4:-}"
   echo "=== ${name}: configure + build + ctest (${dir}) ==="
-  cmake -B "${dir}" -S . -DTANGO_SANITIZE="${sanitize}" >/dev/null
+  local type_flag=()
+  if [[ -n "${build_type}" ]]; then
+    type_flag=(-DCMAKE_BUILD_TYPE="${build_type}")
+  fi
+  cmake -B "${dir}" -S . -DTANGO_SANITIZE="${sanitize}" "${type_flag[@]}" >/dev/null
   cmake --build "${dir}" -j "${JOBS}"
   # Sanitizer legs skip the `slow`-labeled suites in the broad pass (they
   # run 5-20x slower instrumented); the ones that matter under sanitizers
@@ -89,7 +101,7 @@ run_config() {
   (cd "${dir}" && ctest --output-on-failure -j "${JOBS}" --timeout "${CTEST_TIMEOUT}" "${label_filter[@]}")
   check_leaks "${name}" "${dir}"
   if [[ -n "${sanitize}" ]]; then
-    echo "=== ${name}: robustness suites (fault matrix + wire fuzz + recovery) ==="
+    echo "=== ${name}: robustness suites (fault matrix + wire fuzz + scan + recovery) ==="
     (cd "${dir}" && ctest --output-on-failure -R "${ROBUSTNESS_SUITES}" --timeout "${CTEST_TIMEOUT}")
     check_leaks "${name}" "${dir}"
     echo "=== ${name}: observability suites (metrics + trace + explain analyze) ==="
@@ -115,8 +127,9 @@ run_config() {
   echo
 }
 
-run_config "plain"  build           ""
-run_config "asan"   build-asan      address
-run_config "tsan"   build-tsan      thread
+run_config "plain"   build           ""
+run_config "asan"    build-asan      address
+run_config "tsan"    build-tsan      thread
+run_config "release" build-release   ""        Release
 
 echo "all configurations passed"

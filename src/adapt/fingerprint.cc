@@ -28,7 +28,7 @@ std::string ExprCanon(const Expr& e) {
   switch (e.kind) {
     case Expr::Kind::kColumn: {
       std::string q = e.table.empty() ? e.name : e.table + "." + e.name;
-      if (q.empty()) q = "$" + std::to_string(e.index);
+      if (q.empty()) q.append("$").append(std::to_string(e.index));
       return q;
     }
     case Expr::Kind::kLiteral:
@@ -44,8 +44,13 @@ std::string ExprCanon(const Expr& e) {
       return std::string(op) + "(" + ExprCanon(*e.children[0]) + ")";
     }
     case Expr::Kind::kBinary:
-      return "(" + ExprCanon(*e.children[0]) + " " +
-             BinaryOpName(e.binary_op) + " " + ExprCanon(*e.children[1]) + ")";
+      return std::string("(")
+          .append(ExprCanon(*e.children[0]))
+          .append(" ")
+          .append(BinaryOpName(e.binary_op))
+          .append(" ")
+          .append(ExprCanon(*e.children[1]))
+          .append(")");
     case Expr::Kind::kFunction: {
       std::string out = e.function + "(";
       for (size_t i = 0; i < e.children.size(); ++i) {
@@ -275,7 +280,7 @@ uint64_t NodeKey(const algebra::Op& op,
                  const std::vector<uint64_t>& child_keys) {
   std::string s = NodeCanon(op);
   for (const uint64_t k : child_keys) {
-    s += "|" + std::to_string(k);
+    s.append("|").append(std::to_string(k));
   }
   return Fingerprint64(s);
 }

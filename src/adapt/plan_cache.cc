@@ -29,7 +29,7 @@ size_t OpBytes(const algebra::OpPtr& op) {
   size_t n = sizeof(algebra::Op) + op->table.size() + op->alias.size() +
              SchemaBytes(op->schema) + ExprBytes(op->predicate);
   for (const algebra::ProjectItem& item : op->items) {
-    n += item.name.size() + ExprBytes(item.expr);
+    n += item.name.size() + item.qualifier.size() + ExprBytes(item.expr);
   }
   for (const algebra::SortSpec& s : op->sort_keys) n += s.attr.size();
   for (const auto& [l, r] : op->join_attrs) n += l.size() + r.size();

@@ -67,9 +67,11 @@ Result<OpPtr> Project(OpPtr child, std::vector<ProjectItem> items) {
   for (auto& item : items) {
     TANGO_ASSIGN_OR_RETURN(ExprPtr bound, Bind(item.expr, child->schema));
     Column col;
+    col.table = ToUpper(item.qualifier);
     col.name = ToUpper(item.name);
     TANGO_ASSIGN_OR_RETURN(col.type, InferType(bound, child->schema));
     schema.AddColumn(col);
+    item.qualifier = col.table;
     item.name = col.name;
   }
   auto op = NewOp(OpKind::kProject, {child});
@@ -377,8 +379,13 @@ std::string Op::ToString(int indent) const {
 }
 
 std::string Op::ParamFingerprint() const {
-  // Describe() covers all parameters; schema is derived so excluded.
-  return Describe();
+  // Describe() covers all parameters but projection qualifiers, which
+  // EXPLAIN does not print; schema is derived so excluded.
+  std::string out = Describe();
+  for (const ProjectItem& item : items) {
+    if (!item.qualifier.empty()) out.append(" ").append(item.qualifier);
+  }
+  return out;
 }
 
 bool Op::Equals(const Op& other) const {

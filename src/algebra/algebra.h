@@ -36,10 +36,13 @@ enum class OpKind {
 
 const char* OpKindName(OpKind kind);
 
-/// One projection function: an expression over the input and its output name.
+/// One projection function: an expression over the input and its output
+/// name, optionally qualified (a reordering projection keeps its input's
+/// range variables, so `E.ADDR` still resolves above it).
 struct ProjectItem {
   ExprPtr expr;
   std::string name;
+  std::string qualifier = "";
 };
 
 /// One aggregate of a temporal aggregation: the function, the argument

@@ -43,7 +43,9 @@ Result<int64_t> Parse(const std::string& text) {
 std::string Format(int64_t days) {
   int y, m, d;
   ToYmd(days, &y, &m, &d);
-  char buf[16];
+  // Sized for any three ints (11 characters each), not just real dates, so
+  // the output can never be truncated.
+  char buf[36];
   std::snprintf(buf, sizeof(buf), "%04d-%02d-%02d", y, m, d);
   return buf;
 }

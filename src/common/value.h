@@ -47,6 +47,16 @@ class Value {
   }
   const std::string& AsString() const { return std::get<std::string>(data_); }
 
+  /// Makes this value the string `[data, data + n)`, reusing the buffer of
+  /// a string it already holds (the codec decodes into reused scratch rows).
+  void SetString(const char* data, size_t n) {
+    if (auto* s = std::get_if<std::string>(&data_)) {
+      s->assign(data, n);
+    } else {
+      data_.emplace<std::string>(data, n);
+    }
+  }
+
   /// True when the value is numeric (int or double).
   bool is_numeric() const { return is_int() || is_double(); }
 

@@ -66,6 +66,11 @@ Status WireFrame::Check(const std::vector<uint8_t>& framed,
   return Status::OK();
 }
 
+void WireWriter::PutRaw(const void* data, size_t n) {
+  const auto* p = static_cast<const uint8_t*>(data);
+  buf_.insert(buf_.end(), p, p + n);
+}
+
 void WireWriter::PutValue(const Value& v) {
   if (v.is_null()) {
     PutU8(kTagNull);
@@ -133,21 +138,54 @@ Result<std::string> WireReader::GetString() {
 }
 
 Result<Value> WireReader::GetValue() {
-  TANGO_ASSIGN_OR_RETURN(uint8_t tag, GetU8());
+  Value v;
+  TANGO_RETURN_IF_ERROR(GetValueInto(&v));
+  return v;
+}
+
+Status WireReader::GetValueInto(Value* out) {
+  TANGO_ASSIGN_OR_RETURN(const uint8_t tag, GetU8());
   switch (tag) {
     case kTagNull:
-      return Value::Null();
+      *out = Value::Null();
+      return Status::OK();
     case kTagInt: {
-      TANGO_ASSIGN_OR_RETURN(int64_t v, GetI64());
-      return Value(v);
+      TANGO_ASSIGN_OR_RETURN(const int64_t v, GetI64());
+      *out = Value(v);
+      return Status::OK();
     }
     case kTagDouble: {
-      TANGO_ASSIGN_OR_RETURN(double v, GetDouble());
-      return Value(v);
+      TANGO_ASSIGN_OR_RETURN(const double v, GetDouble());
+      *out = Value(v);
+      return Status::OK();
     }
     case kTagString: {
-      TANGO_ASSIGN_OR_RETURN(std::string v, GetString());
-      return Value(std::move(v));
+      TANGO_ASSIGN_OR_RETURN(const uint32_t n, GetU32());
+      TANGO_RETURN_IF_ERROR(Need(n));
+      out->SetString(reinterpret_cast<const char*>(data_ + pos_), n);
+      pos_ += n;
+      return Status::OK();
+    }
+    default:
+      return Status::IOError("bad wire value tag");
+  }
+}
+
+Status WireReader::SkipValue() {
+  TANGO_ASSIGN_OR_RETURN(const uint8_t tag, GetU8());
+  switch (tag) {
+    case kTagNull:
+      return Status::OK();
+    case kTagInt:
+    case kTagDouble:
+      TANGO_RETURN_IF_ERROR(Need(8));
+      pos_ += 8;
+      return Status::OK();
+    case kTagString: {
+      TANGO_ASSIGN_OR_RETURN(const uint32_t n, GetU32());
+      TANGO_RETURN_IF_ERROR(Need(n));
+      pos_ += n;
+      return Status::OK();
     }
     default:
       return Status::IOError("bad wire value tag");
@@ -161,8 +199,7 @@ Result<Tuple> WireReader::GetTuple() {
   // below fails on buffer underrun long before a real tuple gets this wide.
   t.reserve(std::min<uint32_t>(n, 1024));
   for (uint32_t i = 0; i < n; ++i) {
-    TANGO_ASSIGN_OR_RETURN(Value v, GetValue());
-    t.push_back(std::move(v));
+    TANGO_RETURN_IF_ERROR(GetValueInto(&t.emplace_back()));
   }
   return t;
 }
@@ -185,12 +222,62 @@ Result<size_t> WireReader::GetRowBlock(RowBlock* block) {
     std::vector<Value>& col = block->column(c);
     col.reserve(rows);
     for (uint32_t r = 0; r < rows; ++r) {
-      TANGO_ASSIGN_OR_RETURN(Value v, GetValue());
-      col.push_back(std::move(v));
+      TANGO_RETURN_IF_ERROR(GetValueInto(&col.emplace_back()));
     }
   }
   block->set_rows(rows);
   return static_cast<size_t>(rows);
+}
+
+Status TupleView::Reset(const uint8_t* data, size_t len) {
+  data_ = data;
+  len_ = len;
+  arity_ = 0;
+  located_ = 0;
+  WireReader reader(data, len);
+  TANGO_ASSIGN_OR_RETURN(const uint32_t arity, reader.GetU32());
+  if (arity > len - reader.position()) {
+    return Status::IOError("wire tuple arity implausible: too many columns");
+  }
+  arity_ = arity;
+  if (starts_.size() < arity_) starts_.resize(arity_);
+  if (arity_ > 0) {
+    starts_[0] = reader.position();
+    located_ = 1;
+  }
+  return Status::OK();
+}
+
+Status TupleView::Locate(size_t col) {
+  if (col >= arity_) {
+    return Status::IOError("wire tuple has no column " + std::to_string(col));
+  }
+  while (located_ <= col) {
+    const size_t start = starts_[located_ - 1];
+    WireReader reader(data_ + start, len_ - start);
+    TANGO_RETURN_IF_ERROR(reader.SkipValue());
+    starts_[located_++] = start + reader.position();
+  }
+  return Status::OK();
+}
+
+Result<Value> TupleView::Get(size_t col) {
+  Value v;
+  TANGO_RETURN_IF_ERROR(GetInto(col, &v));
+  return v;
+}
+
+Status TupleView::GetInto(size_t col, Value* out) {
+  TANGO_RETURN_IF_ERROR(Locate(col));
+  const size_t start = starts_[col];
+  WireReader reader(data_ + start, len_ - start);
+  TANGO_RETURN_IF_ERROR(reader.GetValueInto(out));
+  // Decoding a column locates the next one: an ascending read of every
+  // column never walks the same bytes twice.
+  if (located_ == col + 1 && located_ < arity_) {
+    starts_[located_++] = start + reader.position();
+  }
+  return Status::OK();
 }
 
 }  // namespace tango

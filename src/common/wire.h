@@ -39,10 +39,7 @@ class WireWriter {
   std::vector<uint8_t> Take() { return std::move(buf_); }
 
  private:
-  void PutRaw(const void* data, size_t n) {
-    const auto* p = static_cast<const uint8_t*>(data);
-    buf_.insert(buf_.end(), p, p + n);
-  }
+  void PutRaw(const void* data, size_t n);
   std::vector<uint8_t> buf_;
 };
 
@@ -85,6 +82,14 @@ class WireReader {
   Result<double> GetDouble();
   Result<std::string> GetString();
   Result<Value> GetValue();
+  /// Decodes the next value into `*out`. A string reuses the buffer of the
+  /// string `*out` already holds, so a scratch value decoded row after row
+  /// settles into steady-state memory. GetValue and GetTuple decode through
+  /// this one function.
+  Status GetValueInto(Value* out);
+  /// Advances past the next value, checking it exactly as GetValueInto
+  /// would, without materializing it.
+  Status SkipValue();
   Result<Tuple> GetTuple();
   /// Decodes one block written by PutRowBlock into `block` (replacing its
   /// contents; the block's capacity is not a decode limit). Returns the row
@@ -92,6 +97,9 @@ class WireReader {
   /// rows×cols is checked against the bytes actually remaining (every value
   /// costs at least its tag byte) before anything is reserved.
   Result<size_t> GetRowBlock(RowBlock* block);
+
+  /// Bytes consumed so far.
+  size_t position() const { return pos_; }
 
  private:
   Status Need(size_t n) {
@@ -101,6 +109,41 @@ class WireReader {
   const uint8_t* data_;
   size_t size_;
   size_t pos_ = 0;
+};
+
+/// \brief Bounds-checked per-column reader over one `PutTuple` encoding.
+///
+/// The storage layer keeps rows in this encoding, so a scan that only needs
+/// a few columns to reject a row can read just those. `Get(col)` finds a
+/// column's offset lazily, walking forward from the furthest column located
+/// so far (decoding a column also locates the next one), so reading every
+/// column in ascending order is one forward pass over the bytes. On a valid
+/// encoding each column decodes to exactly what `WireReader::GetTuple`
+/// yields; on a damaged one the reader returns an IOError and never reads
+/// outside `[data, data + len)`. The view does not own the bytes; the
+/// offset table is reused across `Reset` calls.
+class TupleView {
+ public:
+  /// Points the view at one encoded tuple and reads its arity. An arity
+  /// the buffer cannot hold (every value costs at least its tag byte) is an
+  /// IOError.
+  Status Reset(const uint8_t* data, size_t len);
+
+  size_t arity() const { return arity_; }
+
+  /// Decodes column `col`; a column past the arity is an IOError.
+  Result<Value> Get(size_t col);
+  /// Same, into `*out` (see WireReader::GetValueInto).
+  Status GetInto(size_t col, Value* out);
+
+ private:
+  Status Locate(size_t col);
+
+  const uint8_t* data_ = nullptr;
+  size_t len_ = 0;
+  size_t arity_ = 0;
+  std::vector<size_t> starts_;  // starts_[c]: offset of column c, c < located_
+  size_t located_ = 0;
 };
 
 }  // namespace tango

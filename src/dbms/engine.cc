@@ -262,9 +262,10 @@ Result<QueryResult> Engine::ExecuteUpdate(const sql::UpdateStmt& upd,
                                           uint64_t session) {
   TANGO_ASSIGN_OR_RETURN(Table * table, catalog_.GetTable(upd.table));
   const Schema& schema = table->schema();
-  ExprPtr where;
-  if (upd.where != nullptr) {
-    TANGO_ASSIGN_OR_RETURN(where, Bind(upd.where, schema));
+  std::vector<ExprPtr> where;
+  for (const ExprPtr& conjunct : SplitConjuncts(upd.where)) {
+    TANGO_ASSIGN_OR_RETURN(ExprPtr bound, Bind(conjunct, schema));
+    where.push_back(std::move(bound));
   }
   std::vector<std::pair<size_t, ExprPtr>> sets;
   sets.reserve(upd.sets.size());
@@ -275,15 +276,17 @@ Result<QueryResult> Engine::ExecuteUpdate(const sql::UpdateStmt& upd,
   }
 
   // Collect-then-mutate: the scan must not observe its own writes (SET
-  // T2 = now WHERE T2 = forever would otherwise chase rewritten rows).
+  // T2 = now WHERE T2 = forever would otherwise chase rewritten rows). The
+  // collect pass is the SELECT full scan, WHERE evaluated on encoded rows.
   std::vector<std::pair<storage::Rid, Tuple>> targets;
-  auto scan = table->file().Scan();
-  Tuple t;
-  storage::Rid rid;
-  while (scan.Next(&t, &rid)) {
-    if (where == nullptr || EvalPredicate(*where, t)) {
-      targets.emplace_back(rid, t);
-    }
+  TableScanOp scan(table, "", std::move(where));
+  TANGO_RETURN_IF_ERROR(scan.Init());
+  while (true) {
+    Tuple t;
+    storage::Rid rid;
+    TANGO_ASSIGN_OR_RETURN(const bool found, scan.NextWithRid(&t, &rid));
+    if (!found) break;
+    targets.emplace_back(rid, std::move(t));
   }
 
   if (IsTempTableName(table->name())) {

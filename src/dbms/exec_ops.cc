@@ -7,28 +7,110 @@ namespace dbms {
 
 // ---------------------------------------------------------------- TableScan
 
-TableScanOp::TableScanOp(const Table* table, const std::string& alias)
+namespace {
+
+void CollectColumnIndexes(const Expr& e, std::vector<size_t>* out) {
+  if (e.kind == Expr::Kind::kColumn) {
+    out->push_back(static_cast<size_t>(e.index));
+    return;
+  }
+  for (const ExprPtr& c : e.children) CollectColumnIndexes(*c, out);
+}
+
+}  // namespace
+
+TableScanOp::TableScanOp(const Table* table, const std::string& alias,
+                         std::vector<ExprPtr> conjuncts)
     : table_(table),
       schema_(alias.empty() ? table->schema()
-                            : table->schema().WithQualifier(alias)) {}
+                            : table->schema().WithQualifier(alias)),
+      conjuncts_(std::move(conjuncts)),
+      read_by_predicate_(schema_.num_columns(), 0),
+      scratch_(schema_.num_columns()) {
+  for (const ExprPtr& conjunct : conjuncts_) {
+    std::vector<size_t> cols;
+    CollectColumnIndexes(*conjunct, &cols);
+    std::sort(cols.begin(), cols.end());
+    cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
+    std::vector<size_t>& fresh = new_columns_.emplace_back();
+    for (const size_t c : cols) {
+      if (read_by_predicate_[c] == 0) fresh.push_back(c);
+      read_by_predicate_[c] = 1;
+    }
+  }
+}
 
 Status TableScanOp::Init() {
   it_.emplace(table_->file().Scan());
   return Status::OK();
 }
 
+Result<bool> TableScanOp::Advance(storage::Rid* rid) {
+  const uint8_t* bytes;
+  uint32_t len;
+  while (it_->NextEncoded(&bytes, &len, rid)) {
+    TANGO_RETURN_IF_ERROR(view_.Reset(bytes, len));
+    if (view_.arity() != scratch_.size()) {
+      return Status::IOError("stored row arity does not match " +
+                             table_->name());
+    }
+    // Stop at the first conjunct that is not TRUE (see the class comment
+    // for why that returns exactly the rows WHERE keeps).
+    bool qualifies = true;
+    for (size_t k = 0; qualifies && k < conjuncts_.size(); ++k) {
+      for (const size_t c : new_columns_[k]) {
+        TANGO_RETURN_IF_ERROR(view_.GetInto(c, &scratch_[c]));
+      }
+      qualifies = EvalPredicate(*conjuncts_[k], scratch_);
+    }
+    if (qualifies) return true;
+  }
+  return false;
+}
+
+Status TableScanOp::Emit(size_t col, Value* out) {
+  if (read_by_predicate_[col] != 0) {
+    // A copy, not a move: the scratch value keeps its string buffer, so
+    // rejected rows stay free of heap allocation.
+    *out = scratch_[col];
+    return Status::OK();
+  }
+  return view_.GetInto(col, out);
+}
+
+Result<bool> TableScanOp::NextWithRid(Tuple* tuple, storage::Rid* rid) {
+  TANGO_ASSIGN_OR_RETURN(const bool found, Advance(rid));
+  if (!found) return false;
+  tuple->resize(scratch_.size());
+  for (size_t c = 0; c < scratch_.size(); ++c) {
+    TANGO_RETURN_IF_ERROR(Emit(c, &(*tuple)[c]));
+  }
+  return true;
+}
+
 Result<bool> TableScanOp::Next(Tuple* tuple) {
-  return it_->Next(tuple);
+  return NextWithRid(tuple, nullptr);
 }
 
 Result<size_t> TableScanOp::NextBatch(RowBlock* block) {
-  block->Clear();
-  Tuple t;
-  while (!block->full()) {
-    if (!it_->Next(&t)) break;
-    block->AppendRow(std::move(t));
+  const size_t arity = scratch_.size();
+  if (block->columns() == arity) {
+    block->Clear();
+  } else {
+    block->Reset(arity);
   }
-  return block->rows();
+  size_t rows = 0;
+  while (rows < block->capacity()) {
+    TANGO_ASSIGN_OR_RETURN(const bool found, Advance(nullptr));
+    if (!found) break;
+    for (size_t c = 0; c < arity; ++c) {
+      std::vector<Value>& column = block->column(c);
+      TANGO_RETURN_IF_ERROR(Emit(c, &column.emplace_back()));
+    }
+    ++rows;
+  }
+  block->set_rows(rows);
+  return rows;
 }
 
 // ---------------------------------------------------------------- IndexScan

@@ -21,23 +21,59 @@ struct AggSpec {
   std::string name;   // output column name
 };
 
-/// \brief Full scan of a stored table.
+/// \brief Full scan of a stored table that evaluates the pushed WHERE
+/// conjuncts on the page's encoded rows.
+///
+/// For each live slot the scan decodes only the columns the next conjunct
+/// reads, into a scratch row reused across rows, and stops at the first
+/// conjunct that is not TRUE. Only a row that passes every conjunct is
+/// decoded in full, in one forward pass from where the predicate stopped,
+/// straight into the caller's tuple or block. A rejected row allocates
+/// nothing: scratch values are overwritten in place, and a decoded string
+/// reuses the buffer of the string before it in its column (a NULL in
+/// between releases it).
+///
+/// Stopping early is exact. WHERE keeps a row only when the AND of its
+/// conjuncts is TRUE, which under three-valued logic holds only when every
+/// conjunct is TRUE (FALSE AND x is FALSE; NULL AND TRUE is NULL). `Eval`
+/// has no side effects and raises no errors (division by zero yields NULL),
+/// so skipping the conjuncts after the first FALSE or NULL one returns the
+/// same rows.
 class TableScanOp : public Cursor {
  public:
-  /// `alias` re-qualifies the output schema (range variable).
-  TableScanOp(const Table* table, const std::string& alias);
+  /// `alias` re-qualifies the output schema (range variable). `conjuncts`
+  /// are the `SplitConjuncts` of the pushed predicate, bound to that schema,
+  /// evaluated in the given (SQL) order; none means every live row.
+  TableScanOp(const Table* table, const std::string& alias,
+              std::vector<ExprPtr> conjuncts = {});
 
   Status Init() override;
   Result<bool> Next(Tuple* tuple) override;
-  /// Fills the block straight from the heap-file iterator: one virtual
-  /// cursor call per block instead of one per stored row.
+  /// Fills the block straight from the page bytes: one virtual cursor call
+  /// per block instead of one per stored row.
   Result<size_t> NextBatch(RowBlock* block) override;
+  /// Next qualifying row and its record id (UPDATE's collect pass).
+  Result<bool> NextWithRid(Tuple* tuple, storage::Rid* rid);
   const Schema& schema() const override { return schema_; }
 
  private:
+  /// Moves to the next live row whose conjuncts are all TRUE, leaving its
+  /// encoding in `view_` and the predicate's columns in `scratch_`.
+  Result<bool> Advance(storage::Rid* rid);
+  /// Writes column `col` of the current row to `*out`: the predicate's
+  /// decode when there was one, else a fresh decode from `view_`.
+  Status Emit(size_t col, Value* out);
+
   const Table* table_;
   Schema schema_;
+  std::vector<ExprPtr> conjuncts_;
+  /// new_columns_[k]: the columns conjunct k reads that no earlier conjunct
+  /// reads, ascending. Earlier conjuncts all ran, so theirs are decoded.
+  std::vector<std::vector<size_t>> new_columns_;
+  std::vector<uint8_t> read_by_predicate_;  // per column
   std::optional<storage::HeapFile::Iterator> it_;
+  TupleView view_;
+  Tuple scratch_;
 };
 
 /// \brief Range scan via a B+-tree index: key in [lo, hi] with optional

@@ -524,20 +524,26 @@ Result<CursorPtr> Planner::PlanBaseTable(const Table* table,
     }
   }
 
-  CursorPtr cur;
-  if (best_col >= 0) {
-    const Range& r = ranges[static_cast<size_t>(best_col)];
-    cur = std::make_unique<IndexScanOp>(table, static_cast<size_t>(best_col),
-                                        alias, r.lo, r.lo_inc, r.hi, r.hi_inc);
-  } else {
-    cur = std::make_unique<TableScanOp>(table, alias);
+  std::vector<ExprPtr> bound;
+  bound.reserve(pushed.size());
+  for (const ExprPtr& c : pushed) {
+    TANGO_ASSIGN_OR_RETURN(ExprPtr b, Bind(c, qualified));
+    bound.push_back(std::move(b));
   }
-  if (!pushed.empty()) {
+  if (best_col < 0) {
+    // A full scan evaluates the conjuncts itself, on the encoded rows.
+    return CursorPtr(
+        std::make_unique<TableScanOp>(table, alias, std::move(bound)));
+  }
+  const Range& r = ranges[static_cast<size_t>(best_col)];
+  CursorPtr cur = std::make_unique<IndexScanOp>(
+      table, static_cast<size_t>(best_col), alias, r.lo, r.lo_inc, r.hi,
+      r.hi_inc);
+  if (!bound.empty()) {
     // Keep the full predicate as a residual filter: correct regardless of
     // which conjuncts the index range already enforces.
-    TANGO_ASSIGN_OR_RETURN(ExprPtr pred,
-                           Bind(Expr::AndAll(pushed), cur->schema()));
-    cur = std::make_unique<FilterOp>(std::move(cur), std::move(pred));
+    cur = std::make_unique<FilterOp>(std::move(cur),
+                                     Expr::AndAll(std::move(bound)));
   }
   return cur;
 }

@@ -109,7 +109,7 @@ std::string Expr::ToString() const {
   switch (kind) {
     case Kind::kColumn: {
       std::string q = table.empty() ? name : table + "." + name;
-      if (q.empty()) q = "$" + std::to_string(index);
+      if (q.empty()) q.append("$").append(std::to_string(index));
       return q;
     }
     case Kind::kLiteral:
@@ -117,13 +117,17 @@ std::string Expr::ToString() const {
     case Kind::kUnary:
       switch (unary_op) {
         case UnaryOp::kNot:
-          return "NOT (" + children[0]->ToString() + ")";
+          return std::string("NOT (").append(children[0]->ToString()).append(
+              ")");
         case UnaryOp::kNeg:
-          return "-(" + children[0]->ToString() + ")";
+          return std::string("-(").append(children[0]->ToString()).append(
+              ")");
         case UnaryOp::kIsNull:
-          return "(" + children[0]->ToString() + ") IS NULL";
+          return std::string("(").append(children[0]->ToString()).append(
+              ") IS NULL");
         case UnaryOp::kIsNotNull:
-          return "(" + children[0]->ToString() + ") IS NOT NULL";
+          return std::string("(").append(children[0]->ToString()).append(
+              ") IS NOT NULL");
       }
       return "?";
     case Kind::kBinary: {
@@ -264,6 +268,17 @@ Value EvalBinary(BinaryOp op, const Value& l, const Value& r) {
   return Value::Null();
 }
 
+/// Evaluates an operand, by reference when it is a column or a literal:
+/// comparing a string column costs no copy of the string.
+const Value& EvalOperand(const Expr& expr, const Tuple& tuple, Value* tmp) {
+  if (expr.kind == Expr::Kind::kColumn) {
+    return tuple[static_cast<size_t>(expr.index)];
+  }
+  if (expr.kind == Expr::Kind::kLiteral) return expr.literal;
+  *tmp = Eval(expr, tuple);
+  return *tmp;
+}
+
 }  // namespace
 
 Value Eval(const Expr& expr, const Tuple& tuple) {
@@ -289,10 +304,12 @@ Value Eval(const Expr& expr, const Tuple& tuple) {
       }
       return Value::Null();
     }
-    case Expr::Kind::kBinary:
+    case Expr::Kind::kBinary: {
+      Value l, r;
       return EvalBinary(expr.binary_op,
-                        Eval(*expr.children[0], tuple),
-                        Eval(*expr.children[1], tuple));
+                        EvalOperand(*expr.children[0], tuple, &l),
+                        EvalOperand(*expr.children[1], tuple, &r));
+    }
     case Expr::Kind::kFunction: {
       // GREATEST / LEAST: NULL if any argument is NULL (Oracle semantics).
       Value best;

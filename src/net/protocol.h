@@ -129,6 +129,7 @@ Status StatusFromError(const Message& message);
 class FrameAssembler {
  public:
   void Append(const uint8_t* data, size_t n) {
+    if (n == 0) return;  // `data` may be null then (an empty vector's data())
     buf_.insert(buf_.end(), data, data + n);
   }
 

@@ -97,7 +97,7 @@ Result<stats::RelStats> Memo::DeriveStats(const algebra::OpPtr& op,
 Result<size_t> Memo::Insert(const algebra::OpPtr& op,
                             std::vector<size_t> children, size_t target) {
   std::string fingerprint = op->ParamFingerprint();
-  for (size_t g : children) fingerprint += "|" + std::to_string(g);
+  for (size_t g : children) fingerprint.append("|").append(std::to_string(g));
 
   size_t group_id = target;
   if (target == kNewGroup) {
@@ -126,7 +126,7 @@ Result<size_t> Memo::Insert(const algebra::OpPtr& op,
     // In-group dedup: do not add the same element twice.
     for (const MExpr& e : groups_[target].exprs) {
       std::string fp = e.op->ParamFingerprint();
-      for (size_t g : e.children) fp += "|" + std::to_string(g);
+      for (size_t g : e.children) fp.append("|").append(std::to_string(g));
       if (fp == fingerprint) return target;
     }
   }
@@ -523,7 +523,7 @@ Result<size_t> Memo::RuleJoinCommute(size_t group_id, const MExpr& e) {
   // create mutually-referencing projection classes.
   {
     std::string fp = e.op->ParamFingerprint();
-    for (size_t g : e.children) fp += "|" + std::to_string(g);
+    for (size_t g : e.children) fp.append("|").append(std::to_string(g));
     if (commute_products_.count(fp) != 0) return 0;
   }
   std::vector<std::pair<std::string, std::string>> swapped;
@@ -538,7 +538,8 @@ Result<size_t> Memo::RuleJoinCommute(size_t group_id, const MExpr& e) {
   if (!commuted.ok()) return generated_ - before;
   {
     std::string fp = commuted.ValueOrDie()->ParamFingerprint();
-    fp += "|" + std::to_string(rg) + "|" + std::to_string(lg);
+    fp.append("|").append(std::to_string(rg)).append("|").append(
+        std::to_string(lg));
     commute_products_.insert(fp);
   }
   TANGO_ASSIGN_OR_RETURN(size_t cg,
@@ -554,7 +555,7 @@ Result<size_t> Memo::RuleJoinCommute(size_t group_id, const MExpr& e) {
     // (i + right_cols) % total in the commuted output.
     const size_t j = (i + right_cols) % cs.num_columns();
     items.push_back({Expr::Column(cs.column(j).table, cs.column(j).name),
-                     out.column(i).name});
+                     out.column(i).name, out.column(i).table});
   }
   auto proj = algebra::Project(Placeholder(cg, cs), items);
   if (!proj.ok()) return generated_ - before;

@@ -44,7 +44,9 @@ class Translator {
   /// Allocates select-list aliases that are unique within one SELECT.
   std::vector<std::string> MakeAliases(const Schema& schema);
 
-  std::string FreshSubqueryAlias() { return "S" + std::to_string(++alias_counter_); }
+  std::string FreshSubqueryAlias() {
+    return std::string("S").append(std::to_string(++alias_counter_));
+  }
 
   /// Prints an algebra expression against a child whose algebra schema is
   /// `schema` and whose emitted aliases are `aliases`, qualifying column

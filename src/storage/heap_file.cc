@@ -1,5 +1,7 @@
 #include "storage/heap_file.h"
 
+#include <tuple>
+
 namespace tango {
 namespace storage {
 
@@ -61,7 +63,8 @@ bool HeapFile::IsDead(const Rid& rid) const {
   return page.dead(rid.slot);
 }
 
-bool HeapFile::Iterator::Next(Tuple* tuple, Rid* rid) {
+bool HeapFile::Iterator::NextEncoded(const uint8_t** data, uint32_t* len,
+                                     Rid* rid) {
   while (page_ < file_->pages_.size()) {
     const Page& p = file_->pages_[page_];
     if (slot_ < p.num_slots()) {
@@ -69,9 +72,7 @@ bool HeapFile::Iterator::Next(Tuple* tuple, Rid* rid) {
         ++slot_;
         continue;
       }
-      Result<Tuple> t = p.Read(slot_);
-      if (!t.ok()) return false;  // pages are never corrupt in-memory
-      *tuple = t.MoveValueOrDie();
+      std::tie(*data, *len) = p.SlotBytes(slot_);
       if (rid != nullptr) {
         *rid = Rid{static_cast<uint32_t>(page_), static_cast<uint32_t>(slot_)};
       }
@@ -82,6 +83,16 @@ bool HeapFile::Iterator::Next(Tuple* tuple, Rid* rid) {
     slot_ = 0;
   }
   return false;
+}
+
+bool HeapFile::Iterator::Next(Tuple* tuple, Rid* rid) {
+  const uint8_t* data;
+  uint32_t len;
+  if (!NextEncoded(&data, &len, rid)) return false;
+  Result<Tuple> t = WireReader(data, len).GetTuple();
+  if (!t.ok()) return false;  // pages are never corrupt in-memory
+  *tuple = t.MoveValueOrDie();
+  return true;
 }
 
 void HeapFile::SerializeTo(WireWriter* w) const {

@@ -70,7 +70,12 @@ class HeapFile {
    public:
     explicit Iterator(const HeapFile* file) : file_(file) {}
 
-    /// Advances to the next live tuple; false at end of file.
+    /// Advances to the next live slot without decoding it: `*data`/`*len`
+    /// point at the slot's `PutTuple` encoding inside the page, valid until
+    /// the file is next modified. False at end of file.
+    bool NextEncoded(const uint8_t** data, uint32_t* len, Rid* rid = nullptr);
+
+    /// Advances to the next live tuple, decoded; false at end of file.
     bool Next(Tuple* tuple, Rid* rid = nullptr);
 
    private:

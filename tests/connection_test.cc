@@ -17,7 +17,7 @@ void LoadSmall(Engine* db, int n) {
   std::vector<Tuple> rows;
   for (int i = 0; i < n; ++i) {
     rows.push_back({Value(static_cast<int64_t>(i)),
-                    Value("s" + std::to_string(i))});
+                    Value(std::string("s").append(std::to_string(i)))});
   }
   ASSERT_TRUE(db->BulkLoad("R", rows).ok());
 }

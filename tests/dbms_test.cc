@@ -212,7 +212,11 @@ TEST(EngineTest, IndexScanMatchesFullScan) {
   std::string values;
   for (int i = 0; i < 500; ++i) {
     if (i > 0) values += ", ";
-    values += "(" + std::to_string(i % 97) + ", " + std::to_string(i) + ")";
+    values.append("(")
+        .append(std::to_string(i % 97))
+        .append(", ")
+        .append(std::to_string(i))
+        .append(")");
   }
   ASSERT_TRUE(db.Execute("INSERT INTO R VALUES " + values).ok());
   auto no_index = db.Execute("SELECT P FROM R WHERE K >= 10 AND K < 15 ORDER BY P");
@@ -300,7 +304,8 @@ TEST(ConnectionTest, BulkLoadAndInsertLoadAgree) {
   Connection conn(&db, wire);
   std::vector<Tuple> rows;
   for (int64_t i = 0; i < 20; ++i) {
-    rows.push_back({Value(i), Value("s" + std::to_string(i))});
+    rows.push_back(
+        {Value(i), Value(std::string("s").append(std::to_string(i)))});
   }
   ASSERT_TRUE(conn.BulkLoad("A", rows).ok());
   ASSERT_TRUE(conn.InsertLoad("B", rows).ok());

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "tango/middleware.h"
+#include "workload/uis.h"
 
 namespace tango {
 namespace {
@@ -207,9 +210,15 @@ TEST(MiddlewareTest, FeedbackAdjustsCostFactors) {
   std::string values;
   for (int i = 0; i < 3000; ++i) {
     if (i > 0) values += ", ";
-    values += "(" + std::to_string(i % 300) + ", 'emp" + std::to_string(i) +
-              "', " + std::to_string(i % 97) + ", " +
-              std::to_string(i % 97 + 10) + ")";
+    values.append("(")
+        .append(std::to_string(i % 300))
+        .append(", 'emp")
+        .append(std::to_string(i))
+        .append("', ")
+        .append(std::to_string(i % 97))
+        .append(", ")
+        .append(std::to_string(i % 97 + 10))
+        .append(")");
   }
   ASSERT_TRUE(db.Execute("INSERT INTO POSITION VALUES " + values).ok());
   ASSERT_TRUE(db.Execute("ANALYZE").ok());
@@ -428,6 +437,52 @@ TEST(MiddlewareTest, SpillingSortProducesCorrectResults) {
   for (size_t i = 0; i < spilled.size(); ++i) {
     for (size_t c = 0; c < spilled[i].size(); ++c) {
       EXPECT_EQ(spilled[i][c].Compare(in_memory[i][c]), 0) << i << "," << c;
+    }
+  }
+}
+
+TEST(MiddlewareTest, QualifiedReferenceSurvivesCommutedJoin) {
+  // Rule E2 commutes a join and restores the column order with a
+  // projection. That projection must keep the P./E. qualifiers: on UIS seed
+  // 42 at scale 0.1 the commuted join wins, and a parent reference to
+  // E.Addr used to fail with "no such column: E.ADDR".
+  dbms::Engine db;
+  workload::UisOptions opts;
+  opts.seed = 42;
+  opts.employee_rows = 4997;
+  opts.position_rows = 8386;
+  ASSERT_TRUE(workload::LoadUis(&db, opts).ok());
+  Middleware mw(&db, TestConfig());
+
+  const auto run = [&mw](const std::string& text) {
+    auto prepared = mw.Prepare(text);
+    EXPECT_TRUE(prepared.ok()) << prepared.status().ToString();
+    if (!prepared.ok()) return std::vector<Tuple>{};
+    auto explained = mw.Explain(prepared.ValueOrDie());
+    EXPECT_TRUE(explained.ok()) << explained.status().ToString();
+    auto executed = mw.Execute(prepared.ValueOrDie());
+    EXPECT_TRUE(executed.ok()) << executed.status().ToString();
+    if (!executed.ok()) return std::vector<Tuple>{};
+    std::vector<Tuple> rows = executed.ValueOrDie().rows;
+    std::vector<SortKey> keys;
+    for (size_t c = 0; c < executed.ValueOrDie().schema.num_columns(); ++c) {
+      keys.push_back({c, true});
+    }
+    std::sort(rows.begin(), rows.end(), TupleComparator(keys));
+    return rows;
+  };
+  const std::vector<Tuple> qualified = run(
+      "TEMPORAL SELECT PosID, E.Addr FROM POSITION P, EMPLOYEE E "
+      "WHERE P.EmpName = E.EmpName");
+  const std::vector<Tuple> unqualified = run(
+      "TEMPORAL SELECT PosID, Addr FROM POSITION P, EMPLOYEE E "
+      "WHERE P.EmpName = E.EmpName");
+  ASSERT_FALSE(unqualified.empty());
+  ASSERT_EQ(qualified.size(), unqualified.size());
+  for (size_t i = 0; i < qualified.size(); ++i) {
+    ASSERT_EQ(qualified[i].size(), unqualified[i].size());
+    for (size_t c = 0; c < qualified[i].size(); ++c) {
+      EXPECT_EQ(qualified[i][c].Compare(unqualified[i][c]), 0) << i << "," << c;
     }
   }
 }

@@ -17,7 +17,7 @@ namespace {
 adapt::PlanKey Key(uint64_t fingerprint, const std::string& config = "c") {
   adapt::PlanKey key;
   key.fingerprint = fingerprint;
-  key.canon = "Q" + std::to_string(fingerprint);
+  key.canon = std::string("Q").append(std::to_string(fingerprint));
   key.config_key = config;
   return key;
 }

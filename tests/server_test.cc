@@ -48,9 +48,15 @@ void LoadBig(dbms::Engine* db, size_t rows = 1000) {
   std::string insert;
   for (size_t i = 0; i < rows; ++i) {
     if (insert.empty()) insert = "INSERT INTO BIG VALUES ";
-    insert += "(" + std::to_string(i) + ", " + std::to_string(i % 97) + ", " +
-              std::to_string(i % 50) + ", " + std::to_string(i % 50 + 60) +
-              ")";
+    insert.append("(")
+        .append(std::to_string(i))
+        .append(", ")
+        .append(std::to_string(i % 97))
+        .append(", ")
+        .append(std::to_string(i % 50))
+        .append(", ")
+        .append(std::to_string(i % 50 + 60))
+        .append(")");
     if (insert.size() > 12000 || i + 1 == rows) {
       ASSERT_TRUE(db->Execute(insert).ok());
       insert.clear();

@@ -33,7 +33,8 @@ TEST(HeapFileTest, AppendScanGet) {
   HeapFile file(TwoColSchema(), /*page_size=*/256);
   std::vector<Rid> rids;
   for (int64_t i = 0; i < 100; ++i) {
-    rids.push_back(file.Append({Value(i), Value("v" + std::to_string(i))}));
+    rids.push_back(file.Append(
+        {Value(i), Value(std::string("v").append(std::to_string(i)))}));
   }
   EXPECT_EQ(file.num_tuples(), 100u);
   EXPECT_GT(file.num_pages(), 1u);  // tiny pages force multiple
@@ -159,7 +160,9 @@ TEST(RunFileTest, WriteRewindRead) {
   RunFile run;
   ASSERT_TRUE(run.Open().ok());
   for (int64_t i = 0; i < 50; ++i) {
-    ASSERT_TRUE(run.Append({Value(i), Value("r" + std::to_string(i))}).ok());
+    ASSERT_TRUE(run.Append({Value(i),
+                            Value(std::string("r").append(std::to_string(i)))})
+                    .ok());
   }
   EXPECT_EQ(run.count(), 50u);
   ASSERT_TRUE(run.Rewind().ok());

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -75,6 +76,29 @@ std::vector<uint8_t> RandomBatch(Rng* rng, std::vector<Tuple>* tuples) {
     if (tuples != nullptr) tuples->push_back(std::move(t));
   }
   return writer.Take();
+}
+
+// The seeded damage model for payloads past the frame check: one to four
+// bit flips, truncations, or byte overwrites (which can forge huge lengths
+// and arities).
+void MutatePayload(Rng* rng, std::vector<uint8_t>* payload) {
+  const int mutations = 1 + static_cast<int>(rng->Below(4));
+  for (int m = 0; m < mutations; ++m) {
+    if (payload->empty()) break;
+    switch (rng->Below(3)) {
+      case 0:  // bit flip
+        (*payload)[rng->Below(payload->size())] ^=
+            static_cast<uint8_t>(1u << rng->Below(8));
+        break;
+      case 1:  // truncate
+        payload->resize(rng->Below(payload->size() + 1));
+        break;
+      default:  // overwrite a byte
+        (*payload)[rng->Below(payload->size())] =
+            static_cast<uint8_t>(rng->Next());
+        break;
+    }
+  }
 }
 
 // Decodes as many tuples as the buffer yields; any failure must be a clean
@@ -173,23 +197,7 @@ TEST(WireFuzzTest, ReaderSurvivesMutatedPayloads) {
   Rng rng(0x5EED);
   for (int iter = 0; iter < 500; ++iter) {
     std::vector<uint8_t> payload = RandomBatch(&rng, nullptr);
-    const int mutations = 1 + static_cast<int>(rng.Below(4));
-    for (int m = 0; m < mutations; ++m) {
-      if (payload.empty()) break;
-      switch (rng.Below(3)) {
-        case 0:  // bit flip
-          payload[rng.Below(payload.size())] ^=
-              static_cast<uint8_t>(1u << rng.Below(8));
-          break;
-        case 1:  // truncate
-          payload.resize(rng.Below(payload.size() + 1));
-          break;
-        default:  // overwrite a byte (can forge huge lengths/arities)
-          payload[rng.Below(payload.size())] =
-              static_cast<uint8_t>(rng.Next());
-          break;
-      }
-    }
+    MutatePayload(&rng, &payload);
     DrainTuples(payload.data(), payload.size());
   }
 }
@@ -215,6 +223,168 @@ TEST(WireFuzzTest, ForgedHugeArityDoesNotAllocate) {
   auto v = r2.GetValue();
   ASSERT_FALSE(v.ok());
   EXPECT_EQ(v.status().code(), StatusCode::kIOError);
+}
+
+// ---------------------------------------------------------------------------
+// TupleView: the per-column reader the filtered table scan runs on stored
+// rows. It must agree with GetTuple value for value on every valid encoding,
+// whatever order the columns are read in, and fail cleanly (never read out
+// of bounds) wherever GetTuple fails.
+
+// Copies bytes into a heap block of exactly their length, so ASan flags any
+// read one byte past the end.
+std::unique_ptr<uint8_t[]> ExactCopy(const std::vector<uint8_t>& bytes) {
+  auto out = std::make_unique<uint8_t[]>(bytes.size());
+  std::copy(bytes.begin(), bytes.end(), out.get());
+  return out;
+}
+
+bool SameValue(const Value& a, const Value& b) {
+  return a.is_null() == b.is_null() && a.is_int() == b.is_int() &&
+         a.is_double() == b.is_double() && a.is_string() == b.is_string() &&
+         a.Compare(b) == 0;
+}
+
+// A random read order over `arity` columns that visits each column at least
+// once and some twice.
+std::vector<size_t> RandomReadOrder(Rng* rng, size_t arity) {
+  std::vector<size_t> order(arity);
+  for (size_t c = 0; c < arity; ++c) order[c] = c;
+  for (size_t c = arity; c > 1; --c) {
+    std::swap(order[c - 1], order[rng->Below(c)]);
+  }
+  for (size_t extra = rng->Below(3); extra > 0 && arity > 0; --extra) {
+    order.push_back(rng->Below(arity));
+  }
+  return order;
+}
+
+TEST(TupleViewFuzzTest, ColumnsInAnyOrderMatchGetTuple) {
+  Rng rng(0x7E1E);
+  TupleView view;  // reused: the offset table must not leak across rows
+  Value scratch;   // reused across kinds, as the scan's scratch row is
+  for (int iter = 0; iter < 1000; ++iter) {
+    const Tuple tuple = RandomTuple(&rng);
+    WireWriter writer;
+    writer.PutTuple(tuple);
+    const std::vector<uint8_t>& bytes = writer.buffer();
+    const auto exact = ExactCopy(bytes);
+    auto reference = WireReader(exact.get(), bytes.size()).GetTuple();
+    ASSERT_TRUE(reference.ok());
+
+    ASSERT_TRUE(view.Reset(exact.get(), bytes.size()).ok());
+    ASSERT_EQ(view.arity(), tuple.size());
+    for (const size_t c : RandomReadOrder(&rng, tuple.size())) {
+      auto got = view.Get(c);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_TRUE(SameValue(got.ValueOrDie(), reference.ValueOrDie()[c]))
+          << "iter " << iter << " col " << c;
+      ASSERT_TRUE(view.GetInto(c, &scratch).ok());
+      EXPECT_TRUE(SameValue(scratch, reference.ValueOrDie()[c]));
+    }
+    auto past = view.Get(tuple.size());
+    ASSERT_FALSE(past.ok());
+    EXPECT_EQ(past.status().code(), StatusCode::kIOError);
+  }
+}
+
+TEST(TupleViewFuzzTest, DamagedEncodingsFailWhereGetTupleFails) {
+  Rng rng(0x7E1E2);
+  TupleView view;
+  size_t damaged = 0;
+  for (int iter = 0; iter < 3000; ++iter) {
+    WireWriter writer;
+    writer.PutTuple(RandomTuple(&rng));
+    std::vector<uint8_t> bytes = writer.Take();
+    MutatePayload(&rng, &bytes);
+    const auto exact = ExactCopy(bytes);
+    auto reference = WireReader(exact.get(), bytes.size()).GetTuple();
+
+    // Read every column, in a random order; collect the first failure.
+    Status failure = view.Reset(exact.get(), bytes.size());
+    std::vector<Value> got;
+    if (failure.ok()) {
+      got.resize(view.arity());
+      for (const size_t c : RandomReadOrder(&rng, view.arity())) {
+        auto v = view.Get(c);
+        if (!v.ok()) {
+          failure = v.status();
+          break;
+        }
+        got[c] = v.MoveValueOrDie();
+      }
+    }
+    if (reference.ok()) {
+      // A flip inside a value's payload still decodes; then the view must
+      // decode it to the very same values.
+      ASSERT_TRUE(failure.ok())
+          << "iter " << iter << ": " << failure.ToString();
+      ASSERT_EQ(got.size(), reference.ValueOrDie().size());
+      for (size_t c = 0; c < got.size(); ++c) {
+        EXPECT_TRUE(SameValue(got[c], reference.ValueOrDie()[c]))
+            << "iter " << iter << " col " << c;
+      }
+    } else {
+      ++damaged;
+      ASSERT_FALSE(failure.ok()) << "iter " << iter;
+      EXPECT_EQ(failure.code(), StatusCode::kIOError);
+    }
+  }
+  EXPECT_GT(damaged, 1000u);  // the damage model does bite
+}
+
+TEST(TupleViewFuzzTest, ForgedLengthsFailWithoutAllocating) {
+  TupleView view;
+  // An arity of ~4 billion over a 13-byte buffer: rejected at Reset, before
+  // the offset table is sized.
+  WireWriter w1;
+  w1.PutU32(0xFFFFFFFFu);
+  w1.PutU8(1);
+  w1.PutI64(42);
+  Status reset = view.Reset(w1.buffer().data(), w1.size());
+  ASSERT_FALSE(reset.ok());
+  EXPECT_EQ(reset.code(), StatusCode::kIOError);
+
+  // A forged string length in column 1: column 0 still reads, column 1 and
+  // anything located past it fail.
+  WireWriter w2;
+  w2.PutU32(3);
+  w2.PutU8(1);
+  w2.PutI64(7);
+  w2.PutU8(3);  // string tag
+  w2.PutU32(0xFFFFFFF0u);
+  w2.PutU8('x');
+  const auto exact = ExactCopy(w2.buffer());
+  ASSERT_TRUE(view.Reset(exact.get(), w2.size()).ok());
+  EXPECT_EQ(view.Get(2).status().code(), StatusCode::kIOError);
+  auto first = view.Get(0);
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(first.ValueOrDie().AsInt(), 7);
+  EXPECT_EQ(view.Get(1).status().code(), StatusCode::kIOError);
+
+  // Fewer than four bytes cannot even hold the arity.
+  EXPECT_FALSE(view.Reset(exact.get(), 3).ok());
+  EXPECT_FALSE(view.Get(0).ok());
+}
+
+TEST(TupleViewFuzzTest, GarbageBuffersNeverCrash) {
+  Rng rng(0x6A5B);
+  TupleView view;
+  for (int iter = 0; iter < 1000; ++iter) {
+    std::vector<uint8_t> buf(rng.Below(64));
+    // Bias towards tag byte 1 (int) so some garbage gets past Reset.
+    for (uint8_t& b : buf) {
+      b = static_cast<uint8_t>(rng.Below(4) == 0 ? 1 : rng.Next());
+    }
+    const auto exact = ExactCopy(buf);
+    if (!view.Reset(exact.get(), buf.size()).ok()) continue;
+    for (const size_t c : RandomReadOrder(&rng, view.arity())) {
+      auto v = view.Get(c);
+      if (!v.ok()) {
+        EXPECT_EQ(v.status().code(), StatusCode::kIOError);
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -307,23 +477,7 @@ TEST(WireBlockFuzzTest, MutatedBlockPayloadsDecodeCleanlyOrFail) {
     WireWriter writer;
     writer.PutRowBlock(RandomRowBlock(&rng));
     std::vector<uint8_t> payload = writer.Take();
-    const int mutations = 1 + static_cast<int>(rng.Below(4));
-    for (int m = 0; m < mutations; ++m) {
-      if (payload.empty()) break;
-      switch (rng.Below(3)) {
-        case 0:
-          payload[rng.Below(payload.size())] ^=
-              static_cast<uint8_t>(1u << rng.Below(8));
-          break;
-        case 1:
-          payload.resize(rng.Below(payload.size() + 1));
-          break;
-        default:
-          payload[rng.Below(payload.size())] =
-              static_cast<uint8_t>(rng.Next());
-          break;
-      }
-    }
+    MutatePayload(&rng, &payload);
     WireReader reader(payload.data(), payload.size());
     RowBlock decoded;
     auto n = reader.GetRowBlock(&decoded);
