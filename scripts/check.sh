@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Full verification matrix: builds and runs the test suite in four
 # configurations — plain, AddressSanitizer+UBSan, ThreadSanitizer, and
-# Release. The TSan leg is what proves the parallel execution engine free of
-# data races; the differential tests in parallel_exec_test.cc drive every
-# parallel operator at DOP 4 under it. The Release leg exists because the
+# Release. The TSan leg is what proves the concurrent parts free of data
+# races: the network server's poll thread and worker pool, the shared plan
+# cache, the write-churn writer racing live queries, and the metrics
+# registry every thread records into. The Release leg exists because the
 # build uses -Werror and GCC's inlining-driven warnings (-Wrestrict,
 # -Wformat-truncation, -Wnonnull, -Warray-bounds) fire only at -O3: every
 # CMake build type must compile, and the optimized one is what benches run.
@@ -21,10 +22,10 @@
 #
 # The observability suites (obs_test, trace_test, explain_analyze_test) get
 # the same treatment — the metrics registry and trace recorder are written
-# to concurrently by the pool workers and prefetch producers, so TSan is
+# to concurrently by server workers and any thread that records, so TSan is
 # their real referee. Every leg additionally fails if any test binary
 # printed a metrics-registry leak warning (an expect-zero gauge, e.g.
-# pool.queue_depth or query.active, that did not drain back to zero).
+# server.queue_depth or query.active, that did not drain back to zero).
 #
 # The adaptive-plan-management suites (plan_cache_test, feedback_test,
 # fingerprint_test) join the by-name matrix too: the sharded plan cache and
@@ -50,15 +51,14 @@ OBS_SUITES='^(obs_test|trace_test|explain_analyze_test)$'
 ADAPT_SUITES='^(plan_cache_test|feedback_test|fingerprint_test)$'
 # The batch/tuple differential sweeps: exec_property_test proves every
 # operator bit-identical between Next and NextBatch at batch sizes
-# {1,2,7,1024}, and parallel_exec_test does the same for the parallel
-# variants at DOP 4 — ASan catches a moved-from row reused, TSan a racy
-# block handoff, so both suites run under both sanitizers by name.
-VECTOR_SUITES='^(exec_property_test|parallel_exec_test)$'
+# {1,2,7,1024} — ASan catches a moved-from row reused, so the suite runs
+# under both sanitizers by name.
+VECTOR_SUITES='^(exec_property_test)$'
 DURABILITY_SUITES='^(wal_recovery_test|write_churn_test)$'
 # Mid-query replanning: the replan-vs-static differential plus the
-# checkpoint-counting property tests. The Claim()/Fulfill() arbiter and the
-# retain-mode buffer handoff run on prefetch producer threads at dop > 1,
-# so TSan referees the monitor protocol; ASan the buffer splice.
+# checkpoint-counting property tests. ASan referees the retain-mode buffer
+# splice into the replanned remainder; TSan the Claim()/Fulfill() arbiter's
+# locking.
 REPLAN_SUITES='^(replan_exec_test)$'
 # The network service: server_test drives a real PollingServer over
 # loopback (poll thread + worker pool + concurrent clients sharing the
@@ -110,7 +110,7 @@ run_config() {
     echo "=== ${name}: adaptive suites (plan cache + feedback + fingerprint) ==="
     (cd "${dir}" && ctest --output-on-failure -R "${ADAPT_SUITES}" --timeout "${CTEST_TIMEOUT}")
     check_leaks "${name}" "${dir}"
-    echo "=== ${name}: vectorization suites (batch/tuple differential + parallel) ==="
+    echo "=== ${name}: vectorization suites (batch/tuple differential) ==="
     (cd "${dir}" && ctest --output-on-failure -R "${VECTOR_SUITES}" --timeout "${CTEST_TIMEOUT}")
     check_leaks "${name}" "${dir}"
     echo "=== ${name}: durability suites (WAL crash matrix + write churn) ==="

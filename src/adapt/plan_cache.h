@@ -72,7 +72,7 @@ struct CachedPlan {
 size_t EstimateCachedPlanBytes(const CachedPlan& plan);
 
 /// Cache key: the query fingerprint plus every plan-relevant config
-/// dimension (dop, histogram flags, SiteRestriction, ...). Degraded
+/// dimension (histogram flags, SiteRestriction, ...). Degraded
 /// fallback plans thus live under their restricted key only — a transient
 /// outage cannot poison the primary entry.
 struct PlanKey {

@@ -13,11 +13,13 @@ namespace tango {
 /// \brief Query-wide deadline + cancellation token.
 ///
 /// One QueryControl is created per query execution and threaded through the
-/// cursor tree (transfers, the remote prefetch batches, and the parallel
-/// drain's producer thread all poll it). Both signals are sticky: once
-/// expired or cancelled, every subsequent Check() fails, so a query unwinds
-/// cleanly from whatever thread notices first — no operator keeps issuing
-/// statements after the query is dead.
+/// cursor tree (transfers, the remote prefetch batches and retry backoff
+/// poll it). Cancel and SetDeadline may be called from another thread —
+/// the server's poll thread on a CANCEL frame, a test's canceller — while
+/// the query thread polls, hence the atomics. Both signals are sticky:
+/// once expired or cancelled, every subsequent Check() fails, so the query
+/// unwinds at its next poll — no operator keeps issuing statements after
+/// the query is dead.
 class QueryControl {
  public:
   using Clock = std::chrono::steady_clock;

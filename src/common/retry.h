@@ -65,10 +65,11 @@ class RetryState {
 ///
 /// One instance lives in the Middleware and is shared (by pointer) with the
 /// transfer operators and the temp-table janitor; the fields are metric
-/// counters (atomic) because TRANSFER^M retries can fire on prefetch
-/// threads. The counters live in an obs::MetricsRegistry under the
-/// "retry.*" / "janitor.*" / "recovery.*" names, so they show up in the
-/// registry's text dump alongside the wire and transfer series; a
+/// counters (atomic) because the registry may be shared by middleware
+/// instances running queries on different threads (Config::metrics, the
+/// server's worker pool). The counters live in an obs::MetricsRegistry
+/// under the "retry.*" / "janitor.*" / "recovery.*" names, so they show up
+/// in the registry's text dump alongside the wire and transfer series; a
 /// default-constructed instance owns a private registry (unit tests).
 class RecoveryCounters {
  private:

@@ -20,7 +20,7 @@ namespace cost {
 struct CostFactors {
   // Figure 6, recalibrated for block-framed transfer: the per-byte factors
   // drop (column-packed blocks amortize the per-tuple marshalling the old
-  // factors folded in) and the overhead that remains per prefetch batch /
+  // factors folded in) and the overhead that remains per fetched block /
   // bulk-load chunk is charged explicitly per block below.
   double tm = 0.04;       // TRANSFER^M, per byte
   double td = 0.065;      // TRANSFER^D, per byte
@@ -71,21 +71,6 @@ class CostModel {
   CostFactors& factors() { return f_; }
   const CostFactors& factors() const { return f_; }
 
-  /// Degree of parallelism of the middleware execution engine, with the
-  /// efficiency discount applied to the extra workers (partition skew,
-  /// merge/concatenate serial phases, pool overhead). The CPU terms of the
-  /// parallelized algorithms — SORT^M run generation and TJOIN^M partition
-  /// joins — divide by the effective DOP, which shifts the optimizer's
-  /// middleware-vs-DBMS placement toward the middleware as DOP grows.
-  void set_parallelism(size_t dop, double efficiency = 0.7) {
-    dop_ = dop == 0 ? 1 : dop;
-    efficiency_ = efficiency < 0 ? 0 : (efficiency > 1 ? 1 : efficiency);
-  }
-  size_t dop() const { return dop_; }
-  double EffectiveDop() const {
-    return 1.0 + (static_cast<double>(dop_) - 1.0) * efficiency_;
-  }
-
   /// Rows per RowBlock on the wire; determines how many per-block overheads
   /// a transfer of a given cardinality pays.
   void set_batch_size(size_t rows) { batch_rows_ = rows == 0 ? 1 : rows; }
@@ -116,18 +101,15 @@ class CostModel {
 
   // ---- middleware algorithms ----
   double SortM(double size, double cardinality) const {
-    return f_.sortm * size * Log2(cardinality) / EffectiveDop();
+    return f_.sortm * size * Log2(cardinality);
   }
   double ProjectM(double size) const { return f_.projm * size; }
   double MergeJoinM(double left_size, double right_size,
                     double out_size) const {
     return f_.mjm * (left_size + right_size) + f_.mjout * out_size;
   }
-  /// The per-input term parallelizes across range partitions; the
-  /// output-forming term stays serial (concatenation + emission).
   double TJoinM(double left_size, double right_size, double out_size) const {
-    return f_.tjm * (left_size + right_size) / EffectiveDop() +
-           f_.mjout * out_size;
+    return f_.tjm * (left_size + right_size) + f_.mjout * out_size;
   }
   double DupElimM(double size) const { return f_.dupm * size; }
   /// BUFFER^M: re-reading a middleware-resident materialized intermediate
@@ -174,8 +156,6 @@ class CostModel {
   }
 
   CostFactors f_;
-  size_t dop_ = 1;
-  double efficiency_ = 0.7;
   size_t batch_rows_ = 1024;
 };
 

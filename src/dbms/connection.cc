@@ -75,8 +75,8 @@ class RemoteCursor : public Cursor {
   Status FetchBlock() {
     // A cancelled/expired query stops driving the wire at the next batch.
     TANGO_RETURN_IF_ERROR(CheckControl(control_));
-    // Per-batch wire lock: concurrent remote cursors (prefetch threads)
-    // interleave batches instead of racing on the engine and counters.
+    // Per-batch wire lock: remote cursors sharing this connection
+    // interleave whole batches instead of racing on the engine and counters.
     const auto wire = conn_->AcquireWire();
     block_.Clear();
     pos_ = 0;

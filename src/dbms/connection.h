@@ -139,11 +139,11 @@ class Connection {
   /// Counts one framed RowBlock crossing the link (either direction).
   void CountBlock();
 
-  /// Serializes access to the (single) wire and the in-process engine. The
-  /// parallel execution engine drains TRANSFER^M cursors on prefetch
-  /// threads, so statements and prefetch batches from different threads
-  /// interleave at statement/batch granularity under this lock — like one
-  /// JDBC connection shared by synchronized accessors.
+  /// Serializes access to this connection's (single) wire: statements and
+  /// prefetch batches issued through one Connection — from however many
+  /// threads share it — interleave at statement/batch granularity under
+  /// this lock, like one JDBC connection with synchronized accessors. It is
+  /// also the first lock of the wire-then-engine lock order.
   std::unique_lock<std::mutex> AcquireWire() {
     return std::unique_lock<std::mutex>(wire_mu_);
   }

@@ -151,59 +151,6 @@ Result<bool> IndexScanOp::Next(Tuple* tuple) {
   return true;
 }
 
-// ------------------------------------------------------------------- Filter
-
-Result<bool> FilterOp::Next(Tuple* tuple) {
-  while (true) {
-    TANGO_ASSIGN_OR_RETURN(bool more, child_->Next(tuple));
-    if (!more) return false;
-    if (EvalPredicate(*predicate_, *tuple)) return true;
-  }
-}
-
-Result<size_t> FilterOp::NextBatch(RowBlock* block) {
-  block->Clear();
-  in_block_.set_capacity(block->capacity());
-  Tuple t;
-  while (block->empty()) {
-    TANGO_ASSIGN_OR_RETURN(size_t n, child_->NextBatch(&in_block_));
-    if (n == 0) return 0;
-    for (size_t i = 0; i < n; ++i) {
-      in_block_.MoveRowTo(i, &t);
-      if (EvalPredicate(*predicate_, t)) block->AppendRow(std::move(t));
-    }
-  }
-  return block->rows();
-}
-
-// ------------------------------------------------------------------ Project
-
-Result<bool> ProjectOp::Next(Tuple* tuple) {
-  Tuple in;
-  TANGO_ASSIGN_OR_RETURN(bool more, child_->Next(&in));
-  if (!more) return false;
-  tuple->clear();
-  tuple->reserve(exprs_.size());
-  for (const ExprPtr& e : exprs_) tuple->push_back(Eval(*e, in));
-  return true;
-}
-
-Result<size_t> ProjectOp::NextBatch(RowBlock* block) {
-  block->Clear();
-  in_block_.set_capacity(block->capacity());
-  TANGO_ASSIGN_OR_RETURN(size_t n, child_->NextBatch(&in_block_));
-  if (n == 0) return 0;
-  Tuple in, out;
-  for (size_t i = 0; i < n; ++i) {
-    in_block_.MoveRowTo(i, &in);
-    out.clear();
-    out.reserve(exprs_.size());
-    for (const ExprPtr& e : exprs_) out.push_back(Eval(*e, in));
-    block->AppendRow(std::move(out));
-  }
-  return block->rows();
-}
-
 // --------------------------------------------------------------------- Sort
 
 Status SortOp::Init() {

@@ -97,43 +97,6 @@ class IndexScanOp : public Cursor {
   std::optional<storage::BPlusTree::Iterator> it_;
 };
 
-/// \brief Selection: passes tuples satisfying a bound predicate.
-class FilterOp : public Cursor {
- public:
-  FilterOp(CursorPtr child, ExprPtr predicate)
-      : child_(std::move(child)), predicate_(std::move(predicate)) {}
-
-  Status Init() override { return child_->Init(); }
-  Result<bool> Next(Tuple* tuple) override;
-  Result<size_t> NextBatch(RowBlock* block) override;
-  const Schema& schema() const override { return child_->schema(); }
-
- private:
-  CursorPtr child_;
-  ExprPtr predicate_;
-  RowBlock in_block_{RowBlock::kDefaultCapacity};
-};
-
-/// \brief Projection: evaluates bound expressions into a new schema.
-class ProjectOp : public Cursor {
- public:
-  ProjectOp(CursorPtr child, std::vector<ExprPtr> exprs, Schema out_schema)
-      : child_(std::move(child)),
-        exprs_(std::move(exprs)),
-        schema_(std::move(out_schema)) {}
-
-  Status Init() override { return child_->Init(); }
-  Result<bool> Next(Tuple* tuple) override;
-  Result<size_t> NextBatch(RowBlock* block) override;
-  const Schema& schema() const override { return schema_; }
-
- private:
-  CursorPtr child_;
-  std::vector<ExprPtr> exprs_;
-  Schema schema_;
-  RowBlock in_block_{RowBlock::kDefaultCapacity};
-};
-
 /// \brief In-memory sort; materializes its input in Init.
 class SortOp : public Cursor {
  public:

@@ -69,8 +69,8 @@ struct FaultPlan {
 /// boundary, consulted by `Connection` at every statement issue and by the
 /// remote cursor at every prefetch batch.
 ///
-/// Thread-safe: prefetch threads fetch batches concurrently with statements
-/// issued from the main thread.
+/// Thread-safe: one injector may be attached to several Connections (and
+/// to the engine) that are used from different threads.
 class FaultInjector {
  public:
   /// Arms `plan` and resets the statement numbering.

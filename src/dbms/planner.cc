@@ -4,6 +4,8 @@
 #include <map>
 #include <optional>
 
+#include "exec/basic.h"
+
 namespace tango {
 namespace dbms {
 
@@ -168,7 +170,8 @@ Result<CursorPtr> Planner::PlanArm(const sql::SelectStmt& stmt) {
   if (!residuals.empty()) {
     TANGO_ASSIGN_OR_RETURN(ExprPtr pred,
                            Bind(Expr::AndAll(residuals), cur->schema()));
-    cur = std::make_unique<FilterOp>(std::move(cur), std::move(pred));
+    cur = std::make_unique<exec::FilterCursor>(std::move(cur),
+                                               std::move(pred));
   }
 
   // Aggregation or plain projection.
@@ -242,8 +245,8 @@ Result<CursorPtr> Planner::PlanArm(const sql::SelectStmt& stmt) {
     }
   }
 
-  cur = std::make_unique<ProjectOp>(std::move(cur), std::move(select_exprs),
-                                    std::move(out_schema));
+  cur = std::make_unique<exec::ProjectCursor>(
+      std::move(cur), std::move(select_exprs), std::move(out_schema));
 
   if (stmt.distinct) {
     auto keys = AllColumnsAsc(cur->schema());
@@ -460,7 +463,8 @@ Result<CursorPtr> Planner::PlanTableRef(const sql::TableRef& ref,
     if (!pushed.empty()) {
       TANGO_ASSIGN_OR_RETURN(ExprPtr pred,
                              Bind(Expr::AndAll(pushed), cur->schema()));
-      cur = std::make_unique<FilterOp>(std::move(cur), std::move(pred));
+      cur = std::make_unique<exec::FilterCursor>(std::move(cur),
+                                                 std::move(pred));
     }
     return cur;
   }
@@ -542,8 +546,8 @@ Result<CursorPtr> Planner::PlanBaseTable(const Table* table,
   if (!bound.empty()) {
     // Keep the full predicate as a residual filter: correct regardless of
     // which conjuncts the index range already enforces.
-    cur = std::make_unique<FilterOp>(std::move(cur),
-                                     Expr::AndAll(std::move(bound)));
+    cur = std::make_unique<exec::FilterCursor>(std::move(cur),
+                                               Expr::AndAll(std::move(bound)));
   }
   return cur;
 }
@@ -637,7 +641,8 @@ Result<CursorPtr> Planner::PlanAggregation(const sql::SelectStmt& stmt,
     TANGO_ASSIGN_OR_RETURN(
         ExprPtr pred,
         RewriteOverAggOutput(stmt.having, in, group_cols, aggs, agg_nodes));
-    cur = std::make_unique<FilterOp>(std::move(cur), std::move(pred));
+    cur = std::make_unique<exec::FilterCursor>(std::move(cur),
+                                               std::move(pred));
   }
 
   // Select expressions over the aggregate output.

@@ -2,7 +2,6 @@
 #define TANGO_EXEC_INSTRUMENT_H_
 
 #include <chrono>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -20,13 +19,6 @@ namespace exec {
 struct AlgorithmTiming {
   std::string label;
   double inclusive_seconds = 0;
-  /// CPU seconds spent inside pool workers on behalf of this algorithm
-  /// (parallel operators only; 0 for serial ones). With DOP workers the
-  /// wall-clock self time is roughly worker_seconds / DOP — the feedback
-  /// loop uses the wall time against the DOP-discounted formulas, and this
-  /// field lets tests/benches verify the per-worker times aggregate to the
-  /// full serial work.
-  double worker_seconds = 0;
   uint64_t rows = 0;
   /// Non-empty RowBlocks this algorithm produced via NextBatch (0 for a
   /// purely tuple-at-a-time drain); rows/batches is the realized batch size.
@@ -37,26 +29,14 @@ struct AlgorithmTiming {
 /// Sink shared by all instrumented cursors of one plan execution.
 using TimingSink = std::vector<AlgorithmTiming>;
 
-/// Thread-safe accumulator a parallel cursor calls from pool workers to
-/// report task durations; wired up by InstrumentedCursor::WorkerRecorder.
-using WorkerTimeRecorder = std::function<void(double seconds)>;
-
-/// Implemented by cursors that run work on pool threads and can report the
-/// per-worker task times (the parallel sort / join / transfer drain).
-class WorkerTimedCursor {
- public:
-  virtual ~WorkerTimedCursor() = default;
-  virtual void set_worker_time_recorder(WorkerTimeRecorder recorder) = 0;
-};
-
 /// \brief Decorator measuring the wall time spent inside a cursor (Init and
 /// all Next calls) and the rows produced.
 ///
-/// Recording is guarded by a per-cursor mutex: with the parallel transfer
-/// drain, an inner cursor's Init/Next run on the prefetch thread while its
-/// worker recorder may fire concurrently from pool tasks. Each sink entry is
-/// written only through its owning InstrumentedCursor, so the per-cursor
-/// lock fully serializes access to the entry.
+/// Recording is guarded by a per-cursor mutex, so a cursor that is driven
+/// from more than one thread over its lifetime still accumulates exact
+/// totals. Each sink entry is written only through its owning
+/// InstrumentedCursor, so the per-cursor lock fully serializes access to
+/// the entry.
 class InstrumentedCursor : public Cursor {
  public:
   /// Registers a slot in `sink` and remembers its id.
@@ -68,21 +48,11 @@ class InstrumentedCursor : public Cursor {
     t.child_ids = std::move(child_ids);
     id_ = sink_->size();
     sink_->push_back(std::move(t));
-    // Parallel cursors report their pool-task durations into this entry.
-    if (auto* wt = dynamic_cast<WorkerTimedCursor*>(inner_.get())) {
-      wt->set_worker_time_recorder([this](double seconds) {
-        std::lock_guard<std::mutex> lock(mu_);
-        (*sink_)[id_].worker_seconds += seconds;
-      });
-    }
   }
 
-  /// Destroying the inner cursor joins any worker threads that may still be
-  /// inside the recorder lambda (which locks mu_ and captures this), so it
-  /// must happen before the remaining members are torn down — the implicit
-  /// destructor would destroy mu_ first (reverse declaration order). Joining
-  /// first also guarantees the operator span's End timestamp covers every
-  /// thread that worked on this cursor.
+  /// Destroys the wrapped subtree before ending this operator's span, so
+  /// the span's End timestamp covers the teardown of everything below it
+  /// and every child span (ended by its own destructor) nests inside it.
   ~InstrumentedCursor() override {
     inner_.reset();
     if (trace_ != nullptr && span_begun_) trace_->End(span_);
@@ -158,9 +128,11 @@ class InstrumentedCursor : public Cursor {
 
 /// Self time of algorithm `id` (inclusive minus children's inclusive).
 ///
-/// With the parallel transfer drain a child runs concurrently with its
-/// parent, so the child's inclusive time is no longer strictly nested in the
-/// parent's; the subtraction can undershoot and is clamped at zero.
+/// Each inclusive time is a separately accumulated sum of clocked calls.
+/// The executor makes every child call inside one of its parent's calls, so
+/// the difference is non-negative up to rounding; the clamp keeps EXPLAIN
+/// ANALYZE and the feedback loop from ever seeing a negative self time
+/// should a child's intervals not nest in its parent's.
 inline double SelfSeconds(const TimingSink& sink, size_t id) {
   double t = sink[id].inclusive_seconds;
   for (size_t c : sink[id].child_ids) t -= sink[c].inclusive_seconds;

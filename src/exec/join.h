@@ -67,10 +67,9 @@ class TemporalJoinCursor : public MergeJoinCursor {
 
   const Schema& schema() const override { return schema_; }
 
- protected:
+ private:
   bool EmitPair(const Tuple& left, const Tuple& right, Tuple* out) override;
 
- private:
   size_t left_t1_, left_t2_, right_t1_, right_t2_;
   std::vector<size_t> left_out_, right_out_;
   Schema schema_;

@@ -42,11 +42,12 @@ struct ReplanRequest {
 
 /// \brief Per-execution arbiter for mid-query re-optimization.
 ///
-/// Several transfers may observe a mis-estimate concurrently (prefetch
-/// producer threads at dop > 1); exactly one may win the replan. A transfer
-/// first calls Claim() — the winner materializes its remainder, Fulfill()s
-/// the request, and unwinds the cursor tree with StatusCode::kReplan; losers
-/// keep executing normally from their retained buffer.
+/// Several transfers of one plan may observe a mis-estimate; exactly one
+/// may win the replan. A transfer first calls Claim() — the winner
+/// materializes its remainder, Fulfill()s the request, and unwinds the
+/// cursor tree with StatusCode::kReplan; losers keep executing normally
+/// from their retained buffer. Claim/Fulfill/Take lock, so the protocol
+/// holds whichever thread each transfer runs on.
 class ReplanMonitor {
  public:
   /// `qerror_bound` < 1 disables triggering entirely (Claim always fails).

@@ -61,7 +61,7 @@ class SortCursor : public Cursor {
       // priority_queue is a max-heap; invert for ascending output. Ties
       // break on the run index: runs are spilled in input order, so this
       // makes the merge reproduce a stable sort of the whole input —
-      // bit-identical to the in-memory path and to the parallel sort.
+      // bit-identical to the in-memory path.
       const int c = cmp->Compare(a.tuple, b.tuple);
       if (c != 0) return c > 0;
       return a.run > b.run;

@@ -45,8 +45,9 @@ struct TransferObservability {
 /// Only complete result sets are ever stored: a transfer that fails
 /// mid-materialization (even after exhausting retries) must not poison the
 /// cache with a partial result for the other occurrences.
-/// Thread-safe: with the parallel transfer drain, TRANSFER^M cursors of one
-/// plan run their Inits on different prefetch threads concurrently.
+/// Get/Put lock, so the store stays consistent even if transfers sharing
+/// it run on different threads; the executor itself drives every cursor of
+/// a plan from the one thread that runs the query.
 class TransferCache {
  public:
   /// Marks `sql` as occurring multiple times in the plan (worth caching).

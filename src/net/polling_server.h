@@ -42,7 +42,7 @@ struct ServerConfig {
   /// the server.queue_depth gauge: a request arriving past it is answered
   /// with BUSY (transient; the client may retry) instead of queued.
   size_t queue_limit = 128;
-  /// Per-worker middleware template (wire simulation, dop, batch size,
+  /// Per-worker middleware template (wire simulation, batch size,
   /// plan-cache enable, retry discipline...). Cost-factor feedback
   /// (`adapt`) defaults OFF for the server: the factors are per-middleware
   /// state, so under a pooled worker fleet each worker's prices would

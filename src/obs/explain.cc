@@ -53,10 +53,9 @@ void RenderOp(const AnalyzeReport& report, size_t id, int depth,
   }
   *out += buf;
 
-  std::snprintf(buf, sizeof(buf), " cost=%.0fus self=%s incl=%s work=%s",
+  std::snprintf(buf, sizeof(buf), " cost=%.0fus self=%s incl=%s",
                 op.est_cost_us, FormatSeconds(op.self_seconds).c_str(),
-                FormatSeconds(op.inclusive_seconds).c_str(),
-                FormatSeconds(op.worker_seconds).c_str());
+                FormatSeconds(op.inclusive_seconds).c_str());
   *out += buf;
   *out += "\n";
 

@@ -33,7 +33,6 @@ struct OpObservation {
   uint64_t act_batches = 0;
   double inclusive_seconds = 0;
   double self_seconds = 0;  // inclusive minus children (clamped at >= 0)
-  double worker_seconds = 0;
 
   /// The SELECT a TRANSFER^M issued (empty for other operators).
   std::string sql;
@@ -66,7 +65,7 @@ struct AnalyzeReport {
 double QError(double estimated, double actual);
 
 /// Human-readable per-operator tree:
-///   TAGGR^M [M] rows est=6 act=34 q=5.67 cost=1234us self=0.2ms incl=1.1ms work=0us
+///   TAGGR^M [M] rows est=6 act=34 q=5.67 cost=1234us self=0.2ms incl=1.1ms
 /// Children are indented under their parents, root first. TRANSFER^D
 /// produces no tuples (it loads them into the DBMS), so its actual-rows and
 /// Q-error columns render as "-".

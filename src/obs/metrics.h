@@ -65,9 +65,10 @@ class Gauge {
 /// [1e-9, ~9.2e9) plus exact count/sum/min/max.
 ///
 /// Record is lock-free (CAS loops for the floating-point aggregates), so
-/// pool workers and prefetch threads can record concurrently. Quantiles
-/// come from the bucket upper bounds clamped into [min, max] — they always
-/// bracket the recorded values and are monotone in q.
+/// every thread sharing a registry (server workers, for one) can record
+/// concurrently. Quantiles come from the bucket upper bounds clamped into
+/// [min, max] — they always bracket the recorded values and are monotone
+/// in q.
 class Histogram {
  public:
   static constexpr size_t kNumBuckets = 64;
@@ -123,7 +124,7 @@ class MetricsRegistry {
 
   /// One line per instrument, sorted by name:
   ///   counter wire.statements 42
-  ///   gauge pool.queue_depth 0
+  ///   gauge server.queue_depth 0
   ///   histogram query.latency_seconds count=3 sum=... p50=... p95=... ...
   std::string DumpText() const;
 

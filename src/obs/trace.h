@@ -22,8 +22,8 @@ inline constexpr SpanId kNoSpan = 0;
 /// Spans form a tree via `parent`; `plan_node` attributes operator spans to
 /// their timing-sink entry (and thereby the physical plan node), and
 /// `thread_id` is a small per-recorder id (0, 1, 2, ...) identifying which
-/// thread ran the interval — the prefetch producer and pool workers get
-/// their own ids.
+/// thread ran the interval — each thread that records (the server's poll
+/// thread and workers, a query's executing thread) gets its own id.
 struct Span {
   std::string name;
   std::string category;
@@ -43,8 +43,9 @@ struct Span {
 /// Allocation is separate from Begin because the plan compiler allocates
 /// the operator spans (and fixes up their parent links) before anything
 /// runs; Begin stamps the start time and the calling thread when the
-/// operator's Init actually fires — possibly on a prefetch thread. All
-/// methods are thread-safe; ids stay valid for the recorder's lifetime.
+/// operator's Init actually fires. All methods are thread-safe (one
+/// recorder may serve many threads); ids stay valid for the recorder's
+/// lifetime.
 class TraceRecorder {
  public:
   TraceRecorder() : epoch_(Clock::now()) {}

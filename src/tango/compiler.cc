@@ -7,7 +7,6 @@
 
 #include "exec/basic.h"
 #include "exec/join.h"
-#include "exec/parallel.h"
 #include "exec/sort.h"
 #include "exec/taggr.h"
 #include "exec/transfer.h"
@@ -119,17 +118,6 @@ Result<CompiledPlan> PlanCompiler::Compile(const optimizer::PhysPlanPtr& plan) {
   out.transfer_cache = std::make_shared<exec::TransferCache>();
   span_of_timing_.clear();
   plan_root_ = plan.get();
-  if (dop_ > 1) {
-    // The pool's observability hooks must be installed at construction
-    // (workers read them unlocked); pool.queue_depth must drain back to
-    // zero by plan teardown, so it is registered leak-checked.
-    out.pool = std::make_shared<common::ThreadPool>(
-        dop_,
-        metrics_ != nullptr
-            ? &metrics_->gauge("pool.queue_depth", /*expect_zero_at_exit=*/true)
-            : nullptr,
-        trace_, trace_parent_);
-  }
   size_t timing_id = 0;
   TANGO_ASSIGN_OR_RETURN(out.root, CompileNode(*plan, &out, &timing_id));
   out.root_timing_id = timing_id;
@@ -199,19 +187,6 @@ Result<CursorPtr> PlanCompiler::CompileTransferM(const PhysPlan& node,
         {*timing_id, node.feedback_key, node.est_cardinality, 'M'});
   }
   out->nodes.back().sql = rendered.sql;
-  if (dop_ > 1) {
-    // Parallel T^M drain: a prefetch thread decodes wire chunks ahead of
-    // the consumer. The prefetch wrapper is transparent to the timing tree
-    // (the TRANSFER^M entry keeps measuring the real transfer work, now on
-    // the producer thread).
-    auto prefetch = std::make_unique<exec::PrefetchCursor>(
-        std::move(instrumented), batch_size_,
-        /*max_batches=*/4, control_);
-    // The producer span parents to the execute span (not the operator): the
-    // producer thread outlives the operator's Init interval.
-    prefetch->set_trace(trace_, trace_parent_);
-    return CursorPtr(std::move(prefetch));
-  }
   return instrumented;
 }
 
@@ -265,15 +240,8 @@ Result<CursorPtr> PlanCompiler::CompileNode(const PhysPlan& node,
         TANGO_ASSIGN_OR_RETURN(size_t idx, child_schema.IndexOf(s.attr));
         keys.push_back({idx, s.ascending});
       }
-      if (dop_ > 1) {
-        cursor = std::make_unique<exec::ParallelSortCursor>(
-            std::move(children[0]), std::move(keys), out->pool, sort_budget_,
-            dop_);
-      } else {
-        cursor = std::make_unique<exec::SortCursor>(std::move(children[0]),
-                                                    std::move(keys),
-                                                    sort_budget_);
-      }
+      cursor = std::make_unique<exec::SortCursor>(
+          std::move(children[0]), std::move(keys), sort_budget_);
       break;
     }
     case Algorithm::kMergeJoinM: {
@@ -316,17 +284,10 @@ Result<CursorPtr> PlanCompiler::CompileNode(const PhysPlan& node,
           right_out.push_back(i);
         }
       }
-      if (dop_ > 1) {
-        cursor = std::make_unique<exec::ParallelTemporalJoinCursor>(
-            std::move(children[0]), std::move(children[1]), std::move(lkeys),
-            std::move(rkeys), lt1, lt2, rt1, rt2, std::move(left_out),
-            std::move(right_out), node.op->schema, out->pool, dop_);
-      } else {
-        cursor = std::make_unique<exec::TemporalJoinCursor>(
-            std::move(children[0]), std::move(children[1]), std::move(lkeys),
-            std::move(rkeys), lt1, lt2, rt1, rt2, std::move(left_out),
-            std::move(right_out), node.op->schema);
-      }
+      cursor = std::make_unique<exec::TemporalJoinCursor>(
+          std::move(children[0]), std::move(children[1]), std::move(lkeys),
+          std::move(rkeys), lt1, lt2, rt1, rt2, std::move(left_out),
+          std::move(right_out), node.op->schema);
       break;
     }
     case Algorithm::kTAggrM: {

@@ -8,7 +8,6 @@
 
 #include "common/cancel.h"
 #include "common/retry.h"
-#include "common/thread_pool.h"
 #include "dbms/connection.h"
 #include "exec/instrument.h"
 #include "exec/transfer.h"
@@ -47,13 +46,9 @@ struct CompiledPlan {
   std::vector<std::string> sql_statements;
   /// Shared store for identical TRANSFER^M statements (§7 refinement).
   std::shared_ptr<exec::TransferCache> transfer_cache;
-  /// Worker pool shared by the plan's parallel operators (null at DOP 1).
-  common::ThreadPoolPtr pool;
   /// Declared last on purpose: members destruct in reverse declaration
-  /// order, and destroying the cursor tree is what joins the plan's worker
-  /// threads (prefetch producers, pool tasks). On a cancelled/failed
-  /// execution those threads can still be recording into `timings` and
-  /// using `pool`/`transfer_cache`, so `root` must be destroyed first.
+  /// order, and every InstrumentedCursor in the tree holds a raw pointer
+  /// into `timings`, so `root` must be destroyed first.
   CursorPtr root;
 };
 
@@ -73,18 +68,8 @@ class PlanCompiler {
   /// paper's "support very large relations" enhancement).
   void set_sort_memory_budget(size_t bytes) { sort_budget_ = bytes; }
 
-  /// Rows per RowBlock on the batched execution path (the prefetch drain's
-  /// block granularity).
-  void set_batch_size(size_t rows) { batch_size_ = rows == 0 ? 1 : rows; }
-
-  /// Degree of parallelism for the middleware algorithms. At 1 (default)
-  /// the serial cursors are compiled; above 1 the plan gets a shared
-  /// ThreadPool and SORT^M / TJOIN^M / the T^M drain use their parallel
-  /// variants.
-  void set_dop(size_t dop) { dop_ = dop == 0 ? 1 : dop; }
-
-  /// Cancellation/deadline token threaded into every compiled transfer and
-  /// prefetch cursor (null = never cancelled).
+  /// Cancellation/deadline token threaded into every compiled transfer
+  /// cursor (null = never cancelled).
   void set_query_control(QueryControlPtr control) {
     control_ = std::move(control);
   }
@@ -117,8 +102,8 @@ class PlanCompiler {
     intermediates_ = buffers;
   }
 
-  /// Registry the compiled plan's transfer/cache/pool metrics land in (may
-  /// be null; not owned).
+  /// Registry the compiled plan's transfer/cache metrics land in (may be
+  /// null; not owned).
   void set_metrics(obs::MetricsRegistry* metrics) { metrics_ = metrics; }
   /// Trace recorder for the compiled plan: every instrumented operator gets
   /// a pre-allocated span (begun at its Init), parented under `parent` or —
@@ -152,8 +137,6 @@ class PlanCompiler {
   int temp_counter_ = 0;
   bool share_transfers_ = true;
   size_t sort_budget_ = 32 << 20;
-  size_t batch_size_ = RowBlock::kDefaultCapacity;
-  size_t dop_ = 1;
   QueryControlPtr control_;
   RetryPolicy retry_;
   RecoveryCounters* counters_ = nullptr;

@@ -63,7 +63,6 @@ obs::AnalyzeReport BuildReport(const CompiledPlan& compiled,
     op.act_batches = t.batches;
     op.inclusive_seconds = t.inclusive_seconds;
     op.self_seconds = exec::SelfSeconds(exec.timings, node.timing_id);
-    op.worker_seconds = t.worker_seconds;
     op.sql = node.sql;
   }
   report.root = compiled.root_timing_id;
@@ -295,7 +294,7 @@ Result<Middleware::Execution> Middleware::ExecuteOnce(
     const optimizer::PhysPlanPtr& plan, const QueryControlPtr& control,
     obs::AnalyzeReport* report, const Prepared* provenance) {
   // Declared first so the span closes after every other interval of this
-  // execution (compile, operators, retries, pool/prefetch threads).
+  // execution (compile, operators, retries).
   obs::ScopedSpan execute_span(trace_, "execute", "query");
   obs::Gauge& active =
       metrics_->gauge("query.active", /*expect_zero_at_exit=*/true);
@@ -323,8 +322,6 @@ Result<Middleware::Execution> Middleware::ExecuteOnce(
     PlanCompiler compiler(&connection_);
     compiler.set_share_common_transfers(config_.share_common_transfers);
     compiler.set_sort_memory_budget(config_.sort_memory_budget_bytes);
-    compiler.set_batch_size(config_.batch_size);
-    compiler.set_dop(config_.dop);
     compiler.set_query_control(control);
     compiler.set_retry_policy(config_.retry);
     compiler.set_recovery_counters(&recovery_);
@@ -361,9 +358,10 @@ Result<Middleware::Execution> Middleware::ExecuteOnce(
     const auto elapsed = std::chrono::steady_clock::now() - start;
 
     // Tear the cursor tree down before cleanup: after a cancelled or failed
-    // materialization the prefetch producers may still be mid-fetch, and
-    // their destructors are what joins them. Past this point the timing sink
-    // is quiescent and the janitor's DROPs cannot race an in-flight fetch.
+    // materialization a TRANSFER^M may still hold its server-side cursor
+    // open over a temp table, and destroying the tree releases it. Past
+    // this point the janitor's DROPs cannot pull a table out from under a
+    // live cursor.
     const Schema schema = compiled.root->schema();
     compiled.root.reset();
 
@@ -763,24 +761,16 @@ void Middleware::ApplyFeedback(const CompiledPlan& compiled,
         cost::CostModel::Feedback(&f.projm, self_us, in_bytes, alpha);
         break;
       case optimizer::Algorithm::kSortM: {
-        // At DOP > 1 the run generation ran on `dop` workers, so the wall
-        // time observed here is the serial work divided by the effective
-        // DOP; using the same discounted basis as the formula keeps the
-        // factor comparable across DOP settings.
         const double card = p.est_cardinality < 2 ? 2 : p.est_cardinality;
-        cost::CostModel::Feedback(
-            &f.sortm, self_us,
-            p.est_bytes * std::log2(card) / cost_model_.EffectiveDop(),
-            alpha);
+        cost::CostModel::Feedback(&f.sortm, self_us,
+                                  p.est_bytes * std::log2(card), alpha);
         break;
       }
       case optimizer::Algorithm::kMergeJoinM:
         cost::CostModel::Feedback(&f.mjm, self_us, in_bytes, alpha);
         break;
       case optimizer::Algorithm::kTJoinM:
-        cost::CostModel::Feedback(&f.tjm, self_us,
-                                  in_bytes / cost_model_.EffectiveDop(),
-                                  alpha);
+        cost::CostModel::Feedback(&f.tjm, self_us, in_bytes, alpha);
         break;
       case optimizer::Algorithm::kTAggrM:
         // Two factors share the observation; scale both by the ratio of
@@ -820,8 +810,7 @@ std::vector<double> Middleware::FactorSnapshot() const {
 
 std::string Middleware::PlanConfigKey(
     optimizer::SiteRestriction restriction) const {
-  return "dop=" + std::to_string(config_.dop) +
-         "|hist=" + (config_.use_histograms ? "1" : "0") +
+  return std::string("hist=") + (config_.use_histograms ? "1" : "0") +
          "|sem=" + (config_.semantic_temporal_selectivity ? "1" : "0") +
          "|restrict=" + std::to_string(static_cast<int>(restriction));
 }

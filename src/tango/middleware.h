@@ -46,19 +46,10 @@ class Middleware {
     bool share_common_transfers = true;
     /// Memory each SORT^M may use before spilling runs to tmpfiles.
     size_t sort_memory_budget_bytes = 32 << 20;
-    /// Rows per RowBlock in the vectorized execution path; governs the
-    /// prefetch drain's block granularity (operators size their internal
-    /// blocks from their consumer's block, so this is the system-wide
-    /// default the benches sweep).
+    /// Rows per RowBlock: the cost model charges one per-block transfer
+    /// overhead per `batch_size` rows, and the network server ships query
+    /// results to its clients in blocks of this many rows.
     size_t batch_size = RowBlock::kDefaultCapacity;
-    /// Degree of parallelism of the middleware execution engine: 1 runs the
-    /// serial algorithms; above 1 SORT^M, TJOIN^M, and the T^M drain use
-    /// their parallel variants on a `dop`-worker pool, and the Figure-6 cost
-    /// formulas discount the parallelized CPU terms accordingly.
-    size_t dop = 1;
-    /// Fraction of each extra worker the cost model credits (parallel
-    /// efficiency: skew, serial merge phases, pool overhead).
-    double parallel_efficiency = 0.7;
     /// Retry discipline for transient wire/DBMS failures inside the
     /// transfer operators and the temp-table janitor.
     RetryPolicy retry;
@@ -84,10 +75,10 @@ class Middleware {
     /// Process-wide plan cache shared across middleware instances, injected
     /// like `metrics`: null (default) = a private per-instance cache built
     /// from `plan_cache`. Not owned; must outlive the middleware. The
-    /// cache key embeds each instance's plan-relevant config (DOP, knobs,
-    /// site restriction), so instances with different settings stay honest
-    /// while identical ones warm each other's plans — the server front end
-    /// (src/net) injects one cache across its whole worker pool.
+    /// cache key embeds each instance's plan-relevant config (estimation
+    /// knobs, site restriction), so instances with different settings stay
+    /// honest while identical ones warm each other's plans — the server
+    /// front end (src/net) injects one cache across its whole worker pool.
     adapt::PlanCache* shared_plan_cache = nullptr;
     /// Mid-query re-optimization (DESIGN.md §13): when a transfer checkpoint
     /// observes an actual cardinality whose Q-error against the *executing*
@@ -120,7 +111,6 @@ class Middleware {
                         : owned_plan_cache_.get()),
         instance_id_(NextInstanceId()) {
     connection_.set_metrics(metrics_);
-    cost_model_.set_parallelism(config_.dop, config_.parallel_efficiency);
     cost_model_.set_batch_size(config_.batch_size);
     // Best-effort: an unreachable DBMS at startup must not prevent the
     // middleware from coming up (the sweep reruns on the next start).
@@ -145,9 +135,9 @@ class Middleware {
   adapt::FeedbackStore& feedback_store() { return feedback_; }
 
   /// Attaches a span recorder: every subsequent execution records
-  /// optimize/compile/execute spans, per-operator spans, transfer retries
-  /// and pool/prefetch thread activity into it. Null detaches. Not owned;
-  /// must outlive any execution started while attached.
+  /// optimize/compile/execute spans, per-operator spans and transfer
+  /// retries into it. Null detaches. Not owned; must outlive any execution
+  /// started while attached.
   void set_trace_recorder(obs::TraceRecorder* trace) { trace_ = trace; }
 
   /// Drops TANGO_TMP_* tables left behind by a previous run that died
@@ -256,7 +246,7 @@ class Middleware {
 
   /// EXPLAIN ANALYZE: executes the prepared plan and renders the
   /// per-operator tree — est vs actual rows, Q-error, estimated cost vs
-  /// measured self/inclusive/worker time, site — plus query totals.
+  /// measured self/inclusive time, site — plus query totals.
   Result<std::string> ExplainAnalyze(const Prepared& prepared,
                                      const QueryControlPtr& control = nullptr);
 

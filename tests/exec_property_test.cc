@@ -6,10 +6,8 @@
 #include <set>
 
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "exec/basic.h"
 #include "exec/join.h"
-#include "exec/parallel.h"
 #include "exec/replan.h"
 #include "exec/sort.h"
 #include "exec/taggr.h"
@@ -370,28 +368,6 @@ TEST(BatchDifferentialTest, TemporalAggregation) {
   TemporalAggregationCursor agg(KeyedVector(rows), {0}, 1, 2,
                                 {{AggFunc::kCount, 0, true}}, out);
   RunDifferential(&agg, "TAGGR^M");
-}
-
-TEST(BatchDifferentialTest, ParallelSortAndJoinAndPrefetch) {
-  auto pool = std::make_shared<common::ThreadPool>(3);
-  const auto rows = RandomPeriods(98, 900, 12, 100);
-  ParallelSortCursor psort(KeyedVector(rows), {{0, true}, {1, true}}, pool,
-                           /*memory_budget_bytes=*/16384, /*dop=*/3);
-  RunDifferential(&psort, "parallel SORT^M");
-
-  auto left = SortedForCoalesce(RandomPeriods(99, 300, 6, 80));
-  auto right = SortedForCoalesce(RandomPeriods(100, 250, 6, 80));
-  Schema out({{"", "K", DataType::kInt},
-              {"", "T1", DataType::kInt},
-              {"", "T2", DataType::kInt}});
-  ParallelTemporalJoinCursor pjoin(KeyedVector(left), KeyedVector(right), {0},
-                                   {0}, 1, 2, 1, 2, /*left_out=*/{0},
-                                   /*right_out=*/{}, out, pool, /*dop=*/3);
-  RunDifferential(&pjoin, "parallel TJOIN^M");
-
-  PrefetchCursor prefetch(KeyedVector(RandomPeriods(101, 700, 5, 90)),
-                          /*batch_rows=*/64, /*max_batches=*/3);
-  RunDifferential(&prefetch, "prefetch drain");
 }
 
 // ---------------------------------------------------------------------------

@@ -59,7 +59,7 @@ Middleware::Config StableConfig() {
 // exact:  "cost=1234us self=0.2ms" -> "cost=# self=#".
 std::string Normalize(const std::string& rendered) {
   static const std::regex volatile_fields(
-      R"((cost|self|incl|work|elapsed|batches)=[^\s]+)");
+      R"((cost|self|incl|elapsed|batches)=[^\s]+)");
   return std::regex_replace(rendered, volatile_fields, "$1=#");
 }
 
@@ -96,9 +96,8 @@ TEST(ExplainAnalyzeSnapshotTest, Query1TemporalAggregation) {
   const std::string golden =
       "EXPLAIN ANALYZE rows=199 elapsed=#\n"
       "plan: fresh, executions=1, reoptimized=0\n"
-      "TAGGR^M [M] rows est=176 act=199 q=1.13 batches=# cost=# self=# incl=# work=#\n"
-      "  TRANSFER^M [M] rows est=150 act=150 q=1.00 batches=# cost=# self=# incl=# "
-      "work=#\n";
+      "TAGGR^M [M] rows est=176 act=199 q=1.13 batches=# cost=# self=# incl=#\n"
+      "  TRANSFER^M [M] rows est=150 act=150 q=1.00 batches=# cost=# self=# incl=#\n";
   EXPECT_EQ(golden, actual) << "actual:\n" << actual;
 }
 
@@ -111,11 +110,9 @@ TEST(ExplainAnalyzeSnapshotTest, Query2TemporalJoin) {
   const std::string golden =
       "EXPLAIN ANALYZE rows=557 elapsed=#\n"
       "plan: fresh, executions=1, reoptimized=0\n"
-      "TJOIN^M [M] rows est=440 act=557 q=1.27 batches=# cost=# self=# incl=# work=#\n"
-      "  TRANSFER^M [M] rows est=120 act=120 q=1.00 batches=# cost=# self=# incl=# "
-      "work=#\n"
-      "  TRANSFER^M [M] rows est=100 act=100 q=1.00 batches=# cost=# self=# incl=# "
-      "work=#\n";
+      "TJOIN^M [M] rows est=440 act=557 q=1.27 batches=# cost=# self=# incl=#\n"
+      "  TRANSFER^M [M] rows est=120 act=120 q=1.00 batches=# cost=# self=# incl=#\n"
+      "  TRANSFER^M [M] rows est=100 act=100 q=1.00 batches=# cost=# self=# incl=#\n";
   EXPECT_EQ(golden, actual) << "actual:\n" << actual;
 }
 
@@ -133,13 +130,10 @@ TEST(ExplainAnalyzeSnapshotTest, Query3AggregationJoinWithTransferD) {
   const std::string golden =
       "EXPLAIN ANALYZE rows=646 elapsed=#\n"
       "plan: fresh, executions=1, reoptimized=0\n"
-      "TRANSFER^M [M] rows est=521 act=646 q=1.24 batches=# cost=# self=# incl=# "
-      "work=#\n"
-      "  TRANSFER^D [D] rows est=176 act=- q=- batches=# cost=# self=# incl=# work=#\n"
-      "    TAGGR^M [M] rows est=176 act=195 q=1.11 batches=# cost=# self=# incl=# "
-      "work=#\n"
-      "      TRANSFER^M [M] rows est=150 act=150 q=1.00 batches=# cost=# self=# incl=# "
-      "work=#\n";
+      "TRANSFER^M [M] rows est=521 act=646 q=1.24 batches=# cost=# self=# incl=#\n"
+      "  TRANSFER^D [D] rows est=176 act=- q=- batches=# cost=# self=# incl=#\n"
+      "    TAGGR^M [M] rows est=176 act=195 q=1.11 batches=# cost=# self=# incl=#\n"
+      "      TRANSFER^M [M] rows est=150 act=150 q=1.00 batches=# cost=# self=# incl=#\n";
   EXPECT_EQ(golden, actual) << "actual:\n" << actual;
   EXPECT_NE(actual.find("TRANSFER^D"), std::string::npos);
   EXPECT_NE(actual.find("act=- q=-"), std::string::npos);
@@ -153,17 +147,13 @@ TEST(ExplainAnalyzeSnapshotTest, Query4CoalescedAggregation) {
   const std::string golden =
       "EXPLAIN ANALYZE rows=177 elapsed=#\n"
       "plan: fresh, executions=1, reoptimized=0\n"
-      "SORT^M [M] rows est=123 act=177 q=1.43 batches=# cost=# self=# incl=# work=#\n"
-      "  COALESCE^M [M] rows est=123 act=177 q=1.43 batches=# cost=# self=# incl=# "
-      "work=#\n"
-      "    PROJECT^M [M] rows est=176 act=205 q=1.16 batches=# cost=# self=# incl=# "
-      "work=#\n"
-      "      SORT^M [M] rows est=176 act=205 q=1.16 batches=# cost=# self=# incl=# "
-      "work=#\n"
-      "        TAGGR^M [M] rows est=176 act=205 q=1.16 batches=# cost=# self=# incl=# "
-      "work=#\n"
+      "SORT^M [M] rows est=123 act=177 q=1.43 batches=# cost=# self=# incl=#\n"
+      "  COALESCE^M [M] rows est=123 act=177 q=1.43 batches=# cost=# self=# incl=#\n"
+      "    PROJECT^M [M] rows est=176 act=205 q=1.16 batches=# cost=# self=# incl=#\n"
+      "      SORT^M [M] rows est=176 act=205 q=1.16 batches=# cost=# self=# incl=#\n"
+      "        TAGGR^M [M] rows est=176 act=205 q=1.16 batches=# cost=# self=# incl=#\n"
       "          TRANSFER^M [M] rows est=150 act=150 q=1.00 batches=# cost=# self=# "
-      "incl=# work=#\n";
+      "incl=#\n";
   EXPECT_EQ(golden, actual) << "actual:\n" << actual;
 }
 
@@ -192,10 +182,9 @@ TEST(ExplainAnalyzeSnapshotTest, Query1ReplannedAtTransferM) {
       "EXPLAIN ANALYZE rows=394 elapsed=#\n"
       "plan: reoptimized, executions=1, reoptimized=0\n"
       "replanned at T^M after 600 rows, est 100\n"
-      "TAGGR^M [M] rows est=716 act=394 q=1.82 batches=# cost=# self=# incl=# "
-      "work=#\n"
+      "TAGGR^M [M] rows est=716 act=394 q=1.82 batches=# cost=# self=# incl=#\n"
       "  BUFFER^M [M] rows est=600 act=600 q=1.00 batches=# cost=# self=# "
-      "incl=# work=#\n";
+      "incl=#\n";
   EXPECT_EQ(golden, actual) << "actual:\n" << actual;
 }
 

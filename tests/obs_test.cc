@@ -14,7 +14,6 @@
 
 #include "common/retry.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "exec/instrument.h"
 #include "exec/transfer.h"
 #include "obs/metrics.h"
@@ -99,11 +98,11 @@ TEST(MetricsTest, HistogramQuantilesBracketRecordedValues) {
 TEST(MetricsTest, DumpTextListsEverySeries) {
   obs::MetricsRegistry registry;
   registry.counter("retry.tm").Increment(3);
-  registry.gauge("pool.queue_depth").Set(2);
+  registry.gauge("server.queue_depth").Set(2);
   registry.histogram("query.latency_seconds").Record(0.25);
   const std::string dump = registry.DumpText();
   EXPECT_NE(dump.find("counter retry.tm 3"), std::string::npos) << dump;
-  EXPECT_NE(dump.find("gauge pool.queue_depth 2"), std::string::npos) << dump;
+  EXPECT_NE(dump.find("gauge server.queue_depth 2"), std::string::npos) << dump;
   EXPECT_NE(dump.find("histogram query.latency_seconds count=1"),
             std::string::npos)
       << dump;
@@ -190,10 +189,12 @@ TEST(MetricsTest, RecoveryCountersAreRegistryBacked) {
 }
 
 TEST(MetricsTest, SelfSecondsClampsConcurrentChildOverlap) {
-  // Regression for the negative-subtraction clamp: with the parallel
-  // transfer drain a child's inclusive time can exceed its parent's (the
-  // child runs on the prefetch thread concurrently with the parent), and
-  // the self-time subtraction must clamp at zero instead of going negative.
+  // Regression for the negative-subtraction clamp: inclusive times are
+  // separately accumulated sums, so nothing in the sink itself stops a
+  // child's total from exceeding its parent's (intervals that do not nest,
+  // or rounding on a near-zero self time), and the self-time subtraction
+  // must clamp at zero instead of handing EXPLAIN ANALYZE and the feedback
+  // loop a negative time.
   exec::TimingSink sink;
   exec::AlgorithmTiming parent;
   parent.label = "TAGGR^M";
@@ -211,22 +212,6 @@ TEST(MetricsTest, SelfSecondsClampsConcurrentChildOverlap) {
   // Normal nesting still subtracts.
   sink[1].inclusive_seconds = 0.004;
   EXPECT_DOUBLE_EQ(exec::SelfSeconds(sink, 0), 0.006);
-}
-
-TEST(MetricsTest, ThreadPoolQueueDepthGaugeDrainsToZero) {
-  obs::MetricsRegistry registry;
-  obs::Gauge& depth = registry.gauge("pool.queue_depth",
-                                     /*expect_zero_at_exit=*/true);
-  {
-    common::ThreadPool pool(2, &depth);
-    std::vector<std::future<int>> futures;
-    for (int i = 0; i < 64; ++i) {
-      futures.push_back(pool.Submit([i] { return i; }));
-    }
-    for (int i = 0; i < 64; ++i) EXPECT_EQ(futures[i].get(), i);
-  }
-  EXPECT_EQ(depth.load(), 0);
-  EXPECT_TRUE(registry.LeakWarnings().empty());
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 // Targeted recovery tests: idempotent transfer retries, shared-cache
 // hygiene under failure, graceful degradation to site-restricted fallback
-// plans, deadline/cancellation unwinding (including the parallel prefetch
-// machinery), and the temp-table janitor + startup orphan sweep.
+// plans, deadline/cancellation unwinding (including a cancel landing
+// mid-transfer on a paced link), and the temp-table janitor + startup
+// orphan sweep.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -307,15 +308,14 @@ TEST(RecoveryTest, CancelBeforeExecutionAborts) {
   EXPECT_FALSE(CatalogHasTempTables(&db));
 }
 
-TEST(RecoveryTest, MidQueryCancelUnwindsParallelPlan) {
-  // A paced, parallel (dop > 1) query cancelled mid-flight must unwind —
-  // including the PrefetchCursor producer thread — without deadlocking,
-  // and leave no temp tables behind.
+TEST(RecoveryTest, MidQueryCancelUnwindsPacedPlan) {
+  // A paced query cancelled from another thread mid-flight must unwind
+  // promptly — the transfer polls the control between wire batches — and
+  // leave no temp tables behind.
   dbms::Engine db;
   Load(&db, "R", MakeRelation(25, 500, 8, 100));
   Middleware::Config config;
   config.adapt = false;
-  config.dop = 2;
   config.wire.simulate_delay = true;
   config.wire.bytes_per_second = 2e4;  // slow link: plenty of time to cancel
   Middleware mw(&db, config);
@@ -334,7 +334,7 @@ TEST(RecoveryTest, MidQueryCancelUnwindsParallelPlan) {
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kAborted) << r.status().ToString();
   // Far below what the full transfer would have taken on this link; mostly
-  // a guard against a hung prefetch handshake.
+  // a guard against a transfer that stops polling the control.
   EXPECT_LT(elapsed, 5.0);
   EXPECT_FALSE(CatalogHasTempTables(&db));
 }
