@@ -14,11 +14,9 @@
 #                           mis-estimated aggregation-join at Q-error
 #                           bounds {2,4,16}, plus the retain-mode monitor
 #                           overhead with accurate statistics.
-#   BENCH_server_throughput.json  the network service (EXPERIMENTS.md E17)
-#                           — closed-loop QPS and p50/p99 latency at
-#                           N in {1,4,16,64} TCP clients against one
-#                           PollingServer, plus the shared plan cache's
-#                           warm hit rate at 16 clients.
+#
+# The network service's throughput is measured by the repository benchmark
+# (perfbench/, workload service_churn), not here.
 #
 # Usage: scripts/bench_summary.sh [build-dir]   (default: build)
 
@@ -28,12 +26,10 @@ cd "$(dirname "$0")/.."
 BUILD="${1:-build}"
 
 cmake -B "${BUILD}" -S . >/dev/null
-cmake --build "${BUILD}" -j "$(nproc)" --target bench_vectorized bench_write_churn bench_replan bench_server_throughput
+cmake --build "${BUILD}" -j "$(nproc)" --target bench_vectorized bench_write_churn bench_replan
 "./${BUILD}/bench/bench_vectorized" BENCH_vectorized.json
 echo "BENCH_vectorized.json updated"
 "./${BUILD}/bench/bench_write_churn" BENCH_write_churn.json
 echo "BENCH_write_churn.json updated"
 "./${BUILD}/bench/bench_replan" BENCH_replan.json
 echo "BENCH_replan.json updated"
-"./${BUILD}/bench/bench_server_throughput" BENCH_server_throughput.json
-echo "BENCH_server_throughput.json updated"

@@ -2,12 +2,15 @@
 # Full verification matrix: builds and runs the test suite in four
 # configurations — plain, AddressSanitizer+UBSan, ThreadSanitizer, and
 # Release. The TSan leg is what proves the concurrent parts free of data
-# races: the network server's poll thread and worker pool, the shared plan
-# cache, the write-churn writer racing live queries, and the metrics
-# registry every thread records into. The Release leg exists because the
-# build uses -Werror and GCC's inlining-driven warnings (-Wrestrict,
-# -Wformat-truncation, -Wnonnull, -Warray-bounds) fire only at -O3: every
-# CMake build type must compile, and the optimized one is what benches run.
+# races: readers sharing the engine latch beside the write-churn writer
+# (server workers' cursor batches and catalog reads run concurrently under
+# the shared latch; only statements and loads take it exclusive), the
+# network server's poll thread and worker pool, the shared plan cache, and
+# the metrics registry every thread records into. The Release leg exists
+# because the build uses -Werror and GCC's inlining-driven warnings
+# (-Wrestrict, -Wformat-truncation, -Wnonnull, -Warray-bounds) fire only at
+# -O3: every CMake build type must compile, and the optimized one is what
+# benches run.
 #
 # The robustness suites (fault_matrix_test, wire_fuzz_test,
 # dbms_exec_ops_test, recovery_test) are additionally invoked by name under
@@ -34,10 +37,11 @@
 #
 # The durability suites (wal_recovery_test, write_churn_test) are the write
 # path's referee: the crash matrix kills and recovers the engine at injected
-# LSN boundaries (torn tails, partial fsyncs), and the churn test races the
-# temporal-update writer against live queries — exactly the code whose
-# failure mode is a racy log append or a use-after-free in undo, so both
-# must stay green under ASan and TSan.
+# LSN boundaries (torn tails, partial fsyncs), and the churn tests race the
+# temporal-update writer against live queries, four readers at once on the
+# shared latch — exactly the code whose failure mode is a racy log append,
+# a reader seeing a half-applied write, or a use-after-free in undo, so
+# both must stay green under ASan and TSan.
 #
 # Usage: scripts/check.sh [jobs]   (default: nproc)
 
@@ -62,10 +66,12 @@ DURABILITY_SUITES='^(wal_recovery_test|write_churn_test)$'
 REPLAN_SUITES='^(replan_exec_test)$'
 # The network service: server_test drives a real PollingServer over
 # loopback (poll thread + worker pool + concurrent clients sharing the
-# plan cache — TSan's bread and butter), and server_soak is the same
-# binary's mixed adversarial workload with its iteration counts
-# multiplied. wire_fuzz_test (above) covers the protocol codec.
-SERVER_SUITES='^(server_test|server_soak)$'
+# plan cache and the engine latch — TSan's bread and butter), and
+# server_soak is the same binary's mixed adversarial workload with its
+# iteration counts multiplied. connection_test holds the engine latch's
+# own tests: writer preference, latch-wait metrics, and sessions allocated
+# from many threads. wire_fuzz_test (above) covers the protocol codec.
+SERVER_SUITES='^(server_test|server_soak|connection_test)$'
 
 # A stuck test under a sanitizer leg should fail the run, not hang it.
 CTEST_TIMEOUT=600

@@ -32,7 +32,7 @@ class RemoteCursor : public Cursor {
     pos_ = 0;
     batch_no_ = 0;
     server_done_ = false;
-    const auto engine = conn_->AcquireEngine();
+    const auto engine = conn_->AcquireEngineShared();
     return server_->Init();
   }
 
@@ -85,7 +85,7 @@ class RemoteCursor : public Cursor {
     server_block_.Clear();
     size_t n = 0;
     {
-      const auto engine = conn_->AcquireEngine();
+      const auto engine = conn_->AcquireEngineShared();
       TANGO_ASSIGN_OR_RETURN(n, server_->NextBatch(&server_block_));
     }
     if (n == 0) {
@@ -156,6 +156,25 @@ class RemoteCursor : public Cursor {
 };
 
 }  // namespace
+
+template <typename Lock>
+Lock Connection::TimedAcquire(obs::Histogram* wait) {
+  if (wait == nullptr) return Lock(engine_->latch());
+  const auto start = std::chrono::steady_clock::now();
+  Lock lock(engine_->latch());
+  wait->Record(std::chrono::duration<double>(
+                   std::chrono::steady_clock::now() - start)
+                   .count());
+  return lock;
+}
+
+std::unique_lock<EngineLatch> Connection::AcquireEngine() {
+  return TimedAcquire<std::unique_lock<EngineLatch>>(m_latch_wait_exclusive_);
+}
+
+std::shared_lock<EngineLatch> Connection::AcquireEngineShared() {
+  return TimedAcquire<std::shared_lock<EngineLatch>>(m_latch_wait_shared_);
+}
 
 void Connection::Spin(double seconds) {
   if (!config_.simulate_delay || seconds <= 0) return;
@@ -255,7 +274,7 @@ Result<CursorPtr> Connection::ExecuteQuery(const std::string& sql,
   TANGO_RETURN_IF_ERROR(StatementGate(sql, control, &faulted));
   CursorPtr server;
   {
-    const auto engine = AcquireEngine();
+    const auto engine = AcquireEngineShared();
     TANGO_ASSIGN_OR_RETURN(server, engine_->OpenQuery(sql));
   }
   return CursorPtr(std::make_unique<RemoteCursor>(
@@ -335,7 +354,7 @@ Status Connection::InsertLoad(const std::string& table,
 Result<TableStats> Connection::GetTableStats(const std::string& table) {
   const auto wire = AcquireWire();
   PaceRoundTrip();
-  const auto engine = AcquireEngine();
+  const auto engine = AcquireEngineShared();
   TANGO_ASSIGN_OR_RETURN(const Table* t, engine_->catalog().GetTable(table));
   // The staleness fields come from the live table, not the (possibly old)
   // ANALYZE output: a reader compares the epoch it cached statistics at
@@ -349,7 +368,7 @@ Result<TableStats> Connection::GetTableStats(const std::string& table) {
 Result<Schema> Connection::GetTableSchema(const std::string& table) {
   const auto wire = AcquireWire();
   PaceRoundTrip();
-  const auto engine = AcquireEngine();
+  const auto engine = AcquireEngineShared();
   TANGO_ASSIGN_OR_RETURN(const Table* t, engine_->catalog().GetTable(table));
   return t->schema();
 }
@@ -358,7 +377,7 @@ Result<std::vector<std::string>> Connection::ListTables(
     const std::string& prefix) {
   const auto wire = AcquireWire();
   PaceRoundTrip();
-  const auto engine = AcquireEngine();
+  const auto engine = AcquireEngineShared();
   std::vector<std::string> names;
   for (const std::string& name : engine_->catalog().TableNames()) {
     if (name.rfind(prefix, 0) == 0) names.push_back(name);

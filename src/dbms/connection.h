@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <shared_mutex>
 #include <string>
 #include <vector>
 
@@ -72,11 +73,14 @@ class Connection {
   /// Mirrors the wire counters into `registry` as the process-wide
   /// "wire.statements" / "wire.batches" / "wire.bytes_to_client" /
   /// "wire.bytes_to_server" series (null detaches). Unlike the per-
-  /// connection WireCounters, these are never reset.
+  /// connection WireCounters, these are never reset. Also records how long
+  /// each engine-latch acquisition waited, in seconds, into the
+  /// "dbms.latch_wait_seconds.shared" / ".exclusive" histograms.
   void set_metrics(obs::MetricsRegistry* registry) {
     if (registry == nullptr) {
       m_statements_ = m_batches_ = m_blocks_ = m_bytes_to_client_ =
           m_bytes_to_server_ = nullptr;
+      m_latch_wait_shared_ = m_latch_wait_exclusive_ = nullptr;
       return;
     }
     m_statements_ = &registry->counter("wire.statements");
@@ -84,6 +88,10 @@ class Connection {
     m_blocks_ = &registry->counter("wire.blocks");
     m_bytes_to_client_ = &registry->counter("wire.bytes_to_client");
     m_bytes_to_server_ = &registry->counter("wire.bytes_to_server");
+    m_latch_wait_shared_ =
+        &registry->histogram("dbms.latch_wait_seconds.shared");
+    m_latch_wait_exclusive_ =
+        &registry->histogram("dbms.latch_wait_seconds.exclusive");
   }
 
   /// Attaches the failure model consulted at every statement/batch; null
@@ -148,16 +156,27 @@ class Connection {
     return std::unique_lock<std::mutex>(wire_mu_);
   }
 
-  /// Serializes access to the shared engine across Connections (the engine
-  /// does not lock internally). Lock order: own wire lock first, then this —
-  /// never the reverse. Held only around the engine call itself, not around
-  /// pacing, so concurrent connections overlap their simulated wire time.
-  std::unique_lock<std::mutex> AcquireEngine() {
-    return std::unique_lock<std::mutex>(engine_->statement_mutex());
-  }
+  /// Takes the engine latch exclusive, for every engine call that may
+  /// write: statements, loads, WAL reclamation. Lock order: own wire lock
+  /// first, then the latch — never the reverse. Held only around the engine
+  /// call itself, not around pacing, so concurrent connections overlap their
+  /// simulated wire time. The latch is writer-preferring and not recursive:
+  /// never call this (or AcquireEngineShared) while the thread holds it.
+  std::unique_lock<EngineLatch> AcquireEngine();
+
+  /// Takes the engine latch shared, for the read-only engine calls: opening
+  /// a query, a server cursor's Init and batches, and the catalog reads.
+  /// Shared holders run concurrently, never beside an exclusive one. Same
+  /// lock order and no-recursion rule as AcquireEngine.
+  std::shared_lock<EngineLatch> AcquireEngineShared();
 
  private:
   void Spin(double seconds);
+
+  /// Acquires the latch as `Lock` and, when metrics are attached, records
+  /// the seconds it waited into `wait`.
+  template <typename Lock>
+  Lock TimedAcquire(obs::Histogram* wait);
 
   /// Statement-boundary gate: polls `control`, consults the fault injector
   /// (applying any injected latency, which itself respects the deadline),
@@ -174,6 +193,8 @@ class Connection {
   obs::Counter* m_blocks_ = nullptr;
   obs::Counter* m_bytes_to_client_ = nullptr;
   obs::Counter* m_bytes_to_server_ = nullptr;
+  obs::Histogram* m_latch_wait_shared_ = nullptr;
+  obs::Histogram* m_latch_wait_exclusive_ = nullptr;
   FaultInjectorPtr fault_;
   std::mutex wire_mu_;
   uint64_t session_ = 0;

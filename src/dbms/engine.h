@@ -1,15 +1,16 @@
 #ifndef TANGO_DBMS_ENGINE_H_
 #define TANGO_DBMS_ENGINE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "common/cursor.h"
 #include "dbms/catalog.h"
+#include "dbms/engine_latch.h"
 #include "dbms/fault.h"
 #include "dbms/lock_table.h"
 #include "dbms/planner.h"
@@ -71,6 +72,24 @@ struct RecoveryStats {
 /// the durable one. After an injected log fault the engine is `crashed()`
 /// and refuses every statement — tests then construct a fresh Engine over
 /// the same directory and recover.
+///
+/// The engine itself does not lock. Concurrent Connections share it through
+/// one writer-preferring reader/writer latch (`latch()`, taken by
+/// Connection): shared for the read-only entries — `OpenQuery`, a server
+/// cursor's `Init` and batches, and the schema/statistics/table-list catalog
+/// reads — and exclusive for everything else. Sharing is safe because:
+///  - the DBMS planner, catalog lookups, the heap iterator, B+-tree reads and
+///    every DBMS operator read the catalog, `config()` and table storage but
+///    write no engine state (the statement count is atomic);
+///  - `txns_`, `locks_`, `next_txn_` and the WAL (including the crash flag
+///    `Halted()` reads) are written only under the exclusive latch, and
+///    every table, index and statistics mutation is an `Execute` or
+///    `BulkLoad` under it;
+///  - no path takes the latch while it already holds it. With writer
+///    preference a recursive read would deadlock behind a waiting writer.
+/// A server cursor keeps its scan position between batches and does not
+/// hold the latch there, so readers stay read-uncommitted: a batch sees
+/// whatever writers committed or left in flight before it.
 class Engine {
  public:
   Engine() = default;
@@ -90,8 +109,8 @@ class Engine {
 
   /// Allocates a session: explicit-transaction state (BEGIN .. COMMIT) is
   /// per session, so concurrent Connections do not share transactions.
-  /// Session 0 always exists.
-  uint64_t NewSession() { return next_session_++; }
+  /// Session 0 always exists. Safe to call from any thread, latch or not.
+  uint64_t NewSession() { return next_session_.fetch_add(1); }
 
   /// Parses and executes one statement; SELECTs return rows, DDL/DML return
   /// an empty result. DML outside BEGIN..COMMIT autocommits (logged, forced,
@@ -120,7 +139,7 @@ class Engine {
   Result<size_t> ReclaimWalSegments();
 
   /// Number of statements executed so far (observability for tests).
-  uint64_t statements_executed() const { return statements_; }
+  uint64_t statements_executed() const { return statements_.load(); }
 
   /// Attaches the failure model whose WAL kinds (crash / torn write /
   /// partial fsync) this engine's log device consults.
@@ -136,10 +155,11 @@ class Engine {
   const RecoveryStats& recovery_stats() const { return recovery_stats_; }
   storage::Wal* wal() { return wal_.get(); }
 
-  /// Statement-granularity mutex: concurrent Connections serialize every
-  /// engine call — and every server-side cursor batch — on this (the engine
-  /// itself does not lock; Connection::AcquireEngine does).
-  std::mutex& statement_mutex() { return stmt_mu_; }
+  /// The reader/writer latch concurrent Connections share the engine under
+  /// (see the class comment for what each mode covers and why sharing is
+  /// safe). The engine itself does not lock; Connection::AcquireEngine and
+  /// AcquireEngineShared do.
+  EngineLatch& latch() { return latch_; }
 
  private:
   /// One entry of a transaction's in-memory undo journal.
@@ -182,16 +202,16 @@ class Engine {
   EngineOptions options_;
   Catalog catalog_;
   SessionConfig config_;
-  uint64_t statements_ = 0;
+  std::atomic<uint64_t> statements_{0};
 
   std::unique_ptr<storage::Wal> wal_;
   FaultInjectorPtr injector_;
   LockTable locks_;
   std::map<uint64_t, Txn> txns_;  // session -> open explicit txn
   uint64_t next_txn_ = 1;
-  uint64_t next_session_ = 1;
+  std::atomic<uint64_t> next_session_{1};
   RecoveryStats recovery_stats_;
-  std::mutex stmt_mu_;
+  EngineLatch latch_;
 };
 
 /// True for the middleware's `TANGO_TMP_`-prefixed temporaries: they skip

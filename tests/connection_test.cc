@@ -1,9 +1,16 @@
 // Wire-simulation specifics: prefetch batching, byte accounting, pacing,
-// and the SQL*Loader-style load path.
+// and the SQL*Loader-style load path; plus what concurrent Connections
+// share: engine sessions and the writer-preferring engine latch.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <mutex>
+#include <set>
+#include <shared_mutex>
+#include <thread>
+#include <vector>
 
 #include "dbms/connection.h"
 #include "workload/uis.h"
@@ -125,6 +132,113 @@ TEST(ConnectionTest, QueryErrorsPropagateThroughTheWire) {
   EXPECT_FALSE(conn.Execute("GIBBERISH").ok());
   EXPECT_FALSE(conn.BulkLoad("MISSING", {}).ok());
   EXPECT_FALSE(conn.GetTableStats("MISSING").ok());
+}
+
+TEST(ConnectionTest, ConcurrentConstructionGetsDistinctSessions) {
+  Engine db;
+  constexpr int kThreads = 8;
+  constexpr int kPerThread = 50;
+  std::vector<std::vector<uint64_t>> sessions(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&db, &sessions, t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        Connection conn(&db);
+        sessions[t].push_back(conn.session());
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  std::set<uint64_t> distinct;
+  for (const auto& per_thread : sessions) {
+    distinct.insert(per_thread.begin(), per_thread.end());
+  }
+  EXPECT_EQ(distinct.size(), static_cast<size_t>(kThreads * kPerThread));
+  EXPECT_EQ(distinct.count(0), 0u);  // session 0 is the engine's own
+}
+
+TEST(ConnectionTest, EngineLatchQueuesNewReadersBehindAWaitingWriter) {
+  EngineLatch latch;
+  std::atomic<bool> a_holds{false};
+  std::atomic<bool> release_a{false};
+  std::atomic<bool> b_acquired{false};
+  std::thread a([&] {
+    std::shared_lock<EngineLatch> hold(latch);
+    a_holds.store(true);
+    while (!release_a.load()) std::this_thread::yield();
+  });
+  while (!a_holds.load()) std::this_thread::yield();
+  std::thread b([&] {
+    std::unique_lock<EngineLatch> hold(latch);
+    b_acquired.store(true);
+  });
+
+  // While only A reads, a new reader gets in. Once B queues for the latch,
+  // new readers must not: a reader-preferring latch keeps admitting them,
+  // and this poll would run into its deadline.
+  bool refused = false;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!refused && std::chrono::steady_clock::now() < deadline) {
+    if (latch.try_lock_shared()) {
+      latch.unlock_shared();
+      std::this_thread::yield();
+    } else {
+      refused = true;
+    }
+  }
+  EXPECT_TRUE(refused) << "a reader overtook the waiting writer";
+  EXPECT_FALSE(b_acquired.load());
+  // B still waits behind A, so every further attempt is refused too.
+  for (int i = 0; refused && i < 100; ++i) {
+    const bool got = latch.try_lock_shared();
+    EXPECT_FALSE(got);
+    if (got) latch.unlock_shared();
+  }
+
+  release_a.store(true);
+  a.join();
+  b.join();
+  EXPECT_TRUE(b_acquired.load());
+  ASSERT_TRUE(latch.try_lock_shared());
+  latch.unlock_shared();
+}
+
+TEST(ConnectionTest, LatchWaitIsRecordedPerMode) {
+  Engine db;
+  LoadSmall(&db, 10);
+  obs::MetricsRegistry registry;
+  WireConfig wire;
+  wire.simulate_delay = false;
+  Connection holder(&db, wire);
+  Connection reader(&db, wire);
+  holder.set_metrics(&registry);
+  reader.set_metrics(&registry);
+
+  std::atomic<bool> started{false};
+  std::thread query;
+  {
+    const auto exclusive = holder.AcquireEngine();
+    query = std::thread([&] {
+      started.store(true);
+      // Opening the query takes the latch shared, once; the cursor is
+      // never drained, so nothing else acquires it.
+      EXPECT_TRUE(reader.ExecuteQuery("SELECT X, S FROM R").ok());
+    });
+    while (!started.load()) std::this_thread::yield();
+    // Held far past the asserted 15 ms, so a reader thread descheduled
+    // between starting and asking for the latch still waits long enough.
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  }
+  query.join();
+
+  const obs::Histogram& shared =
+      registry.histogram("dbms.latch_wait_seconds.shared");
+  ASSERT_EQ(shared.count(), 1u);
+  EXPECT_GE(shared.max(), 0.015);
+  // The holder's own, uncontended acquisition.
+  EXPECT_EQ(registry.histogram("dbms.latch_wait_seconds.exclusive").count(),
+            1u);
 }
 
 }  // namespace

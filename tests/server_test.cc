@@ -1,7 +1,8 @@
-// PollingServer end-to-end: handshake, concurrent clients, shared plan
-// cache, admission control, deadline/cancel over the socket, graceful
-// shutdown, the boot-once orphan sweep, and robustness against garbage on
-// the wire. Everything runs against a real TCP socket on loopback.
+// PollingServer end-to-end: handshake, concurrent clients (up to 64 in a
+// closed loop), the shared plan cache and its warm hit rate, admission
+// control, deadline/cancel over the socket, graceful shutdown, the
+// boot-once orphan sweep, and robustness against garbage on the wire.
+// Everything runs against a real TCP socket on loopback.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -12,12 +13,15 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/date.h"
 #include "net/client.h"
 #include "net/polling_server.h"
+#include "workload/uis.h"
 
 namespace tango {
 namespace net {
@@ -208,6 +212,109 @@ TEST(ServerTest, ConcurrentClientsAllSucceedAndShareTheCache) {
   server.Stop();
   EXPECT_EQ(server.metrics().gauge("server.sessions").load(), 0);
   EXPECT_EQ(server.metrics().gauge("server.queue_depth").load(), 0);
+}
+
+// A generated POSITION and one selective timeslice over it (position 7's
+// staffing on 1996-06-01): cheap enough that the server path, not the scan,
+// is what many clients contend on. Returns the query's row count, computed
+// from the generated rows without the engine.
+size_t LoadPositionTimeslice(dbms::Engine* db, std::string* query) {
+  const std::vector<Tuple> rows = workload::GeneratePositionRows(2000, 42);
+  EXPECT_TRUE(
+      db->Execute("CREATE TABLE POSITION " + workload::PositionDdlColumns())
+          .ok());
+  EXPECT_TRUE(db->BulkLoad("POSITION", rows).ok());
+  EXPECT_TRUE(db->Execute("ANALYZE").ok());
+  const int64_t day = date::FromYmd(1996, 6, 1);
+  *query = "TEMPORAL SELECT PosID, EmpName, T1, T2 FROM POSITION "
+           "WHERE PosID = 7 AND T1 <= " +
+           std::to_string(day) + " AND T2 > " + std::to_string(day);
+  size_t expected = 0;
+  for (const Tuple& row : rows) {
+    expected += row[0].AsInt() == 7 && row[6].AsInt() <= day &&
+                        row[7].AsInt() > day
+                    ? 1
+                    : 0;
+  }
+  return expected;
+}
+
+// Closed loop: each of `clients` connections (all admitted before any
+// query) sends `per_client` timeslices, the next as soon as the last reply
+// landed. Returns how many requests failed or returned the wrong row count.
+int RunClosedLoop(const PollingServer& server, const std::string& query,
+                  size_t expected_rows, int clients, int per_client) {
+  std::vector<std::unique_ptr<Client>> connected;
+  int failures = 0;
+  for (int c = 0; c < clients; ++c) {
+    connected.push_back(std::make_unique<Client>());
+    Status st = connected.back()->Connect("127.0.0.1", server.port());
+    EXPECT_TRUE(st.ok()) << "client " << c << ": " << st.ToString();
+    if (!st.ok()) ++failures;
+  }
+  std::atomic<int> bad{0};
+  std::vector<std::thread> threads;
+  for (int c = 0; c < clients; ++c) {
+    threads.emplace_back([&, c] {
+      for (int q = 0; q < per_client; ++q) {
+        auto result = connected[c]->Query(query);
+        if (!result.ok() || result.ValueOrDie().rows.size() != expected_rows) {
+          ++bad;
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  for (auto& client : connected) client->Close();
+  return failures + bad.load();
+}
+
+TEST(ServerTest, SixtyFourConcurrentClientsAreAllServed) {
+  dbms::Engine db;
+  std::string query;
+  const size_t expected = LoadPositionTimeslice(&db, &query);
+  ASSERT_GT(expected, 0u);
+  // The default admission and queue bounds.
+  PollingServer server(&db, FastConfig());
+  ASSERT_TRUE(server.Start().ok());
+
+  EXPECT_EQ(RunClosedLoop(server, query, expected, 64, 4), 0);
+  EXPECT_EQ(server.metrics().counter("server.sessions_rejected").load(), 0u);
+  EXPECT_EQ(server.metrics().counter("server.busy_rejections").load(), 0u);
+
+  server.Stop();
+  EXPECT_EQ(server.metrics().gauge("server.sessions").load(), 0);
+  EXPECT_EQ(server.metrics().gauge("server.queue_depth").load(), 0);
+}
+
+TEST(ServerTest, WarmSharedCacheHitRateAtSixteenClients) {
+  dbms::Engine db;
+  std::string query;
+  const size_t expected = LoadPositionTimeslice(&db, &query);
+  PollingServer server(&db, FastConfig());
+  ASSERT_TRUE(server.Start().ok());
+  {
+    Client warm;
+    ASSERT_TRUE(warm.Connect("127.0.0.1", server.port()).ok());
+    auto result = warm.Query(query);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_EQ(result.ValueOrDie().rows.size(), expected);
+  }
+
+  const uint64_t hits0 = server.metrics().counter("plancache.hit").load();
+  const uint64_t misses0 = server.metrics().counter("plancache.miss").load();
+  EXPECT_EQ(RunClosedLoop(server, query, expected, 16, 8), 0);
+  const uint64_t hits =
+      server.metrics().counter("plancache.hit").load() - hits0;
+  const uint64_t misses =
+      server.metrics().counter("plancache.miss").load() - misses0;
+  ASSERT_GT(hits + misses, 0u);
+  EXPECT_GT(static_cast<double>(hits) / static_cast<double>(hits + misses),
+            0.9)
+      << hits << " hits, " << misses << " misses";
+
+  server.Stop();
+  EXPECT_EQ(server.metrics().gauge("server.sessions").load(), 0);
 }
 
 TEST(ServerTest, AdmissionRejectsSessionsPastTheBound) {

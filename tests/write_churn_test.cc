@@ -12,16 +12,23 @@
 //   - statistics staleness: churn drifts POSITION's modification epoch, and
 //     RefreshStatisticsIfStale re-collects (and re-fingerprints cached
 //     plans for) exactly the drifted tables.
+//
+// A fourth test races four reader middlewares, which share the engine latch,
+// against the writer and checks every lookup against an engine-free oracle.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
 #include <iterator>
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "common/date.h"
+#include "common/rng.h"
 #include "tango/middleware.h"
 #include "workload/uis.h"
 #include "workload/writer.h"
@@ -266,6 +273,128 @@ TEST(WriteChurnTest, WriterCountersAccountForEveryTransaction) {
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows.ValueOrDie().size(),
             base.size() + c.txns_committed.load());
+}
+
+std::string LookupSql(int64_t posid, int64_t day) {
+  const std::string d = std::to_string(day);
+  return "TEMPORAL SELECT PosID, EmpName, T1, T2 FROM POSITION WHERE PosID = " +
+         std::to_string(posid) + " AND T1 <= " + d + " AND T2 > " + d;
+}
+
+// A lookup's row count straight from the generated rows, without the
+// engine. The writer only closes periods at, and opens them from, its
+// current day, which never precedes its start day; so a lookup dated before
+// that day has the same answer in the loaded table as under any churn.
+size_t OracleCount(const std::vector<Tuple>& rows, int64_t posid,
+                   int64_t day) {
+  size_t n = 0;
+  for (const Tuple& row : rows) {
+    n += row[0].AsInt() == posid && row[6].AsInt() <= day &&
+                 row[7].AsInt() > day
+             ? 1
+             : 0;
+  }
+  return n;
+}
+
+TEST(WriteChurnTest, ConcurrentReadersRaceTheWriter) {
+  TempDir dir("readers");
+  const std::vector<Tuple> base = workload::GeneratePositionRows(2000, 11);
+  const int64_t positions = 100;  // 2,000 rows / 20 versions per position
+  dbms::EngineOptions opts;
+  opts.wal_dir = dir.path.string();
+  dbms::Engine db(opts);
+  ASSERT_TRUE(db.Open().ok());
+  ASSERT_TRUE(LoadChurnTables(&db, base).ok());
+
+  // Each reader has its own Middleware (its own Connection and engine
+  // session), all built before any thread starts.
+  constexpr int kReaders = 4;
+  std::vector<std::unique_ptr<Middleware>> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.push_back(std::make_unique<Middleware>(&db, ChurnConfig()));
+    ASSERT_TRUE(readers.back()->CollectStatistics({"POSITION"}).ok());
+  }
+  dbms::WireConfig wire;
+  wire.simulate_delay = false;
+  dbms::Connection writer_conn(&db, wire);
+  workload::WriterOptions wopts;
+  wopts.num_positions = positions;
+  wopts.start_day = date::Jan1(1998);
+  workload::WriterGenerator writer(&writer_conn, wopts);
+
+  constexpr size_t kTxns = 60;
+  // Readers keep going while the writer runs, so the two always overlap.
+  constexpr int kMinOps = 40;
+  constexpr int kMaxOps = 4000;
+  std::atomic<bool> writing{true};
+  Status writer_status;
+  std::thread write([&] {
+    writer_status = writer.Run(kTxns);
+    writing.store(false);
+  });
+  std::vector<std::vector<std::string>> failures(kReaders);
+  std::vector<int> oracle_checked(kReaders, 0);
+  std::vector<std::thread> threads;
+  for (int r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&, r] {
+      Middleware& mw = *readers[r];
+      Rng rng(1000 + r);
+      for (int i = 0; i < kMaxOps && (i < kMinOps || writing.load()); ++i) {
+        if (i % 10 == 9) {
+          auto q1 = mw.Query(kQueries[0]);
+          if (!q1.ok()) {
+            failures[r].push_back("Q1: " + q1.status().ToString());
+          } else if (q1.ValueOrDie().rows.empty()) {
+            failures[r].push_back("Q1: no rows");
+          }
+          continue;
+        }
+        const int64_t posid = rng.Uniform(1, positions);
+        const int64_t day =
+            rng.Uniform(date::Jan1(1990), date::Jan1(2000) - 1);
+        const std::string what = "lookup PosID=" + std::to_string(posid) +
+                                 " day=" + std::to_string(day);
+        auto exec = mw.Query(LookupSql(posid, day));
+        if (!exec.ok()) {
+          failures[r].push_back(what + ": " + exec.status().ToString());
+          continue;
+        }
+        const std::vector<Tuple>& rows = exec.ValueOrDie().rows;
+        for (const Tuple& row : rows) {
+          if (row.size() != 4 || row[0].AsInt() != posid ||
+              row[2].AsInt() > day || row[3].AsInt() <= day) {
+            failures[r].push_back(what + ": row outside the predicate");
+            break;
+          }
+        }
+        if (day >= wopts.start_day) continue;
+        ++oracle_checked[r];
+        const size_t expected = OracleCount(base, posid, day);
+        if (rows.size() != expected) {
+          failures[r].push_back(what + ": " + std::to_string(rows.size()) +
+                                " rows, expected " +
+                                std::to_string(expected));
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  write.join();
+
+  ASSERT_TRUE(writer_status.ok()) << writer_status.ToString();
+  for (int r = 0; r < kReaders; ++r) {
+    EXPECT_TRUE(failures[r].empty())
+        << "reader " << r << ": " << failures[r].size() << " failures, first: "
+        << (failures[r].empty() ? "" : failures[r].front());
+    EXPECT_GT(oracle_checked[r], 0) << "reader " << r;
+  }
+  const workload::WriterCounters& c = writer.counters();
+  EXPECT_EQ(c.txns_committed.load() + c.txns_rolled_back.load() +
+                c.txns_failed.load(),
+            kTxns);
+  EXPECT_GT(c.txns_committed.load(), 0u);
+  EXPECT_EQ(c.txns_failed.load(), 0u);
 }
 
 }  // namespace
