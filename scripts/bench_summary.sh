@@ -9,11 +9,6 @@
 #                           query latency quiet vs under temporal-update
 #                           churn, plus recovery-time vs log-length with
 #                           and without a checkpoint.
-#   BENCH_replan.json       mid-query replanning (EXPERIMENTS.md E16) —
-#                           static vs replanned latency on a 10x
-#                           mis-estimated aggregation-join at Q-error
-#                           bounds {2,4,16}, plus the retain-mode monitor
-#                           overhead with accurate statistics.
 #
 # The network service's throughput is measured by the repository benchmark
 # (perfbench/, workload service_churn), not here.
@@ -26,10 +21,8 @@ cd "$(dirname "$0")/.."
 BUILD="${1:-build}"
 
 cmake -B "${BUILD}" -S . >/dev/null
-cmake --build "${BUILD}" -j "$(nproc)" --target bench_vectorized bench_write_churn bench_replan
+cmake --build "${BUILD}" -j "$(nproc)" --target bench_vectorized bench_write_churn
 "./${BUILD}/bench/bench_vectorized" BENCH_vectorized.json
 echo "BENCH_vectorized.json updated"
 "./${BUILD}/bench/bench_write_churn" BENCH_write_churn.json
 echo "BENCH_write_churn.json updated"
-"./${BUILD}/bench/bench_replan" BENCH_replan.json
-echo "BENCH_replan.json updated"

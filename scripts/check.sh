@@ -59,11 +59,6 @@ ADAPT_SUITES='^(plan_cache_test|feedback_test|fingerprint_test)$'
 # under both sanitizers by name.
 VECTOR_SUITES='^(exec_property_test)$'
 DURABILITY_SUITES='^(wal_recovery_test|write_churn_test)$'
-# Mid-query replanning: the replan-vs-static differential plus the
-# checkpoint-counting property tests. ASan referees the retain-mode buffer
-# splice into the replanned remainder; TSan the Claim()/Fulfill() arbiter's
-# locking.
-REPLAN_SUITES='^(replan_exec_test)$'
 # The network service: server_test drives a real PollingServer over
 # loopback (poll thread + worker pool + concurrent clients sharing the
 # plan cache and the engine latch — TSan's bread and butter), and
@@ -121,9 +116,6 @@ run_config() {
     check_leaks "${name}" "${dir}"
     echo "=== ${name}: durability suites (WAL crash matrix + write churn) ==="
     (cd "${dir}" && ctest --output-on-failure -R "${DURABILITY_SUITES}" --timeout "${CTEST_TIMEOUT}")
-    check_leaks "${name}" "${dir}"
-    echo "=== ${name}: replan suites (replan-vs-static differential) ==="
-    (cd "${dir}" && ctest --output-on-failure -R "${REPLAN_SUITES}" --timeout "${CTEST_TIMEOUT}")
     check_leaks "${name}" "${dir}"
     echo "=== ${name}: server suites (polling server + soak) ==="
     (cd "${dir}" && ctest --output-on-failure -R "${SERVER_SUITES}" --timeout "${CTEST_TIMEOUT}")

@@ -137,21 +137,6 @@ std::string NodeCanon(const algebra::Op& op) {
       out += "]";
       break;
     }
-    case algebra::OpKind::kIntermediate: {
-      // Like a scan: buffer name + schema signature, so two intermediates
-      // with the same shape but different buffers get distinct node keys.
-      out += " " + op.table;
-      out += " {";
-      for (size_t i = 0; i < op.schema.num_columns(); ++i) {
-        if (i > 0) out += ",";
-        const Column& c = op.schema.column(i);
-        out += c.name;
-        out += ':';
-        out += DataTypeName(c.type);
-      }
-      out += "}";
-      break;
-    }
     default:
       break;  // transfers / dupelim / coalesce / difference / product: kind only
   }

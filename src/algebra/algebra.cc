@@ -20,7 +20,6 @@ const char* OpKindName(OpKind kind) {
     case OpKind::kProduct: return "PRODUCT";
     case OpKind::kTransferM: return "T^M";
     case OpKind::kTransferD: return "T^D";
-    case OpKind::kIntermediate: return "INTERMEDIATE";
   }
   return "?";
 }
@@ -240,25 +239,6 @@ Result<OpPtr> TransferD(OpPtr child) {
   return OpPtr(op);
 }
 
-Result<OpPtr> Intermediate(std::string name, const Schema& schema,
-                           std::vector<SortSpec> delivered_order) {
-  if (name.empty()) {
-    return Status::InvalidArgument("intermediate needs a buffer name");
-  }
-  for (auto& k : delivered_order) {
-    k.attr = ToUpper(k.attr);
-    TANGO_RETURN_IF_ERROR(schema.IndexOf(k.attr).status());
-  }
-  auto op = NewOp(OpKind::kIntermediate, {});
-  op->table = ToUpper(name);
-  op->alias = op->table;
-  // Schema verbatim — qualifiers must survive so predicates and join attrs
-  // above the splice point still bind against the buffered rows.
-  op->schema = schema;
-  op->sort_keys = std::move(delivered_order);
-  return OpPtr(op);
-}
-
 Result<OpPtr> WithChildren(const Op& op, std::vector<OpPtr> children) {
   switch (op.kind) {
     case OpKind::kScan:
@@ -287,8 +267,6 @@ Result<OpPtr> WithChildren(const Op& op, std::vector<OpPtr> children) {
       return TransferM(children[0]);
     case OpKind::kTransferD:
       return TransferD(children[0]);
-    case OpKind::kIntermediate:
-      return Intermediate(op.table, op.schema, op.sort_keys);
   }
   return Status::Internal("unreachable");
 }
@@ -300,19 +278,6 @@ std::string Op::Describe() const {
       out += " " + table;
       if (alias != table) out += " AS " + alias;
       break;
-    case OpKind::kIntermediate: {
-      out += " " + table;
-      if (!sort_keys.empty()) {
-        out += " [";
-        for (size_t i = 0; i < sort_keys.size(); ++i) {
-          if (i > 0) out += ", ";
-          out += sort_keys[i].attr;
-          if (!sort_keys[i].ascending) out += " DESC";
-        }
-        out += "]";
-      }
-      break;
-    }
     case OpKind::kSelect:
       out += " [" + predicate->ToString() + "]";
       break;

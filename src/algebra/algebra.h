@@ -30,8 +30,6 @@ enum class OpKind {
   kProduct,     // × Cartesian product
   kTransferM,   // T^M: DBMS -> middleware
   kTransferD,   // T^D: middleware -> DBMS
-  kIntermediate,  // materialized mid-query intermediate, treated as a base
-                  // relation with exact statistics during re-optimization
 };
 
 const char* OpKindName(OpKind kind);
@@ -153,14 +151,6 @@ Result<OpPtr> Product(OpPtr left, OpPtr right);
 
 Result<OpPtr> TransferM(OpPtr child);
 Result<OpPtr> TransferD(OpPtr child);
-
-/// Materialized intermediate leaf for mid-query re-optimization: `name`
-/// identifies the middleware-resident buffer, `schema` is taken verbatim
-/// (qualifiers preserved so predicates above the cut still bind), and
-/// `delivered_order` records the order the buffered rows arrived in (stored
-/// in `sort_keys`; lets sort elimination above the splice point fire).
-Result<OpPtr> Intermediate(std::string name, const Schema& schema,
-                           std::vector<SortSpec> delivered_order = {});
 
 /// Replaces the children of `op` (same parameters), re-deriving the schema.
 Result<OpPtr> WithChildren(const Op& op, std::vector<OpPtr> children);

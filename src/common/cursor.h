@@ -102,18 +102,11 @@ class BatchedReader {
 
 /// \brief Cursor over an in-memory vector of tuples.
 ///
-/// `Drain::kReusable` (default) copies rows out, so re-`Init` replays the
-/// stream. `Drain::kOneShot` moves rows out — for the many places that build
-/// a VectorCursor from a freshly materialized vector and drain it exactly
-/// once (partitions, fallbacks); a one-shot cursor must not be re-`Init`ed
-/// after draining.
+/// Rows are copied out, so re-`Init` replays the stream.
 class VectorCursor : public Cursor {
  public:
-  enum class Drain { kReusable, kOneShot };
-
-  VectorCursor(Schema schema, std::vector<Tuple> rows,
-               Drain drain = Drain::kReusable)
-      : schema_(std::move(schema)), rows_(std::move(rows)), drain_(drain) {}
+  VectorCursor(Schema schema, std::vector<Tuple> rows)
+      : schema_(std::move(schema)), rows_(std::move(rows)) {}
 
   Status Init() override {
     pos_ = 0;
@@ -122,22 +115,14 @@ class VectorCursor : public Cursor {
 
   Result<bool> Next(Tuple* tuple) override {
     if (pos_ >= rows_.size()) return false;
-    if (drain_ == Drain::kOneShot) {
-      *tuple = std::move(rows_[pos_++]);
-    } else {
-      *tuple = rows_[pos_++];
-    }
+    *tuple = rows_[pos_++];
     return true;
   }
 
   Result<size_t> NextBatch(RowBlock* block) override {
     block->Clear();
     while (pos_ < rows_.size() && !block->full()) {
-      if (drain_ == Drain::kOneShot) {
-        block->AppendRow(std::move(rows_[pos_++]));
-      } else {
-        block->AppendRow(rows_[pos_++]);
-      }
+      block->AppendRow(rows_[pos_++]);
     }
     return block->rows();
   }
@@ -147,7 +132,6 @@ class VectorCursor : public Cursor {
  private:
   Schema schema_;
   std::vector<Tuple> rows_;
-  Drain drain_;
   size_t pos_ = 0;
 };
 

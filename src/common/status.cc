@@ -29,8 +29,6 @@ const char* CodeName(StatusCode code) {
       return "Timeout";
     case StatusCode::kAborted:
       return "Aborted";
-    case StatusCode::kReplan:
-      return "Replan";
   }
   return "Unknown";
 }

@@ -28,11 +28,6 @@ enum class StatusCode {
   kUnavailable,
   kTimeout,
   kAborted,
-  // Mid-query re-optimization request: a transfer checkpoint observed a
-  // cardinality whose Q-error against the planning-time estimate exceeds the
-  // configured bound. Not transient — retry loops must pass it through so it
-  // unwinds the cursor tree to the middleware, which replans the remainder.
-  kReplan,
 };
 
 /// True for the environment-failure codes a caller may see when the wire,
@@ -87,9 +82,6 @@ class Status {
   }
   static Status Aborted(std::string msg) {
     return Status(StatusCode::kAborted, std::move(msg));
-  }
-  static Status Replan(std::string msg) {
-    return Status(StatusCode::kReplan, std::move(msg));
   }
 
   bool ok() const { return code_ == StatusCode::kOk; }

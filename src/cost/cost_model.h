@@ -112,9 +112,6 @@ class CostModel {
     return f_.tjm * (left_size + right_size) + f_.mjout * out_size;
   }
   double DupElimM(double size) const { return f_.dupm * size; }
-  /// BUFFER^M: re-reading a middleware-resident materialized intermediate
-  /// (mid-query replan leaf) — one in-memory pass over the buffered bytes.
-  double BufferM(double size) const { return f_.projm * size; }
   double CoalesceM(double size) const { return f_.coalm * size; }
   double DifferenceM(double left_size, double right_size) const {
     return f_.diffm * (left_size + right_size);

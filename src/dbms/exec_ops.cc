@@ -177,31 +177,6 @@ Result<size_t> SortOp::NextBatch(RowBlock* block) {
   return block->rows();
 }
 
-// -------------------------------------------------------------------- Dedup
-
-Result<bool> DedupOp::Next(Tuple* tuple) {
-  Tuple t;
-  while (true) {
-    TANGO_ASSIGN_OR_RETURN(bool more, child_->Next(&t));
-    if (!more) return false;
-    bool same = have_prev_ && t.size() == prev_.size();
-    if (same) {
-      for (size_t i = 0; i < t.size(); ++i) {
-        if (t[i].Compare(prev_[i]) != 0 || t[i].is_null() != prev_[i].is_null()) {
-          same = false;
-          break;
-        }
-      }
-    }
-    prev_ = t;
-    have_prev_ = true;
-    if (!same) {
-      *tuple = std::move(t);
-      return true;
-    }
-  }
-}
-
 // ----------------------------------------------------------------- UnionAll
 
 Status UnionAllOp::Init() {

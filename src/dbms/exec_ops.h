@@ -115,24 +115,6 @@ class SortOp : public Cursor {
   size_t pos_ = 0;
 };
 
-/// \brief Removes adjacent duplicates; requires input sorted on all columns.
-class DedupOp : public Cursor {
- public:
-  explicit DedupOp(CursorPtr child) : child_(std::move(child)) {}
-
-  Status Init() override {
-    have_prev_ = false;
-    return child_->Init();
-  }
-  Result<bool> Next(Tuple* tuple) override;
-  const Schema& schema() const override { return child_->schema(); }
-
- private:
-  CursorPtr child_;
-  Tuple prev_;
-  bool have_prev_ = false;
-};
-
 /// \brief Concatenation of children (UNION ALL); schemas must be
 /// union-compatible (first child's schema wins).
 class UnionAllOp : public Cursor {

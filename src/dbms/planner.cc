@@ -157,7 +157,7 @@ Result<CursorPtr> Planner::PlanSelect(const sql::SelectStmt& stmt) {
     if (!all_union_all) {
       auto keys = AllColumnsAsc(cur->schema());
       cur = std::make_unique<SortOp>(std::move(cur), std::move(keys));
-      cur = std::make_unique<DedupOp>(std::move(cur));
+      cur = std::make_unique<exec::DupElimCursor>(std::move(cur));
     }
     TANGO_ASSIGN_OR_RETURN(cur, ApplyOrderBy(stmt, std::move(cur)));
   }
@@ -251,7 +251,7 @@ Result<CursorPtr> Planner::PlanArm(const sql::SelectStmt& stmt) {
   if (stmt.distinct) {
     auto keys = AllColumnsAsc(cur->schema());
     cur = std::make_unique<SortOp>(std::move(cur), std::move(keys));
-    cur = std::make_unique<DedupOp>(std::move(cur));
+    cur = std::make_unique<exec::DupElimCursor>(std::move(cur));
   }
   if (order_in_output) {
     TANGO_ASSIGN_OR_RETURN(cur, ApplyOrderBy(stmt, std::move(cur)));

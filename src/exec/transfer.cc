@@ -18,16 +18,6 @@ Status TagTransient(const Status& s, const char* op, const std::string& what) {
   return Status(s.code(), std::string(op) + " " + what + ": " + s.message());
 }
 
-/// Message for the kReplan unwind; the middleware replaces the execution, so
-/// this only shows up in traces and logs.
-Status ReplanStatus(const char* op, const std::string& what, double planned,
-                    size_t actual) {
-  return Status::Replan(std::string(op) + " " + what + ": estimated " +
-                        std::to_string(static_cast<long long>(planned)) +
-                        " rows, observed " + std::to_string(actual) +
-                        "; replanning remainder");
-}
-
 }  // namespace
 
 TransferMCursor::TransferMCursor(dbms::Connection* conn, std::string sql,
@@ -98,9 +88,6 @@ Status TransferMCursor::Init() {
   cached_rows_ = nullptr;
   cached_pos_ = 0;
   delivered_ = 0;
-  retained_.clear();
-  exhausted_ = false;
-  replan_lost_ = false;
   // One retry budget for the cursor's whole open + drain.
   retry_ = std::make_unique<RetryState>(policy_);
   // §7 refinement: identical statements within one plan transfer once.
@@ -108,7 +95,7 @@ Status TransferMCursor::Init() {
     cached_rows_ = cache_->Get(sql_);
     if (cached_rows_ != nullptr) {
       if (obs_.cache_hits != nullptr) ++*obs_.cache_hits;
-      return CachedReplanCheck();
+      return Status::OK();
     }
   }
   TANGO_RETURN_IF_ERROR(Restore(0));
@@ -143,112 +130,6 @@ Status TransferMCursor::Init() {
     remote_.reset();
     cache_->Put(sql_, std::move(rows));
     cached_rows_ = cache_->Get(sql_);
-    return CachedReplanCheck();
-  }
-  return Status::OK();
-}
-
-Status TransferMCursor::CachedReplanCheck() {
-  // The complete result is already materialized (shared-statement cache), so
-  // the exact cardinality is known at Init time — the cheapest trigger point:
-  // nothing has been delivered downstream yet.
-  if (!Monitored() || replan_lost_ || cached_rows_ == nullptr) {
-    return Status::OK();
-  }
-  if (!monitor_->ShouldTrigger(checkpoint_.planned_rows,
-                               cached_rows_->size())) {
-    return Status::OK();
-  }
-  if (!monitor_->Claim()) {
-    replan_lost_ = true;
-    return Status::OK();
-  }
-  ReplanRequest req;
-  req.checkpoint = checkpoint_;
-  req.actual_rows = cached_rows_->size();
-  req.rows = cached_rows_;
-  monitor_->Fulfill(std::move(req));
-  return ReplanStatus("TRANSFER^M", sql_, checkpoint_.planned_rows,
-                      cached_rows_->size());
-}
-
-Result<size_t> TransferMCursor::FetchBlockRetained() {
-  RowBlock block(kControlPollStride);
-  while (true) {
-    Result<size_t> r = remote_->NextBatch(&block);
-    if (r.ok()) {
-      const size_t n = r.ValueOrDie();
-      if (retained_.capacity() < retained_.size() + n) {
-        retained_.reserve(
-            std::max(retained_.size() + n, retained_.capacity() * 2));
-      }
-      Tuple t;
-      for (size_t i = 0; i < n; ++i) {
-        block.MoveRowTo(i, &t);
-        retained_.push_back(std::move(t));
-      }
-      return n;
-    }
-    if (!retry_->ShouldRetry(r.status())) {
-      return TagTransient(r.status(), "TRANSFER^M", sql_);
-    }
-    if (counters_ != nullptr) ++counters_->tm_retries;
-    {
-      obs::ScopedSpan backoff(obs_.trace, "retry.backoff", "retry", obs_.span);
-      TANGO_RETURN_IF_ERROR(retry_->Backoff(control_));
-    }
-    // The retained buffer IS the fetch position: the failed fetch appended
-    // nothing, so its size is exact and block-aligned, same as `delivered_`
-    // in streaming mode.
-    TANGO_RETURN_IF_ERROR(Restore(retained_.size()));
-  }
-}
-
-Status TransferMCursor::MaybeReplan(bool final) {
-  if (!Monitored() || replan_lost_) return Status::OK();
-  const double planned =
-      checkpoint_.planned_rows < 1 ? 1 : checkpoint_.planned_rows;
-  bool trigger;
-  if (final) {
-    trigger = monitor_->ShouldTrigger(checkpoint_.planned_rows,
-                                      retained_.size());
-  } else {
-    // Mid-drain the count is only a lower bound on the actual cardinality,
-    // so only the underestimate direction can fire.
-    trigger = static_cast<double>(retained_.size()) >
-              monitor_->bound() * planned;
-  }
-  if (!trigger) return Status::OK();
-  if (!monitor_->Claim()) {
-    replan_lost_ = true;
-    return Status::OK();
-  }
-  // Winner: the intermediate stands in for the full transfer result, so
-  // finish fetching the remainder before handing the buffer over.
-  while (!exhausted_) {
-    TANGO_ASSIGN_OR_RETURN(const size_t n, FetchBlockRetained());
-    if (n == 0) {
-      exhausted_ = true;
-      remote_.reset();
-    }
-  }
-  const size_t actual = retained_.size();
-  ReplanRequest req;
-  req.checkpoint = checkpoint_;
-  req.actual_rows = actual;
-  req.rows = std::make_shared<const std::vector<Tuple>>(std::move(retained_));
-  monitor_->Fulfill(std::move(req));
-  return ReplanStatus("TRANSFER^M", sql_, checkpoint_.planned_rows, actual);
-}
-
-Status TransferMCursor::EnsureRetained() {
-  while (delivered_ >= retained_.size() && !exhausted_) {
-    TANGO_ASSIGN_OR_RETURN(const size_t n, FetchBlockRetained());
-    if (n == 0) {
-      exhausted_ = true;
-      remote_.reset();
-    }
-    TANGO_RETURN_IF_ERROR(MaybeReplan(/*final=*/exhausted_));
   }
   return Status::OK();
 }
@@ -257,13 +138,6 @@ Result<bool> TransferMCursor::Next(Tuple* tuple) {
   if (cached_rows_ != nullptr) {
     if (cached_pos_ >= cached_rows_->size()) return false;
     *tuple = (*cached_rows_)[cached_pos_++];
-    return true;
-  }
-  if (Monitored()) {
-    TANGO_RETURN_IF_ERROR(EnsureRetained());
-    if (delivered_ >= retained_.size()) return false;
-    *tuple = retained_[delivered_++];
-    if (obs_.rows_to_middleware != nullptr) ++*obs_.rows_to_middleware;
     return true;
   }
   while (true) {
@@ -292,17 +166,6 @@ Result<size_t> TransferMCursor::NextBatch(RowBlock* block) {
     block->Clear();
     while (cached_pos_ < cached_rows_->size() && !block->full()) {
       block->AppendRow((*cached_rows_)[cached_pos_++]);
-    }
-    return block->rows();
-  }
-  if (Monitored()) {
-    TANGO_RETURN_IF_ERROR(EnsureRetained());
-    block->Clear();
-    while (delivered_ < retained_.size() && !block->full()) {
-      block->AppendRow(retained_[delivered_++]);
-    }
-    if (obs_.rows_to_middleware != nullptr && block->rows() > 0) {
-      obs_.rows_to_middleware->Increment(block->rows());
     }
     return block->rows();
   }
@@ -391,22 +254,6 @@ Status TransferDCursor::Init() {
     TANGO_RETURN_IF_ERROR(CheckControl(control_));
   }
   rows_loaded_ = rows.size();
-
-  // Mid-query replan check: the argument is fully buffered middleware-side
-  // and no DBMS statement has run yet, so a triggered replan skips the
-  // CREATE + bulk-load and the entire DBMS subtree above this transfer.
-  if (monitor_ != nullptr && monitor_->enabled() &&
-      monitor_->ShouldTrigger(checkpoint_.planned_rows, rows.size()) &&
-      monitor_->Claim()) {
-    const size_t actual = rows.size();
-    ReplanRequest req;
-    req.checkpoint = checkpoint_;
-    req.actual_rows = actual;
-    req.rows = std::make_shared<const std::vector<Tuple>>(std::move(rows));
-    monitor_->Fulfill(std::move(req));
-    return ReplanStatus("TRANSFER^D", table_name_, checkpoint_.planned_rows,
-                        actual);
-  }
 
   RetryState retry(policy_);
   Status s = AttemptLoad(/*drop_first=*/false, ddl, rows);

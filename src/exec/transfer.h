@@ -12,7 +12,6 @@
 #include "common/cursor.h"
 #include "common/retry.h"
 #include "dbms/connection.h"
-#include "exec/replan.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -111,19 +110,6 @@ class TransferMCursor : public Cursor {
   /// Installs the metric/trace hooks; call before Init.
   void set_observability(const TransferObservability& obs) { obs_ = obs; }
 
-  /// Installs the mid-query replan checkpoint (done by the plan compiler;
-  /// see exec/replan.h). With a monitor installed the cursor runs in retain
-  /// mode: every fetched block is also buffered middleware-side, so that a
-  /// triggered replan can hand the *complete* intermediate to the replanner
-  /// and a losing (or never-triggering) cursor serves downstream from the
-  /// buffer with unchanged semantics. The retry restart skip becomes the
-  /// fetch position (retained rows), which stays block-aligned exactly like
-  /// `delivered_` does in streaming mode.
-  void set_replan(ReplanMonitor* monitor, ReplanCheckpoint checkpoint) {
-    monitor_ = monitor;
-    checkpoint_ = checkpoint;
-  }
-
  private:
   /// One attempt: (re)issue the SELECT and skip `skip` already-delivered
   /// rows. Non-OK means the attempt failed (possibly transiently).
@@ -131,23 +117,6 @@ class TransferMCursor : public Cursor {
   /// Retry loop around TryOpen; consumes attempts from retry_ until open
   /// succeeds, the budget is exhausted, or the failure is not retryable.
   Status Restore(size_t skip);
-
-  bool Monitored() const { return monitor_ != nullptr && monitor_->enabled(); }
-  /// Retried fetch of one block from the remote cursor into `retained_`.
-  /// Returns the number of rows appended (0 = remote exhausted).
-  Result<size_t> FetchBlockRetained();
-  /// Guarantees retained_[delivered_] exists or `exhausted_` is set, fetching
-  /// (and replan-checking) as needed. May return StatusCode::kReplan.
-  Status EnsureRetained();
-  /// Replan trigger check after a fetch. Mid-drain (`final` false) only the
-  /// underestimate direction can fire — the count is still a lower bound; at
-  /// end of stream (`final` true) the full two-sided Q-error check runs. The
-  /// Claim() winner drains the remainder, fulfills the request, and returns
-  /// StatusCode::kReplan; a loser downgrades to plain retain mode.
-  Status MaybeReplan(bool final);
-  /// Replan check for the shared-cache path, where the complete result is in
-  /// `cached_rows_` at Init time.
-  Status CachedReplanCheck();
 
   dbms::Connection* conn_;
   std::string sql_;
@@ -164,12 +133,6 @@ class TransferMCursor : public Cursor {
   // Set when serving from (or populating) the shared cache.
   std::shared_ptr<const std::vector<Tuple>> cached_rows_;
   size_t cached_pos_ = 0;
-  // Mid-query replan state (retain mode); see set_replan.
-  ReplanMonitor* monitor_ = nullptr;
-  ReplanCheckpoint checkpoint_;
-  std::vector<Tuple> retained_;
-  bool exhausted_ = false;
-  bool replan_lost_ = false;  // lost the Claim() race; stop checking
 };
 
 /// \brief TRANSFER^D: creates a table in the DBMS and bulk-loads its
@@ -208,16 +171,6 @@ class TransferDCursor : public Cursor {
   /// Installs the metric/trace hooks; call before Init.
   void set_observability(const TransferObservability& obs) { obs_ = obs; }
 
-  /// Installs the mid-query replan checkpoint (see exec/replan.h). The
-  /// argument is fully buffered middleware-side before the first DBMS
-  /// statement, so the actual cardinality is known *exactly* at the cheapest
-  /// possible moment: a triggered replan skips the CREATE + bulk-load and
-  /// the whole DBMS subtree above it.
-  void set_replan(ReplanMonitor* monitor, ReplanCheckpoint checkpoint) {
-    monitor_ = monitor;
-    checkpoint_ = checkpoint;
-  }
-
  private:
   /// One attempt at the DBMS side; `drop_first` makes a retry idempotent by
   /// removing whatever the failed attempt left behind.
@@ -233,8 +186,6 @@ class TransferDCursor : public Cursor {
   RecoveryCounters* counters_;
   TransferObservability obs_;
   size_t rows_loaded_ = 0;
-  ReplanMonitor* monitor_ = nullptr;
-  ReplanCheckpoint checkpoint_;
 };
 
 }  // namespace exec

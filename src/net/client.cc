@@ -225,7 +225,6 @@ Result<Client::QueryResult> Client::CollectResult() {
         }
         result.elapsed_seconds = message.ValueOrDie().elapsed_seconds;
         result.degraded = message.ValueOrDie().degraded;
-        result.replans = message.ValueOrDie().replans;
         result.plan_source = message.ValueOrDie().plan_source;
         if (result.rows.size() != message.ValueOrDie().rows) {
           return Status::IOError(

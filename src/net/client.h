@@ -59,7 +59,6 @@ class Client {
     std::vector<Tuple> rows;
     double elapsed_seconds = 0;
     bool degraded = false;
-    uint64_t replans = 0;
     /// Plan provenance: "uncached" | "fresh" | "cached" | "reoptimized".
     std::string plan_source;
   };

@@ -637,7 +637,6 @@ Status PollingServer::SendExecution(const SessionPtr& session,
   done.rows = result.rows.size();
   done.elapsed_seconds = result.elapsed_seconds;
   done.degraded = result.degraded;
-  done.replans = result.replans.size();
   done.plan_source = plan_source;
   if (!SendFrame(session, done)) return Status::IOError("client gone");
   return Status::OK();

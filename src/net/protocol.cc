@@ -82,7 +82,6 @@ std::vector<uint8_t> EncodeMessage(const Message& message) {
       w.PutI64(static_cast<int64_t>(message.rows));
       w.PutDouble(message.elapsed_seconds);
       w.PutU8(message.degraded ? 1 : 0);
-      w.PutI64(static_cast<int64_t>(message.replans));
       w.PutString(message.plan_source);
       break;
     case MsgType::kError:
@@ -177,10 +176,6 @@ Result<Message> DecodeMessage(const uint8_t* payload, size_t len) {
       uint8_t degraded = 0;
       TANGO_NET_READ(degraded, r.GetU8());
       m.degraded = degraded != 0;
-      int64_t replans = 0;
-      TANGO_NET_READ(replans, r.GetI64());
-      if (replans < 0) return Status::IOError("protocol: negative replans");
-      m.replans = static_cast<uint64_t>(replans);
       TANGO_NET_READ(m.plan_source, r.GetString());
       break;
     }

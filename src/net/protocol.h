@@ -37,7 +37,7 @@ namespace net {
 
 /// Protocol revision; the handshake echoes it and the server refuses
 /// mismatches rather than guessing at frame layouts.
-inline constexpr uint32_t kProtocolVersion = 1;
+inline constexpr uint32_t kProtocolVersion = 2;
 
 /// Hard bound on one frame's payload. A forged length header can therefore
 /// never drive a large allocation: the assembler rejects the frame before
@@ -59,8 +59,7 @@ enum class MsgType : uint8_t {
   kPrepared = 9,  // u32 stmt_id, string plan_source, u64 fingerprint
   kSchema = 10,   // u32 ncols, then per column: string name, u8 type
   kRowBlock = 11, // one column-packed RowBlock (WireWriter::PutRowBlock)
-  kDone = 12,     // u64 rows, f64 elapsed, u8 degraded, u64 replans,
-                  // string plan_source
+  kDone = 12,     // u64 rows, f64 elapsed, u8 degraded, string plan_source
   kError = 13,    // u8 status_code, string message
   kBusy = 14,     // string reason (admission: worker queue saturated)
   kBye = 15,      // no body
@@ -101,7 +100,6 @@ struct Message {
   uint64_t rows = 0;
   double elapsed_seconds = 0;
   bool degraded = false;
-  uint64_t replans = 0;
 
   // kError
   uint8_t status_code = 0;

@@ -38,25 +38,12 @@ struct OpObservation {
   std::string sql;
 };
 
-/// One mid-query re-optimization of an execution: a transfer checkpoint
-/// observed an actual cardinality whose Q-error against the *executing*
-/// plan's estimate exceeded the configured bound, the drain paused, and the
-/// plan's remainder was re-optimized over the materialized intermediate.
-struct ReplanEvent {
-  char direction = 'M';     // 'M' = at a TRANSFER^M, 'D' = at a TRANSFER^D
-  uint64_t after_rows = 0;  // exact rows materialized at the checkpoint
-  double est_rows = 0;      // the executing plan's estimate for that node
-};
-
 /// \brief EXPLAIN ANALYZE payload: the observation tree plus query totals.
 struct AnalyzeReport {
   std::vector<OpObservation> ops;  // indexed by timing id
   size_t root = 0;                 // timing id of the plan root
   double elapsed_seconds = 0;
   uint64_t result_rows = 0;
-  /// Mid-query replans performed by this execution, in order. The `ops`
-  /// tree describes the finally-executed (replanned) plan.
-  std::vector<ReplanEvent> replans;
 };
 
 /// Cardinality-estimation error: max(est, act) / min(est, act), with both

@@ -78,10 +78,7 @@ algebra::OpPtr Memo::MakePatternOp(const algebra::OpPtr& op,
 
 Result<stats::RelStats> Memo::DeriveStats(const algebra::OpPtr& op,
                                           const std::vector<size_t>& children) {
-  // Intermediates are leaves with provider-supplied (exact) statistics, just
-  // like base-relation scans.
-  if (op->kind == algebra::OpKind::kScan ||
-      op->kind == algebra::OpKind::kIntermediate) {
+  if (op->kind == algebra::OpKind::kScan) {
     if (!scan_stats_) {
       return Status::InvalidArgument("no scan statistics provider configured");
     }

@@ -458,19 +458,6 @@ Result<PhysPlanPtr> Optimizer::PlanExpr(Memo* memo, size_t group,
                       model_->ProductD(g.stats.size()), g, {left, right});
     }
 
-    case algebra::OpKind::kIntermediate: {
-      // A materialized mid-query intermediate lives in the middleware; the
-      // DBMS-site requirement is satisfied (if profitable) by the T^D
-      // enforcer above this leaf. Delivers the order its rows arrived in,
-      // so a replanned remainder gets sort elimination over the buffer.
-      if (props.site != Site::kMiddleware) return PhysPlanPtr(nullptr);
-      const std::vector<algebra::SortSpec> delivered =
-          NormalizeOrder(e.op->sort_keys);
-      if (!OrderSatisfies(props.order, delivered)) return PhysPlanPtr(nullptr);
-      return MakeNode(Algorithm::kBufferM, e.op, Site::kMiddleware, delivered,
-                      model_->BufferM(g.stats.size()), g, {});
-    }
-
     case algebra::OpKind::kTransferM:
     case algebra::OpKind::kTransferD:
       return Status::Internal("transfers cannot appear as memo elements");

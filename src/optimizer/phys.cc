@@ -48,7 +48,6 @@ const char* AlgorithmName(Algorithm alg) {
     case Algorithm::kDupElimM: return "DUPELIM^M";
     case Algorithm::kCoalesceM: return "COALESCE^M";
     case Algorithm::kDiffM: return "DIFF^M";
-    case Algorithm::kBufferM: return "BUFFER^M";
     case Algorithm::kTransferM: return "TRANSFER^M";
     case Algorithm::kTransferD: return "TRANSFER^D";
   }
@@ -80,10 +79,7 @@ std::string PhysPlan::ToString(int indent) const {
     const std::string desc = op->Describe();
     const size_t bracket = desc.find(" [");
     if (bracket != std::string::npos) out += desc.substr(bracket);
-    if (op->kind == algebra::OpKind::kScan ||
-        op->kind == algebra::OpKind::kIntermediate) {
-      out += " " + op->table;
-    }
+    if (op->kind == algebra::OpKind::kScan) out += " " + op->table;
   }
   char buf[96];
   std::snprintf(buf, sizeof(buf), "  (cost=%.0fus, rows=%.0f)", cost,

@@ -59,9 +59,6 @@ enum class Algorithm {
   kDupElimM,
   kCoalesceM,
   kDiffM,
-  /// Leaf scan over a middleware-resident materialized intermediate (the
-  /// mid-query replan splice point; see adapt::MidQueryReplanner).
-  kBufferM,
   // Transfers.
   kTransferM,
   kTransferD,

@@ -312,10 +312,6 @@ Result<RelStats> Derive(const algebra::Op& op,
     case OpKind::kScan:
       return Status::Internal("scan stats come from the Statistics Collector");
 
-    case OpKind::kIntermediate:
-      return Status::Internal(
-          "intermediate stats come from the materialized buffer");
-
     case OpKind::kSelect: {
       const RelStats& in = *children[0];
       RelStats out = in;

@@ -93,8 +93,7 @@ CursorPtr PlanCompiler::Instrument(CursorPtr cursor, const PhysPlan& node,
   }
   span_of_timing_[*timing_id] = span;
   instrumented->set_trace(trace_, span);
-  out->nodes.push_back(
-      {*timing_id, &node, /*sql=*/"", /*planned_rows=*/node.est_cardinality});
+  out->nodes.push_back({*timing_id, &node, /*sql=*/""});
   return instrumented;
 }
 
@@ -117,7 +116,6 @@ Result<CompiledPlan> PlanCompiler::Compile(const optimizer::PhysPlanPtr& plan) {
   out.timings = std::make_shared<exec::TimingSink>();
   out.transfer_cache = std::make_shared<exec::TransferCache>();
   span_of_timing_.clear();
-  plan_root_ = plan.get();
   size_t timing_id = 0;
   TANGO_ASSIGN_OR_RETURN(out.root, CompileNode(*plan, &out, &timing_id));
   out.root_timing_id = timing_id;
@@ -160,10 +158,6 @@ Result<CursorPtr> PlanCompiler::CompileTransferM(const PhysPlan& node,
     dependencies.push_back(
         Instrument(std::move(cursor), *td, {child_id}, out, &td_id));
     raw_td->set_observability(TransferHooks(span_of_timing_[td_id]));
-    if (replan_monitor_ != nullptr) {
-      raw_td->set_replan(replan_monitor_,
-                         {td_id, td->feedback_key, td->est_cardinality, 'D'});
-    }
     dep_ids.push_back(td_id);
   }
 
@@ -179,13 +173,6 @@ Result<CursorPtr> PlanCompiler::CompileTransferM(const PhysPlan& node,
   CursorPtr instrumented =
       Instrument(std::move(cursor), node, dep_ids, out, timing_id);
   raw_tm->set_observability(TransferHooks(span_of_timing_[*timing_id]));
-  // A root TRANSFER^M has no remainder to re-optimize (the transfer itself
-  // is the last work of the plan), so it never gets a checkpoint.
-  if (replan_monitor_ != nullptr && &node != plan_root_) {
-    raw_tm->set_replan(
-        replan_monitor_,
-        {*timing_id, node.feedback_key, node.est_cardinality, 'M'});
-  }
   out->nodes.back().sql = rendered.sql;
   return instrumented;
 }
@@ -324,21 +311,6 @@ Result<CursorPtr> PlanCompiler::CompileNode(const PhysPlan& node,
       cursor = std::make_unique<exec::DifferenceCursor>(std::move(children[0]),
                                                         std::move(children[1]));
       break;
-    case Algorithm::kBufferM: {
-      // Replanned-remainder leaf: serve the materialized intermediate the
-      // triggering transfer retained, without copying it.
-      if (intermediates_ == nullptr) {
-        return Status::Internal("BUFFER^M compiled without intermediates");
-      }
-      const auto it = intermediates_->find(node.op->table);
-      if (it == intermediates_->end()) {
-        return Status::Internal("BUFFER^M references unknown intermediate " +
-                                node.op->table);
-      }
-      cursor = std::make_unique<exec::BufferScanCursor>(node.op->schema,
-                                                        it->second);
-      break;
-    }
     default:
       return Status::Internal(
           std::string("unexpected algorithm in middleware part: ") +

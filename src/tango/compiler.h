@@ -1,7 +1,6 @@
 #ifndef TANGO_TANGO_COMPILER_H_
 #define TANGO_TANGO_COMPILER_H_
 
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -24,12 +23,6 @@ struct CompiledNode {
   const optimizer::PhysPlan* plan = nullptr;
   /// The SELECT this node issues (TRANSFER^M only; empty otherwise).
   std::string sql;
-  /// Cardinality estimate of the *executing* plan, captured at compile time.
-  /// The mid-query replan trigger compares actuals against this — not
-  /// against any later feedback-corrected estimate — so a replanned or
-  /// cache-warmed plan that already carries corrected numbers cannot
-  /// re-trigger a replan loop on the same observation.
-  double planned_rows = 0;
 };
 
 /// An execution-ready plan (Figure 5): a cursor tree whose DBMS-resident
@@ -85,23 +78,6 @@ class PlanCompiler {
   /// collide with a later query's temp names.
   void set_temp_prefix(std::string prefix) { temp_prefix_ = std::move(prefix); }
 
-  /// Arms mid-query re-optimization: every non-root transfer gets a replan
-  /// checkpoint carrying the executing plan's own cardinality estimate (see
-  /// CompiledNode::planned_rows). The root transfer is excluded — with no
-  /// remainder above it there is nothing left to re-optimize. Null disables
-  /// (the default).
-  void set_replan_monitor(exec::ReplanMonitor* monitor) {
-    replan_monitor_ = monitor;
-  }
-  /// Materialized intermediates by buffer name, for compiling BUFFER^M
-  /// leaves of a replanned remainder (not owned; may be null when the plan
-  /// has no such leaves).
-  void set_intermediates(
-      const std::map<std::string,
-                     std::shared_ptr<const std::vector<Tuple>>>* buffers) {
-    intermediates_ = buffers;
-  }
-
   /// Registry the compiled plan's transfer/cache metrics land in (may be
   /// null; not owned).
   void set_metrics(obs::MetricsRegistry* metrics) { metrics_ = metrics; }
@@ -141,12 +117,6 @@ class PlanCompiler {
   RetryPolicy retry_;
   RecoveryCounters* counters_ = nullptr;
   std::string temp_prefix_ = "TANGO_TMP_";
-  exec::ReplanMonitor* replan_monitor_ = nullptr;
-  const std::map<std::string, std::shared_ptr<const std::vector<Tuple>>>*
-      intermediates_ = nullptr;
-  /// Root of the plan currently being compiled (for the root-transfer
-  /// exclusion in set_replan_monitor's contract).
-  const optimizer::PhysPlan* plan_root_ = nullptr;
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::TraceRecorder* trace_ = nullptr;
   obs::SpanId trace_parent_ = obs::kNoSpan;

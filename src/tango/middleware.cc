@@ -5,7 +5,6 @@
 #include <cstdio>
 
 #include "adapt/fingerprint.h"
-#include "adapt/replanner.h"
 
 namespace tango {
 
@@ -14,8 +13,7 @@ namespace {
 /// The EXPLAIN / EXPLAIN ANALYZE cache-provenance line. Counters are read
 /// live from the entry, so an ExplainAnalyze run reports the execution it
 /// just performed.
-std::string ProvenanceLine(const Middleware::Prepared& prepared,
-                           bool force_reoptimized = false) {
+std::string ProvenanceLine(const Middleware::Prepared& prepared) {
   const char* source = "uncached";
   switch (prepared.source) {
     case Middleware::Prepared::Source::kUncached: source = "uncached"; break;
@@ -25,9 +23,6 @@ std::string ProvenanceLine(const Middleware::Prepared& prepared,
       source = "reoptimized";
       break;
   }
-  // A mid-query replan re-optimized the plan while it ran, whatever its
-  // original provenance was.
-  if (force_reoptimized) source = "reoptimized";
   std::string out = std::string("plan: ") + source;
   if (prepared.cache_entry != nullptr) {
     out += ", executions=" +
@@ -68,7 +63,6 @@ obs::AnalyzeReport BuildReport(const CompiledPlan& compiled,
   report.root = compiled.root_timing_id;
   report.elapsed_seconds = exec.elapsed_seconds;
   report.result_rows = exec.rows.size();
-  report.replans = exec.replans;
   return report;
 }
 
@@ -305,189 +299,74 @@ Result<Middleware::Execution> Middleware::ExecuteOnce(
   } active_guard{&active};
   ++metrics_->counter("query.executions");
 
-  // Mid-query replan state: `current` is the plan of this attempt; the
-  // buffers materialized by triggered checkpoints (and their exact
-  // statistics) stay alive across attempts, because a replanned plan may
-  // itself replan and its remainder can still reference earlier buffers.
-  const bool replan_enabled = config_.replan_qerror_bound >= 1.0;
-  size_t replans_left = replan_enabled ? config_.replan_max : 0;
-  optimizer::PhysPlanPtr current = plan;
-  std::map<std::string, std::shared_ptr<const std::vector<Tuple>>>
-      intermediates;
-  std::map<std::string, stats::RelStats> inter_stats;
-  std::vector<obs::ReplanEvent> replan_events;
-  uint64_t buffer_seq = 0;
-
-  while (true) {
-    PlanCompiler compiler(&connection_);
-    compiler.set_share_common_transfers(config_.share_common_transfers);
-    compiler.set_sort_memory_budget(config_.sort_memory_budget_bytes);
-    compiler.set_query_control(control);
-    compiler.set_retry_policy(config_.retry);
-    compiler.set_recovery_counters(&recovery_);
-    // Fresh per-attempt prefix: a replan attempt's temp tables can never
-    // collide with names from the paused (already dropped) attempt, and the
-    // instance id keeps concurrent middleware workers over one engine out
-    // of each other's namespaces.
-    compiler.set_temp_prefix("TANGO_TMP_" + std::to_string(instance_id_) +
-                             "_" + std::to_string(++exec_seq_) + "_");
-    compiler.set_metrics(metrics_);
-    compiler.set_trace(trace_, execute_span.id());
-    exec::ReplanMonitor monitor(replans_left > 0 ? config_.replan_qerror_bound
-                                                 : 0);
-    if (replans_left > 0) compiler.set_replan_monitor(&monitor);
-    if (!intermediates.empty()) compiler.set_intermediates(&intermediates);
-    Result<CompiledPlan> compiled_or = [&] {
-      obs::ScopedSpan compile_span(trace_, "compile", "query",
-                                   execute_span.id());
-      return compiler.Compile(current);
-    }();
-    if (!compiled_or.ok()) {
-      ++metrics_->counter("query.failures");
-      return compiled_or.status();
-    }
-    CompiledPlan compiled = compiled_or.MoveValueOrDie();
-
-    // The temporary tables must be dropped at the end of the query (§3.2) no
-    // matter how execution ends — the guard's destructor covers every exit.
-    TempTableGuard janitor(&connection_, compiled.temp_tables, config_.retry,
-                           &recovery_);
-
-    const auto start = std::chrono::steady_clock::now();
-    Result<std::vector<Tuple>> rows = MaterializeAll(compiled.root.get());
-    const auto elapsed = std::chrono::steady_clock::now() - start;
-
-    // Tear the cursor tree down before cleanup: after a cancelled or failed
-    // materialization a TRANSFER^M may still hold its server-side cursor
-    // open over a temp table, and destroying the tree releases it. Past
-    // this point the janitor's DROPs cannot pull a table out from under a
-    // live cursor.
-    const Schema schema = compiled.root->schema();
-    compiled.root.reset();
-
-    const Status cleanup = janitor.DropAll();
-    if (!rows.ok()) {
-      if (rows.status().code() == StatusCode::kReplan && replans_left > 0) {
-        std::optional<exec::ReplanRequest> request = monitor.Take();
-        if (request.has_value()) {
-          --replans_left;
-          Result<optimizer::PhysPlanPtr> next = ReplanRemainder(
-              current.get(), compiled, *request, provenance, &intermediates,
-              &inter_stats, &replan_events, execute_span.id(), &buffer_seq);
-          if (next.ok()) {
-            current = next.MoveValueOrDie();
-            continue;
-          }
-        }
-        // The remainder could not be re-optimized (e.g. a site restriction
-        // leaves no plan for a BUFFER^M leaf) or the claimant died before
-        // fulfilling: rerun the original plan with replanning off rather
-        // than failing a query whose rows are perfectly computable.
-        ++metrics_->counter("replan.fallbacks");
-        replans_left = 0;
-        continue;
-      }
-      ++metrics_->counter("query.failures");
-      return rows.status();
-    }
-
-    Execution exec;
-    exec.schema = schema;
-    exec.rows = rows.MoveValueOrDie();
-    exec.elapsed_seconds = std::chrono::duration<double>(elapsed).count();
-    exec.timings = *compiled.timings;
-    exec.sql_statements = compiled.sql_statements;
-    exec.cleanup_status = cleanup;
-    exec.replans = replan_events;
-    metrics_->histogram("query.latency_seconds").Record(exec.elapsed_seconds);
-    // Vectorization observability: rows that reached the (batched) root
-    // drain and RowBlocks produced across all operators of this plan.
-    metrics_->counter("exec.batch.rows").Increment(exec.rows.size());
-    uint64_t plan_batches = 0;
-    for (const exec::AlgorithmTiming& t : exec.timings) {
-      plan_batches += t.batches;
-    }
-    metrics_->counter("exec.batch.blocks").Increment(plan_batches);
-
-    if (config_.adapt) ApplyFeedback(compiled, exec.timings);
-    if (provenance != nullptr && provenance->cache_entry != nullptr) {
-      RecordCardinalityFeedback(compiled, exec.timings, *provenance);
-    }
-    if (report != nullptr) *report = BuildReport(compiled, exec);
-    return exec;
+  PlanCompiler compiler(&connection_);
+  compiler.set_share_common_transfers(config_.share_common_transfers);
+  compiler.set_sort_memory_budget(config_.sort_memory_budget_bytes);
+  compiler.set_query_control(control);
+  compiler.set_retry_policy(config_.retry);
+  compiler.set_recovery_counters(&recovery_);
+  // Fresh per-execution prefix: temp tables can never collide with names
+  // leaked by an earlier run, and the instance id keeps concurrent
+  // middleware workers over one engine out of each other's namespaces.
+  compiler.set_temp_prefix("TANGO_TMP_" + std::to_string(instance_id_) + "_" +
+                           std::to_string(++exec_seq_) + "_");
+  compiler.set_metrics(metrics_);
+  compiler.set_trace(trace_, execute_span.id());
+  Result<CompiledPlan> compiled_or = [&] {
+    obs::ScopedSpan compile_span(trace_, "compile", "query", execute_span.id());
+    return compiler.Compile(plan);
+  }();
+  if (!compiled_or.ok()) {
+    ++metrics_->counter("query.failures");
+    return compiled_or.status();
   }
-}
+  CompiledPlan compiled = compiled_or.MoveValueOrDie();
 
-Result<optimizer::PhysPlanPtr> Middleware::ReplanRemainder(
-    const optimizer::PhysPlan* executed_root, const CompiledPlan& compiled,
-    const exec::ReplanRequest& request, const Prepared* provenance,
-    std::map<std::string, std::shared_ptr<const std::vector<Tuple>>>*
-        intermediates,
-    std::map<std::string, stats::RelStats>* inter_stats,
-    std::vector<obs::ReplanEvent>* replans, obs::SpanId parent_span,
-    uint64_t* buffer_seq) {
-  obs::ScopedSpan span(trace_, "adapt.replan", "adapt", parent_span);
-  ++metrics_->counter("replan.count");
+  // The temporary tables must be dropped at the end of the query (§3.2) no
+  // matter how execution ends — the guard's destructor covers every exit.
+  TempTableGuard janitor(&connection_, compiled.temp_tables, config_.retry,
+                         &recovery_);
 
-  // Resolve the checkpoint back to its plan node (the cut).
-  const optimizer::PhysPlan* cut = nullptr;
-  for (const CompiledNode& node : compiled.nodes) {
-    if (node.timing_id == request.checkpoint.timing_id) {
-      cut = node.plan;
-      break;
-    }
-  }
-  if (cut == nullptr || request.rows == nullptr) {
-    return Status::Internal(
-        "mid-query replan checkpoint does not match the executed plan");
+  const auto start = std::chrono::steady_clock::now();
+  Result<std::vector<Tuple>> rows = MaterializeAll(compiled.root.get());
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+
+  // Tear the cursor tree down before cleanup: after a cancelled or failed
+  // materialization a TRANSFER^M may still hold its server-side cursor open
+  // over a temp table, and destroying the tree releases it. Past this point
+  // the janitor's DROPs cannot pull a table out from under a live cursor.
+  const Schema schema = compiled.root->schema();
+  compiled.root.reset();
+
+  const Status cleanup = janitor.DropAll();
+  if (!rows.ok()) {
+    ++metrics_->counter("query.failures");
+    return rows.status();
   }
 
-  // Register the materialized intermediate under a fresh buffer name. The
-  // name is outside the TANGO_TMP_ namespace on purpose: it is a middleware-
-  // resident buffer, not a DBMS table, and no janitor may sweep it.
-  const std::string name = ToUpper("#IM" + std::to_string(++*buffer_seq));
-  (*inter_stats)[name] = adapt::MidQueryReplanner::ComputeBufferStats(
-      cut->op->schema, *request.rows);
-  (*intermediates)[name] = request.rows;
+  Execution exec;
+  exec.schema = schema;
+  exec.rows = rows.MoveValueOrDie();
+  exec.elapsed_seconds = std::chrono::duration<double>(elapsed).count();
+  exec.timings = *compiled.timings;
+  exec.sql_statements = compiled.sql_statements;
+  exec.cleanup_status = cleanup;
+  metrics_->histogram("query.latency_seconds").Record(exec.elapsed_seconds);
+  // Vectorization observability: rows that reached the (batched) root drain
+  // and RowBlocks produced across all operators of this plan.
+  metrics_->counter("exec.batch.rows").Increment(exec.rows.size());
+  uint64_t plan_batches = 0;
+  for (const exec::AlgorithmTiming& t : exec.timings) {
+    plan_batches += t.batches;
+  }
+  metrics_->counter("exec.batch.blocks").Increment(plan_batches);
 
-  replans->push_back({request.checkpoint.direction, request.actual_rows,
-                      request.checkpoint.planned_rows});
-
-  // Plan-cache interaction: the cached plan just proved mis-estimated, so
-  // the next Prepare of this fingerprint re-optimizes with the exact
-  // observation (recorded below) injected. The replanned remainder itself
-  // is NOT cached — it references a per-execution buffer.
-  uint64_t fingerprint = 0;
+  if (config_.adapt) ApplyFeedback(compiled, exec.timings);
   if (provenance != nullptr && provenance->cache_entry != nullptr) {
-    fingerprint = provenance->fingerprint;
-    adapt::PlanCache::Entry& entry = *provenance->cache_entry;
-    if (!entry.stale.exchange(true, std::memory_order_acq_rel)) {
-      ++metrics_->counter("reoptimize.stale_marks");
-    }
+    RecordCardinalityFeedback(compiled, exec.timings, *provenance);
   }
-
-  adapt::ReplanInput in;
-  in.executed_root = executed_root;
-  in.cut = cut;
-  in.buffer_name = name;
-  in.fingerprint = fingerprint;
-  in.actual_rows = request.actual_rows;
-  optimizer::Optimizer::Options options;
-  options.semantic_temporal_selectivity =
-      config_.semantic_temporal_selectivity;
-  adapt::MidQueryReplanner replanner(&cost_model_, &feedback_);
-  return replanner.Replan(
-      in, options,
-      [this, inter_stats](const std::string& table) -> Result<stats::RelStats> {
-        const auto im = inter_stats->find(ToUpper(table));
-        if (im != inter_stats->end()) return im->second;
-        auto it = table_stats_.find(ToUpper(table));
-        if (it == table_stats_.end()) {
-          TANGO_RETURN_IF_ERROR(CollectStatistics({table}));
-          it = table_stats_.find(ToUpper(table));
-        }
-        return it->second;
-      });
+  if (report != nullptr) *report = BuildReport(compiled, exec);
+  return exec;
 }
 
 void Middleware::RecordCardinalityFeedback(const CompiledPlan& compiled,
@@ -654,14 +533,7 @@ Result<std::string> Middleware::ExplainAnalyze(const Prepared& prepared,
                 report.elapsed_seconds * 1e3);
   std::string out = "EXPLAIN ANALYZE rows=" +
                     std::to_string(report.result_rows) + " " + buf + "\n";
-  out += ProvenanceLine(prepared, /*force_reoptimized=*/!report.replans.empty());
-  for (const obs::ReplanEvent& r : report.replans) {
-    char line[96];
-    std::snprintf(line, sizeof(line), "replanned at T^%c after %llu rows, est %.0f\n",
-                  r.direction,
-                  static_cast<unsigned long long>(r.after_rows), r.est_rows);
-    out += line;
-  }
+  out += ProvenanceLine(prepared);
   out += obs::RenderAnalyzeTree(report);
   return out;
 }

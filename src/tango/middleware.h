@@ -80,16 +80,6 @@ class Middleware {
     /// honest while identical ones warm each other's plans — the server
     /// front end (src/net) injects one cache across its whole worker pool.
     adapt::PlanCache* shared_plan_cache = nullptr;
-    /// Mid-query re-optimization (DESIGN.md §13): when a transfer checkpoint
-    /// observes an actual cardinality whose Q-error against the *executing*
-    /// plan's estimate exceeds this bound, the drain pauses, the already-
-    /// materialized intermediate becomes a base relation with exact
-    /// statistics, and the remainder of the plan is re-optimized. Values
-    /// below 1 disable mid-query replanning (the default).
-    double replan_qerror_bound = 0;
-    /// Mid-query replans allowed within one execution (a replanned plan may
-    /// itself replan at a later transfer; this bounds the chain).
-    size_t replan_max = 2;
   };
 
   explicit Middleware(dbms::Engine* engine) : Middleware(engine, Config()) {}
@@ -204,9 +194,6 @@ class Middleware {
     /// True when the result came from a degraded (site-restricted) fallback
     /// plan after the chosen plan exhausted its retry budget.
     bool degraded = false;
-    /// Mid-query replans this execution performed (empty when replanning is
-    /// disabled or no checkpoint triggered).
-    std::vector<obs::ReplanEvent> replans;
     /// Non-OK when a temp table could not be dropped even with retries (the
     /// rows are still valid; the leak is also counted and the startup sweep
     /// will reclaim the table).
@@ -260,21 +247,6 @@ class Middleware {
                                 const QueryControlPtr& control,
                                 obs::AnalyzeReport* report = nullptr,
                                 const Prepared* provenance = nullptr);
-
-  /// One mid-query replan step: registers the materialized intermediate (and
-  /// its exact statistics), records the observation in the feedback store,
-  /// marks the provenance's cache entry stale, and re-optimizes the plan's
-  /// remainder over the intermediate. Returns the remainder plan to execute
-  /// next. `executed_root` is the plan that was running; `compiled` its
-  /// compilation (for resolving the checkpoint's cut node).
-  Result<optimizer::PhysPlanPtr> ReplanRemainder(
-      const optimizer::PhysPlan* executed_root, const CompiledPlan& compiled,
-      const exec::ReplanRequest& request, const Prepared* provenance,
-      std::map<std::string, std::shared_ptr<const std::vector<Tuple>>>*
-          intermediates,
-      std::map<std::string, stats::RelStats>* inter_stats,
-      std::vector<obs::ReplanEvent>* replans, obs::SpanId parent_span,
-      uint64_t* buffer_seq);
 
   /// The optimization pipeline proper (what PrepareLogical was before the
   /// plan cache): memo + top-down physical planning, with `overrides`

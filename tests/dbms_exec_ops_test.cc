@@ -14,6 +14,7 @@
 #include "dbms/catalog.h"
 #include "dbms/engine.h"
 #include "dbms/exec_ops.h"
+#include "exec/basic.h"
 #include "sql/parser.h"
 
 // Counts every global operator new in this binary, so a test can pin the
@@ -172,11 +173,12 @@ TEST(GroupAggOpTest, MinMaxOverStrings) {
   EXPECT_EQ(out[0][2].AsString(), "gamma");
 }
 
-TEST(DedupOpTest, NullsCompareEqualForDeduplication) {
+// DISTINCT and UNION deduplicate through exec::DupElimCursor.
+TEST(DupElimCursorTest, NullsCompareEqualForDeduplication) {
   Schema schema({{"", "X", DataType::kInt}});
   std::vector<Tuple> rows = {{Value::Null()}, {Value::Null()},
                              {Value(int64_t{1})}};
-  DedupOp dedup(std::make_unique<VectorCursor>(schema, rows));
+  exec::DupElimCursor dedup(std::make_unique<VectorCursor>(schema, rows));
   auto out = MaterializeAll(&dedup).ValueOrDie();
   EXPECT_EQ(out.size(), 2u);
 }

@@ -8,7 +8,6 @@
 #include "common/rng.h"
 #include "exec/basic.h"
 #include "exec/join.h"
-#include "exec/replan.h"
 #include "exec/sort.h"
 #include "exec/taggr.h"
 #include "exec/transfer.h"
@@ -371,12 +370,12 @@ TEST(BatchDifferentialTest, TemporalAggregation) {
 }
 
 // ---------------------------------------------------------------------------
-// Replan-checkpoint counting invariant: a monitored (retain-mode) TRANSFER^M
-// drained at any batch capacity, with retry-injected restarts landing before,
-// at, and after the trigger point, must checkpoint the EXACT remote row
-// count — restarts skip by the (block-aligned) fetch position, so no row is
-// double-counted or lost, and the fulfilled intermediate equals the clean
-// transfer byte for byte.
+// Restart invariant: a TRANSFER^M whose remote cursor is killed mid-drain
+// re-issues its SELECT and skips the rows already delivered. Drained at any
+// batch capacity, with the kill landing in the first wire batch, early,
+// mid-stream and late, the delivered sequence must equal a clean drain row
+// for row — the skip offset stays block-aligned, so no row is duplicated or
+// lost.
 
 Status DrainBatched(Cursor* c, size_t capacity, std::vector<Tuple>* out) {
   TANGO_RETURN_IF_ERROR(c->Init());
@@ -393,14 +392,10 @@ Status DrainBatched(Cursor* c, size_t capacity, std::vector<Tuple>* out) {
   }
 }
 
-class ReplanRetryPropertyTest : public ::testing::TestWithParam<size_t> {};
+class TransferRestartPropertyTest : public ::testing::TestWithParam<size_t> {};
 
-TEST_P(ReplanRetryPropertyTest, CheckpointedCountExactAcrossRestarts) {
+TEST_P(TransferRestartPropertyTest, RestartedDrainMatchesCleanDrain) {
   const size_t capacity = GetParam();
-  // 2500 rows = two full 1024-row retain blocks plus a 452-row tail; with
-  // planned_rows = 1200 and bound 1.0 the mid-drain trigger fires on the
-  // second block (retained 2048 > 1200), after downstream already consumed
-  // rows from the first.
   constexpr size_t kRows = 2500;
   dbms::Engine db;
   ASSERT_TRUE(db.Execute("CREATE TABLE R (K INT, T1 INT, T2 INT)").ok());
@@ -421,118 +416,41 @@ TEST_P(ReplanRetryPropertyTest, CheckpointedCountExactAcrossRestarts) {
 
   auto injector = std::make_shared<dbms::FaultInjector>();
   conn.set_fault_injector(injector);
-  // Wire batches are 16 rows: batch 10 dies inside the first retain block,
-  // batch 70 inside the second (right around the trigger), batch 150 during
-  // the claim winner's drain of the remainder. SIZE_MAX = no fault.
-  const uint64_t fault_batches[] = {10, 70, 150, SIZE_MAX};
-  for (const uint64_t fault_batch : fault_batches) {
-    const std::string what =
-        "capacity=" + std::to_string(capacity) +
-        " fault_batch=" + std::to_string(fault_batch);
-    if (fault_batch != SIZE_MAX) {
-      dbms::FaultPlan plan;
-      plan.kind = dbms::FaultKind::kCursorKill;
-      plan.batch_index = fault_batch;
-      plan.times = 1;
-      injector->Arm(plan);
-    } else {
-      injector->Arm(dbms::FaultPlan{});
-    }
+  // Wire batches are 16 rows, so 2,500 rows take 157 of them: the kill
+  // lands in the first batch, early, mid-stream and near the tail.
+  for (const uint64_t fault_batch : {0, 10, 70, 150}) {
+    const std::string what = "capacity=" + std::to_string(capacity) +
+                             " fault_batch=" + std::to_string(fault_batch);
+    dbms::FaultPlan plan;
+    plan.kind = dbms::FaultKind::kCursorKill;
+    plan.batch_index = fault_batch;
+    plan.times = 1;
+    injector->Arm(plan);
     const uint64_t fired_before = injector->faults_fired();
 
-    ReplanMonitor monitor(/*qerror_bound=*/1.0);
     RecoveryCounters counters;
     TransferMCursor c(&conn, sql, schema, {}, nullptr, nullptr, RetryPolicy(),
                       &counters);
-    c.set_replan(&monitor, {/*timing_id=*/0, /*node_key=*/0,
-                            /*planned_rows=*/1200.0, 'M'});
     std::vector<Tuple> delivered;
     const Status status = DrainBatched(&c, capacity, &delivered);
-    ASSERT_EQ(status.code(), StatusCode::kReplan) << what << ": "
-                                                  << status.ToString();
-    if (fault_batch != SIZE_MAX) {
-      EXPECT_EQ(injector->faults_fired() - fired_before, 1u) << what;
-      EXPECT_GE(counters.tm_retries.load(), 1u) << what;
-    }
-
-    // The count the checkpoint reports is EXACT despite the restart, and
-    // the fulfilled intermediate is the complete clean result, in order.
-    auto request = monitor.Take();
-    ASSERT_TRUE(request.has_value()) << what;
-    EXPECT_EQ(request->actual_rows, kRows) << what;
-    ASSERT_NE(request->rows, nullptr) << what;
-    ExpectSameRows(clean, *request->rows, what + " fulfilled buffer");
-
-    // Rows delivered downstream before the unwind are a clean prefix (the
-    // engine is deterministic): no duplicated or skipped row leaked out.
-    ASSERT_LE(delivered.size(), clean.size()) << what;
-    ExpectSameRows(
-        std::vector<Tuple>(clean.begin(), clean.begin() + delivered.size()),
-        delivered, what + " delivered prefix");
+    ASSERT_TRUE(status.ok()) << what << ": " << status.ToString();
+    EXPECT_EQ(injector->faults_fired() - fired_before, 1u) << what;
+    EXPECT_GE(counters.tm_retries.load(), 1u) << what;
+    ExpectSameRows(clean, delivered, what + " restarted drain");
     injector->Disarm();
   }
-
-  // Non-triggering leg: accurate estimate, same faults — retain mode must
-  // deliver the full clean sequence and never claim.
-  dbms::FaultPlan plan;
-  plan.kind = dbms::FaultKind::kCursorKill;
-  plan.batch_index = 70;
-  plan.times = 1;
-  injector->Arm(plan);
-  ReplanMonitor monitor(/*qerror_bound=*/4.0);
-  TransferMCursor c(&conn, sql, schema, {}, nullptr, nullptr, RetryPolicy(),
-                    nullptr);
-  c.set_replan(&monitor, {0, 0, /*planned_rows=*/2500.0, 'M'});
-  std::vector<Tuple> delivered;
-  ASSERT_TRUE(DrainBatched(&c, capacity, &delivered).ok());
-  EXPECT_FALSE(monitor.triggered());
-  ExpectSameRows(clean, delivered, "non-triggering retain-mode drain");
 }
 
-INSTANTIATE_TEST_SUITE_P(BatchCapacities, ReplanRetryPropertyTest,
+INSTANTIATE_TEST_SUITE_P(BatchCapacities, TransferRestartPropertyTest,
                          ::testing::Values(1, 2, 7, 1024));
 
-TEST(ReplanRetryPropertyTest, TransferDCheckpointsBeforeAnyStatement) {
-  // The T^D checkpoint fires after the child is drained but before the
-  // CREATE: a triggered replan must leave the DBMS completely untouched.
-  dbms::Engine db;
-  dbms::WireConfig wc;
-  wc.simulate_delay = false;
-  dbms::Connection conn(&db, wc);
-  auto injector = std::make_shared<dbms::FaultInjector>();
-  conn.set_fault_injector(injector);
-  injector->Arm(dbms::FaultPlan{});
-
-  const auto rows = RandomPeriods(19, 600, 5, 50);
-  ReplanMonitor monitor(/*qerror_bound=*/1.0);
-  TransferDCursor c(&conn, "TANGO_TMP_RP", {"K", "T1", "T2"},
-                    std::make_unique<VectorCursor>(KeyedSchema(), rows));
-  c.set_replan(&monitor, {0, 0, /*planned_rows=*/100.0, 'D'});
-  const Status status = c.Init();
-  ASSERT_EQ(status.code(), StatusCode::kReplan) << status.ToString();
-  EXPECT_EQ(injector->statements_seen(), 0u)
-      << "a replanning T^D must not issue CREATE or bulk-load";
-  auto request = monitor.Take();
-  ASSERT_TRUE(request.has_value());
-  EXPECT_EQ(request->actual_rows, rows.size());
-  ASSERT_NE(request->rows, nullptr);
-  ExpectSameRows(rows, *request->rows, "T^D fulfilled buffer");
-  EXPECT_TRUE(db.catalog().TableNames().empty());
-}
-
-TEST(VectorCursorTest, ReusableReplaysAfterDrainOneShotDoesNot) {
+TEST(VectorCursorTest, ReplaysAfterDrain) {
   const auto rows = RandomPeriods(102, 50, 4, 40);
-  VectorCursor reusable(KeyedSchema(), rows);  // Drain::kReusable default
-  const auto first = DrainTuple(&reusable);
-  const auto second = DrainBatch(&reusable, 7);
-  ExpectSameRows(first, second, "reusable VectorCursor re-Init replay");
+  VectorCursor cursor(KeyedSchema(), rows);
+  const auto first = DrainTuple(&cursor);
+  const auto second = DrainBatch(&cursor, 7);
+  ExpectSameRows(first, second, "VectorCursor re-Init replay");
   ASSERT_EQ(first.size(), rows.size());
-
-  // kOneShot moves rows out: the first drain delivers everything, and the
-  // contract is that the cursor is not re-Init'ed afterwards.
-  VectorCursor one_shot(KeyedSchema(), rows, VectorCursor::Drain::kOneShot);
-  const auto moved = DrainTuple(&one_shot);
-  ExpectSameRows(first, moved, "one-shot VectorCursor first drain");
 }
 
 }  // namespace

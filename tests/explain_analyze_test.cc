@@ -158,74 +158,6 @@ TEST(ExplainAnalyzeSnapshotTest, Query4CoalescedAggregation) {
 }
 
 // ---------------------------------------------------------------------------
-// Mid-query replan snapshots: a forced mis-estimate (statistics collected
-// before the table grows) makes the scan's TRANSFER^M checkpoint fire; the
-// rendered tree is the finally-executed remainder over the BUFFER^M leaf,
-// with the provenance line tagged "reoptimized" and one replanned-at line
-// per event.
-
-TEST(ExplainAnalyzeSnapshotTest, Query1ReplannedAtTransferM) {
-  dbms::Engine db;
-  Load(&db, "R", MakeRelation(7, 100, 6, 60));
-  Middleware::Config config = StableConfig();
-  config.replan_qerror_bound = 2.0;
-  Middleware mw(&db, config);
-  // Pin the aggregation middleware-side so the plan has a non-root T^M.
-  cost::CostFactors* f = &mw.cost_model().factors();
-  f->taggd1 = f->taggd2 = 1e9;
-  // Skew: statistics see 100 rows, the table holds 600 (q = 6 > 2).
-  ASSERT_TRUE(mw.CollectStatistics({"R"}).ok());
-  ASSERT_TRUE(db.BulkLoad("R", MakeRelation(99, 500, 6, 60).rows).ok());
-
-  const std::string actual = RunExplainAnalyze(&mw, kQuery1);
-  const std::string golden =
-      "EXPLAIN ANALYZE rows=394 elapsed=#\n"
-      "plan: reoptimized, executions=1, reoptimized=0\n"
-      "replanned at T^M after 600 rows, est 100\n"
-      "TAGGR^M [M] rows est=716 act=394 q=1.82 batches=# cost=# self=# incl=#\n"
-      "  BUFFER^M [M] rows est=600 act=600 q=1.00 batches=# cost=# self=# "
-      "incl=#\n";
-  EXPECT_EQ(golden, actual) << "actual:\n" << actual;
-}
-
-// The estimate anchor: ReplanCheckpoint::planned_rows is the *executing*
-// plan's estimate, captured in CompiledNode at compile time. After run 1
-// replans (recording exact feedback and marking the cached plan stale), run
-// 2's Prepare re-optimizes with the corrected cardinality — and the
-// corrected plan must NOT re-trigger on the very estimate it was corrected
-// with. A planned_rows that re-read shared state would loop here.
-TEST(ReplanEstimateAnchorTest, CorrectedPlanDoesNotRetrigger) {
-  dbms::Engine db;
-  Load(&db, "R", MakeRelation(7, 100, 6, 60));
-  Middleware::Config config = StableConfig();
-  config.replan_qerror_bound = 2.0;
-  Middleware mw(&db, config);
-  cost::CostFactors* f = &mw.cost_model().factors();
-  f->taggd1 = f->taggd2 = 1e9;
-  ASSERT_TRUE(mw.CollectStatistics({"R"}).ok());
-  ASSERT_TRUE(db.BulkLoad("R", MakeRelation(99, 500, 6, 60).rows).ok());
-
-  // Run 1: the stale estimate (100 vs 600) trips the checkpoint once.
-  auto first = mw.Query(kQuery1);
-  ASSERT_TRUE(first.ok()) << first.status().ToString();
-  ASSERT_EQ(first.ValueOrDie().replans.size(), 1u);
-  EXPECT_EQ(first.ValueOrDie().replans[0].est_rows, 100.0);
-  EXPECT_EQ(first.ValueOrDie().replans[0].after_rows, 600u);
-  EXPECT_EQ(mw.metrics().counter("replan.count").load(), 1u);
-  EXPECT_GE(mw.metrics().counter("reoptimize.stale_marks").load(), 1u);
-
-  // Run 2: the cache-warm sequence — the stale entry re-optimizes with the
-  // recorded observation, so the executing plan now *plans* 600 rows and
-  // observes 600: no replan, identical rows.
-  auto second = mw.Query(kQuery1);
-  ASSERT_TRUE(second.ok()) << second.status().ToString();
-  EXPECT_TRUE(second.ValueOrDie().replans.empty())
-      << "corrected plan re-triggered on its own correction";
-  EXPECT_EQ(mw.metrics().counter("replan.count").load(), 1u);
-  ASSERT_EQ(second.ValueOrDie().rows.size(), first.ValueOrDie().rows.size());
-}
-
-// ---------------------------------------------------------------------------
 // Report-level invariants (independent of the rendered text).
 
 TEST(AnalyzeReportTest, InvariantsHoldForQuery2) {

@@ -190,10 +190,10 @@ const char* const kFpSeeds[] = {
     "TEMPORAL SELECT G FROM R WHERE G = 2 AND T1 < 8",
     "SELECT A FROM T WHERE B < 'zz' AND A * 1.5 > 2.25",
     "SELECT DISTINCT A FROM T WHERE A BETWEEN 1 AND 10",
-    // Replan-shaped seeds: the query forms the mid-query replanner records
-    // feedback under (tests/replan_exec_test.cc) — their fingerprints key
-    // the stale-entry reoptimization after a replan, so literal lifting must
-    // stay stable for them too.
+    // Aggregation and aggregation-join seeds: cardinality feedback records
+    // its observations under these queries' fingerprints, which key the
+    // stale-entry reoptimization, so literal lifting must stay stable for
+    // them too.
     "TEMPORAL SELECT G, T1, T2, COUNT(G) AS CNT FROM R WHERE V > 12 "
     "GROUP BY G OVER TIME ORDER BY G, T1",
     "TEMPORAL SELECT C.G, V, CNT FROM "

@@ -540,7 +540,6 @@ net::Message RandomProtocolMessage(Rng* rng) {
   m.rows = rng->Below(10000);
   m.elapsed_seconds = static_cast<double>(rng->Below(1000)) / 13.0;
   m.degraded = rng->Below(2) == 1;
-  m.replans = rng->Below(3);
   m.status_code = static_cast<uint8_t>(rng->Below(14));
   return m;
 }
@@ -583,8 +582,9 @@ TEST(ProtocolFuzzTest, MessagesRoundTripThroughTheAssembler) {
         break;
       case net::MsgType::kDone:
         EXPECT_EQ(m.rows, sent.rows);
+        EXPECT_EQ(m.elapsed_seconds, sent.elapsed_seconds);
         EXPECT_EQ(m.degraded, sent.degraded);
-        EXPECT_EQ(m.replans, sent.replans);
+        EXPECT_EQ(m.plan_source, sent.plan_source);
         break;
       case net::MsgType::kError:
         EXPECT_EQ(m.status_code, sent.status_code);
