@@ -12,16 +12,33 @@
 # -O3: every CMake build type must compile, and the optimized one is what
 # benches run.
 #
+# The Release leg also runs the paper's shape checks: bench_query1_fig8,
+# bench_query2_fig10, bench_query3_fig11a and bench_query4_fig11b, once
+# each, one after another, at TANGO_BENCH_SCALE=0.2 (about 45 s together on
+# a 4-vCPU host). Each prints PASS/FAIL lines for the orderings its figure
+# reports (which plan wins, by roughly what ratio, which one the optimizer
+# picks) and exits non-zero on a FAIL, which fails the run. They are part of
+# correctness: a cheaper DBMS operator narrows the paper's margins. They are
+# deliberately not ctest tests, so the default `ctest` run leaves them out:
+# their timing comparisons would contend with the other suites under
+# `ctest -j`, and only an optimized build times what the paper timed.
+#
 # The robustness suites (fault_matrix_test, wire_fuzz_test,
-# dbms_exec_ops_test, recovery_test) are additionally invoked by name under
-# both sanitizer legs: the fault matrix and the wire fuzzer are exactly the
-# tests whose failure mode is memory corruption / a race in the recovery
-# paths, so they must stay green under ASan and TSan even if the main ctest
-# selection is ever narrowed. dbms_exec_ops_test joins them because the
-# table scan evaluates WHERE on the page's encoded rows through the codec's
-# per-column reader (TupleView): its differential suite walks tombstoned
-# and relocated slots, and ASan is what proves no read leaves a slot's
-# bytes; wire_fuzz_test fuzzes the same reader on damaged encodings.
+# dbms_exec_ops_test, dbms_planner_test, recovery_test) are additionally
+# invoked by name under both sanitizer legs: the fault matrix and the wire
+# fuzzer are exactly the tests whose failure mode is memory corruption / a
+# race in the recovery paths, so they must stay green under ASan and TSan
+# even if the main ctest selection is ever narrowed. dbms_exec_ops_test
+# joins them because the table scan evaluates WHERE on the page's encoded
+# rows through the codec's per-column reader (TupleView), and the joins
+# test their residual on a scratch row before building the output: its
+# differential suites walk tombstoned and relocated slots and rejected join
+# candidates, and ASan is what proves no read leaves a slot's bytes and no
+# moved-from row is reused; wire_fuzz_test fuzzes the same reader on
+# damaged encodings. dbms_planner_test joins them for projection pushdown:
+# every scan and join input is narrowed to the columns its statement reads,
+# and its differential suite against an engine-free oracle is what catches
+# a column bound to the wrong position.
 #
 # The observability suites (obs_test, trace_test, explain_analyze_test) get
 # the same treatment — the metrics registry and trace recorder are written
@@ -50,7 +67,7 @@ cd "$(dirname "$0")/.."
 
 JOBS="${1:-$(nproc)}"
 
-ROBUSTNESS_SUITES='^(fault_matrix_test|wire_fuzz_test|dbms_exec_ops_test|recovery_test)$'
+ROBUSTNESS_SUITES='^(fault_matrix_test|wire_fuzz_test|dbms_exec_ops_test|dbms_planner_test|recovery_test)$'
 OBS_SUITES='^(obs_test|trace_test|explain_analyze_test)$'
 ADAPT_SUITES='^(plan_cache_test|feedback_test|fingerprint_test)$'
 # The batch/tuple differential sweeps: exec_property_test proves every
@@ -67,6 +84,9 @@ DURABILITY_SUITES='^(wal_recovery_test|write_churn_test)$'
 # own tests: writer preference, latch-wait metrics, and sessions allocated
 # from many threads. wire_fuzz_test (above) covers the protocol codec.
 SERVER_SUITES='^(server_test|server_soak|connection_test)$'
+
+# The paper's shape checks (Figures 8, 10, 11(a) and 11(b)), Release leg only.
+SHAPE_BENCHES=(bench_query1_fig8 bench_query2_fig10 bench_query3_fig11a bench_query4_fig11b)
 
 # A stuck test under a sanitizer leg should fail the run, not hang it.
 CTEST_TIMEOUT=600
@@ -102,7 +122,7 @@ run_config() {
   (cd "${dir}" && ctest --output-on-failure -j "${JOBS}" --timeout "${CTEST_TIMEOUT}" "${label_filter[@]}")
   check_leaks "${name}" "${dir}"
   if [[ -n "${sanitize}" ]]; then
-    echo "=== ${name}: robustness suites (fault matrix + wire fuzz + scan + recovery) ==="
+    echo "=== ${name}: robustness suites (fault matrix + wire fuzz + scan + planner + recovery) ==="
     (cd "${dir}" && ctest --output-on-failure -R "${ROBUSTNESS_SUITES}" --timeout "${CTEST_TIMEOUT}")
     check_leaks "${name}" "${dir}"
     echo "=== ${name}: observability suites (metrics + trace + explain analyze) ==="
@@ -120,6 +140,13 @@ run_config() {
     echo "=== ${name}: server suites (polling server + soak) ==="
     (cd "${dir}" && ctest --output-on-failure -R "${SERVER_SUITES}" --timeout "${CTEST_TIMEOUT}")
     check_leaks "${name}" "${dir}"
+  fi
+  if [[ "${build_type}" == "Release" ]]; then
+    echo "=== ${name}: paper shape checks (TANGO_BENCH_SCALE=0.2) ==="
+    for bench in "${SHAPE_BENCHES[@]}"; do
+      echo "--- ${bench}"
+      TANGO_BENCH_SCALE=0.2 "${dir}/bench/${bench}"
+    done
   fi
   echo "=== ${name}: OK ==="
   echo

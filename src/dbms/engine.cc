@@ -279,7 +279,7 @@ Result<QueryResult> Engine::ExecuteUpdate(const sql::UpdateStmt& upd,
   // T2 = now WHERE T2 = forever would otherwise chase rewritten rows). The
   // collect pass is the SELECT full scan, WHERE evaluated on encoded rows.
   std::vector<std::pair<storage::Rid, Tuple>> targets;
-  TableScanOp scan(table, "", std::move(where));
+  TableScanOp scan(table, "", std::move(where), AllColumns(schema));
   TANGO_RETURN_IF_ERROR(scan.Init());
   while (true) {
     Tuple t;

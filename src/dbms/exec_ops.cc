@@ -5,7 +5,7 @@
 namespace tango {
 namespace dbms {
 
-// ---------------------------------------------------------------- TableScan
+// -------------------------------------------------------- StoredRowReader
 
 namespace {
 
@@ -19,14 +19,20 @@ void CollectColumnIndexes(const Expr& e, std::vector<size_t>* out) {
 
 }  // namespace
 
-TableScanOp::TableScanOp(const Table* table, const std::string& alias,
-                         std::vector<ExprPtr> conjuncts)
+std::vector<size_t> AllColumns(const Schema& schema) {
+  std::vector<size_t> columns(schema.num_columns());
+  for (size_t c = 0; c < columns.size(); ++c) columns[c] = c;
+  return columns;
+}
+
+StoredRowReader::StoredRowReader(const Table* table,
+                                 std::vector<ExprPtr> conjuncts,
+                                 std::vector<size_t> columns)
     : table_(table),
-      schema_(alias.empty() ? table->schema()
-                            : table->schema().WithQualifier(alias)),
       conjuncts_(std::move(conjuncts)),
-      read_by_predicate_(schema_.num_columns(), 0),
-      scratch_(schema_.num_columns()) {
+      columns_(std::move(columns)),
+      read_by_predicate_(table->schema().num_columns(), 0),
+      scratch_(table->schema().num_columns()) {
   for (const ExprPtr& conjunct : conjuncts_) {
     std::vector<size_t> cols;
     CollectColumnIndexes(*conjunct, &cols);
@@ -40,35 +46,37 @@ TableScanOp::TableScanOp(const Table* table, const std::string& alias,
   }
 }
 
-Status TableScanOp::Init() {
-  it_.emplace(table_->file().Scan());
-  return Status::OK();
-}
-
-Result<bool> TableScanOp::Advance(storage::Rid* rid) {
-  const uint8_t* bytes;
-  uint32_t len;
-  while (it_->NextEncoded(&bytes, &len, rid)) {
-    TANGO_RETURN_IF_ERROR(view_.Reset(bytes, len));
-    if (view_.arity() != scratch_.size()) {
-      return Status::IOError("stored row arity does not match " +
-                             table_->name());
-    }
-    // Stop at the first conjunct that is not TRUE (see the class comment
-    // for why that returns exactly the rows WHERE keeps).
-    bool qualifies = true;
-    for (size_t k = 0; qualifies && k < conjuncts_.size(); ++k) {
-      for (const size_t c : new_columns_[k]) {
-        TANGO_RETURN_IF_ERROR(view_.GetInto(c, &scratch_[c]));
-      }
-      qualifies = EvalPredicate(*conjuncts_[k], scratch_);
-    }
-    if (qualifies) return true;
+Schema StoredRowReader::OutputSchema(const std::string& alias) const {
+  const Schema& full = table_->schema();
+  const std::string qualifier = ToUpper(alias);
+  Schema out;
+  for (const size_t c : columns_) {
+    Column col = full.column(c);
+    if (!alias.empty()) col.table = qualifier;
+    out.AddColumn(std::move(col));
   }
-  return false;
+  return out;
 }
 
-Status TableScanOp::Emit(size_t col, Value* out) {
+Result<bool> StoredRowReader::Load(const uint8_t* bytes, uint32_t len) {
+  TANGO_RETURN_IF_ERROR(view_.Reset(bytes, len));
+  if (view_.arity() != scratch_.size()) {
+    return Status::IOError("stored row arity does not match " +
+                           table_->name());
+  }
+  // Stop at the first conjunct that is not TRUE (see the class comment for
+  // why that returns exactly the rows WHERE keeps).
+  for (size_t k = 0; k < conjuncts_.size(); ++k) {
+    for (const size_t c : new_columns_[k]) {
+      TANGO_RETURN_IF_ERROR(view_.GetInto(c, &scratch_[c]));
+    }
+    if (!EvalPredicate(*conjuncts_[k], scratch_)) return false;
+  }
+  return true;
+}
+
+Status StoredRowReader::Emit(size_t i, Value* out) {
+  const size_t col = columns_[i];
   if (read_by_predicate_[col] != 0) {
     // A copy, not a move: the scratch value keeps its string buffer, so
     // rejected rows stay free of heap allocation.
@@ -78,13 +86,42 @@ Status TableScanOp::Emit(size_t col, Value* out) {
   return view_.GetInto(col, out);
 }
 
+Status StoredRowReader::EmitRow(Tuple* tuple) {
+  tuple->resize(columns_.size());
+  for (size_t i = 0; i < columns_.size(); ++i) {
+    TANGO_RETURN_IF_ERROR(Emit(i, &(*tuple)[i]));
+  }
+  return Status::OK();
+}
+
+// ---------------------------------------------------------------- TableScan
+
+TableScanOp::TableScanOp(const Table* table, const std::string& alias,
+                         std::vector<ExprPtr> conjuncts,
+                         std::vector<size_t> columns)
+    : table_(table),
+      reader_(table, std::move(conjuncts), std::move(columns)),
+      schema_(reader_.OutputSchema(alias)) {}
+
+Status TableScanOp::Init() {
+  it_.emplace(table_->file().Scan());
+  return Status::OK();
+}
+
+Result<bool> TableScanOp::Advance(storage::Rid* rid) {
+  const uint8_t* bytes;
+  uint32_t len;
+  while (it_->NextEncoded(&bytes, &len, rid)) {
+    TANGO_ASSIGN_OR_RETURN(const bool qualifies, reader_.Load(bytes, len));
+    if (qualifies) return true;
+  }
+  return false;
+}
+
 Result<bool> TableScanOp::NextWithRid(Tuple* tuple, storage::Rid* rid) {
   TANGO_ASSIGN_OR_RETURN(const bool found, Advance(rid));
   if (!found) return false;
-  tuple->resize(scratch_.size());
-  for (size_t c = 0; c < scratch_.size(); ++c) {
-    TANGO_RETURN_IF_ERROR(Emit(c, &(*tuple)[c]));
-  }
+  TANGO_RETURN_IF_ERROR(reader_.EmitRow(tuple));
   return true;
 }
 
@@ -93,7 +130,7 @@ Result<bool> TableScanOp::Next(Tuple* tuple) {
 }
 
 Result<size_t> TableScanOp::NextBatch(RowBlock* block) {
-  const size_t arity = scratch_.size();
+  const size_t arity = reader_.arity();
   if (block->columns() == arity) {
     block->Clear();
   } else {
@@ -103,9 +140,9 @@ Result<size_t> TableScanOp::NextBatch(RowBlock* block) {
   while (rows < block->capacity()) {
     TANGO_ASSIGN_OR_RETURN(const bool found, Advance(nullptr));
     if (!found) break;
-    for (size_t c = 0; c < arity; ++c) {
-      std::vector<Value>& column = block->column(c);
-      TANGO_RETURN_IF_ERROR(Emit(c, &column.emplace_back()));
+    for (size_t i = 0; i < arity; ++i) {
+      std::vector<Value>& column = block->column(i);
+      TANGO_RETURN_IF_ERROR(reader_.Emit(i, &column.emplace_back()));
     }
     ++rows;
   }
@@ -118,11 +155,12 @@ Result<size_t> TableScanOp::NextBatch(RowBlock* block) {
 IndexScanOp::IndexScanOp(const Table* table, size_t column,
                          const std::string& alias, std::optional<Value> lo,
                          bool lo_inclusive, std::optional<Value> hi,
-                         bool hi_inclusive)
+                         bool hi_inclusive, std::vector<ExprPtr> conjuncts,
+                         std::vector<size_t> columns)
     : table_(table),
       column_(column),
-      schema_(alias.empty() ? table->schema()
-                            : table->schema().WithQualifier(alias)),
+      reader_(table, std::move(conjuncts), std::move(columns)),
+      schema_(reader_.OutputSchema(alias)),
       lo_(std::move(lo)),
       hi_(std::move(hi)),
       lo_inclusive_(lo_inclusive),
@@ -142,12 +180,55 @@ Status IndexScanOp::Init() {
 Result<bool> IndexScanOp::Next(Tuple* tuple) {
   Value key;
   storage::Rid rid;
-  if (!it_->Next(&key, &rid)) return false;
-  if (hi_.has_value()) {
-    const int c = key.Compare(*hi_);
-    if (c > 0 || (c == 0 && !hi_inclusive_)) return false;
+  while (it_->Next(&key, &rid)) {
+    if (hi_.has_value()) {
+      const int c = key.Compare(*hi_);
+      if (c > 0 || (c == 0 && !hi_inclusive_)) return false;
+    }
+    const uint8_t* bytes;
+    uint32_t len;
+    TANGO_RETURN_IF_ERROR(table_->file().GetEncoded(rid, &bytes, &len));
+    TANGO_ASSIGN_OR_RETURN(const bool qualifies, reader_.Load(bytes, len));
+    if (!qualifies) continue;
+    TANGO_RETURN_IF_ERROR(reader_.EmitRow(tuple));
+    return true;
   }
-  TANGO_ASSIGN_OR_RETURN(*tuple, table_->file().Get(rid));
+  return false;
+}
+
+// ------------------------------------------------------------- JoinResidual
+
+JoinResidual::JoinResidual(ExprPtr residual, size_t left_arity,
+                           size_t right_arity)
+    : residual_(std::move(residual)),
+      left_arity_(left_arity),
+      scratch_(left_arity + right_arity) {
+  if (residual_ == nullptr) return;
+  std::vector<size_t> cols;
+  CollectColumnIndexes(*residual_, &cols);
+  std::sort(cols.begin(), cols.end());
+  cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
+  for (const size_t c : cols) {
+    if (c < left_arity_) {
+      left_columns_.push_back(c);
+    } else {
+      right_columns_.push_back(c - left_arity_);
+    }
+  }
+}
+
+bool JoinResidual::Match(const Tuple& left, const Tuple& right, Tuple* out) {
+  if (residual_ != nullptr) {
+    // Copy-assignment keeps a scratch string's buffer, so a rejected pair
+    // allocates nothing once the scratch strings have grown to fit.
+    for (const size_t c : left_columns_) scratch_[c] = left[c];
+    for (const size_t c : right_columns_) scratch_[left_arity_ + c] = right[c];
+    if (!EvalPredicate(*residual_, scratch_)) return false;
+  }
+  out->clear();
+  out->reserve(left.size() + right.size());
+  out->insert(out->end(), left.begin(), left.end());
+  out->insert(out->end(), right.begin(), right.end());
   return true;
 }
 
@@ -164,15 +245,16 @@ Status SortOp::Init() {
 
 Result<bool> SortOp::Next(Tuple* tuple) {
   if (pos_ >= rows_.size()) return false;
-  *tuple = rows_[pos_++];
+  *tuple = std::move(rows_[pos_++]);
   return true;
 }
 
 Result<size_t> SortOp::NextBatch(RowBlock* block) {
   block->Clear();
-  // Copies, not moves: the materialized result may be replayed.
+  // Moves, not copies: each row is emitted once. Reading the result again
+  // takes another Init, which materializes and sorts the input afresh.
   while (pos_ < rows_.size() && !block->full()) {
-    block->AppendRow(rows_[pos_++]);
+    block->AppendRow(std::move(rows_[pos_++]));
   }
   return block->rows();
 }
@@ -202,10 +284,13 @@ SortMergeJoinOp::SortMergeJoinOp(CursorPtr left, CursorPtr right,
                                  ExprPtr residual)
     : left_(std::move(left)),
       right_(std::move(right)),
+      left_reader_(left_.get()),
+      right_reader_(right_.get()),
       left_keys_(std::move(left_keys)),
       right_keys_(std::move(right_keys)),
-      residual_(std::move(residual)),
-      schema_(Schema::Concat(left_->schema(), right_->schema())) {}
+      schema_(Schema::Concat(left_->schema(), right_->schema())),
+      residual_(std::move(residual), left_->schema().num_columns(),
+                right_->schema().num_columns()) {}
 
 int SortMergeJoinOp::CompareKeys(const Tuple& l, const Tuple& r) const {
   for (size_t i = 0; i < left_keys_.size(); ++i) {
@@ -219,16 +304,17 @@ int SortMergeJoinOp::CompareKeys(const Tuple& l, const Tuple& r) const {
 }
 
 Status SortMergeJoinOp::Init() {
-  TANGO_RETURN_IF_ERROR(left_->Init());
-  TANGO_RETURN_IF_ERROR(right_->Init());
+  TANGO_RETURN_IF_ERROR(left_reader_.Init());
+  TANGO_RETURN_IF_ERROR(right_reader_.Init());
   left_valid_ = false;
   right_pending_valid_ = false;
   right_exhausted_ = false;
   right_group_.clear();
   group_pos_ = 0;
   group_matches_left_ = false;
-  TANGO_ASSIGN_OR_RETURN(left_valid_, left_->Next(&left_row_));
-  TANGO_ASSIGN_OR_RETURN(right_pending_valid_, right_->Next(&right_pending_));
+  TANGO_ASSIGN_OR_RETURN(left_valid_, left_reader_.Next(&left_row_));
+  TANGO_ASSIGN_OR_RETURN(right_pending_valid_,
+                         right_reader_.Next(&right_pending_));
   right_exhausted_ = !right_pending_valid_;
   return Status::OK();
 }
@@ -241,7 +327,7 @@ Result<bool> SortMergeJoinOp::FillRightGroup() {
   right_group_.push_back(right_pending_);
   while (true) {
     Tuple t;
-    TANGO_ASSIGN_OR_RETURN(bool more, right_->Next(&t));
+    TANGO_ASSIGN_OR_RETURN(bool more, right_reader_.Next(&t));
     if (!more) {
       right_pending_valid_ = false;
       right_exhausted_ = true;
@@ -270,11 +356,7 @@ Result<bool> SortMergeJoinOp::Next(Tuple* tuple) {
   while (true) {
     // Emit pending (left row x right group) pairs.
     if (group_matches_left_ && group_pos_ < right_group_.size()) {
-      const Tuple& r = right_group_[group_pos_++];
-      Tuple joined = left_row_;
-      joined.insert(joined.end(), r.begin(), r.end());
-      if (residual_ == nullptr || EvalPredicate(*residual_, joined)) {
-        *tuple = std::move(joined);
+      if (residual_.Match(left_row_, right_group_[group_pos_++], tuple)) {
         return true;
       }
       continue;
@@ -282,7 +364,7 @@ Result<bool> SortMergeJoinOp::Next(Tuple* tuple) {
     if (group_matches_left_) {
       // Exhausted the group for this left row; advance left and retry the
       // same group (next left row may share the key).
-      TANGO_ASSIGN_OR_RETURN(left_valid_, left_->Next(&left_row_));
+      TANGO_ASSIGN_OR_RETURN(left_valid_, left_reader_.Next(&left_row_));
       group_pos_ = 0;
       if (!left_valid_) {
         // Clear the match flag so a post-exhaustion call cannot replay the
@@ -314,7 +396,7 @@ Result<bool> SortMergeJoinOp::Next(Tuple* tuple) {
     }
     const int c = CompareKeys(left_row_, right_group_.front());
     if (c < 0) {
-      TANGO_ASSIGN_OR_RETURN(left_valid_, left_->Next(&left_row_));
+      TANGO_ASSIGN_OR_RETURN(left_valid_, left_reader_.Next(&left_row_));
       if (!left_valid_) return false;
       continue;
     }
@@ -328,7 +410,7 @@ Result<bool> SortMergeJoinOp::Next(Tuple* tuple) {
         }
       }
       if (has_null) {
-        TANGO_ASSIGN_OR_RETURN(left_valid_, left_->Next(&left_row_));
+        TANGO_ASSIGN_OR_RETURN(left_valid_, left_reader_.Next(&left_row_));
         if (!left_valid_) return false;
         continue;
       }
@@ -346,22 +428,24 @@ HashJoinOp::HashJoinOp(CursorPtr left, CursorPtr right,
                        std::vector<size_t> right_keys, ExprPtr residual)
     : left_(std::move(left)),
       right_(std::move(right)),
+      left_reader_(left_.get()),
+      right_reader_(right_.get()),
       left_keys_(std::move(left_keys)),
       right_keys_(std::move(right_keys)),
-      residual_(std::move(residual)),
-      schema_(Schema::Concat(left_->schema(), right_->schema())) {}
+      schema_(Schema::Concat(left_->schema(), right_->schema())),
+      residual_(std::move(residual), left_->schema().num_columns(),
+                right_->schema().num_columns()) {}
 
 Status HashJoinOp::Init() {
-  TANGO_RETURN_IF_ERROR(left_->Init());
-  TANGO_RETURN_IF_ERROR(right_->Init());
+  TANGO_RETURN_IF_ERROR(left_reader_.Init());
+  TANGO_RETURN_IF_ERROR(right_reader_.Init());
   hash_table_.clear();
-  probe_valid_ = false;
   match_bucket_ = nullptr;
   match_pos_ = 0;
   // Build on the left input.
   Tuple t;
   while (true) {
-    TANGO_ASSIGN_OR_RETURN(bool more, left_->Next(&t));
+    TANGO_ASSIGN_OR_RETURN(bool more, left_reader_.Next(&t));
     if (!more) break;
     std::vector<Value> key;
     key.reserve(left_keys_.size());
@@ -379,27 +463,24 @@ Status HashJoinOp::Init() {
 Result<bool> HashJoinOp::Next(Tuple* tuple) {
   while (true) {
     if (match_bucket_ != nullptr && match_pos_ < match_bucket_->size()) {
-      Tuple joined = (*match_bucket_)[match_pos_++];
-      joined.insert(joined.end(), probe_row_.begin(), probe_row_.end());
-      if (residual_ == nullptr || EvalPredicate(*residual_, joined)) {
-        *tuple = std::move(joined);
+      if (residual_.Match((*match_bucket_)[match_pos_++], probe_row_, tuple)) {
         return true;
       }
       continue;
     }
-    TANGO_ASSIGN_OR_RETURN(probe_valid_, right_->Next(&probe_row_));
-    if (!probe_valid_) return false;
-    std::vector<Value> key;
-    key.reserve(right_keys_.size());
+    TANGO_ASSIGN_OR_RETURN(const bool more, right_reader_.Next(&probe_row_));
+    if (!more) return false;
+    probe_key_.resize(right_keys_.size());
     bool has_null = false;
-    for (size_t k : right_keys_) {
-      if (probe_row_[k].is_null()) has_null = true;
-      key.push_back(probe_row_[k]);
+    for (size_t i = 0; i < right_keys_.size(); ++i) {
+      const Value& v = probe_row_[right_keys_[i]];
+      if (v.is_null()) has_null = true;
+      probe_key_[i] = v;
     }
     match_bucket_ = nullptr;
     match_pos_ = 0;
     if (has_null) continue;
-    const auto it = hash_table_.find(key);
+    const auto it = hash_table_.find(probe_key_);
     if (it != hash_table_.end()) match_bucket_ = &it->second;
   }
 }
@@ -410,91 +491,80 @@ NestedLoopJoinOp::NestedLoopJoinOp(CursorPtr left, CursorPtr right,
                                    ExprPtr predicate)
     : left_(std::move(left)),
       right_(std::move(right)),
-      predicate_(std::move(predicate)),
-      schema_(Schema::Concat(left_->schema(), right_->schema())) {}
+      left_reader_(left_.get()),
+      schema_(Schema::Concat(left_->schema(), right_->schema())),
+      predicate_(std::move(predicate), left_->schema().num_columns(),
+                 right_->schema().num_columns()) {}
 
 Status NestedLoopJoinOp::Init() {
-  TANGO_RETURN_IF_ERROR(left_->Init());
-  TANGO_RETURN_IF_ERROR(right_->Init());
-  inner_.clear();
-  Tuple t;
-  while (true) {
-    TANGO_ASSIGN_OR_RETURN(bool more, right_->Next(&t));
-    if (!more) break;
-    inner_.push_back(std::move(t));
-  }
+  TANGO_RETURN_IF_ERROR(left_reader_.Init());
+  TANGO_ASSIGN_OR_RETURN(inner_, MaterializeAll(right_.get()));
   outer_valid_ = false;
   inner_pos_ = 0;
-  TANGO_ASSIGN_OR_RETURN(outer_valid_, left_->Next(&outer_row_));
+  TANGO_ASSIGN_OR_RETURN(outer_valid_, left_reader_.Next(&outer_row_));
   return Status::OK();
 }
 
 Result<bool> NestedLoopJoinOp::Next(Tuple* tuple) {
   while (outer_valid_) {
     while (inner_pos_ < inner_.size()) {
-      Tuple joined = outer_row_;
-      const Tuple& r = inner_[inner_pos_++];
-      joined.insert(joined.end(), r.begin(), r.end());
-      if (predicate_ == nullptr || EvalPredicate(*predicate_, joined)) {
-        *tuple = std::move(joined);
+      if (predicate_.Match(outer_row_, inner_[inner_pos_++], tuple)) {
         return true;
       }
     }
     inner_pos_ = 0;
-    TANGO_ASSIGN_OR_RETURN(outer_valid_, left_->Next(&outer_row_));
+    TANGO_ASSIGN_OR_RETURN(outer_valid_, left_reader_.Next(&outer_row_));
   }
   return false;
 }
 
 // ------------------------------------------------------ IndexNestedLoopJoin
 
-IndexNestedLoopJoinOp::IndexNestedLoopJoinOp(CursorPtr outer,
-                                             const Table* inner,
-                                             const std::string& inner_alias,
-                                             size_t outer_key,
-                                             size_t inner_column,
-                                             ExprPtr residual)
+IndexNestedLoopJoinOp::IndexNestedLoopJoinOp(
+    CursorPtr outer, const Table* inner, const std::string& inner_alias,
+    size_t outer_key, size_t inner_column, std::vector<size_t> inner_columns,
+    ExprPtr residual)
     : outer_(std::move(outer)),
+      outer_reader_(outer_.get()),
       inner_(inner),
       outer_key_(outer_key),
       inner_column_(inner_column),
-      residual_(std::move(residual)),
-      schema_(Schema::Concat(
-          outer_->schema(), inner_alias.empty()
-                                ? inner->schema()
-                                : inner->schema().WithQualifier(inner_alias))) {}
+      inner_reader_(inner, {}, std::move(inner_columns)),
+      schema_(Schema::Concat(outer_->schema(),
+                             inner_reader_.OutputSchema(inner_alias))),
+      residual_(std::move(residual), outer_->schema().num_columns(),
+                inner_reader_.arity()) {}
 
 Status IndexNestedLoopJoinOp::Init() {
   if (inner_->GetIndex(inner_column_) == nullptr) {
     return Status::Internal("index nested-loop join without index");
   }
-  TANGO_RETURN_IF_ERROR(outer_->Init());
-  outer_valid_ = false;
-  matches_.clear();
-  match_pos_ = 0;
+  TANGO_RETURN_IF_ERROR(outer_reader_.Init());
+  probing_ = false;
   return Status::OK();
 }
 
 Result<bool> IndexNestedLoopJoinOp::Next(Tuple* tuple) {
+  storage::Rid rid;
   while (true) {
-    if (match_pos_ < matches_.size()) {
-      TANGO_ASSIGN_OR_RETURN(Tuple inner_row,
-                             inner_->file().Get(matches_[match_pos_++]));
-      Tuple joined = outer_row_;
-      joined.insert(joined.end(), inner_row.begin(), inner_row.end());
-      if (residual_ == nullptr || EvalPredicate(*residual_, joined)) {
-        *tuple = std::move(joined);
-        return true;
-      }
+    // Walk the index entries equal to the outer key, one candidate each.
+    if (probing_ && matches_.Next(&index_key_, &rid) &&
+        index_key_ == outer_row_[outer_key_]) {
+      const uint8_t* bytes;
+      uint32_t len;
+      TANGO_RETURN_IF_ERROR(inner_->file().GetEncoded(rid, &bytes, &len));
+      TANGO_RETURN_IF_ERROR(inner_reader_.Load(bytes, len).status());
+      TANGO_RETURN_IF_ERROR(inner_reader_.EmitRow(&inner_row_));
+      if (residual_.Match(outer_row_, inner_row_, tuple)) return true;
       continue;
     }
-    TANGO_ASSIGN_OR_RETURN(outer_valid_, outer_->Next(&outer_row_));
-    if (!outer_valid_) return false;
-    matches_.clear();
-    match_pos_ = 0;
+    probing_ = false;
+    TANGO_ASSIGN_OR_RETURN(const bool more, outer_reader_.Next(&outer_row_));
+    if (!more) return false;
     const Value& key = outer_row_[outer_key_];
     if (key.is_null()) continue;
-    matches_ = inner_->GetIndex(inner_column_)->Lookup(key);
+    matches_ = inner_->GetIndex(inner_column_)->SeekGE(key);
+    probing_ = true;
   }
 }
 

@@ -21,17 +21,21 @@ struct AggSpec {
   std::string name;   // output column name
 };
 
-/// \brief Full scan of a stored table that evaluates the pushed WHERE
-/// conjuncts on the page's encoded rows.
+/// Every column of `schema`, in order: the output of a full-width scan.
+std::vector<size_t> AllColumns(const Schema& schema);
+
+/// \brief Reads one stored row from its encoded bytes: tests the pushed
+/// WHERE conjuncts, then decodes only the columns its reader outputs
+/// (DESIGN.md §15 and §16).
 ///
-/// For each live slot the scan decodes only the columns the next conjunct
-/// reads, into a scratch row reused across rows, and stops at the first
-/// conjunct that is not TRUE. Only a row that passes every conjunct is
-/// decoded in full, in one forward pass from where the predicate stopped,
-/// straight into the caller's tuple or block. A rejected row allocates
-/// nothing: scratch values are overwritten in place, and a decoded string
-/// reuses the buffer of the string before it in its column (a NULL in
-/// between releases it).
+/// For each row, `Load` decodes only the columns the next conjunct reads,
+/// into a scratch row reused across rows, and stops at the first conjunct
+/// that is not TRUE. A row that passes every conjunct is then decoded only
+/// in its output columns, straight into the caller's tuple or block: a
+/// column the predicate decoded is copied from the scratch row, the rest
+/// come from the view. A rejected row allocates nothing: scratch values are
+/// overwritten in place, and a decoded string reuses the buffer of the
+/// string before it in its column (a NULL in between releases it).
 ///
 /// Stopping early is exact. WHERE keeps a row only when the AND of its
 /// conjuncts is TRUE, which under three-valued logic holds only when every
@@ -39,13 +43,51 @@ struct AggSpec {
 /// has no side effects and raises no errors (division by zero yields NULL),
 /// so skipping the conjuncts after the first FALSE or NULL one returns the
 /// same rows.
+class StoredRowReader {
+ public:
+  /// `conjuncts` are bound to the table's schema (under any qualifier) and
+  /// evaluated in the given (SQL) order; none means every live row.
+  /// `columns` are the table columns to output, in output order.
+  StoredRowReader(const Table* table, std::vector<ExprPtr> conjuncts,
+                  std::vector<size_t> columns);
+
+  /// Points the reader at one stored row and tests the conjuncts; true when
+  /// every conjunct is TRUE.
+  Result<bool> Load(const uint8_t* bytes, uint32_t len);
+  /// Writes output column `i` of the loaded row to `*out`.
+  Status Emit(size_t i, Value* out);
+  /// Writes every output column of the loaded row to `*tuple`.
+  Status EmitRow(Tuple* tuple);
+
+  size_t arity() const { return columns_.size(); }
+  /// The table schema narrowed to the output columns, qualified by `alias`
+  /// (unqualified when empty).
+  Schema OutputSchema(const std::string& alias) const;
+
+ private:
+  const Table* table_;
+  std::vector<ExprPtr> conjuncts_;
+  std::vector<size_t> columns_;
+  /// new_columns_[k]: the columns conjunct k reads that no earlier conjunct
+  /// reads, ascending. Earlier conjuncts all ran, so theirs are decoded.
+  std::vector<std::vector<size_t>> new_columns_;
+  std::vector<uint8_t> read_by_predicate_;  // per table column
+  TupleView view_;
+  Tuple scratch_;  // table width; only the predicate's columns are decoded
+};
+
+/// \brief Full scan of a stored table that evaluates the pushed WHERE
+/// conjuncts on the page's encoded rows and decodes only the columns its
+/// consumer reads (`StoredRowReader`).
 class TableScanOp : public Cursor {
  public:
   /// `alias` re-qualifies the output schema (range variable). `conjuncts`
-  /// are the `SplitConjuncts` of the pushed predicate, bound to that schema,
-  /// evaluated in the given (SQL) order; none means every live row.
+  /// are the `SplitConjuncts` of the pushed predicate, bound to the table's
+  /// schema, evaluated in the given (SQL) order; none means every live row.
+  /// `columns` are the table columns the scan outputs (`AllColumns` for
+  /// every one).
   TableScanOp(const Table* table, const std::string& alias,
-              std::vector<ExprPtr> conjuncts = {});
+              std::vector<ExprPtr> conjuncts, std::vector<size_t> columns);
 
   Status Init() override;
   Result<bool> Next(Tuple* tuple) override;
@@ -57,32 +99,25 @@ class TableScanOp : public Cursor {
   const Schema& schema() const override { return schema_; }
 
  private:
-  /// Moves to the next live row whose conjuncts are all TRUE, leaving its
-  /// encoding in `view_` and the predicate's columns in `scratch_`.
+  /// Moves to the next live row whose conjuncts are all TRUE.
   Result<bool> Advance(storage::Rid* rid);
-  /// Writes column `col` of the current row to `*out`: the predicate's
-  /// decode when there was one, else a fresh decode from `view_`.
-  Status Emit(size_t col, Value* out);
 
   const Table* table_;
+  StoredRowReader reader_;
   Schema schema_;
-  std::vector<ExprPtr> conjuncts_;
-  /// new_columns_[k]: the columns conjunct k reads that no earlier conjunct
-  /// reads, ascending. Earlier conjuncts all ran, so theirs are decoded.
-  std::vector<std::vector<size_t>> new_columns_;
-  std::vector<uint8_t> read_by_predicate_;  // per column
   std::optional<storage::HeapFile::Iterator> it_;
-  TupleView view_;
-  Tuple scratch_;
 };
 
 /// \brief Range scan via a B+-tree index: key in [lo, hi] with optional
-/// open bounds on either side.
+/// open bounds on either side. Each hit is read like a full scan's row: the
+/// pushed conjuncts are tested on its encoded bytes (all of them, whichever
+/// the range already enforces), and only `columns` are decoded.
 class IndexScanOp : public Cursor {
  public:
   IndexScanOp(const Table* table, size_t column, const std::string& alias,
               std::optional<Value> lo, bool lo_inclusive,
-              std::optional<Value> hi, bool hi_inclusive);
+              std::optional<Value> hi, bool hi_inclusive,
+              std::vector<ExprPtr> conjuncts, std::vector<size_t> columns);
 
   Status Init() override;
   Result<bool> Next(Tuple* tuple) override;
@@ -91,13 +126,41 @@ class IndexScanOp : public Cursor {
  private:
   const Table* table_;
   size_t column_;
+  StoredRowReader reader_;
   Schema schema_;
   std::optional<Value> lo_, hi_;
   bool lo_inclusive_, hi_inclusive_;
   std::optional<storage::BPlusTree::Iterator> it_;
 };
 
-/// \brief In-memory sort; materializes its input in Init.
+/// \brief A join's residual predicate, tested on a candidate pair before
+/// the pair is concatenated (DESIGN.md §16).
+///
+/// The residual is bound to the join's output schema: left columns, then
+/// right. `Match` copies only the columns the residual reads into a scratch
+/// row reused across candidates and evaluates it there; only a pair that
+/// passes is concatenated into the caller's tuple. A rejected candidate
+/// builds no row and, once the scratch strings have grown to fit, allocates
+/// nothing. Every DBMS join tests its candidates through this one helper.
+class JoinResidual {
+ public:
+  /// A null `residual` passes every pair.
+  JoinResidual(ExprPtr residual, size_t left_arity, size_t right_arity);
+
+  /// True, with `*out` = left ++ right, when the pair passes the residual;
+  /// false, with `*out` untouched, when it does not.
+  bool Match(const Tuple& left, const Tuple& right, Tuple* out);
+
+ private:
+  ExprPtr residual_;
+  size_t left_arity_;
+  std::vector<size_t> left_columns_;   // residual columns < left_arity_
+  std::vector<size_t> right_columns_;  // the rest, as right-side positions
+  Tuple scratch_;
+};
+
+/// \brief In-memory sort; materializes and sorts its input in every Init,
+/// then moves each row out once.
 class SortOp : public Cursor {
  public:
   SortOp(CursorPtr child, std::vector<SortKey> keys)
@@ -132,8 +195,9 @@ class UnionAllOp : public Cursor {
 };
 
 /// \brief Sort-merge join on equi-keys with an optional residual predicate
-/// (evaluated against the concatenated tuple). Inputs must be sorted on
-/// their key columns. Duplicate key groups are buffered on the right side.
+/// (bound to the output schema, tested through `JoinResidual`). Inputs must
+/// be sorted on their key columns. Duplicate key groups are buffered on the
+/// right side.
 class SortMergeJoinOp : public Cursor {
  public:
   SortMergeJoinOp(CursorPtr left, CursorPtr right,
@@ -150,9 +214,10 @@ class SortMergeJoinOp : public Cursor {
   Result<bool> FillRightGroup();
 
   CursorPtr left_, right_;
+  BatchedReader left_reader_, right_reader_;
   std::vector<size_t> left_keys_, right_keys_;
-  ExprPtr residual_;
   Schema schema_;
+  JoinResidual residual_;
 
   Tuple left_row_;
   bool left_valid_ = false;
@@ -165,7 +230,8 @@ class SortMergeJoinOp : public Cursor {
 };
 
 /// \brief Hash join (build = left, probe = right) on equi-keys with an
-/// optional residual predicate. Output order: left columns then right.
+/// optional residual predicate (through `JoinResidual`). Output order: left
+/// columns then right.
 class HashJoinOp : public Cursor {
  public:
   HashJoinOp(CursorPtr left, CursorPtr right, std::vector<size_t> left_keys,
@@ -177,9 +243,10 @@ class HashJoinOp : public Cursor {
 
  private:
   CursorPtr left_, right_;
+  BatchedReader left_reader_, right_reader_;
   std::vector<size_t> left_keys_, right_keys_;
-  ExprPtr residual_;
   Schema schema_;
+  JoinResidual residual_;
 
   struct KeyHash {
     size_t operator()(const std::vector<Value>& k) const {
@@ -203,14 +270,14 @@ class HashJoinOp : public Cursor {
   std::unordered_map<std::vector<Value>, std::vector<Tuple>, KeyHash, KeyEq>
       hash_table_;
 
+  std::vector<Value> probe_key_;
   Tuple probe_row_;
-  bool probe_valid_ = false;
   const std::vector<Tuple>* match_bucket_ = nullptr;
   size_t match_pos_ = 0;
 };
 
-/// \brief Block nested-loop join with an arbitrary predicate; the right
-/// input is materialized in Init.
+/// \brief Block nested-loop join with an arbitrary predicate (through
+/// `JoinResidual`); the right input is materialized in Init.
 class NestedLoopJoinOp : public Cursor {
  public:
   NestedLoopJoinOp(CursorPtr left, CursorPtr right, ExprPtr predicate);
@@ -221,8 +288,9 @@ class NestedLoopJoinOp : public Cursor {
 
  private:
   CursorPtr left_, right_;
-  ExprPtr predicate_;
+  BatchedReader left_reader_;
   Schema schema_;
+  JoinResidual predicate_;
   std::vector<Tuple> inner_;
   Tuple outer_row_;
   bool outer_valid_ = false;
@@ -234,11 +302,13 @@ class NestedLoopJoinOp : public Cursor {
 /// nested-loop hint produces in Query 4.
 class IndexNestedLoopJoinOp : public Cursor {
  public:
-  /// `outer_key` is a bound column index into the outer schema; the inner
-  /// side appears on the right of the output schema.
+  /// `outer_key` is a bound column index into the outer schema. The inner
+  /// side appears on the right of the output schema, narrowed to the table
+  /// columns `inner_columns`; each match decodes only those.
   IndexNestedLoopJoinOp(CursorPtr outer, const Table* inner,
                         const std::string& inner_alias, size_t outer_key,
-                        size_t inner_column, ExprPtr residual);
+                        size_t inner_column, std::vector<size_t> inner_columns,
+                        ExprPtr residual);
 
   Status Init() override;
   Result<bool> Next(Tuple* tuple) override;
@@ -246,16 +316,21 @@ class IndexNestedLoopJoinOp : public Cursor {
 
  private:
   CursorPtr outer_;
+  BatchedReader outer_reader_;
   const Table* inner_;
   size_t outer_key_;
   size_t inner_column_;
-  ExprPtr residual_;
+  StoredRowReader inner_reader_;
   Schema schema_;
+  JoinResidual residual_;
 
   Tuple outer_row_;
-  bool outer_valid_ = false;
-  std::vector<storage::Rid> matches_;
-  size_t match_pos_ = 0;
+  Tuple inner_row_;
+  /// The index entries from the outer key on; `probing_` while they may
+  /// still equal it.
+  storage::BPlusTree::Iterator matches_;
+  Value index_key_;
+  bool probing_ = false;
 };
 
 /// \brief Sort-based group aggregation; the input must arrive sorted on the

@@ -20,6 +20,9 @@ class AliasOp : public Cursor {
 
   Status Init() override { return child_->Init(); }
   Result<bool> Next(Tuple* tuple) override { return child_->Next(tuple); }
+  Result<size_t> NextBatch(RowBlock* block) override {
+    return child_->NextBatch(block);
+  }
   const Schema& schema() const override { return schema_; }
 
  private:
@@ -117,6 +120,41 @@ Result<ExprPtr> RewriteOverAggOutput(const ExprPtr& e, const Schema& input,
   return ExprPtr(out);
 }
 
+/// Whether the arm groups or aggregates (and so plans a GroupAggOp).
+bool Aggregates(const sql::SelectStmt& stmt) {
+  if (!stmt.group_by.empty() || stmt.having != nullptr) return true;
+  for (const sql::SelectItem& item : stmt.items) {
+    if (!item.star && ContainsAggregate(item.expr)) return true;
+  }
+  return false;
+}
+
+void CollectColumnRefs(const ExprPtr& e, std::vector<const Expr*>* out) {
+  if (e == nullptr) return;
+  if (e->kind == Expr::Kind::kColumn) {
+    out->push_back(e.get());
+    return;
+  }
+  for (const ExprPtr& c : e->children) CollectColumnRefs(c, out);
+}
+
+/// Whether the column reference `ref` could name `col`: the same name, and
+/// the same qualifier when the reference has one. `Schema::IndexOf` resolves
+/// a reference to one of exactly these columns, or reports ambiguity among
+/// them.
+bool MayName(const Expr& ref, const Column& col) {
+  return ToUpper(ref.name) == col.name &&
+         (ref.table.empty() || ToUpper(ref.table) == col.table);
+}
+
+std::vector<size_t> Positions(const std::vector<uint8_t>& marks) {
+  std::vector<size_t> out;
+  for (size_t i = 0; i < marks.size(); ++i) {
+    if (marks[i] != 0) out.push_back(i);
+  }
+  return out;
+}
+
 void CollectAggNodes(const ExprPtr& e, std::vector<ExprPtr>* out) {
   if (e == nullptr) return;
   if (e->kind == Expr::Kind::kAggregate) {
@@ -130,6 +168,82 @@ void CollectAggNodes(const ExprPtr& e, std::vector<ExprPtr>* out) {
 }
 
 }  // namespace
+
+std::vector<std::vector<size_t>> RequiredColumns(
+    const sql::SelectStmt& arm, const std::vector<Schema>& inputs) {
+  std::vector<std::vector<uint8_t>> read(inputs.size());
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    read[i].assign(inputs[i].num_columns(), 0);
+  }
+  std::vector<const Expr*> refs;
+  for (const sql::SelectItem& item : arm.items) {
+    if (!item.star) {
+      CollectColumnRefs(item.expr, &refs);
+      continue;
+    }
+    const std::string qualifier = ToUpper(item.star_qualifier);
+    for (size_t i = 0; i < inputs.size(); ++i) {
+      for (size_t c = 0; c < inputs[i].num_columns(); ++c) {
+        if (qualifier.empty() || inputs[i].column(c).table == qualifier) {
+          read[i][c] = 1;
+        }
+      }
+    }
+  }
+  CollectColumnRefs(arm.where, &refs);
+  for (const ExprPtr& g : arm.group_by) CollectColumnRefs(g, &refs);
+  CollectColumnRefs(arm.having, &refs);
+  // A UNION chain's ORDER BY names the union's output columns, not the
+  // inputs of its first arm.
+  if (arm.union_next == nullptr) {
+    for (const sql::OrderItem& o : arm.order_by) {
+      CollectColumnRefs(o.expr, &refs);
+    }
+  }
+  for (const Expr* ref : refs) {
+    for (size_t i = 0; i < inputs.size(); ++i) {
+      for (size_t c = 0; c < inputs[i].num_columns(); ++c) {
+        if (MayName(*ref, inputs[i].column(c))) read[i][c] = 1;
+      }
+    }
+  }
+  std::vector<std::vector<size_t>> out;
+  out.reserve(read.size());
+  for (const std::vector<uint8_t>& marks : read) out.push_back(Positions(marks));
+  return out;
+}
+
+std::shared_ptr<const sql::SelectStmt> PruneSubquery(
+    const sql::SelectStmt& sub, const Schema& schema,
+    const std::vector<size_t>& required) {
+  if (sub.union_next != nullptr || sub.distinct) return nullptr;
+  for (const sql::SelectItem& item : sub.items) {
+    if (item.star) return nullptr;
+  }
+  if (sub.group_by.empty() && Aggregates(sub)) return nullptr;
+  // Without stars, output column j is item j.
+  std::vector<uint8_t> keep(sub.items.size(), 0);
+  for (const size_t j : required) keep[j] = 1;
+  std::vector<const Expr*> order_refs;
+  for (const sql::OrderItem& o : sub.order_by) {
+    CollectColumnRefs(o.expr, &order_refs);
+  }
+  for (size_t j = 0; j < keep.size(); ++j) {
+    for (const Expr* ref : order_refs) {
+      if (MayName(*ref, schema.column(j))) keep[j] = 1;
+    }
+  }
+  const std::vector<size_t> kept = Positions(keep);
+  if (kept.size() == sub.items.size()) return nullptr;
+  auto pruned = std::make_shared<sql::SelectStmt>(sub);
+  pruned->items.clear();
+  if (kept.empty()) {
+    // Nothing reads it (COUNT(*) over it, say): one item keeps its rows.
+    pruned->items.push_back(sub.items.front());
+  }
+  for (const size_t j : kept) pruned->items.push_back(sub.items[j]);
+  return pruned;
+}
 
 Result<CursorPtr> Planner::PlanSelect(const sql::SelectStmt& stmt) {
   // Plan the UNION chain.
@@ -175,15 +289,9 @@ Result<CursorPtr> Planner::PlanArm(const sql::SelectStmt& stmt) {
   }
 
   // Aggregation or plain projection.
-  bool needs_agg = !stmt.group_by.empty();
-  for (const sql::SelectItem& item : stmt.items) {
-    if (!item.star && ContainsAggregate(item.expr)) needs_agg = true;
-  }
-  if (stmt.having != nullptr) needs_agg = true;
-
   std::vector<ExprPtr> select_exprs;
   Schema out_schema;
-  if (needs_agg) {
+  if (Aggregates(stmt)) {
     TANGO_ASSIGN_OR_RETURN(
         cur, PlanAggregation(stmt, std::move(cur), &select_exprs, &out_schema));
   } else {
@@ -259,25 +367,53 @@ Result<CursorPtr> Planner::PlanArm(const sql::SelectStmt& stmt) {
   return cur;
 }
 
-Result<CursorPtr> Planner::PlanJoins(const sql::SelectStmt& stmt,
-                                     std::vector<ExprPtr>* residuals) {
+Result<std::vector<Planner::FromInput>> Planner::PlanFromInputs(
+    const sql::SelectStmt& stmt) {
   if (stmt.from.empty()) return Status::InvalidArgument("empty FROM");
-
-  // Compute each ref's schema for conjunct classification (without planning
-  // the refs yet, so pushed predicates can inform index selection).
-  std::vector<Schema> ref_schemas;
-  for (const sql::TableRef& ref : stmt.from) {
+  std::vector<FromInput> inputs(stmt.from.size());
+  std::vector<Schema> full;
+  for (size_t i = 0; i < stmt.from.size(); ++i) {
+    const sql::TableRef& ref = stmt.from[i];
+    FromInput& in = inputs[i];
     if (ref.subquery != nullptr) {
-      // Plan for the schema only and discard; planning is cheap (no
-      // execution happens until Init/Next).
-      TANGO_ASSIGN_OR_RETURN(CursorPtr sub, PlanSelect(*ref.subquery));
-      ref_schemas.push_back(sub->schema().WithQualifier(ref.alias));
+      // Planned whole first: its output names drive the analysis, and an
+      // item in error fails the statement even if the arm never reads it.
+      TANGO_ASSIGN_OR_RETURN(in.subquery, PlanSelect(*ref.subquery));
+      in.qualifier = ref.alias;
+      full.push_back(in.subquery->schema().WithQualifier(ref.alias));
     } else {
-      TANGO_ASSIGN_OR_RETURN(const Table* table, catalog_->GetTable(ref.table));
-      const std::string qual = ref.alias.empty() ? ref.table : ref.alias;
-      ref_schemas.push_back(table->schema().WithQualifier(qual));
+      TANGO_ASSIGN_OR_RETURN(in.table, catalog_->GetTable(ref.table));
+      in.qualifier = ref.alias.empty() ? ref.table : ref.alias;
+      full.push_back(in.table->schema().WithQualifier(in.qualifier));
     }
   }
+  const std::vector<std::vector<size_t>> required =
+      RequiredColumns(stmt, full);
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    FromInput& in = inputs[i];
+    if (in.table != nullptr) {
+      in.columns = required[i];
+      for (const size_t c : in.columns) in.schema.AddColumn(full[i].column(c));
+      continue;
+    }
+    const auto pruned = PruneSubquery(*stmt.from[i].subquery,
+                                      in.subquery->schema(), required[i]);
+    if (pruned != nullptr) {
+      TANGO_ASSIGN_OR_RETURN(in.subquery, PlanSelect(*pruned));
+    }
+    in.schema = in.subquery->schema().WithQualifier(in.qualifier);
+  }
+  return inputs;
+}
+
+Result<CursorPtr> Planner::PlanJoins(const sql::SelectStmt& stmt,
+                                     std::vector<ExprPtr>* residuals) {
+  // Each FROM entry narrowed to the columns this arm reads; conjunct
+  // classification and binding run over the narrowed schemas.
+  TANGO_ASSIGN_OR_RETURN(std::vector<FromInput> inputs, PlanFromInputs(stmt));
+  std::vector<Schema> ref_schemas;
+  ref_schemas.reserve(inputs.size());
+  for (const FromInput& in : inputs) ref_schemas.push_back(in.schema);
 
   // Classify WHERE conjuncts: single-ref (pushed), join-level, unresolved.
   std::vector<std::vector<ExprPtr>> pushed(stmt.from.size());
@@ -321,7 +457,7 @@ Result<CursorPtr> Planner::PlanJoins(const sql::SelectStmt& stmt,
 
   // Plan the first ref and fold in the rest left-deep.
   auto plan_ref = [&](size_t i) -> Result<CursorPtr> {
-    return PlanTableRef(stmt.from[i], pushed[i]);
+    return PlanTableRef(std::move(inputs[i]), pushed[i]);
   };
   TANGO_ASSIGN_OR_RETURN(CursorPtr cur, plan_ref(0));
 
@@ -363,13 +499,11 @@ Result<CursorPtr> Planner::PlanJoins(const sql::SelectStmt& stmt,
     }
 
     const SessionConfig::JoinMethod method = config_->forced_join;
-    const sql::TableRef& ref = stmt.from[i];
 
     if (!equis.empty() && method == SessionConfig::JoinMethod::kNestedLoop &&
-        ref.subquery == nullptr) {
+        inputs[i].table != nullptr) {
       // Index nested-loop: probe the inner base table's index.
-      TANGO_ASSIGN_OR_RETURN(const Table* table, catalog_->GetTable(ref.table));
-      const std::string qual = ref.alias.empty() ? ref.table : ref.alias;
+      const Table* table = inputs[i].table;
       // Find an equi pair whose inner column has an index.
       int chosen = -1;
       size_t inner_col = 0;
@@ -403,7 +537,8 @@ Result<CursorPtr> Planner::PlanJoins(const sql::SelectStmt& stmt,
           TANGO_ASSIGN_OR_RETURN(bound_res, Bind(Expr::AndAll(res), joined));
         }
         cur = std::make_unique<IndexNestedLoopJoinOp>(
-            std::move(cur), table, qual, outer_key, inner_col, bound_res);
+            std::move(cur), table, inputs[i].qualifier, outer_key, inner_col,
+            inputs[i].columns, bound_res);
         continue;
       }
       // No usable index: fall through to block nested loop below.
@@ -455,11 +590,11 @@ Result<CursorPtr> Planner::PlanJoins(const sql::SelectStmt& stmt,
   return cur;
 }
 
-Result<CursorPtr> Planner::PlanTableRef(const sql::TableRef& ref,
+Result<CursorPtr> Planner::PlanTableRef(FromInput input,
                                         std::vector<ExprPtr> pushed) {
-  if (ref.subquery != nullptr) {
-    TANGO_ASSIGN_OR_RETURN(CursorPtr sub, PlanSelect(*ref.subquery));
-    CursorPtr cur = std::make_unique<AliasOp>(std::move(sub), ref.alias);
+  if (input.table == nullptr) {
+    CursorPtr cur =
+        std::make_unique<AliasOp>(std::move(input.subquery), input.qualifier);
     if (!pushed.empty()) {
       TANGO_ASSIGN_OR_RETURN(ExprPtr pred,
                              Bind(Expr::AndAll(pushed), cur->schema()));
@@ -468,13 +603,13 @@ Result<CursorPtr> Planner::PlanTableRef(const sql::TableRef& ref,
     }
     return cur;
   }
-  TANGO_ASSIGN_OR_RETURN(const Table* table, catalog_->GetTable(ref.table));
-  const std::string qual = ref.alias.empty() ? ref.table : ref.alias;
-  return PlanBaseTable(table, qual, std::move(pushed));
+  return PlanBaseTable(input.table, input.qualifier, std::move(input.columns),
+                       std::move(pushed));
 }
 
 Result<CursorPtr> Planner::PlanBaseTable(const Table* table,
                                          const std::string& alias,
+                                         std::vector<size_t> columns,
                                          std::vector<ExprPtr> pushed) {
   const Schema qualified = table->schema().WithQualifier(alias);
 
@@ -528,6 +663,8 @@ Result<CursorPtr> Planner::PlanBaseTable(const Table* table,
     }
   }
 
+  // Either scan evaluates the conjuncts itself, on the encoded rows, and
+  // decodes only `columns` of the rows that pass.
   std::vector<ExprPtr> bound;
   bound.reserve(pushed.size());
   for (const ExprPtr& c : pushed) {
@@ -535,21 +672,15 @@ Result<CursorPtr> Planner::PlanBaseTable(const Table* table,
     bound.push_back(std::move(b));
   }
   if (best_col < 0) {
-    // A full scan evaluates the conjuncts itself, on the encoded rows.
-    return CursorPtr(
-        std::make_unique<TableScanOp>(table, alias, std::move(bound)));
+    return CursorPtr(std::make_unique<TableScanOp>(
+        table, alias, std::move(bound), std::move(columns)));
   }
+  // The index scan tests every pushed conjunct again: correct regardless of
+  // which ones the index range already enforces.
   const Range& r = ranges[static_cast<size_t>(best_col)];
-  CursorPtr cur = std::make_unique<IndexScanOp>(
+  return CursorPtr(std::make_unique<IndexScanOp>(
       table, static_cast<size_t>(best_col), alias, r.lo, r.lo_inc, r.hi,
-      r.hi_inc);
-  if (!bound.empty()) {
-    // Keep the full predicate as a residual filter: correct regardless of
-    // which conjuncts the index range already enforces.
-    cur = std::make_unique<exec::FilterCursor>(std::move(cur),
-                                               Expr::AndAll(std::move(bound)));
-  }
-  return cur;
+      r.hi_inc, std::move(bound), std::move(columns)));
 }
 
 double Planner::EstimateColumnSelectivity(const Table* table, size_t column,

@@ -51,6 +51,15 @@ Status HeapFile::MarkDeleted(const Rid& rid, uint64_t lsn) {
   return Status::OK();
 }
 
+Status HeapFile::GetEncoded(const Rid& rid, const uint8_t** data,
+                            uint32_t* len) const {
+  if (rid.page >= pages_.size()) return Status::NotFound("bad page");
+  const Page& page = pages_[rid.page];
+  if (rid.slot >= page.num_slots()) return Status::NotFound("bad slot");
+  std::tie(*data, *len) = page.SlotBytes(rid.slot);
+  return Status::OK();
+}
+
 Result<Tuple> HeapFile::Get(const Rid& rid) const {
   if (rid.page >= pages_.size()) return Status::NotFound("bad page");
   return pages_[rid.page].Read(rid.slot);

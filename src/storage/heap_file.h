@@ -41,6 +41,10 @@ class HeapFile {
 
   /// Reads the tuple at `rid` (dead or alive — undo reads tombstones).
   Result<Tuple> Get(const Rid& rid) const;
+  /// The `PutTuple` encoding of the tuple at `rid` (dead or alive), without
+  /// decoding it; valid until the file is next modified.
+  Status GetEncoded(const Rid& rid, const uint8_t** data,
+                    uint32_t* len) const;
 
   bool IsDead(const Rid& rid) const;
   uint64_t PageLsn(uint32_t page) const {

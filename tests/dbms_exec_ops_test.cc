@@ -1,7 +1,9 @@
 // Direct unit tests for the DBMS physical operators (the engine-level SQL
-// tests cover them end to end; these pin the edge cases), plus the
-// differential suite for the filtered table scan: pushed conjuncts evaluated
-// on encoded rows against a decode-everything oracle.
+// tests cover them end to end; these pin the edge cases), plus two
+// differential suites: the filtered table scan (pushed conjuncts evaluated
+// on encoded rows) against a decode-everything oracle, and the four joins
+// (residual tested before the output row is built) against a nested-loop
+// oracle.
 
 #include <gtest/gtest.h>
 
@@ -18,21 +20,34 @@
 #include "sql/parser.h"
 
 // Counts every global operator new in this binary, so a test can pin the
-// filtered scan's promise that a rejected row costs no heap allocation.
+// filtered scan's and the joins' promise that a rejected row or candidate
+// costs no heap allocation.
 namespace {
 std::atomic<uint64_t> g_allocations{0};
 }  // namespace
 
 // Out of line, so the compiler never pairs an inlined malloc with a free.
+// The nothrow form is replaced too (std::stable_sort's temporary buffer
+// uses it and frees through the plain delete), so every allocation and
+// release here goes through malloc and free.
 __attribute__((noinline)) void* operator new(std::size_t n) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
   throw std::bad_alloc();
 }
+__attribute__((noinline)) void* operator new(std::size_t n,
+                                             const std::nothrow_t&) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(n == 0 ? 1 : n);
+}
 __attribute__((noinline)) void operator delete(void* p) noexcept {
   std::free(p);
 }
 __attribute__((noinline)) void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete(void* p,
+                                               const std::nothrow_t&) noexcept {
   std::free(p);
 }
 
@@ -76,7 +91,8 @@ TEST(IndexScanOpTest, BoundInclusivityMatrix) {
       {Value(int64_t{9}), std::nullopt, true, true, 0},
   };
   for (const Case& c : cases) {
-    IndexScanOp scan(table.get(), 0, "", c.lo, c.lo_inc, c.hi, c.hi_inc);
+    IndexScanOp scan(table.get(), 0, "", c.lo, c.lo_inc, c.hi, c.hi_inc, {},
+                     AllColumns(KvSchema()));
     auto rows = MaterializeAll(&scan);
     ASSERT_TRUE(rows.ok());
     EXPECT_EQ(rows.ValueOrDie().size(), c.expected)
@@ -207,7 +223,7 @@ TEST(IndexNestedLoopJoinOpTest, ProbesInnerIndex) {
   auto outer = std::make_unique<VectorCursor>(
       KvSchema().WithQualifier("O"), Kv({{1, 1}, {3, 3}, {9, 9}}));
   IndexNestedLoopJoinOp join(std::move(outer), inner.get(), "I", 0, 0,
-                             nullptr);
+                             AllColumns(KvSchema()), nullptr);
   auto rows = MaterializeAll(&join);
   ASSERT_TRUE(rows.ok()) << rows.status().ToString();
   // key 1 -> two inner rows, key 3 -> one, key 9 -> none.
@@ -217,12 +233,50 @@ TEST(IndexNestedLoopJoinOpTest, ProbesInnerIndex) {
   EXPECT_TRUE(join.schema().Contains("I.K"));
 }
 
+TEST(SortOpTest, EveryInitSortsAfresh) {
+  // Rows are moved out as they are emitted; reading the result again takes
+  // another Init, which materializes and sorts the child again.
+  SortOp sort(std::make_unique<VectorCursor>(
+                  KvSchema(), Kv({{3, 1}, {1, 2}, {2, 3}, {1, 4}})),
+              {{0, true}, {1, false}});
+  for (int pass = 0; pass < 2; ++pass) {
+    auto rows = MaterializeAll(&sort);
+    ASSERT_TRUE(rows.ok());
+    const std::vector<Tuple> want = Kv({{1, 4}, {1, 2}, {2, 3}, {3, 1}});
+    ASSERT_EQ(rows.ValueOrDie().size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(rows.ValueOrDie()[i][0].AsInt(), want[i][0].AsInt());
+      EXPECT_EQ(rows.ValueOrDie()[i][1].AsInt(), want[i][1].AsInt());
+    }
+  }
+}
+
+TEST(IndexScanOpTest, ConjunctsAndNarrowedColumns) {
+  auto table = MakeTable(Kv({{1, 10}, {2, 20}, {2, 21}, {3, 30}, {5, 50}}));
+  ASSERT_TRUE(table->CreateIndex(0).ok());
+  // K in [2, 5], V <> 21; output V only.
+  const ExprPtr v_ne = Expr::Binary(BinaryOp::kNe, Expr::BoundColumn(1),
+                                    Expr::Int(21));
+  IndexScanOp scan(table.get(), 0, "T", Value(int64_t{2}), true,
+                   Value(int64_t{5}), true, {v_ne}, {1});
+  ASSERT_EQ(scan.schema().num_columns(), 1u);
+  EXPECT_TRUE(scan.schema().Contains("T.V"));
+  auto rows = MaterializeAll(&scan);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  std::vector<int64_t> got;
+  for (const Tuple& t : rows.ValueOrDie()) {
+    ASSERT_EQ(t.size(), 1u);
+    got.push_back(t[0].AsInt());
+  }
+  EXPECT_EQ(got, (std::vector<int64_t>{20, 30, 50}));
+}
+
 TEST(IndexNestedLoopJoinOpTest, MissingIndexIsAnError) {
   auto inner = MakeTable(Kv({{1, 100}}));
   auto outer = std::make_unique<VectorCursor>(KvSchema().WithQualifier("O"),
                                               Kv({{1, 1}}));
   IndexNestedLoopJoinOp join(std::move(outer), inner.get(), "I", 0, 0,
-                             nullptr);
+                             AllColumns(KvSchema()), nullptr);
   EXPECT_FALSE(join.Init().ok());
 }
 
@@ -366,7 +420,7 @@ TEST(TableScanOpTest, PushedConjunctsMatchDecodeEverythingOracle) {
 
     // Row at a time, with the record ids UPDATE's collect pass relies on.
     {
-      TableScanOp scan(&table, "T", conjuncts);
+      TableScanOp scan(&table, "T", conjuncts, AllColumns(qualified));
       ASSERT_TRUE(scan.Init().ok());
       std::vector<Tuple> got;
       std::vector<storage::Rid> rids;
@@ -386,7 +440,7 @@ TEST(TableScanOpTest, PushedConjunctsMatchDecodeEverythingOracle) {
       }
     }
     {
-      TableScanOp scan(&table, "T", conjuncts);
+      TableScanOp scan(&table, "T", conjuncts, AllColumns(qualified));
       auto rows = MaterializeAll(&scan);
       ASSERT_TRUE(rows.ok()) << rows.status().ToString();
       ExpectSameRows(rows.ValueOrDie(), want, std::string("Next: ") + where);
@@ -394,7 +448,7 @@ TEST(TableScanOpTest, PushedConjunctsMatchDecodeEverythingOracle) {
     // Block at a time, at capacities that split pages and conjunct runs
     // every which way.
     for (const size_t capacity : {1, 2, 7, 1024}) {
-      TableScanOp scan(&table, "T", conjuncts);
+      TableScanOp scan(&table, "T", conjuncts, AllColumns(qualified));
       ASSERT_TRUE(scan.Init().ok());
       RowBlock block(capacity);
       std::vector<Tuple> got;
@@ -427,7 +481,8 @@ TEST(TableScanOpTest, RejectedRowsCostNoHeapAllocation) {
     Table table("T", MixedSchema());
     FillMixed(&table, rows, 0xA110C, /*null_strings=*/false);
     const Schema qualified = MixedSchema().WithQualifier("T");
-    TableScanOp scan(&table, "T", BoundConjuncts(where, qualified));
+    TableScanOp scan(&table, "T", BoundConjuncts(where, qualified),
+                     AllColumns(qualified));
     EXPECT_TRUE(scan.Init().ok());
     RowBlock block(64);
     const uint64_t before = g_allocations.load();
@@ -487,6 +542,250 @@ TEST(TableScanOpTest, UpdateRewritesExactlyTheOracleRows) {
       updated += target ? 1 : 0;
     }
     EXPECT_EQ(updated, want.size()) << update;
+  }
+}
+
+// ------------------------------------------------ residual-first joins
+
+Schema JoinSchema() {
+  return Schema({{"", "K", DataType::kInt},
+                 {"", "V", DataType::kInt},
+                 {"", "S", DataType::kString}});
+}
+
+// Seeded (K, V, S) rows: duplicate keys in [0, keys), and with `nulls` a
+// NULL in every column now and then. Strings are past the small-string
+// buffer; `unique_strings` makes every string distinct.
+std::vector<Tuple> JoinRows(int n, uint64_t seed, int keys, bool nulls,
+                            bool unique_strings = false) {
+  std::mt19937_64 rng(seed);
+  const auto draw = [&rng](uint64_t m) { return rng() % m; };
+  std::vector<Tuple> rows;
+  for (int i = 0; i < n; ++i) {
+    Tuple t;
+    t.push_back(nulls && draw(9) == 0 ? Value::Null()
+                                      : Value(int64_t(draw(keys))));
+    t.push_back(nulls && draw(7) == 0 ? Value::Null()
+                                      : Value(int64_t(draw(100))));
+    if (nulls && draw(6) == 0) {
+      t.push_back(Value::Null());
+    } else {
+      std::string str = "shared-prefix-long-";
+      str += unique_strings ? std::to_string(seed) + "-" + std::to_string(i)
+                            : std::to_string(draw(4));
+      t.push_back(Value(std::move(str)));
+    }
+    rows.push_back(std::move(t));
+  }
+  return rows;
+}
+
+// Candidates mostly FALSE or NULL, plus the trivial residuals.
+const char* const kResiduals[] = {
+    "",
+    "L.V < R.V",
+    "L.V + R.V = 100",
+    "L.S = R.S AND L.V > 20",
+    "R.V IS NULL OR L.V IS NULL",
+    "1 = 0",
+    "L.V * 2 > R.V + 150",
+};
+
+enum class JoinKind { kHash, kSortMerge, kNestedLoop, kIndexNestedLoop };
+const JoinKind kJoinKinds[] = {JoinKind::kHash, JoinKind::kSortMerge,
+                               JoinKind::kNestedLoop,
+                               JoinKind::kIndexNestedLoop};
+
+const char* JoinName(JoinKind kind) {
+  switch (kind) {
+    case JoinKind::kHash: return "hash";
+    case JoinKind::kSortMerge: return "sort-merge";
+    case JoinKind::kNestedLoop: return "nested-loop";
+    case JoinKind::kIndexNestedLoop: return "index nested-loop";
+  }
+  return "?";
+}
+
+Schema JoinedSchema() {
+  return Schema::Concat(JoinSchema().WithQualifier("L"),
+                        JoinSchema().WithQualifier("R"));
+}
+
+ExprPtr BoundResidual(const std::string& residual) {
+  if (residual.empty()) return nullptr;
+  auto stmt =
+      sql::Parser::ParseSelect("SELECT * FROM L, R WHERE " + residual);
+  EXPECT_TRUE(stmt.ok()) << residual;
+  auto bound = Bind(stmt.ValueOrDie()->where, JoinedSchema());
+  EXPECT_TRUE(bound.ok()) << residual;
+  return bound.ValueOrDie();
+}
+
+/// An equi-join on K of `left` with `right` (also stored in `right_table`,
+/// indexed on K, for the index nested-loop join).
+CursorPtr MakeJoin(JoinKind kind, const std::vector<Tuple>& left,
+                   const std::vector<Tuple>& right, const Table* right_table,
+                   const ExprPtr& residual) {
+  auto l = std::make_unique<VectorCursor>(JoinSchema().WithQualifier("L"),
+                                          left);
+  auto r = std::make_unique<VectorCursor>(JoinSchema().WithQualifier("R"),
+                                          right);
+  switch (kind) {
+    case JoinKind::kHash:
+      return std::make_unique<HashJoinOp>(std::move(l), std::move(r),
+                                          std::vector<size_t>{0},
+                                          std::vector<size_t>{0}, residual);
+    case JoinKind::kSortMerge:
+      return std::make_unique<SortMergeJoinOp>(
+          std::make_unique<SortOp>(std::move(l), std::vector<SortKey>{{0}}),
+          std::make_unique<SortOp>(std::move(r), std::vector<SortKey>{{0}}),
+          std::vector<size_t>{0}, std::vector<size_t>{0}, residual);
+    case JoinKind::kNestedLoop: {
+      // The nested-loop join takes the key equality as part of its
+      // predicate.
+      ExprPtr keys = Expr::Binary(BinaryOp::kEq, Expr::BoundColumn(0),
+                                  Expr::BoundColumn(3));
+      return std::make_unique<NestedLoopJoinOp>(
+          std::move(l), std::move(r),
+          residual == nullptr ? keys : Expr::And(keys, residual));
+    }
+    case JoinKind::kIndexNestedLoop:
+      return std::make_unique<IndexNestedLoopJoinOp>(
+          std::move(l), right_table, "R", 0, 0, AllColumns(JoinSchema()),
+          residual);
+  }
+  return nullptr;
+}
+
+// The oracle: every (left, right) pair whose keys are equal and non-NULL
+// and whose concatenation passes the residual.
+std::vector<Tuple> NestedLoopOracle(const std::vector<Tuple>& left,
+                                    const std::vector<Tuple>& right,
+                                    const ExprPtr& residual) {
+  std::vector<Tuple> out;
+  for (const Tuple& l : left) {
+    for (const Tuple& r : right) {
+      if (l[0].is_null() || r[0].is_null() || l[0].Compare(r[0]) != 0) {
+        continue;
+      }
+      Tuple joined = l;
+      joined.insert(joined.end(), r.begin(), r.end());
+      if (residual == nullptr || EvalPredicate(*residual, joined)) {
+        out.push_back(std::move(joined));
+      }
+    }
+  }
+  return out;
+}
+
+bool RowLess(const Tuple& a, const Tuple& b) {
+  for (size_t c = 0; c < a.size(); ++c) {
+    const int cmp = a[c].Compare(b[c]);
+    if (cmp != 0) return cmp < 0;
+    if (a[c].is_null() != b[c].is_null()) return a[c].is_null();
+  }
+  return false;
+}
+
+void ExpectSameMultiset(std::vector<Tuple> got, std::vector<Tuple> want,
+                        const std::string& label) {
+  std::sort(got.begin(), got.end(), RowLess);
+  std::sort(want.begin(), want.end(), RowLess);
+  ASSERT_EQ(got.size(), want.size()) << label;
+  for (size_t r = 0; r < got.size(); ++r) {
+    ASSERT_EQ(got[r].size(), want[r].size()) << label;
+    for (size_t c = 0; c < got[r].size(); ++c) {
+      ASSERT_TRUE(SameValue(got[r][c], want[r][c]))
+          << label << " row " << r << " col " << c << ": "
+          << got[r][c].ToString() << " vs " << want[r][c].ToString();
+    }
+  }
+}
+
+std::unique_ptr<Table> IndexedTable(const std::vector<Tuple>& rows) {
+  auto table = std::make_unique<Table>("R", JoinSchema());
+  for (const Tuple& t : rows) EXPECT_TRUE(table->Append(t).ok());
+  EXPECT_TRUE(table->CreateIndex(0).ok());
+  return table;
+}
+
+TEST(JoinResidualTest, EveryJoinMatchesNestedLoopOracle) {
+  const std::vector<Tuple> left = JoinRows(120, 0x1EF7, 9, true);
+  const std::vector<Tuple> right = JoinRows(90, 0x2167, 9, true);
+  const auto right_table = IndexedTable(right);
+  for (const char* text : kResiduals) {
+    const ExprPtr residual = BoundResidual(text);
+    const std::vector<Tuple> want = NestedLoopOracle(left, right, residual);
+    for (const JoinKind kind : kJoinKinds) {
+      const std::string label = std::string(JoinName(kind)) + " [" + text + "]";
+      {
+        CursorPtr join = MakeJoin(kind, left, right, right_table.get(), residual);
+        ASSERT_EQ(join->schema().num_columns(), 6u) << label;
+        ASSERT_TRUE(join->Init().ok()) << label;
+        std::vector<Tuple> got;
+        Tuple t;
+        while (true) {
+          auto more = join->Next(&t);
+          ASSERT_TRUE(more.ok()) << label << ": " << more.status().ToString();
+          if (!more.ValueOrDie()) break;
+          got.push_back(t);
+        }
+        ExpectSameMultiset(got, want, "Next: " + label);
+      }
+      for (const size_t capacity : {1, 2, 7, 1024}) {
+        CursorPtr join = MakeJoin(kind, left, right, right_table.get(), residual);
+        ASSERT_TRUE(join->Init().ok()) << label;
+        RowBlock block(capacity);
+        std::vector<Tuple> got;
+        while (true) {
+          auto n = join->NextBatch(&block);
+          ASSERT_TRUE(n.ok()) << label << ": " << n.status().ToString();
+          if (n.ValueOrDie() == 0) break;
+          ASSERT_LE(n.ValueOrDie(), capacity);
+          for (size_t r = 0; r < block.rows(); ++r) {
+            Tuple row;
+            block.CopyRowTo(r, &row);
+            got.push_back(std::move(row));
+          }
+        }
+        ExpectSameMultiset(got, want,
+                           "NextBatch(" + std::to_string(capacity) + "): " +
+                               label);
+      }
+    }
+  }
+}
+
+TEST(JoinResidualTest, RejectedCandidatesCostNoHeapAllocation) {
+  // Every string is distinct and never NULL, so L.S = R.S rejects every
+  // candidate. With one key every pair of rows is a candidate (n * n); with
+  // distinct keys only n are. The inputs are otherwise the same, so the two
+  // runs may differ by the join's bookkeeping, never by the candidate count.
+  // Concatenating before testing cost at least one allocation per
+  // candidate.
+  constexpr int kRows = 100;
+  const auto allocations_for = [](JoinKind kind, int keys) {
+    std::vector<Tuple> left = JoinRows(kRows, 0xA11, 1, false, true);
+    std::vector<Tuple> right = JoinRows(kRows, 0xB22, 1, false, true);
+    for (int i = 0; i < kRows; ++i) {
+      left[i][0] = Value(int64_t{keys == 1 ? 0 : i});
+      right[i][0] = Value(int64_t{keys == 1 ? 0 : i});
+    }
+    const auto right_table = IndexedTable(right);
+    CursorPtr join = MakeJoin(kind, left, right, right_table.get(),
+                              BoundResidual("L.S = R.S AND L.V < R.V"));
+    const uint64_t before = g_allocations.load();
+    auto rows = MaterializeAll(join.get());
+    const uint64_t after = g_allocations.load();
+    EXPECT_TRUE(rows.ok());
+    EXPECT_TRUE(rows.ValueOrDie().empty());
+    return after - before;
+  };
+  for (const JoinKind kind : kJoinKinds) {
+    const uint64_t distinct = allocations_for(kind, kRows);
+    const uint64_t one_key = allocations_for(kind, 1);
+    EXPECT_LE(one_key, distinct + 64) << JoinName(kind);
+    EXPECT_LT(one_key, uint64_t{kRows} * kRows / 10) << JoinName(kind);
   }
 }
 
