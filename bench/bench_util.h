@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cost/calibrate.h"
@@ -144,6 +145,22 @@ class ShapeChecks {
  private:
   int failures_ = 0;
 };
+
+/// The ledger stamp of a bench's JSON summary: the CMake build type, the
+/// host's hardware threads, and the commit the build tree was configured
+/// at (`git describe --always --dirty`; a ledger regenerated before its
+/// change is committed reads `<parent>-dirty`). Both names come from
+/// bench/CMakeLists.txt. One JSON line, `"key": value` pairs and a
+/// trailing comma.
+inline std::string BuildStampJson() {
+  char buf[256];
+  std::snprintf(buf, sizeof(buf),
+                "  \"build_type\": \"%s\", \"host_threads\": %u, "
+                "\"commit\": \"%s\",\n",
+                TANGO_BUILD_TYPE, std::thread::hardware_concurrency(),
+                TANGO_GIT_COMMIT);
+  return buf;
+}
 
 }  // namespace bench
 }  // namespace tango

@@ -178,6 +178,7 @@ WorkloadResult RunWorkload(
 void WriteJson(std::FILE* f, const std::vector<WorkloadResult>& results) {
   std::fprintf(f, "{\n  \"bench\": \"vectorized\",\n  \"scale\": %.3f,\n",
                Scale());
+  std::fputs(BuildStampJson().c_str(), f);
   std::fprintf(f, "  \"workloads\": [\n");
   for (size_t w = 0; w < results.size(); ++w) {
     const WorkloadResult& r = results[w];

@@ -85,6 +85,7 @@ void WriteJson(std::FILE* f, const std::vector<ChurnPoint>& churn,
                const std::vector<RecoveryPoint>& recovery) {
   std::fprintf(f, "{\n  \"bench\": \"write_churn\",\n  \"scale\": %.3f,\n",
                Scale());
+  std::fputs(BuildStampJson().c_str(), f);
   std::fprintf(f, "  \"churn\": [\n");
   for (size_t i = 0; i < churn.size(); ++i) {
     const ChurnPoint& p = churn[i];

@@ -135,26 +135,32 @@ class VectorCursor : public Cursor {
   size_t pos_ = 0;
 };
 
+/// Moves every row of `block` onto the end of `rows`, growing the vector
+/// geometrically but never by less than the block, so a drain that appends
+/// block after block avoids reallocation churn.
+inline void MoveRowsInto(RowBlock* block, std::vector<Tuple>* rows) {
+  const size_t n = block->rows();
+  if (rows->capacity() < rows->size() + n) {
+    rows->reserve(std::max(rows->size() + n, rows->capacity() * 2));
+  }
+  Tuple t;
+  for (size_t i = 0; i < n; ++i) {
+    block->MoveRowTo(i, &t);
+    rows->push_back(std::move(t));
+  }
+}
+
 /// Drains a cursor into a vector (calls Init first). Pulls whole blocks —
-/// one virtual call per batch — and grows the result geometrically but never
-/// by less than the incoming block, so materialization points (sort runs,
-/// transfers, the root drain) avoid per-row virtual calls and reallocation
-/// churn.
+/// one virtual call per batch — so materialization points (sort runs,
+/// transfers) avoid per-row virtual calls.
 inline Result<std::vector<Tuple>> MaterializeAll(Cursor* cursor) {
   TANGO_RETURN_IF_ERROR(cursor->Init());
   std::vector<Tuple> rows;
   RowBlock block;
-  Tuple t;
   while (true) {
     TANGO_ASSIGN_OR_RETURN(size_t n, cursor->NextBatch(&block));
     if (n == 0) break;
-    if (rows.capacity() < rows.size() + n) {
-      rows.reserve(std::max(rows.size() + n, rows.capacity() * 2));
-    }
-    for (size_t i = 0; i < n; ++i) {
-      block.MoveRowTo(i, &t);
-      rows.push_back(std::move(t));
-    }
+    MoveRowsInto(&block, &rows);
   }
   return rows;
 }

@@ -46,7 +46,9 @@ class WireWriter {
 /// CRC-32 (polynomial 0xEDB88320) over `n` bytes. The per-batch frame
 /// checksum: CRC-32 detects every single-bit flip and every truncation, so
 /// a corrupted batch is always recognized at the client instead of decoding
-/// into garbage rows.
+/// into garbage rows. Every byte that crosses a link is checksummed twice
+/// (Seal and Check), so the kernel is slicing-by-8: eight bytes per step
+/// through eight 256-entry tables (DESIGN.md §11).
 uint32_t Crc32(const uint8_t* data, size_t n);
 
 /// \brief Batch framing for the simulated wire.
@@ -62,7 +64,16 @@ struct WireFrame {
   /// Wraps `payload` in a frame (length prefix + CRC-32).
   static std::vector<uint8_t> Seal(const std::vector<uint8_t>& payload);
 
-  /// Validates a frame; on success points `payload`/`len` into `framed`.
+  /// Validates the frame that starts at `data`, of which `n` bytes are
+  /// present; bytes past the frame are not examined, so a stream of frames
+  /// (a socket buffer, a WAL segment) is checked where it lies. On success
+  /// points `payload`/`len` into `data`; the frame spans
+  /// `kHeaderBytes + *len` bytes.
+  static Status Check(const uint8_t* data, size_t n, const uint8_t** payload,
+                      size_t* len);
+
+  /// Validates a buffer holding exactly one frame; on success points
+  /// `payload`/`len` into `framed`.
   static Status Check(const std::vector<uint8_t>& framed,
                       const uint8_t** payload, size_t* len);
 };

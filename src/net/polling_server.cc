@@ -90,6 +90,95 @@ struct PollingServer::Session {
   uint32_t next_stmt_id = 1;
 };
 
+/// \brief The server's ResultSink: one execution streamed to its client as
+/// SCHEMA, ROWBLOCK* and DONE (DESIGN.md §14).
+///
+/// Each root block is encoded straight into a ROWBLOCK frame, and one frame
+/// is held back until the next block arrives or DONE is sent. So SCHEMA
+/// leaves with the first ROWBLOCK (a failure before any block is a lone
+/// ERROR, and a degraded re-run's schema replaces one nobody saw), and a
+/// one-block reply leaves in one send: SCHEMA, ROWBLOCK and DONE back to
+/// back. Per request the server holds at most this one encoded block.
+class PollingServer::ResultStream final : public Middleware::ResultSink {
+ public:
+  ResultStream(PollingServer* server, SessionPtr session,
+               Clock::time_point request_start)
+      : server_(server),
+        session_(std::move(session)),
+        request_start_(request_start) {}
+
+  void OnSchema(const Schema& schema) override {
+    Message message;
+    message.type = MsgType::kSchema;
+    message.columns.reserve(schema.num_columns());
+    for (const Column& column : schema.columns()) {
+      message.columns.emplace_back(column.QualifiedName(),
+                                   static_cast<uint8_t>(column.type));
+    }
+    pending_ = EncodeMessage(message);
+  }
+
+  Status OnBlock(RowBlock* block) override {
+    const Clock::time_point start = Clock::now();
+    Status sent = Status::OK();
+    if (rows_ > 0) sent = Send();
+    if (sent.ok()) {
+      rows_ += block->rows();
+      Append(EncodeRowBlock(*block));
+    }
+    sink_seconds_ += std::chrono::duration<double>(Clock::now() - start).count();
+    return sent;
+  }
+
+  /// Sends the held block (or, for an empty result, the schema) and DONE.
+  /// DONE's elapsed time is the execution's without this sink's encoding
+  /// and sending: execution, not shipping.
+  Status Finish(const Middleware::Execution& result, const char* plan_source) {
+    Message done;
+    done.type = MsgType::kDone;
+    done.rows = rows_;
+    done.elapsed_seconds =
+        std::max(0.0, result.elapsed_seconds - sink_seconds_);
+    done.degraded = result.degraded;
+    done.plan_source = plan_source;
+    Append(EncodeMessage(done));
+    return Send();
+  }
+
+ private:
+  void Append(std::vector<uint8_t> frame) {
+    if (pending_.empty()) {
+      pending_ = std::move(frame);
+    } else {
+      pending_.insert(pending_.end(), frame.begin(), frame.end());
+    }
+  }
+
+  Status Send() {
+    if (!server_->SendBytes(session_, pending_)) {
+      return Status::IOError("client gone");
+    }
+    pending_.clear();
+    if (!first_sent_) {
+      first_sent_ = true;
+      server_->m_first_block_seconds_->Record(
+          std::chrono::duration<double>(Clock::now() - request_start_)
+              .count());
+    }
+    return Status::OK();
+  }
+
+  PollingServer* server_;
+  SessionPtr session_;
+  Clock::time_point request_start_;
+  /// Encoded, not yet sent: SCHEMA until the first send, then the held
+  /// ROWBLOCK.
+  std::vector<uint8_t> pending_;
+  uint64_t rows_ = 0;
+  bool first_sent_ = false;
+  double sink_seconds_ = 0;
+};
+
 PollingServer::PollingServer(dbms::Engine* engine, ServerConfig config)
     : engine_(engine),
       config_(std::move(config)),
@@ -108,6 +197,8 @@ PollingServer::PollingServer(dbms::Engine* engine, ServerConfig config)
   m_requests_ = &metrics_->counter("server.requests");
   m_protocol_errors_ = &metrics_->counter("server.protocol_errors");
   m_request_seconds_ = &metrics_->histogram("server.request_seconds");
+  m_first_block_seconds_ =
+      &metrics_->histogram("server.first_block_seconds");
 }
 
 PollingServer::~PollingServer() { Stop(); }
@@ -532,7 +623,7 @@ void PollingServer::WorkerLoop(Worker* worker) {
 }
 
 void PollingServer::ServeRequest(Worker* worker, const WorkItem& item) {
-  const auto start = std::chrono::steady_clock::now();
+  const Clock::time_point start = Clock::now();
   obs::SpanId span = obs::kNoSpan;
   if (config_.trace != nullptr) {
     span = config_.trace->StartSpan(
@@ -548,14 +639,13 @@ void PollingServer::ServeRequest(Worker* worker, const WorkItem& item) {
   } else if (item.request.type == MsgType::kPrepare) {
     status = ServePrepare(worker, item);
   } else {
-    status = ServeExecute(worker, item);
+    status = ServeExecute(worker, item, start);
   }
   (void)status;
 
   if (config_.trace != nullptr) config_.trace->End(span);
   const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
+      std::chrono::duration<double>(Clock::now() - start).count();
   m_request_seconds_->Record(elapsed);
 }
 
@@ -575,7 +665,8 @@ Status PollingServer::ServePrepare(Worker* worker, const WorkItem& item) {
   return Status::OK();
 }
 
-Status PollingServer::ServeExecute(Worker* worker, const WorkItem& item) {
+Status PollingServer::ServeExecute(Worker* worker, const WorkItem& item,
+                                   Clock::time_point start) {
   const Middleware::Prepared* prepared = nullptr;
   Middleware::Prepared local;
   if (item.request.type == MsgType::kQuery) {
@@ -600,54 +691,27 @@ Status PollingServer::ServeExecute(Worker* worker, const WorkItem& item) {
     prepared = &it->second;
   }
 
-  auto result = worker->middleware->Execute(*prepared, item.control);
+  ResultStream stream(this, item.session, start);
+  auto result = worker->middleware->Execute(*prepared, &stream, item.control);
   if (!result.ok()) {
+    // After ROWBLOCKs too: the client drops the partial result. A gone
+    // client (the stream's own failure) just misses this frame as well.
     SendFrame(item.session, ErrorMessage(result.status()));
     return result.status();
   }
-  return SendExecution(item.session, result.ValueOrDie(), SourceName(prepared->source));
-}
-
-Status PollingServer::SendExecution(const SessionPtr& session,
-                                    const Middleware::Execution& result,
-                                    const char* plan_source) {
-  Message schema;
-  schema.type = MsgType::kSchema;
-  schema.columns.reserve(result.schema.num_columns());
-  for (const Column& column : result.schema.columns()) {
-    schema.columns.emplace_back(column.QualifiedName(),
-                                static_cast<uint8_t>(column.type));
-  }
-  if (!SendFrame(session, schema)) return Status::IOError("client gone");
-
-  const size_t batch = config_.middleware.batch_size == 0
-                           ? RowBlock::kDefaultCapacity
-                           : config_.middleware.batch_size;
-  Message block;
-  block.type = MsgType::kRowBlock;
-  for (size_t i = 0; i < result.rows.size();) {
-    block.block.Clear();
-    const size_t end = std::min(result.rows.size(), i + batch);
-    for (; i < end; ++i) block.block.AppendRow(result.rows[i]);
-    if (!SendFrame(session, block)) return Status::IOError("client gone");
-  }
-
-  Message done;
-  done.type = MsgType::kDone;
-  done.rows = result.rows.size();
-  done.elapsed_seconds = result.elapsed_seconds;
-  done.degraded = result.degraded;
-  done.plan_source = plan_source;
-  if (!SendFrame(session, done)) return Status::IOError("client gone");
-  return Status::OK();
+  return stream.Finish(result.ValueOrDie(), SourceName(prepared->source));
 }
 
 bool PollingServer::SendFrame(const SessionPtr& session,
                               const Message& message) {
-  const std::vector<uint8_t> frame = EncodeMessage(message);
+  return SendBytes(session, EncodeMessage(message));
+}
+
+bool PollingServer::SendBytes(const SessionPtr& session,
+                              const std::vector<uint8_t>& bytes) {
   std::lock_guard<std::mutex> lock(session->send_mu);
   if (!session->open.load() || session->fd < 0) return false;
-  if (!SendAllBytes(session->fd, frame.data(), frame.size())) {
+  if (!SendAllBytes(session->fd, bytes.data(), bytes.size())) {
     // Peer gone: suppress further sends; the poll loop reaps the fd.
     session->open.store(false);
     return false;

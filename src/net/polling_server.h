@@ -2,6 +2,7 @@
 #define TANGO_NET_POLLING_SERVER_H_
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -118,6 +119,8 @@ class PollingServer {
  private:
   struct Session;
   using SessionPtr = std::shared_ptr<Session>;
+  class ResultStream;
+  using Clock = std::chrono::steady_clock;
 
   /// One queued PREPARE/EXECUTE/QUERY.
   struct WorkItem {
@@ -150,15 +153,16 @@ class PollingServer {
   /// Worker side: serves one request end to end (reply frames included).
   void ServeRequest(Worker* worker, const WorkItem& item);
   Status ServePrepare(Worker* worker, const WorkItem& item);
-  Status ServeExecute(Worker* worker, const WorkItem& item);
-  /// Streams schema + row blocks + DONE for one finished execution.
-  Status SendExecution(const SessionPtr& session,
-                       const Middleware::Execution& result,
-                       const char* plan_source);
+  /// Streams the result from the root cursor to the socket as it is
+  /// produced (ResultStream); `start` is when the worker took the request.
+  Status ServeExecute(Worker* worker, const WorkItem& item,
+                      Clock::time_point start);
 
   /// Frame send serialized on the session's send mutex; returns false (and
   /// marks the session broken) when the peer is gone.
   bool SendFrame(const SessionPtr& session, const Message& message);
+  /// Same, for already-sealed frames (one or several back to back).
+  bool SendBytes(const SessionPtr& session, const std::vector<uint8_t>& bytes);
 
   dbms::Engine* engine_;
   ServerConfig config_;
@@ -196,6 +200,7 @@ class PollingServer {
   obs::Counter* m_requests_ = nullptr;
   obs::Counter* m_protocol_errors_ = nullptr;
   obs::Histogram* m_request_seconds_ = nullptr;
+  obs::Histogram* m_first_block_seconds_ = nullptr;
 };
 
 }  // namespace net

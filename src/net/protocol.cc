@@ -35,7 +35,15 @@ const char* MsgTypeName(MsgType type) {
   return "UNKNOWN";
 }
 
+std::vector<uint8_t> EncodeRowBlock(const RowBlock& block) {
+  WireWriter w;
+  w.PutU8(static_cast<uint8_t>(MsgType::kRowBlock));
+  w.PutRowBlock(block);
+  return WireFrame::Seal(w.Take());
+}
+
 std::vector<uint8_t> EncodeMessage(const Message& message) {
+  if (message.type == MsgType::kRowBlock) return EncodeRowBlock(message.block);
   WireWriter w;
   w.PutU8(static_cast<uint8_t>(message.type));
   switch (message.type) {
@@ -76,8 +84,7 @@ std::vector<uint8_t> EncodeMessage(const Message& message) {
       }
       break;
     case MsgType::kRowBlock:
-      w.PutRowBlock(message.block);
-      break;
+      break;  // encoded by EncodeRowBlock above
     case MsgType::kDone:
       w.PutI64(static_cast<int64_t>(message.rows));
       w.PutDouble(message.elapsed_seconds);
@@ -223,13 +230,10 @@ Result<bool> FrameAssembler::Next(std::vector<uint8_t>* payload) {
   const size_t total = WireFrame::kHeaderBytes + declared;
   if (buf_.size() - pos_ < total) return false;
 
-  // Re-frame the bytes for WireFrame::Check (CRC + length validation).
-  std::vector<uint8_t> framed(buf_.begin() + static_cast<ptrdiff_t>(pos_),
-                              buf_.begin() + static_cast<ptrdiff_t>(pos_ + total));
   const uint8_t* body = nullptr;
   size_t body_len = 0;
-  Status check = WireFrame::Check(framed, &body, &body_len);
-  if (!check.ok()) return check;
+  TANGO_RETURN_IF_ERROR(
+      WireFrame::Check(buf_.data() + pos_, total, &body, &body_len));
   payload->assign(body, body + body_len);
   pos_ += total;
   return true;

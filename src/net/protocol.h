@@ -108,6 +108,11 @@ struct Message {
 /// Encodes `message` and seals it into one wire frame ready to send.
 std::vector<uint8_t> EncodeMessage(const Message& message);
 
+/// Encodes `block` as one sealed ROWBLOCK frame, straight from the block
+/// (the server's result stream encodes each root block this way, without
+/// copying its rows into a Message).
+std::vector<uint8_t> EncodeRowBlock(const RowBlock& block);
+
 /// Decodes one frame payload (already CRC-checked by the assembler).
 /// Every failure is a clean Status — truncated bodies, forged counts and
 /// unknown types must never crash the server (wire_fuzz_test's contract).

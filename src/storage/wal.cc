@@ -164,12 +164,10 @@ Result<std::vector<uint8_t>> ReadWholeFile(const std::string& path) {
 /// not part of a complete, checksummed frame.
 size_t GoodFramePrefix(const std::vector<uint8_t>& data) {
   size_t off = 0;
-  while (off + WireFrame::kHeaderBytes <= data.size()) {
-    uint32_t len = 0, crc = 0;
-    std::memcpy(&len, data.data() + off, sizeof(len));
-    std::memcpy(&crc, data.data() + off + 4, sizeof(crc));
-    if (off + WireFrame::kHeaderBytes + len > data.size()) break;
-    if (Crc32(data.data() + off + WireFrame::kHeaderBytes, len) != crc) break;
+  const uint8_t* payload = nullptr;
+  size_t len = 0;
+  while (WireFrame::Check(data.data() + off, data.size() - off, &payload, &len)
+             .ok()) {
     off += WireFrame::kHeaderBytes + len;
   }
   return off;
@@ -382,15 +380,11 @@ Result<WalScan> ReadWal(const std::string& dir) {
     }
     TANGO_ASSIGN_OR_RETURN(std::vector<uint8_t> data, ReadWholeFile(seg.path));
     size_t off = 0;
-    while (off + WireFrame::kHeaderBytes <= data.size()) {
-      uint32_t len = 0, crc = 0;
-      std::memcpy(&len, data.data() + off, sizeof(len));
-      std::memcpy(&crc, data.data() + off + 4, sizeof(crc));
-      const uint8_t* payload = data.data() + off + WireFrame::kHeaderBytes;
-      if (off + WireFrame::kHeaderBytes + len > data.size() ||
-          Crc32(payload, len) != crc) {
-        break;
-      }
+    const uint8_t* payload = nullptr;
+    size_t len = 0;
+    while (WireFrame::Check(data.data() + off, data.size() - off, &payload,
+                            &len)
+               .ok()) {
       Result<WalRecord> rec = WalRecord::Decode(payload, len);
       if (!rec.ok()) break;  // damaged payload that happens to checksum
       rec.ValueOrDie().lsn = seg.start + off + 1;

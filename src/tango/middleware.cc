@@ -39,7 +39,8 @@ std::string ProvenanceLine(const Middleware::Prepared& prepared) {
 /// optimizer's estimates come from the plan nodes, the actuals from the
 /// timing sink the instrumented cursors filled in.
 obs::AnalyzeReport BuildReport(const CompiledPlan& compiled,
-                               const Middleware::Execution& exec) {
+                               const Middleware::Execution& exec,
+                               uint64_t result_rows) {
   obs::AnalyzeReport report;
   report.ops.resize(exec.timings.size());
   for (const CompiledNode& node : compiled.nodes) {
@@ -62,9 +63,25 @@ obs::AnalyzeReport BuildReport(const CompiledPlan& compiled,
   }
   report.root = compiled.root_timing_id;
   report.elapsed_seconds = exec.elapsed_seconds;
-  report.result_rows = exec.rows.size();
+  report.result_rows = result_rows;
   return report;
 }
+
+/// The in-process sink: moves every root row into a vector.
+class AppendRows final : public Middleware::ResultSink {
+ public:
+  explicit AppendRows(std::vector<Tuple>* rows) : rows_(rows) {}
+
+  void OnSchema(const Schema&) override {}
+
+  Status OnBlock(RowBlock* block) override {
+    MoveRowsInto(block, rows_);
+    return Status::OK();
+  }
+
+ private:
+  std::vector<Tuple>* rows_;
+};
 
 /// \brief RAII janitor for one execution's temporary tables (§3.2: "the
 /// table must be dropped at the end of the query").
@@ -286,7 +303,8 @@ Result<Middleware::Prepared> Middleware::OptimizeLogical(
 
 Result<Middleware::Execution> Middleware::ExecuteOnce(
     const optimizer::PhysPlanPtr& plan, const QueryControlPtr& control,
-    obs::AnalyzeReport* report, const Prepared* provenance) {
+    ResultSink* sink, obs::AnalyzeReport* report, const Prepared* provenance,
+    bool* reached_sink) {
   // Declared first so the span closes after every other interval of this
   // execution (compile, operators, retries).
   obs::ScopedSpan execute_span(trace_, "execute", "query");
@@ -327,26 +345,42 @@ Result<Middleware::Execution> Middleware::ExecuteOnce(
   TempTableGuard janitor(&connection_, compiled.temp_tables, config_.retry,
                          &recovery_);
 
+  // The one root drain: block by block into the sink, which either keeps
+  // the rows (in process) or ships them (the server). A sink failure stops
+  // the drain like an operator failure.
+  const Schema schema = compiled.root->schema();
+  sink->OnSchema(schema);
+  uint64_t result_rows = 0;
   const auto start = std::chrono::steady_clock::now();
-  Result<std::vector<Tuple>> rows = MaterializeAll(compiled.root.get());
+  Status drained = compiled.root->Init();
+  RowBlock block(config_.batch_size);
+  while (drained.ok()) {
+    Result<size_t> n = compiled.root->NextBatch(&block);
+    if (!n.ok()) {
+      drained = n.status();
+      break;
+    }
+    if (n.ValueOrDie() == 0) break;
+    result_rows += n.ValueOrDie();
+    if (reached_sink != nullptr) *reached_sink = true;
+    drained = sink->OnBlock(&block);
+  }
   const auto elapsed = std::chrono::steady_clock::now() - start;
 
   // Tear the cursor tree down before cleanup: after a cancelled or failed
-  // materialization a TRANSFER^M may still hold its server-side cursor open
-  // over a temp table, and destroying the tree releases it. Past this point
-  // the janitor's DROPs cannot pull a table out from under a live cursor.
-  const Schema schema = compiled.root->schema();
+  // drain a TRANSFER^M may still hold its server-side cursor open over a
+  // temp table, and destroying the tree releases it. Past this point the
+  // janitor's DROPs cannot pull a table out from under a live cursor.
   compiled.root.reset();
 
   const Status cleanup = janitor.DropAll();
-  if (!rows.ok()) {
+  if (!drained.ok()) {
     ++metrics_->counter("query.failures");
-    return rows.status();
+    return drained;
   }
 
   Execution exec;
   exec.schema = schema;
-  exec.rows = rows.MoveValueOrDie();
   exec.elapsed_seconds = std::chrono::duration<double>(elapsed).count();
   exec.timings = *compiled.timings;
   exec.sql_statements = compiled.sql_statements;
@@ -354,7 +388,7 @@ Result<Middleware::Execution> Middleware::ExecuteOnce(
   metrics_->histogram("query.latency_seconds").Record(exec.elapsed_seconds);
   // Vectorization observability: rows that reached the (batched) root drain
   // and RowBlocks produced across all operators of this plan.
-  metrics_->counter("exec.batch.rows").Increment(exec.rows.size());
+  metrics_->counter("exec.batch.rows").Increment(result_rows);
   uint64_t plan_batches = 0;
   for (const exec::AlgorithmTiming& t : exec.timings) {
     plan_batches += t.batches;
@@ -365,7 +399,7 @@ Result<Middleware::Execution> Middleware::ExecuteOnce(
   if (provenance != nullptr && provenance->cache_entry != nullptr) {
     RecordCardinalityFeedback(compiled, exec.timings, *provenance);
   }
-  if (report != nullptr) *report = BuildReport(compiled, exec);
+  if (report != nullptr) *report = BuildReport(compiled, exec, result_rows);
   return exec;
 }
 
@@ -398,14 +432,32 @@ void Middleware::RecordCardinalityFeedback(const CompiledPlan& compiled,
 
 Result<Middleware::Execution> Middleware::Execute(
     const optimizer::PhysPlanPtr& plan, const QueryControlPtr& control) {
-  return ExecuteOnce(plan, control);
+  std::vector<Tuple> rows;
+  AppendRows sink(&rows);
+  TANGO_ASSIGN_OR_RETURN(Execution exec, ExecuteOnce(plan, control, &sink));
+  exec.rows = std::move(rows);
+  return exec;
 }
 
 Result<Middleware::Execution> Middleware::Execute(
     const Prepared& prepared, const QueryControlPtr& control) {
-  Result<Execution> first =
-      ExecuteOnce(prepared.plan, control, nullptr, &prepared);
+  std::vector<Tuple> rows;
+  AppendRows sink(&rows);
+  TANGO_ASSIGN_OR_RETURN(Execution exec, Execute(prepared, &sink, control));
+  exec.rows = std::move(rows);
+  return exec;
+}
+
+Result<Middleware::Execution> Middleware::Execute(
+    const Prepared& prepared, ResultSink* sink,
+    const QueryControlPtr& control) {
+  bool reached_sink = false;
+  Result<Execution> first = ExecuteOnce(prepared.plan, control, sink, nullptr,
+                                        &prepared, &reached_sink);
   if (first.ok() || !config_.degrade_on_failure) return first;
+  // Past the first block the sink holds rows of this attempt (a client may
+  // already have them): a re-run would repeat them, so the failure stands.
+  if (reached_sink) return first;
   // Degrade only on an exhausted retry budget (kUnavailable). kTimeout and
   // kAborted mean the query's deadline/cancellation governs — re-running a
   // bigger plan cannot help a dead query.
@@ -436,7 +488,7 @@ Result<Middleware::Execution> Middleware::Execute(
 
   ++recovery_.downgrades;
   Result<Execution> second = ExecuteOnce(fallback.ValueOrDie().plan, control,
-                                         nullptr, &fallback.ValueOrDie());
+                                         sink, nullptr, &fallback.ValueOrDie());
   if (!second.ok()) return second;
   Execution degraded = second.MoveValueOrDie();
   degraded.degraded = true;
@@ -520,8 +572,10 @@ Result<Middleware::Execution> Middleware::Query(const std::string& tsql_text,
 Result<obs::AnalyzeReport> Middleware::Analyze(const Prepared& prepared,
                                                const QueryControlPtr& control) {
   obs::AnalyzeReport report;
+  std::vector<Tuple> rows;
+  AppendRows sink(&rows);
   TANGO_RETURN_IF_ERROR(
-      ExecuteOnce(prepared.plan, control, &report, &prepared).status());
+      ExecuteOnce(prepared.plan, control, &sink, &report, &prepared).status());
   return report;
 }
 

@@ -187,7 +187,10 @@ class Middleware {
   /// Result of executing a plan.
   struct Execution {
     Schema schema;
+    /// The result rows (in-process overloads; empty when streamed to a
+    /// ResultSink).
     std::vector<Tuple> rows;
+    /// Root drain time, the sink's own time included.
     double elapsed_seconds = 0;
     exec::TimingSink timings;
     std::vector<std::string> sql_statements;
@@ -198,6 +201,23 @@ class Middleware {
     /// rows are still valid; the leak is also counted and the startup sweep
     /// will reclaim the table).
     Status cleanup_status;
+  };
+
+  /// \brief Receives a result as the root cursor produces it.
+  ///
+  /// Every execution drains its root into one: the in-process overloads
+  /// pass a sink that appends to Execution::rows, the network server one
+  /// that encodes each block into a ROWBLOCK frame (DESIGN.md §14). An
+  /// execution announces the root's schema, then hands over each non-empty
+  /// root block in order. A degraded re-run announces its schema again,
+  /// which can only happen before any block reached the sink.
+  class ResultSink {
+   public:
+    virtual ~ResultSink() = default;
+    virtual void OnSchema(const Schema& schema) = 0;
+    /// The sink may move rows out of `block`. A failure (the client is
+    /// gone) stops the execution and becomes its result.
+    virtual Status OnBlock(RowBlock* block) = 0;
   };
 
   /// Compiles and executes a physical plan: runs the cursor tree, drops the
@@ -214,6 +234,13 @@ class Middleware {
   /// only for T^D trouble) and re-executed once; the downgrade is recorded
   /// in recovery_counters and Execution::degraded.
   Result<Execution> Execute(const Prepared& prepared,
+                            const QueryControlPtr& control = nullptr);
+
+  /// Streams the result into `sink` instead of Execution::rows (which
+  /// stays empty). Degrades like the overload above, but only while the
+  /// sink has been handed no block: after that a re-run would repeat rows
+  /// the sink already has, so the failure is returned.
+  Result<Execution> Execute(const Prepared& prepared, ResultSink* sink,
                             const QueryControlPtr& control = nullptr);
 
   /// Prepare + Execute in one call (with degradation).
@@ -239,14 +266,18 @@ class Middleware {
 
  private:
   /// One compile-and-run of a physical plan, with the janitor guarding its
-  /// temp tables. No degradation (that is the Prepared overload's job).
-  /// `report` (optional) receives the EXPLAIN ANALYZE observation tree;
-  /// `provenance` (optional) identifies the cache entry and fingerprint the
-  /// execution's observed cardinalities are recorded against.
+  /// temp tables: the root is drained into `sink`. No degradation (that is
+  /// the Prepared overload's job). `report` (optional) receives the EXPLAIN
+  /// ANALYZE observation tree; `provenance` (optional) identifies the cache
+  /// entry and fingerprint the execution's observed cardinalities are
+  /// recorded against; `reached_sink` (optional) is set once a block has
+  /// been handed to the sink, failure or not.
   Result<Execution> ExecuteOnce(const optimizer::PhysPlanPtr& plan,
                                 const QueryControlPtr& control,
+                                ResultSink* sink,
                                 obs::AnalyzeReport* report = nullptr,
-                                const Prepared* provenance = nullptr);
+                                const Prepared* provenance = nullptr,
+                                bool* reached_sink = nullptr);
 
   /// The optimization pipeline proper (what PrepareLogical was before the
   /// plan cache): memo + top-down physical planning, with `overrides`

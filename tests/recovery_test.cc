@@ -296,6 +296,100 @@ TEST(RecoveryTest, TransferDFailureDegradesToMiddlewareOnly) {
   EXPECT_FALSE(CatalogHasTempTables(&db));
 }
 
+// A ResultSink that records what reaches it and can refuse blocks, as a
+// client that hangs up does.
+class RecordingSink : public Middleware::ResultSink {
+ public:
+  explicit RecordingSink(bool fail_blocks = false) : fail_blocks_(fail_blocks) {}
+
+  void OnSchema(const Schema&) override { ++schemas; }
+
+  Status OnBlock(RowBlock* block) override {
+    ++blocks;
+    if (fail_blocks_) return Status::IOError("client gone");
+    MoveRowsInto(block, &exec.rows);
+    return Status::OK();
+  }
+
+  int schemas = 0;
+  int blocks = 0;
+  Middleware::Execution exec;  // only `rows`, for RowSet
+
+ private:
+  bool fail_blocks_;
+};
+
+TEST(RecoveryTest, FailingSinkStopsTheDrainAndTheJanitorCleansUp) {
+  dbms::Engine db;
+  Load(&db, "R", MakeRelation(31, 300, 8, 80));
+  Middleware mw(&db, StableConfig());
+  ForceTransferDShape(&mw.cost_model().factors());
+  auto prepared = mw.Prepare(kTransferDQuery);
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  ASSERT_NE(prepared.ValueOrDie().plan->ToString().find("TRANSFER^D"),
+            std::string::npos);
+
+  RecordingSink sink(/*fail_blocks=*/true);
+  auto r = mw.Execute(prepared.ValueOrDie(), &sink);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kIOError) << r.status().ToString();
+  EXPECT_EQ(sink.blocks, 1);  // the drain stopped at the refused block
+  EXPECT_EQ(mw.recovery_counters().downgrades.load(), 0u);
+  EXPECT_GE(mw.recovery_counters().temp_tables_dropped.load(), 1u);
+  EXPECT_FALSE(CatalogHasTempTables(&db));
+  EXPECT_EQ(mw.metrics().gauge("query.active").load(), 0);
+}
+
+TEST(RecoveryTest, StreamDegradesOnlyBeforeItsFirstBlock) {
+  dbms::Engine db;
+  Load(&db, "R", MakeRelation(37, 400, 9, 90));
+  Middleware::Config config = StableConfig();
+  config.wire.row_prefetch = 16;  // the root T^M hands over 16-row blocks
+  Middleware mw(&db, config);
+  auto injector = std::make_shared<dbms::FaultInjector>();
+  mw.connection().set_fault_injector(injector);
+  const char* query = "TEMPORAL SELECT G, V, T1, T2 FROM R WHERE V < 40";
+  auto prepared = mw.Prepare(query);
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+
+  RecordingSink baseline;
+  ASSERT_TRUE(mw.Execute(prepared.ValueOrDie(), &baseline).ok());
+  ASSERT_GT(baseline.blocks, 3);
+
+  // An outage exhausting the T^M budget before any row: the fallback plan
+  // runs and the sink receives its full result.
+  dbms::FaultPlan before;
+  before.kind = dbms::FaultKind::kStatementFail;
+  before.sql_substring = "SELECT";
+  before.times = config.retry.max_attempts;
+  injector->Arm(before);
+  RecordingSink degraded;
+  auto d = mw.Execute(prepared.ValueOrDie(), &degraded);
+  ASSERT_TRUE(d.ok()) << d.status().ToString();
+  EXPECT_TRUE(d.ValueOrDie().degraded);
+  EXPECT_TRUE(d.ValueOrDie().rows.empty());  // streamed, not collected
+  EXPECT_EQ(degraded.schemas, 2);  // the failed attempt's, then the fallback's
+  EXPECT_EQ(RowSet(degraded.exec), RowSet(baseline.exec));
+  EXPECT_EQ(mw.recovery_counters().downgrades.load(), 1u);
+
+  // The same exhaustion after two blocks reached the sink: the failure
+  // stands, no fallback runs.
+  dbms::FaultPlan after;
+  after.kind = dbms::FaultKind::kCursorKill;
+  after.batch_index = 2;  // every re-issue dies on its third batch
+  after.times = 1000;
+  injector->Arm(after);
+  RecordingSink partial;
+  auto f = mw.Execute(prepared.ValueOrDie(), &partial);
+  ASSERT_FALSE(f.ok());
+  EXPECT_EQ(f.status().code(), StatusCode::kUnavailable)
+      << f.status().ToString();
+  EXPECT_EQ(partial.schemas, 1);
+  EXPECT_EQ(partial.blocks, 2);
+  EXPECT_EQ(mw.recovery_counters().downgrades.load(), 1u);
+  EXPECT_FALSE(CatalogHasTempTables(&db));
+}
+
 TEST(RecoveryTest, CancelBeforeExecutionAborts) {
   dbms::Engine db;
   Load(&db, "R", MakeRelation(21, 100, 5, 50));

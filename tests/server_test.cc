@@ -8,6 +8,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -598,6 +599,240 @@ TEST(ServerTest, ProtocolVersionMismatchIsRefused) {
   ASSERT_EQ(replies.size(), 1u);
   EXPECT_EQ(replies[0].type, MsgType::kError);
   EXPECT_NE(replies[0].text.find("version"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// The streamed result (DESIGN.md §14): the server drains the root cursor
+// straight into ROWBLOCK frames, holding one block back, so the reply
+// frames themselves are what these tests look at.
+
+// A protocol session driven by hand: HELLO/WELCOME on construction, then
+// whole frames in and out.
+class RawSession {
+ public:
+  explicit RawSession(uint16_t port) : fd_(RawConnect(port)) {
+    if (fd_ < 0) return;
+    timeval timeout{};
+    timeout.tv_sec = 30;  // a hung server fails the test instead of hanging it
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+    Message hello;
+    hello.type = MsgType::kHello;
+    hello.protocol_version = kProtocolVersion;
+    hello.text = "raw";
+    if (!Send(hello)) return;
+    auto welcome = Next();
+    welcomed_ = welcome.ok() && welcome.ValueOrDie().type == MsgType::kWelcome;
+  }
+  ~RawSession() { Close(); }
+
+  bool ok() const { return welcomed_; }
+
+  bool Send(const Message& message) {
+    const std::vector<uint8_t> frame = EncodeMessage(message);
+    return ::send(fd_, frame.data(), frame.size(), MSG_NOSIGNAL) ==
+           static_cast<ssize_t>(frame.size());
+  }
+
+  Result<Message> Next() {
+    std::vector<uint8_t> payload;
+    uint8_t buf[65536];
+    for (;;) {
+      auto next = assembler_.Next(&payload);
+      if (!next.ok()) return next.status();
+      if (next.ValueOrDie()) return DecodeMessage(payload.data(), payload.size());
+      const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
+      if (n <= 0) return Status::IOError("connection closed");
+      assembler_.Append(buf, static_cast<size_t>(n));
+    }
+  }
+
+  bool SendQuery(const std::string& tsql) {
+    Message query;
+    query.type = MsgType::kQuery;
+    query.text = tsql;
+    return Send(query);
+  }
+
+  // QUERY, then every reply frame through DONE or ERROR.
+  std::vector<Message> Query(const std::string& tsql) {
+    std::vector<Message> replies;
+    if (!SendQuery(tsql)) return replies;
+    for (;;) {
+      auto message = Next();
+      if (!message.ok()) break;
+      replies.push_back(message.MoveValueOrDie());
+      const MsgType type = replies.back().type;
+      if (type == MsgType::kDone || type == MsgType::kError) break;
+    }
+    return replies;
+  }
+
+  void Close() {
+    if (fd_ >= 0) ::close(fd_);
+    fd_ = -1;
+  }
+
+ private:
+  int fd_;
+  bool welcomed_ = false;
+  FrameAssembler assembler_;
+};
+
+// The rows of a SCHEMA, ROWBLOCK*, DONE reply, in order; fails the test on
+// any other frame sequence. `blocks` receives the ROWBLOCK count.
+std::vector<Tuple> StreamRows(std::vector<Message>* replies, size_t* blocks) {
+  std::vector<Tuple> rows;
+  *blocks = 0;
+  EXPECT_GE(replies->size(), 2u);
+  if (replies->size() < 2) return rows;
+  EXPECT_EQ(replies->front().type, MsgType::kSchema);
+  EXPECT_EQ(replies->back().type, MsgType::kDone);
+  for (size_t i = 1; i + 1 < replies->size(); ++i) {
+    Message& m = (*replies)[i];
+    EXPECT_EQ(m.type, MsgType::kRowBlock) << "frame " << i;
+    ++*blocks;
+    Tuple row;
+    for (size_t r = 0; r < m.block.rows(); ++r) {
+      m.block.MoveRowTo(r, &row);
+      rows.push_back(std::move(row));
+    }
+  }
+  EXPECT_EQ(replies->back().rows, rows.size());
+  return rows;
+}
+
+TEST(ServerTest, StreamedResultsEqualInProcessExecutionRowForRow) {
+  dbms::Engine db;
+  std::string timeslice;
+  LoadPositionTimeslice(&db, &timeslice);
+  const std::string y1983 = std::to_string(date::FromYmd(1983, 1, 1));
+  const std::string y1996 = std::to_string(date::FromYmd(1996, 1, 1));
+  const std::string y1997 = std::to_string(date::FromYmd(1997, 1, 1));
+  // Shaped like the paper's Queries 1-3: a temporal aggregation, an
+  // aggregation joined back to its relation, a temporal self-join.
+  const std::vector<std::string> queries = {
+      "TEMPORAL SELECT PosID, T1, T2, COUNT(PosID) AS CNT FROM POSITION "
+      "GROUP BY PosID OVER TIME ORDER BY PosID",
+      "TEMPORAL SELECT C.PosID, EmpName, T1, T2, CNT FROM (TEMPORAL SELECT "
+      "PosID, COUNT(PosID) AS CNT FROM POSITION WHERE T2 > " + y1983 +
+          " AND T1 < " + y1997 +
+          " GROUP BY PosID OVER TIME) C, POSITION P WHERE C.PosID = P.PosID "
+          "AND PayRate > 10 ORDER BY PosID",
+      "TEMPORAL SELECT A.PosID, A.EmpName, B.EmpName FROM POSITION A, "
+      "POSITION B WHERE A.PosID = B.PosID AND A.T1 < " + y1996 +
+          " AND B.T1 < " + y1996};
+
+  for (const size_t batch : {size_t{1}, size_t{7}, size_t{1024}}) {
+    ServerConfig config = FastConfig();
+    config.middleware.batch_size = batch;
+    PollingServer server(&db, config);
+    ASSERT_TRUE(server.Start().ok());
+    Middleware local(&db, config.middleware);
+    RawSession session(server.port());
+    ASSERT_TRUE(session.ok());
+    for (size_t q = 0; q < queries.size(); ++q) {
+      const std::string cell =
+          "batch " + std::to_string(batch) + ", query " + std::to_string(q + 1);
+      auto expected = local.Query(queries[q]);
+      ASSERT_TRUE(expected.ok()) << cell << ": " << expected.status().ToString();
+      const std::vector<Tuple>& want = expected.ValueOrDie().rows;
+      std::vector<Message> replies = session.Query(queries[q]);
+      size_t blocks = 0;
+      const std::vector<Tuple> got = StreamRows(&replies, &blocks);
+      EXPECT_GT(blocks, 1u) << cell;
+      ASSERT_EQ(got.size(), want.size()) << cell;
+      for (size_t i = 0; i < want.size(); ++i) {
+        ASSERT_EQ(got[i], want[i]) << cell << ", row " << i;
+      }
+    }
+  }
+}
+
+TEST(ServerTest, EmptyResultIsSchemaThenDone) {
+  dbms::Engine db;
+  LoadFigure3(&db);
+  PollingServer server(&db, FastConfig());
+  ASSERT_TRUE(server.Start().ok());
+  RawSession session(server.port());
+  ASSERT_TRUE(session.ok());
+  const std::vector<Message> replies = session.Query(
+      "TEMPORAL SELECT PosID, EmpName, T1, T2 FROM POSITION WHERE PosID = 9");
+  ASSERT_EQ(replies.size(), 2u);
+  EXPECT_EQ(replies[0].type, MsgType::kSchema);
+  EXPECT_EQ(replies[0].columns.size(), 4u);
+  EXPECT_EQ(replies[1].type, MsgType::kDone);
+  EXPECT_EQ(replies[1].rows, 0u);
+}
+
+TEST(ServerTest, FirstBlockLatencyHasOneSamplePerResultStream) {
+  dbms::Engine db;
+  LoadFigure3(&db);
+  LoadBig(&db);
+  ServerConfig config = FastConfig();
+  config.middleware.batch_size = 64;
+  PollingServer server(&db, config);
+  ASSERT_TRUE(server.Start().ok());
+  Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+  const char* const streams[] = {
+      kAggQuery,                                                // one block
+      "TEMPORAL SELECT ID, V, T1, T2 FROM BIG ORDER BY ID",     // many blocks
+      "TEMPORAL SELECT ID, V, T1, T2 FROM BIG WHERE ID < 0"};   // no rows
+  for (const char* tsql : streams) {
+    auto result = client.Query(tsql);
+    ASSERT_TRUE(result.ok()) << tsql << ": " << result.status().ToString();
+  }
+  // A request that fails before any block is no result stream. Its reply
+  // also fences the samples: one session's requests are served in order.
+  EXPECT_FALSE(client.Query("TEMPORAL SELECT NOPE FROM BIG").ok());
+  EXPECT_EQ(
+      server.metrics().histogram("server.first_block_seconds").count(), 3u);
+}
+
+TEST(ServerTest, ClientGoneMidStreamStopsTheWorker) {
+  dbms::Engine db;
+  LoadFigure3(&db);
+  LoadBig(&db);
+  // Paced: the full drain takes about two seconds, in 16-row blocks.
+  PollingServer server(&db, SlowConfig());
+  ASSERT_TRUE(server.Start().ok());
+  obs::MetricsRegistry& metrics = server.metrics();
+  {
+    RawSession session(server.port());
+    ASSERT_TRUE(session.ok());
+    ASSERT_TRUE(session.SendQuery("TEMPORAL SELECT ID, V, T1, T2 FROM BIG"));
+    auto schema = session.Next();
+    ASSERT_TRUE(schema.ok()) << schema.status().ToString();
+    EXPECT_EQ(schema.ValueOrDie().type, MsgType::kSchema);
+    auto block = session.Next();
+    ASSERT_TRUE(block.ok()) << block.status().ToString();
+    EXPECT_EQ(block.ValueOrDie().type, MsgType::kRowBlock);
+    EXPECT_GT(metrics.gauge("query.active").load(), 0);
+  }  // the client hangs up mid-stream
+
+  const auto closed = std::chrono::steady_clock::now();
+  auto seconds_since_close = [&closed] {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         closed)
+        .count();
+  };
+  while ((metrics.gauge("server.sessions").load() != 0 ||
+          metrics.gauge("query.active").load() != 0) &&
+         seconds_since_close() < 10) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  // The execution stopped instead of draining the rest of the paced
+  // relation.
+  EXPECT_LT(seconds_since_close(), 1.0);
+  EXPECT_EQ(metrics.gauge("server.sessions").load(), 0);
+  EXPECT_EQ(metrics.gauge("query.active").load(), 0);
+  EXPECT_EQ(metrics.counter("query.failures").load(), 1u);
+
+  // The worker is free for the next client.
+  Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+  auto result = client.Query(kAggQuery);
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
 }
 
 // ---------------------------------------------------------------------------

@@ -117,6 +117,83 @@ size_t DrainTuples(const uint8_t* data, size_t len) {
   return decoded;
 }
 
+// ---------------------------------------------------------------------------
+// The CRC-32 kernel (slicing-by-8). Frames, WAL records and snapshot files
+// written before it must stay readable, so its output must equal the
+// classic bitwise CRC-32 on every input.
+
+// Bitwise CRC-32 (reflected 0xEDB88320), one bit per step: the reference.
+uint32_t BitwiseCrcStep(uint32_t crc, uint8_t byte) {
+  crc ^= byte;
+  for (int k = 0; k < 8; ++k) crc = (crc & 1) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+  return crc;
+}
+
+TEST(Crc32Test, KnownAnswers) {
+  const std::string check = "123456789";
+  EXPECT_EQ(Crc32(reinterpret_cast<const uint8_t*>(check.data()), check.size()),
+            0xCBF43926u);
+  EXPECT_EQ(Crc32(nullptr, 0), 0u);
+}
+
+TEST(Crc32Test, EveryOffsetAndLengthMatchesTheBitwiseReference) {
+  // Start offsets 0-7 put the eight-byte steps at every alignment; lengths
+  // 0-4,100 cover every tail length many times over.
+  constexpr size_t kMaxLen = 4100;
+  Rng rng(0xC3C32);
+  std::vector<uint8_t> buf(kMaxLen + 8);
+  for (uint8_t& b : buf) b = static_cast<uint8_t>(rng.Next());
+  for (size_t offset = 0; offset < 8; ++offset) {
+    const uint8_t* data = buf.data() + offset;
+    uint32_t reference = 0xFFFFFFFFu;  // over data[0, len)
+    for (size_t len = 0; len <= kMaxLen; ++len) {
+      ASSERT_EQ(Crc32(data, len), reference ^ 0xFFFFFFFFu)
+          << "offset " << offset << ", length " << len;
+      if (len < kMaxLen) reference = BitwiseCrcStep(reference, data[len]);
+    }
+  }
+}
+
+TEST(Crc32Test, SealedFrameBytesArePinned) {
+  // Header bytes as sealed before the slicing-by-8 kernel: little-endian
+  // length 45, then CRC-32 0x47215652.
+  std::vector<uint8_t> payload;
+  for (int i = 0; i < 40; ++i) payload.push_back(static_cast<uint8_t>(i));
+  for (char c : std::string("TANGO")) payload.push_back(static_cast<uint8_t>(c));
+  std::vector<uint8_t> expected = {0x2d, 0x00, 0x00, 0x00,
+                                   0x52, 0x56, 0x21, 0x47};
+  expected.insert(expected.end(), payload.begin(), payload.end());
+  EXPECT_EQ(WireFrame::Seal(payload), expected);
+}
+
+TEST(WireFuzzTest, CheckWalksAStreamOfFramesWhereTheyLie) {
+  Rng rng(0x57AE);
+  std::vector<uint8_t> stream;
+  std::vector<std::vector<uint8_t>> payloads;
+  for (int i = 0; i < 50; ++i) {
+    payloads.push_back(RandomBatch(&rng, nullptr));
+    const std::vector<uint8_t> framed = WireFrame::Seal(payloads.back());
+    stream.insert(stream.end(), framed.begin(), framed.end());
+  }
+  // A torn tail: half of one more frame.
+  const std::vector<uint8_t> torn = WireFrame::Seal(RandomBatch(&rng, nullptr));
+  stream.insert(stream.end(), torn.begin(), torn.begin() + torn.size() / 2);
+
+  size_t off = 0;
+  size_t frames = 0;
+  const uint8_t* body = nullptr;
+  size_t len = 0;
+  while (WireFrame::Check(stream.data() + off, stream.size() - off, &body, &len)
+             .ok()) {
+    ASSERT_LT(frames, payloads.size());
+    EXPECT_EQ(std::vector<uint8_t>(body, body + len), payloads[frames]);
+    off += WireFrame::kHeaderBytes + len;
+    ++frames;
+  }
+  EXPECT_EQ(frames, payloads.size());
+  EXPECT_EQ(stream.size() - off, torn.size() / 2);
+}
+
 TEST(WireFuzzTest, RoundTripSurvivesSealing) {
   Rng rng(0xF00D);
   for (int iter = 0; iter < 200; ++iter) {
