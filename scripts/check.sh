@@ -70,10 +70,10 @@ JOBS="${1:-$(nproc)}"
 ROBUSTNESS_SUITES='^(fault_matrix_test|wire_fuzz_test|dbms_exec_ops_test|dbms_planner_test|recovery_test)$'
 OBS_SUITES='^(obs_test|trace_test|explain_analyze_test)$'
 ADAPT_SUITES='^(plan_cache_test|feedback_test|fingerprint_test)$'
-# The batch/tuple differential sweeps: exec_property_test proves every
-# operator bit-identical between Next and NextBatch at batch sizes
-# {1,2,7,1024} — ASan catches a moved-from row reused, so the suite runs
-# under both sanitizers by name.
+# The capacity differential: exec_property_test drains every operator at
+# block capacities {1,2,7,1024} against an engine-free oracle, then re-Inits
+# it once — ASan catches a moved-from row reused, so the suite runs under
+# both sanitizers by name.
 VECTOR_SUITES='^(exec_property_test)$'
 DURABILITY_SUITES='^(wal_recovery_test|write_churn_test)$'
 # The network service: server_test drives a real PollingServer over
@@ -131,7 +131,7 @@ run_config() {
     echo "=== ${name}: adaptive suites (plan cache + feedback + fingerprint) ==="
     (cd "${dir}" && ctest --output-on-failure -R "${ADAPT_SUITES}" --timeout "${CTEST_TIMEOUT}")
     check_leaks "${name}" "${dir}"
-    echo "=== ${name}: vectorization suites (batch/tuple differential) ==="
+    echo "=== ${name}: vectorization suites (capacity differential) ==="
     (cd "${dir}" && ctest --output-on-failure -R "${VECTOR_SUITES}" --timeout "${CTEST_TIMEOUT}")
     check_leaks "${name}" "${dir}"
     echo "=== ${name}: durability suites (WAL crash matrix + write churn) ==="

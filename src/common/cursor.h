@@ -13,8 +13,8 @@
 namespace tango {
 
 /// \brief Pipelined iterator over tuples — the paper's result-set interface
-/// with init() and getNext() (Figure 2), extended with a vectorized batch
-/// path.
+/// with init() and getNext() (Figure 2), where getNext hands over a block
+/// of rows at a time.
 ///
 /// Both the middleware execution engine (XXL-style algorithms) and the DBMS
 /// physical operators implement this interface; `Init` may do real work
@@ -23,32 +23,16 @@ class Cursor {
  public:
   virtual ~Cursor() = default;
 
-  /// Prepares the cursor; called once before the first Next.
+  /// Prepares the cursor; called before the first NextBatch. A later call
+  /// restarts the stream from the beginning.
   virtual Status Init() = 0;
 
-  /// Produces the next tuple; returns false when exhausted.
-  virtual Result<bool> Next(Tuple* tuple) = 0;
-
-  /// Vectorized variant: clears `block` and fills it with up to
-  /// `block->capacity()` rows; returns the number appended. Zero means
-  /// exhausted. A *partial* (non-zero, under-capacity) block does NOT imply
-  /// exhaustion — producers such as the wire cursor surface one transfer
-  /// batch per call — so consumers must keep calling until they see zero.
-  ///
-  /// The default implementation loops the legacy `Next`, so every cursor
-  /// supports batching; hot operators override it natively. Mixing `Next`
-  /// and `NextBatch` on one cursor between `Init`s is allowed — both drain
-  /// the same underlying stream in order.
-  virtual Result<size_t> NextBatch(RowBlock* block) {
-    block->Clear();
-    Tuple t;
-    while (!block->full()) {
-      TANGO_ASSIGN_OR_RETURN(bool more, Next(&t));
-      if (!more) break;
-      block->AppendRow(std::move(t));
-    }
-    return block->rows();
-  }
+  /// Clears `block` and fills it with up to `block->capacity()` rows;
+  /// returns the number appended. Zero means exhausted. A *partial*
+  /// (non-zero, under-capacity) block does NOT imply exhaustion — producers
+  /// such as the wire cursor surface one transfer batch per call — so
+  /// consumers must keep calling until they see zero.
+  virtual Result<size_t> NextBatch(RowBlock* block) = 0;
 
   /// Output schema; valid after construction.
   virtual const Schema& schema() const = 0;
@@ -56,13 +40,39 @@ class Cursor {
 
 using CursorPtr = std::unique_ptr<Cursor>;
 
+/// \brief Base of the operators whose logic produces one row at a time:
+/// the merge and temporal joins, dup-elim, difference, coalesce, and the
+/// DBMS hash, nested-loop and index nested-loop joins, index scan and
+/// group aggregate.
+///
+/// `NextBatch` fills the block by looping the protected `NextRow`. A block
+/// that ends in exhaustion is handed over with its rows, and the consumer
+/// asks again, so once `NextRow` has returned false it must keep returning
+/// false until the next `Init`.
+class RowCursor : public Cursor {
+ public:
+  Result<size_t> NextBatch(RowBlock* block) final {
+    block->Clear();
+    Tuple t;
+    while (!block->full()) {
+      TANGO_ASSIGN_OR_RETURN(bool more, NextRow(&t));
+      if (!more) break;
+      block->AppendRow(std::move(t));
+    }
+    return block->rows();
+  }
+
+ protected:
+  /// Produces the next row; false when exhausted.
+  virtual Result<bool> NextRow(Tuple* tuple) = 0;
+};
+
 /// \brief Row-at-a-time view over a batched child.
 ///
 /// Operators whose control flow is inherently tuple-oriented (merge join,
 /// plane sweep, difference) read their children through this adapter: the
-/// child is drained in whole blocks (one virtual call per block), and the
-/// operator's own row logic stays bit-identical. `Next` here is non-virtual
-/// and serves moves out of the buffered block.
+/// child is drained in whole blocks (one virtual call per block), and
+/// `Next` moves the rows out of the buffered block one at a time.
 class BatchedReader {
  public:
   explicit BatchedReader(Cursor* child,
@@ -111,12 +121,6 @@ class VectorCursor : public Cursor {
   Status Init() override {
     pos_ = 0;
     return Status::OK();
-  }
-
-  Result<bool> Next(Tuple* tuple) override {
-    if (pos_ >= rows_.size()) return false;
-    *tuple = rows_[pos_++];
-    return true;
   }
 
   Result<size_t> NextBatch(RowBlock* block) override {

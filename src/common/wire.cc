@@ -118,6 +118,12 @@ void WireWriter::PutValue(const Value& v) {
   }
 }
 
+size_t WireWriter::ValueSize(const Value& v) {
+  if (v.is_null()) return 1;
+  if (v.is_int() || v.is_double()) return 1 + 8;
+  return 1 + 4 + v.AsString().size();
+}
+
 void WireWriter::PutTuple(const Tuple& t) {
   PutU32(static_cast<uint32_t>(t.size()));
   for (const Value& v : t) PutValue(v);

@@ -28,6 +28,8 @@ class WireWriter {
     PutRaw(s.data(), s.size());
   }
   void PutValue(const Value& v);
+  /// Bytes `PutValue(v)` writes.
+  static size_t ValueSize(const Value& v);
   void PutTuple(const Tuple& t);
   /// Block encoding: `[u32 rows][u32 cols]` then the values column-major.
   /// One of these per RowBlock replaces `rows` per-tuple headers, and the

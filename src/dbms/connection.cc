@@ -29,49 +29,32 @@ class RemoteCursor : public Cursor {
 
   Status Init() override {
     block_.Clear();
-    pos_ = 0;
     batch_no_ = 0;
     server_done_ = false;
     const auto engine = conn_->AcquireEngineShared();
     return server_->Init();
   }
 
-  Result<bool> Next(Tuple* tuple) override {
-    while (pos_ >= block_.rows()) {
-      if (server_done_) return false;
-      TANGO_RETURN_IF_ERROR(FetchBlock());
-      if (block_.empty()) return false;
-    }
-    block_.MoveRowTo(pos_++, tuple);
-    return true;
-  }
-
+  /// Hands over one whole decoded wire block, whatever `block`'s capacity.
+  /// Each fetch decodes into a fresh block that is then moved into `block`:
+  /// decoding straight into the consumer's block raised `paper_queries`'
+  /// peak RSS from about 250 to 310 MB (perfbench).
   Result<size_t> NextBatch(RowBlock* block) override {
     block->Clear();
-    while (pos_ >= block_.rows()) {
-      if (server_done_) return 0;
-      TANGO_RETURN_IF_ERROR(FetchBlock());
-      if (block_.empty()) return 0;
-    }
-    if (pos_ == 0) {
-      // Hand the whole decoded block to the consumer without re-packing.
-      const size_t cap = block->capacity();
-      *block = std::move(block_);
-      block->set_capacity(cap);
-      block_ = RowBlock();
-      return block->rows();
-    }
-    Tuple t;
-    while (pos_ < block_.rows() && !block->full()) {
-      block_.MoveRowTo(pos_++, &t);
-      block->AppendRow(std::move(t));
-    }
+    if (server_done_) return 0;
+    TANGO_RETURN_IF_ERROR(FetchBlock());
+    const size_t capacity = block->capacity();
+    *block = std::move(block_);
+    block->set_capacity(capacity);
+    block_ = RowBlock();
     return block->rows();
   }
 
   const Schema& schema() const override { return schema_; }
 
  private:
+  /// Fetches the next block into `block_` (left empty once the server is
+  /// exhausted).
   Status FetchBlock() {
     // A cancelled/expired query stops driving the wire at the next batch.
     TANGO_RETURN_IF_ERROR(CheckControl(control_));
@@ -79,7 +62,6 @@ class RemoteCursor : public Cursor {
     // interleave whole batches instead of racing on the engine and counters.
     const auto wire = conn_->AcquireWire();
     block_.Clear();
-    pos_ = 0;
     // Server side: produce + serialize one block (one NextBatch of the
     // server plan — the block boundary is the batch boundary).
     server_block_.Clear();
@@ -149,8 +131,7 @@ class RemoteCursor : public Cursor {
   QueryControlPtr control_;
   bool faulted_;
   RowBlock server_block_;  // server-side staging, reused across fetches
-  RowBlock block_;         // client-side decoded block being drained
-  size_t pos_ = 0;
+  RowBlock block_;         // client-side decode target
   uint64_t batch_no_ = 0;
   bool server_done_ = false;
 };

@@ -1,23 +1,9 @@
 #include "dbms/exec_ops.h"
 
-#include <algorithm>
-
 namespace tango {
 namespace dbms {
 
 // -------------------------------------------------------- StoredRowReader
-
-namespace {
-
-void CollectColumnIndexes(const Expr& e, std::vector<size_t>* out) {
-  if (e.kind == Expr::Kind::kColumn) {
-    out->push_back(static_cast<size_t>(e.index));
-    return;
-  }
-  for (const ExprPtr& c : e.children) CollectColumnIndexes(*c, out);
-}
-
-}  // namespace
 
 std::vector<size_t> AllColumns(const Schema& schema) {
   std::vector<size_t> columns(schema.num_columns());
@@ -34,12 +20,8 @@ StoredRowReader::StoredRowReader(const Table* table,
       read_by_predicate_(table->schema().num_columns(), 0),
       scratch_(table->schema().num_columns()) {
   for (const ExprPtr& conjunct : conjuncts_) {
-    std::vector<size_t> cols;
-    CollectColumnIndexes(*conjunct, &cols);
-    std::sort(cols.begin(), cols.end());
-    cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
     std::vector<size_t>& fresh = new_columns_.emplace_back();
-    for (const size_t c : cols) {
+    for (const size_t c : BoundColumnIndexes(*conjunct)) {
       if (read_by_predicate_[c] == 0) fresh.push_back(c);
       read_by_predicate_[c] = 1;
     }
@@ -125,10 +107,6 @@ Result<bool> TableScanOp::NextWithRid(Tuple* tuple, storage::Rid* rid) {
   return true;
 }
 
-Result<bool> TableScanOp::Next(Tuple* tuple) {
-  return NextWithRid(tuple, nullptr);
-}
-
 Result<size_t> TableScanOp::NextBatch(RowBlock* block) {
   const size_t arity = reader_.arity();
   if (block->columns() == arity) {
@@ -177,7 +155,7 @@ Status IndexScanOp::Init() {
   return Status::OK();
 }
 
-Result<bool> IndexScanOp::Next(Tuple* tuple) {
+Result<bool> IndexScanOp::NextRow(Tuple* tuple) {
   Value key;
   storage::Rid rid;
   while (it_->Next(&key, &rid)) {
@@ -196,69 +174,6 @@ Result<bool> IndexScanOp::Next(Tuple* tuple) {
   return false;
 }
 
-// ------------------------------------------------------------- JoinResidual
-
-JoinResidual::JoinResidual(ExprPtr residual, size_t left_arity,
-                           size_t right_arity)
-    : residual_(std::move(residual)),
-      left_arity_(left_arity),
-      scratch_(left_arity + right_arity) {
-  if (residual_ == nullptr) return;
-  std::vector<size_t> cols;
-  CollectColumnIndexes(*residual_, &cols);
-  std::sort(cols.begin(), cols.end());
-  cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
-  for (const size_t c : cols) {
-    if (c < left_arity_) {
-      left_columns_.push_back(c);
-    } else {
-      right_columns_.push_back(c - left_arity_);
-    }
-  }
-}
-
-bool JoinResidual::Match(const Tuple& left, const Tuple& right, Tuple* out) {
-  if (residual_ != nullptr) {
-    // Copy-assignment keeps a scratch string's buffer, so a rejected pair
-    // allocates nothing once the scratch strings have grown to fit.
-    for (const size_t c : left_columns_) scratch_[c] = left[c];
-    for (const size_t c : right_columns_) scratch_[left_arity_ + c] = right[c];
-    if (!EvalPredicate(*residual_, scratch_)) return false;
-  }
-  out->clear();
-  out->reserve(left.size() + right.size());
-  out->insert(out->end(), left.begin(), left.end());
-  out->insert(out->end(), right.begin(), right.end());
-  return true;
-}
-
-// --------------------------------------------------------------------- Sort
-
-Status SortOp::Init() {
-  rows_.clear();
-  pos_ = 0;
-  TANGO_ASSIGN_OR_RETURN(rows_, MaterializeAll(child_.get()));
-  TupleComparator cmp(keys_);
-  std::stable_sort(rows_.begin(), rows_.end(), cmp);
-  return Status::OK();
-}
-
-Result<bool> SortOp::Next(Tuple* tuple) {
-  if (pos_ >= rows_.size()) return false;
-  *tuple = std::move(rows_[pos_++]);
-  return true;
-}
-
-Result<size_t> SortOp::NextBatch(RowBlock* block) {
-  block->Clear();
-  // Moves, not copies: each row is emitted once. Reading the result again
-  // takes another Init, which materializes and sorts the input afresh.
-  while (pos_ < rows_.size() && !block->full()) {
-    block->AppendRow(std::move(rows_[pos_++]));
-  }
-  return block->rows();
-}
-
 // ----------------------------------------------------------------- UnionAll
 
 Status UnionAllOp::Init() {
@@ -267,158 +182,15 @@ Status UnionAllOp::Init() {
   return Status::OK();
 }
 
-Result<bool> UnionAllOp::Next(Tuple* tuple) {
+Result<size_t> UnionAllOp::NextBatch(RowBlock* block) {
+  block->Clear();
   while (current_ < children_.size()) {
-    TANGO_ASSIGN_OR_RETURN(bool more, children_[current_]->Next(tuple));
-    if (more) return true;
+    TANGO_ASSIGN_OR_RETURN(const size_t n,
+                           children_[current_]->NextBatch(block));
+    if (n > 0) return n;
     ++current_;
   }
-  return false;
-}
-
-// -------------------------------------------------------------- SortMergeJoin
-
-SortMergeJoinOp::SortMergeJoinOp(CursorPtr left, CursorPtr right,
-                                 std::vector<size_t> left_keys,
-                                 std::vector<size_t> right_keys,
-                                 ExprPtr residual)
-    : left_(std::move(left)),
-      right_(std::move(right)),
-      left_reader_(left_.get()),
-      right_reader_(right_.get()),
-      left_keys_(std::move(left_keys)),
-      right_keys_(std::move(right_keys)),
-      schema_(Schema::Concat(left_->schema(), right_->schema())),
-      residual_(std::move(residual), left_->schema().num_columns(),
-                right_->schema().num_columns()) {}
-
-int SortMergeJoinOp::CompareKeys(const Tuple& l, const Tuple& r) const {
-  for (size_t i = 0; i < left_keys_.size(); ++i) {
-    const Value& a = l[left_keys_[i]];
-    const Value& b = r[right_keys_[i]];
-    // NULL keys never match; order them first consistently.
-    const int c = a.Compare(b);
-    if (c != 0) return c;
-  }
   return 0;
-}
-
-Status SortMergeJoinOp::Init() {
-  TANGO_RETURN_IF_ERROR(left_reader_.Init());
-  TANGO_RETURN_IF_ERROR(right_reader_.Init());
-  left_valid_ = false;
-  right_pending_valid_ = false;
-  right_exhausted_ = false;
-  right_group_.clear();
-  group_pos_ = 0;
-  group_matches_left_ = false;
-  TANGO_ASSIGN_OR_RETURN(left_valid_, left_reader_.Next(&left_row_));
-  TANGO_ASSIGN_OR_RETURN(right_pending_valid_,
-                         right_reader_.Next(&right_pending_));
-  right_exhausted_ = !right_pending_valid_;
-  return Status::OK();
-}
-
-// Loads into right_group_ the next run of right tuples with equal keys,
-// starting from right_pending_.
-Result<bool> SortMergeJoinOp::FillRightGroup() {
-  right_group_.clear();
-  if (!right_pending_valid_) return false;
-  right_group_.push_back(right_pending_);
-  while (true) {
-    Tuple t;
-    TANGO_ASSIGN_OR_RETURN(bool more, right_reader_.Next(&t));
-    if (!more) {
-      right_pending_valid_ = false;
-      right_exhausted_ = true;
-      break;
-    }
-    // Same key as the group head?
-    bool same = true;
-    for (size_t i = 0; i < right_keys_.size(); ++i) {
-      if (t[right_keys_[i]].Compare(right_group_.front()[right_keys_[i]]) != 0) {
-        same = false;
-        break;
-      }
-    }
-    if (same) {
-      right_group_.push_back(std::move(t));
-    } else {
-      right_pending_ = std::move(t);
-      right_pending_valid_ = true;
-      break;
-    }
-  }
-  return true;
-}
-
-Result<bool> SortMergeJoinOp::Next(Tuple* tuple) {
-  while (true) {
-    // Emit pending (left row x right group) pairs.
-    if (group_matches_left_ && group_pos_ < right_group_.size()) {
-      if (residual_.Match(left_row_, right_group_[group_pos_++], tuple)) {
-        return true;
-      }
-      continue;
-    }
-    if (group_matches_left_) {
-      // Exhausted the group for this left row; advance left and retry the
-      // same group (next left row may share the key).
-      TANGO_ASSIGN_OR_RETURN(left_valid_, left_reader_.Next(&left_row_));
-      group_pos_ = 0;
-      if (!left_valid_) {
-        // Clear the match flag so a post-exhaustion call cannot replay the
-        // last group against the stale left row: batch drains legitimately
-        // call Next again after a false.
-        group_matches_left_ = false;
-        return false;
-      }
-      if (!right_group_.empty() &&
-          CompareKeys(left_row_, right_group_.front()) == 0) {
-        continue;  // same key: replay group
-      }
-      group_matches_left_ = false;
-      // fall through to group advancement
-    }
-    if (!left_valid_) return false;
-    // Advance the right group until it is >= the left key.
-    while (true) {
-      if (right_group_.empty() ||
-          CompareKeys(left_row_, right_group_.front()) > 0) {
-        TANGO_ASSIGN_OR_RETURN(bool filled, FillRightGroup());
-        if (!filled) {
-          if (right_group_.empty()) return false;  // right fully exhausted
-        }
-        if (right_group_.empty()) return false;
-        continue;
-      }
-      break;
-    }
-    const int c = CompareKeys(left_row_, right_group_.front());
-    if (c < 0) {
-      TANGO_ASSIGN_OR_RETURN(left_valid_, left_reader_.Next(&left_row_));
-      if (!left_valid_) return false;
-      continue;
-    }
-    if (c == 0) {
-      // NULL join keys never match.
-      bool has_null = false;
-      for (size_t k : left_keys_) {
-        if (left_row_[k].is_null()) {
-          has_null = true;
-          break;
-        }
-      }
-      if (has_null) {
-        TANGO_ASSIGN_OR_RETURN(left_valid_, left_reader_.Next(&left_row_));
-        if (!left_valid_) return false;
-        continue;
-      }
-      group_matches_left_ = true;
-      group_pos_ = 0;
-      continue;
-    }
-  }
 }
 
 // ----------------------------------------------------------------- HashJoin
@@ -460,7 +232,7 @@ Status HashJoinOp::Init() {
   return Status::OK();
 }
 
-Result<bool> HashJoinOp::Next(Tuple* tuple) {
+Result<bool> HashJoinOp::NextRow(Tuple* tuple) {
   while (true) {
     if (match_bucket_ != nullptr && match_pos_ < match_bucket_->size()) {
       if (residual_.Match((*match_bucket_)[match_pos_++], probe_row_, tuple)) {
@@ -505,7 +277,7 @@ Status NestedLoopJoinOp::Init() {
   return Status::OK();
 }
 
-Result<bool> NestedLoopJoinOp::Next(Tuple* tuple) {
+Result<bool> NestedLoopJoinOp::NextRow(Tuple* tuple) {
   while (outer_valid_) {
     while (inner_pos_ < inner_.size()) {
       if (predicate_.Match(outer_row_, inner_[inner_pos_++], tuple)) {
@@ -544,7 +316,7 @@ Status IndexNestedLoopJoinOp::Init() {
   return Status::OK();
 }
 
-Result<bool> IndexNestedLoopJoinOp::Next(Tuple* tuple) {
+Result<bool> IndexNestedLoopJoinOp::NextRow(Tuple* tuple) {
   storage::Rid rid;
   while (true) {
     // Walk the index entries equal to the outer key, one candidate each.
@@ -573,6 +345,7 @@ Result<bool> IndexNestedLoopJoinOp::Next(Tuple* tuple) {
 GroupAggOp::GroupAggOp(CursorPtr child, std::vector<size_t> group_cols,
                        std::vector<AggSpec> aggs)
     : child_(std::move(child)),
+      reader_(child_.get()),
       group_cols_(std::move(group_cols)),
       aggs_(std::move(aggs)) {
   // Output schema: group columns (with their child names/types), then one
@@ -596,7 +369,7 @@ GroupAggOp::GroupAggOp(CursorPtr child, std::vector<size_t> group_cols,
 }
 
 Status GroupAggOp::Init() {
-  TANGO_RETURN_IF_ERROR(child_->Init());
+  TANGO_RETURN_IF_ERROR(reader_.Init());
   group_open_ = false;
   pending_valid_ = false;
   input_done_ = false;
@@ -663,7 +436,7 @@ Tuple GroupAggOp::EmitGroup() {
   return out;
 }
 
-Result<bool> GroupAggOp::Next(Tuple* tuple) {
+Result<bool> GroupAggOp::NextRow(Tuple* tuple) {
   if (input_done_) {
     // Global aggregation over an empty input still yields one row.
     if (group_cols_.empty() && !emitted_global_ && !group_open_) {
@@ -688,7 +461,7 @@ Result<bool> GroupAggOp::Next(Tuple* tuple) {
       pending_valid_ = false;
       more = true;
     } else {
-      TANGO_ASSIGN_OR_RETURN(more, child_->Next(&row));
+      TANGO_ASSIGN_OR_RETURN(more, reader_.Next(&row));
     }
     if (!more) {
       input_done_ = true;

@@ -9,6 +9,7 @@
 
 #include "common/cursor.h"
 #include "dbms/catalog.h"
+#include "exec/join.h"
 #include "expr/expr.h"
 
 namespace tango {
@@ -90,7 +91,6 @@ class TableScanOp : public Cursor {
               std::vector<ExprPtr> conjuncts, std::vector<size_t> columns);
 
   Status Init() override;
-  Result<bool> Next(Tuple* tuple) override;
   /// Fills the block straight from the page bytes: one virtual cursor call
   /// per block instead of one per stored row.
   Result<size_t> NextBatch(RowBlock* block) override;
@@ -112,7 +112,7 @@ class TableScanOp : public Cursor {
 /// open bounds on either side. Each hit is read like a full scan's row: the
 /// pushed conjuncts are tested on its encoded bytes (all of them, whichever
 /// the range already enforces), and only `columns` are decoded.
-class IndexScanOp : public Cursor {
+class IndexScanOp : public RowCursor {
  public:
   IndexScanOp(const Table* table, size_t column, const std::string& alias,
               std::optional<Value> lo, bool lo_inclusive,
@@ -120,10 +120,11 @@ class IndexScanOp : public Cursor {
               std::vector<ExprPtr> conjuncts, std::vector<size_t> columns);
 
   Status Init() override;
-  Result<bool> Next(Tuple* tuple) override;
   const Schema& schema() const override { return schema_; }
 
  private:
+  Result<bool> NextRow(Tuple* tuple) override;
+
   const Table* table_;
   size_t column_;
   StoredRowReader reader_;
@@ -133,60 +134,16 @@ class IndexScanOp : public Cursor {
   std::optional<storage::BPlusTree::Iterator> it_;
 };
 
-/// \brief A join's residual predicate, tested on a candidate pair before
-/// the pair is concatenated (DESIGN.md §16).
-///
-/// The residual is bound to the join's output schema: left columns, then
-/// right. `Match` copies only the columns the residual reads into a scratch
-/// row reused across candidates and evaluates it there; only a pair that
-/// passes is concatenated into the caller's tuple. A rejected candidate
-/// builds no row and, once the scratch strings have grown to fit, allocates
-/// nothing. Every DBMS join tests its candidates through this one helper.
-class JoinResidual {
- public:
-  /// A null `residual` passes every pair.
-  JoinResidual(ExprPtr residual, size_t left_arity, size_t right_arity);
-
-  /// True, with `*out` = left ++ right, when the pair passes the residual;
-  /// false, with `*out` untouched, when it does not.
-  bool Match(const Tuple& left, const Tuple& right, Tuple* out);
-
- private:
-  ExprPtr residual_;
-  size_t left_arity_;
-  std::vector<size_t> left_columns_;   // residual columns < left_arity_
-  std::vector<size_t> right_columns_;  // the rest, as right-side positions
-  Tuple scratch_;
-};
-
-/// \brief In-memory sort; materializes and sorts its input in every Init,
-/// then moves each row out once.
-class SortOp : public Cursor {
- public:
-  SortOp(CursorPtr child, std::vector<SortKey> keys)
-      : child_(std::move(child)), keys_(std::move(keys)) {}
-
-  Status Init() override;
-  Result<bool> Next(Tuple* tuple) override;
-  Result<size_t> NextBatch(RowBlock* block) override;
-  const Schema& schema() const override { return child_->schema(); }
-
- private:
-  CursorPtr child_;
-  std::vector<SortKey> keys_;
-  std::vector<Tuple> rows_;
-  size_t pos_ = 0;
-};
-
 /// \brief Concatenation of children (UNION ALL); schemas must be
-/// union-compatible (first child's schema wins).
+/// union-compatible (first child's schema wins). Forwards each child's
+/// blocks as they come.
 class UnionAllOp : public Cursor {
  public:
   explicit UnionAllOp(std::vector<CursorPtr> children)
       : children_(std::move(children)) {}
 
   Status Init() override;
-  Result<bool> Next(Tuple* tuple) override;
+  Result<size_t> NextBatch(RowBlock* block) override;
   const Schema& schema() const override { return children_.front()->schema(); }
 
  private:
@@ -194,59 +151,25 @@ class UnionAllOp : public Cursor {
   size_t current_ = 0;
 };
 
-/// \brief Sort-merge join on equi-keys with an optional residual predicate
-/// (bound to the output schema, tested through `JoinResidual`). Inputs must
-/// be sorted on their key columns. Duplicate key groups are buffered on the
-/// right side.
-class SortMergeJoinOp : public Cursor {
- public:
-  SortMergeJoinOp(CursorPtr left, CursorPtr right,
-                  std::vector<size_t> left_keys, std::vector<size_t> right_keys,
-                  ExprPtr residual);
-
-  Status Init() override;
-  Result<bool> Next(Tuple* tuple) override;
-  const Schema& schema() const override { return schema_; }
-
- private:
-  int CompareKeys(const Tuple& l, const Tuple& r) const;
-  Result<bool> AdvanceLeft();
-  Result<bool> FillRightGroup();
-
-  CursorPtr left_, right_;
-  BatchedReader left_reader_, right_reader_;
-  std::vector<size_t> left_keys_, right_keys_;
-  Schema schema_;
-  JoinResidual residual_;
-
-  Tuple left_row_;
-  bool left_valid_ = false;
-  Tuple right_pending_;
-  bool right_pending_valid_ = false;
-  bool right_exhausted_ = false;
-  std::vector<Tuple> right_group_;
-  size_t group_pos_ = 0;
-  bool group_matches_left_ = false;
-};
-
 /// \brief Hash join (build = left, probe = right) on equi-keys with an
 /// optional residual predicate (through `JoinResidual`). Output order: left
 /// columns then right.
-class HashJoinOp : public Cursor {
+class HashJoinOp : public RowCursor {
  public:
   HashJoinOp(CursorPtr left, CursorPtr right, std::vector<size_t> left_keys,
              std::vector<size_t> right_keys, ExprPtr residual);
 
   Status Init() override;
-  Result<bool> Next(Tuple* tuple) override;
   const Schema& schema() const override { return schema_; }
 
  private:
+  Result<bool> NextRow(Tuple* tuple) override;
+
   CursorPtr left_, right_;
   BatchedReader left_reader_, right_reader_;
   std::vector<size_t> left_keys_, right_keys_;
   Schema schema_;
-  JoinResidual residual_;
+  exec::JoinResidual residual_;
 
   struct KeyHash {
     size_t operator()(const std::vector<Value>& k) const {
@@ -278,19 +201,20 @@ class HashJoinOp : public Cursor {
 
 /// \brief Block nested-loop join with an arbitrary predicate (through
 /// `JoinResidual`); the right input is materialized in Init.
-class NestedLoopJoinOp : public Cursor {
+class NestedLoopJoinOp : public RowCursor {
  public:
   NestedLoopJoinOp(CursorPtr left, CursorPtr right, ExprPtr predicate);
 
   Status Init() override;
-  Result<bool> Next(Tuple* tuple) override;
   const Schema& schema() const override { return schema_; }
 
  private:
+  Result<bool> NextRow(Tuple* tuple) override;
+
   CursorPtr left_, right_;
   BatchedReader left_reader_;
   Schema schema_;
-  JoinResidual predicate_;
+  exec::JoinResidual predicate_;
   std::vector<Tuple> inner_;
   Tuple outer_row_;
   bool outer_valid_ = false;
@@ -300,7 +224,7 @@ class NestedLoopJoinOp : public Cursor {
 /// \brief Index nested-loop equi-join: for each outer tuple, probes the
 /// inner table's B+-tree on the join column. This is the plan Oracle's
 /// nested-loop hint produces in Query 4.
-class IndexNestedLoopJoinOp : public Cursor {
+class IndexNestedLoopJoinOp : public RowCursor {
  public:
   /// `outer_key` is a bound column index into the outer schema. The inner
   /// side appears on the right of the output schema, narrowed to the table
@@ -311,10 +235,11 @@ class IndexNestedLoopJoinOp : public Cursor {
                         ExprPtr residual);
 
   Status Init() override;
-  Result<bool> Next(Tuple* tuple) override;
   const Schema& schema() const override { return schema_; }
 
  private:
+  Result<bool> NextRow(Tuple* tuple) override;
+
   CursorPtr outer_;
   BatchedReader outer_reader_;
   const Table* inner_;
@@ -322,7 +247,7 @@ class IndexNestedLoopJoinOp : public Cursor {
   size_t inner_column_;
   StoredRowReader inner_reader_;
   Schema schema_;
-  JoinResidual residual_;
+  exec::JoinResidual residual_;
 
   Tuple outer_row_;
   Tuple inner_row_;
@@ -336,16 +261,17 @@ class IndexNestedLoopJoinOp : public Cursor {
 /// \brief Sort-based group aggregation; the input must arrive sorted on the
 /// group columns. With no group columns, produces one row for the whole
 /// input (and one row even for empty input, per SQL semantics).
-class GroupAggOp : public Cursor {
+class GroupAggOp : public RowCursor {
  public:
   GroupAggOp(CursorPtr child, std::vector<size_t> group_cols,
              std::vector<AggSpec> aggs);
 
   Status Init() override;
-  Result<bool> Next(Tuple* tuple) override;
   const Schema& schema() const override { return schema_; }
 
  private:
+  Result<bool> NextRow(Tuple* tuple) override;
+
   // Running state for one aggregate within the current group.
   struct AggState {
     double sum = 0;
@@ -359,6 +285,7 @@ class GroupAggOp : public Cursor {
   Tuple EmitGroup();
 
   CursorPtr child_;
+  BatchedReader reader_;
   std::vector<size_t> group_cols_;
   std::vector<AggSpec> aggs_;
   Schema schema_;

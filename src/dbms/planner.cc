@@ -5,6 +5,8 @@
 #include <optional>
 
 #include "exec/basic.h"
+#include "exec/join.h"
+#include "exec/sort.h"
 
 namespace tango {
 namespace dbms {
@@ -19,7 +21,6 @@ class AliasOp : public Cursor {
       : child_(std::move(child)), schema_(child_->schema().WithQualifier(alias)) {}
 
   Status Init() override { return child_->Init(); }
-  Result<bool> Next(Tuple* tuple) override { return child_->Next(tuple); }
   Result<size_t> NextBatch(RowBlock* block) override {
     return child_->NextBatch(block);
   }
@@ -270,7 +271,7 @@ Result<CursorPtr> Planner::PlanSelect(const sql::SelectStmt& stmt) {
     cur = std::make_unique<UnionAllOp>(std::move(arms));
     if (!all_union_all) {
       auto keys = AllColumnsAsc(cur->schema());
-      cur = std::make_unique<SortOp>(std::move(cur), std::move(keys));
+      cur = std::make_unique<exec::SortCursor>(std::move(cur), std::move(keys));
       cur = std::make_unique<exec::DupElimCursor>(std::move(cur));
     }
     TANGO_ASSIGN_OR_RETURN(cur, ApplyOrderBy(stmt, std::move(cur)));
@@ -349,7 +350,7 @@ Result<CursorPtr> Planner::PlanArm(const sql::SelectStmt& stmt) {
             size_t idx, cur->schema().IndexOf(item.expr->table, item.expr->name));
         keys.push_back({idx, item.ascending});
       }
-      cur = std::make_unique<SortOp>(std::move(cur), std::move(keys));
+      cur = std::make_unique<exec::SortCursor>(std::move(cur), std::move(keys));
     }
   }
 
@@ -358,7 +359,7 @@ Result<CursorPtr> Planner::PlanArm(const sql::SelectStmt& stmt) {
 
   if (stmt.distinct) {
     auto keys = AllColumnsAsc(cur->schema());
-    cur = std::make_unique<SortOp>(std::move(cur), std::move(keys));
+    cur = std::make_unique<exec::SortCursor>(std::move(cur), std::move(keys));
     cur = std::make_unique<exec::DupElimCursor>(std::move(cur));
   }
   if (order_in_output) {
@@ -573,11 +574,13 @@ Result<CursorPtr> Planner::PlanJoins(const sql::SelectStmt& stmt,
         lsort.push_back({lkeys[e], true});
         rsort.push_back({rkeys[e], true});
       }
-      cur = std::make_unique<SortOp>(std::move(cur), std::move(lsort));
-      right = std::make_unique<SortOp>(std::move(right), std::move(rsort));
-      cur = std::make_unique<SortMergeJoinOp>(std::move(cur), std::move(right),
-                                              std::move(lkeys), std::move(rkeys),
-                                              std::move(residual));
+      cur = std::make_unique<exec::SortCursor>(std::move(cur),
+                                               std::move(lsort));
+      right = std::make_unique<exec::SortCursor>(std::move(right),
+                                                 std::move(rsort));
+      cur = std::make_unique<exec::MergeJoinCursor>(
+          std::move(cur), std::move(right), std::move(lkeys), std::move(rkeys),
+          std::move(residual));
     } else {
       // kAuto / kHash: hash join, building on the accumulated left side.
       cur = std::make_unique<HashJoinOp>(std::move(cur), std::move(right),
@@ -763,7 +766,7 @@ Result<CursorPtr> Planner::PlanAggregation(const sql::SelectStmt& stmt,
   if (!group_cols.empty()) {
     std::vector<SortKey> keys;
     for (size_t c : group_cols) keys.push_back({c, true});
-    cur = std::make_unique<SortOp>(std::move(cur), std::move(keys));
+    cur = std::make_unique<exec::SortCursor>(std::move(cur), std::move(keys));
   }
   cur = std::make_unique<GroupAggOp>(std::move(cur), group_cols, aggs);
 
@@ -806,7 +809,8 @@ Result<CursorPtr> Planner::ApplyOrderBy(const sql::SelectStmt& stmt,
         size_t idx, input->schema().IndexOf(item.expr->table, item.expr->name));
     keys.push_back({idx, item.ascending});
   }
-  return CursorPtr(std::make_unique<SortOp>(std::move(input), std::move(keys)));
+  return CursorPtr(
+      std::make_unique<exec::SortCursor>(std::move(input), std::move(keys)));
 }
 
 }  // namespace dbms

@@ -22,14 +22,6 @@ bool TuplesEqual(const Tuple& a, const Tuple& b) {
 
 }  // namespace
 
-Result<bool> FilterCursor::Next(Tuple* tuple) {
-  while (true) {
-    TANGO_ASSIGN_OR_RETURN(bool more, child_->Next(tuple));
-    if (!more) return false;
-    if (EvalPredicate(*predicate_, *tuple)) return true;
-  }
-}
-
 Result<size_t> FilterCursor::NextBatch(RowBlock* block) {
   block->Clear();
   in_block_.set_capacity(block->capacity());
@@ -48,16 +40,6 @@ Result<size_t> FilterCursor::NextBatch(RowBlock* block) {
   return block->rows();
 }
 
-Result<bool> ProjectCursor::Next(Tuple* tuple) {
-  Tuple in;
-  TANGO_ASSIGN_OR_RETURN(bool more, child_->Next(&in));
-  if (!more) return false;
-  tuple->clear();
-  tuple->reserve(exprs_.size());
-  for (const ExprPtr& e : exprs_) tuple->push_back(Eval(*e, in));
-  return true;
-}
-
 Result<size_t> ProjectCursor::NextBatch(RowBlock* block) {
   block->Clear();
   in_block_.set_capacity(block->capacity());
@@ -74,7 +56,7 @@ Result<size_t> ProjectCursor::NextBatch(RowBlock* block) {
   return block->rows();
 }
 
-Result<bool> DupElimCursor::Next(Tuple* tuple) {
+Result<bool> DupElimCursor::NextRow(Tuple* tuple) {
   Tuple t;
   while (true) {
     TANGO_ASSIGN_OR_RETURN(bool more, reader_.Next(&t));
@@ -94,7 +76,7 @@ Status DifferenceCursor::Init() {
   return Status::OK();
 }
 
-Result<bool> DifferenceCursor::Next(Tuple* tuple) {
+Result<bool> DifferenceCursor::NextRow(Tuple* tuple) {
   Tuple t;
   while (true) {
     TANGO_ASSIGN_OR_RETURN(bool more, left_reader_.Next(&t));
@@ -119,7 +101,7 @@ Status CoalesceCursor::Init() {
   return reader_.Init();
 }
 
-Result<bool> CoalesceCursor::Next(Tuple* tuple) {
+Result<bool> CoalesceCursor::NextRow(Tuple* tuple) {
   if (done_) return false;
   Tuple t;
   while (true) {

@@ -21,10 +21,9 @@ class FilterCursor : public Cursor {
       : child_(std::move(child)), predicate_(std::move(predicate)) {}
 
   Status Init() override { return child_->Init(); }
-  Result<bool> Next(Tuple* tuple) override;
-  /// Native batch path: pulls whole blocks from the child and appends the
-  /// qualifying rows, so a selective filter costs one virtual call per input
-  /// block instead of one per inspected row.
+  /// Pulls whole blocks from the child and appends the qualifying rows, so
+  /// a selective filter costs one virtual call per input block instead of
+  /// one per inspected row.
   Result<size_t> NextBatch(RowBlock* block) override;
   const Schema& schema() const override { return child_->schema(); }
 
@@ -44,8 +43,7 @@ class ProjectCursor : public Cursor {
         schema_(std::move(out_schema)) {}
 
   Status Init() override { return child_->Init(); }
-  Result<bool> Next(Tuple* tuple) override;
-  /// Native batch path: one child block in, one projected block out.
+  /// One child block in, one projected block out.
   Result<size_t> NextBatch(RowBlock* block) override;
   const Schema& schema() const override { return schema_; }
 
@@ -58,8 +56,8 @@ class ProjectCursor : public Cursor {
 
 /// \brief DUPELIM^M: removes adjacent duplicates; input must be sorted on
 /// all columns (the optimizer guarantees it). Reads its child in whole
-/// blocks through a BatchedReader; the adjacency logic is untouched.
-class DupElimCursor : public Cursor {
+/// blocks through a BatchedReader.
+class DupElimCursor : public RowCursor {
  public:
   explicit DupElimCursor(CursorPtr child)
       : child_(std::move(child)), reader_(child_.get()) {}
@@ -68,10 +66,11 @@ class DupElimCursor : public Cursor {
     have_prev_ = false;
     return reader_.Init();
   }
-  Result<bool> Next(Tuple* tuple) override;
   const Schema& schema() const override { return child_->schema(); }
 
  private:
+  Result<bool> NextRow(Tuple* tuple) override;
+
   CursorPtr child_;
   BatchedReader reader_;
   Tuple prev_;
@@ -81,7 +80,7 @@ class DupElimCursor : public Cursor {
 /// \brief DIFF^M: multiset difference (left minus right); both inputs must
 /// be sorted on all columns. Each right tuple cancels at most one left
 /// duplicate, per multiset semantics.
-class DifferenceCursor : public Cursor {
+class DifferenceCursor : public RowCursor {
  public:
   DifferenceCursor(CursorPtr left, CursorPtr right)
       : left_(std::move(left)),
@@ -90,10 +89,11 @@ class DifferenceCursor : public Cursor {
         right_reader_(right_.get()) {}
 
   Status Init() override;
-  Result<bool> Next(Tuple* tuple) override;
   const Schema& schema() const override { return left_->schema(); }
 
  private:
+  Result<bool> NextRow(Tuple* tuple) override;
+
   CursorPtr left_, right_;
   BatchedReader left_reader_, right_reader_;
   Tuple right_row_;
@@ -102,17 +102,18 @@ class DifferenceCursor : public Cursor {
 
 /// \brief COALESCE^M: merges value-equivalent tuples whose periods overlap
 /// or meet. Input must be sorted on (all non-period columns..., T1).
-class CoalesceCursor : public Cursor {
+class CoalesceCursor : public RowCursor {
  public:
   /// `t1`/`t2` are the period column positions in the child schema.
   CoalesceCursor(CursorPtr child, size_t t1, size_t t2)
       : child_(std::move(child)), reader_(child_.get()), t1_(t1), t2_(t2) {}
 
   Status Init() override;
-  Result<bool> Next(Tuple* tuple) override;
   const Schema& schema() const override { return child_->schema(); }
 
  private:
+  Result<bool> NextRow(Tuple* tuple) override;
+
   CursorPtr child_;
   BatchedReader reader_;
   size_t t1_, t2_;

@@ -20,8 +20,8 @@ struct AlgorithmTiming {
   std::string label;
   double inclusive_seconds = 0;
   uint64_t rows = 0;
-  /// Non-empty RowBlocks this algorithm produced via NextBatch (0 for a
-  /// purely tuple-at-a-time drain); rows/batches is the realized batch size.
+  /// Non-empty RowBlocks this algorithm produced; rows/batches is the
+  /// realized batch size.
   uint64_t batches = 0;
   std::vector<size_t> child_ids;  // ids of wrapped children
 };
@@ -30,7 +30,7 @@ struct AlgorithmTiming {
 using TimingSink = std::vector<AlgorithmTiming>;
 
 /// \brief Decorator measuring the wall time spent inside a cursor (Init and
-/// all Next calls) and the rows produced.
+/// all NextBatch calls) and the rows produced.
 ///
 /// Recording is guarded by a per-cursor mutex, so a cursor that is driven
 /// from more than one thread over its lifetime still accumulates exact
@@ -84,16 +84,6 @@ class InstrumentedCursor : public Cursor {
     return s;
   }
 
-  Result<bool> Next(Tuple* tuple) override {
-    const auto start = Clock::now();
-    Result<bool> r = inner_->Next(tuple);
-    Record(start, r.ok() && r.ValueOrDie() ? 1 : 0, /*batches=*/0);
-    return r;
-  }
-
-  /// Forwards the batch path to the wrapped cursor — without this override
-  /// every instrumented plan would fall back to the tuple-at-a-time default
-  /// and vectorization would die at each wrapper.
   Result<size_t> NextBatch(RowBlock* block) override {
     const auto start = Clock::now();
     Result<size_t> r = inner_->NextBatch(block);

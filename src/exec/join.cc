@@ -3,22 +3,53 @@
 namespace tango {
 namespace exec {
 
+JoinResidual::JoinResidual(ExprPtr residual, size_t left_arity,
+                           size_t right_arity)
+    : residual_(std::move(residual)),
+      left_arity_(left_arity),
+      scratch_(left_arity + right_arity) {
+  if (residual_ == nullptr) return;
+  for (const size_t c : BoundColumnIndexes(*residual_)) {
+    if (c < left_arity_) {
+      left_columns_.push_back(c);
+    } else {
+      right_columns_.push_back(c - left_arity_);
+    }
+  }
+}
+
+bool JoinResidual::Match(const Tuple& left, const Tuple& right, Tuple* out) {
+  if (residual_ != nullptr) {
+    // Copy-assignment keeps a scratch string's buffer, so a rejected pair
+    // allocates nothing once the scratch strings have grown to fit.
+    for (const size_t c : left_columns_) scratch_[c] = left[c];
+    for (const size_t c : right_columns_) scratch_[left_arity_ + c] = right[c];
+    if (!EvalPredicate(*residual_, scratch_)) return false;
+  }
+  out->clear();
+  out->reserve(left.size() + right.size());
+  out->insert(out->end(), left.begin(), left.end());
+  out->insert(out->end(), right.begin(), right.end());
+  return true;
+}
+
 MergeJoinCursor::MergeJoinCursor(CursorPtr left, CursorPtr right,
                                  std::vector<size_t> left_keys,
-                                 std::vector<size_t> right_keys)
+                                 std::vector<size_t> right_keys,
+                                 ExprPtr residual)
     : left_(std::move(left)),
       right_(std::move(right)),
       left_reader_(left_.get()),
       right_reader_(right_.get()),
       left_keys_(std::move(left_keys)),
       right_keys_(std::move(right_keys)),
-      schema_(Schema::Concat(left_->schema(), right_->schema())) {}
+      schema_(Schema::Concat(left_->schema(), right_->schema())),
+      residual_(std::move(residual), left_->schema().num_columns(),
+                right_->schema().num_columns()) {}
 
 bool MergeJoinCursor::EmitPair(const Tuple& left, const Tuple& right,
                                Tuple* out) {
-  *out = left;
-  out->insert(out->end(), right.begin(), right.end());
-  return true;
+  return residual_.Match(left, right, out);
 }
 
 int MergeJoinCursor::CompareKeys(const Tuple& l, const Tuple& r) const {
@@ -70,7 +101,7 @@ Result<bool> MergeJoinCursor::FillRightGroup() {
   return true;
 }
 
-Result<bool> MergeJoinCursor::Next(Tuple* tuple) {
+Result<bool> MergeJoinCursor::NextRow(Tuple* tuple) {
   while (true) {
     if (group_matches_left_ && group_pos_ < right_group_.size()) {
       const Tuple& r = right_group_[group_pos_++];
@@ -82,8 +113,8 @@ Result<bool> MergeJoinCursor::Next(Tuple* tuple) {
       group_pos_ = 0;
       if (!left_valid_) {
         // Drop the match flag so a post-exhaustion call cannot replay the
-        // group against the stale left row — batch drains call Next again
-        // after the first false and must keep seeing false.
+        // group against the stale left row: RowCursor asks again after the
+        // first false and must keep seeing false.
         group_matches_left_ = false;
         return false;
       }

@@ -65,35 +65,24 @@ Status SortCursor::Init() {
   return Status::OK();
 }
 
-Result<bool> SortCursor::Next(Tuple* tuple) {
-  if (heap_ == nullptr) {
-    if (pos_ >= rows_.size()) return false;
-    *tuple = rows_[pos_++];
-    return true;
-  }
-  if (heap_->empty()) return false;
-  HeapEntry top = heap_->top();
-  heap_->pop();
-  *tuple = std::move(top.tuple);
-  Tuple next;
-  TANGO_ASSIGN_OR_RETURN(bool more, runs_[top.run].Next(&next));
-  if (more) heap_->push({std::move(next), top.run});
-  return true;
-}
-
 Result<size_t> SortCursor::NextBatch(RowBlock* block) {
+  block->Clear();
   if (heap_ == nullptr) {
-    // In-memory path: bulk-copy straight out of the sorted vector (copies,
-    // not moves — a prepared plan may re-Init and replay).
-    block->Clear();
     while (pos_ < rows_.size() && !block->full()) {
-      block->AppendRow(rows_[pos_++]);
+      block->AppendRow(std::move(rows_[pos_++]));
     }
     return block->rows();
   }
-  // Merge path: the k-way heap is inherently row-at-a-time; batch the emit
-  // so downstream operators still get one virtual call per block.
-  return Cursor::NextBatch(block);
+  // Merge path: emit the smallest run head, then refill from its run.
+  while (!heap_->empty() && !block->full()) {
+    HeapEntry top = heap_->top();
+    heap_->pop();
+    block->AppendRow(std::move(top.tuple));
+    Tuple next;
+    TANGO_ASSIGN_OR_RETURN(bool more, runs_[top.run].Next(&next));
+    if (more) heap_->push({std::move(next), top.run});
+  }
+  return block->rows();
 }
 
 }  // namespace exec

@@ -11,12 +11,14 @@
 namespace tango {
 namespace exec {
 
-/// \brief SORT^M: external merge sort.
+/// \brief SORT^M and the DBMS planner's sort: external merge sort.
 ///
 /// Consumes the child in Init; runs that fit in the memory budget are sorted
-/// with std::sort, larger inputs spill sorted runs to tmpfiles and k-way
-/// merge them — this is how the middleware "supports very large relations"
-/// (the paper's future-work item, implemented here).
+/// with std::stable_sort, larger inputs spill sorted runs to tmpfiles and
+/// k-way merge them — this is how the middleware "supports very large
+/// relations" (the paper's future-work item, implemented here). Sorted rows
+/// are moved out as they are emitted, so reading the result again takes
+/// another Init, which sorts the child afresh.
 class SortCursor : public Cursor {
  public:
   static constexpr size_t kDefaultMemoryBudgetBytes = 32 << 20;
@@ -28,10 +30,9 @@ class SortCursor : public Cursor {
         budget_(memory_budget_bytes) {}
 
   Status Init() override;
-  Result<bool> Next(Tuple* tuple) override;
-  /// Batched emit: the in-memory path bulk-copies out of the sorted vector;
-  /// the external path batches the k-way merge's output. Run generation in
-  /// Init drains the child via NextBatch either way.
+  /// The in-memory path moves rows out of the sorted vector; the external
+  /// path fills the block from the k-way merge. Run generation in Init
+  /// drains the child via NextBatch either way.
   Result<size_t> NextBatch(RowBlock* block) override;
   const Schema& schema() const override { return child_->schema(); }
 

@@ -197,18 +197,6 @@ void TemporalAggregationCursor::SweepGroup() {
   }
 }
 
-Result<bool> TemporalAggregationCursor::Next(Tuple* tuple) {
-  while (out_pos_ >= output_.size()) {
-    output_.clear();
-    out_pos_ = 0;
-    TANGO_ASSIGN_OR_RETURN(bool have_group, LoadNextGroup());
-    if (!have_group) return false;
-    SweepGroup();
-  }
-  *tuple = std::move(output_[out_pos_++]);
-  return true;
-}
-
 Result<size_t> TemporalAggregationCursor::NextBatch(RowBlock* block) {
   block->Clear();
   while (!block->full()) {

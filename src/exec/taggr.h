@@ -42,10 +42,8 @@ class TemporalAggregationCursor : public Cursor {
                             Schema out_schema);
 
   Status Init() override;
-  Result<bool> Next(Tuple* tuple) override;
-  /// Batched emit: each call moves already-swept constant-interval tuples
-  /// out in bulk, sweeping further groups as needed to fill the block. The
-  /// child is drained in whole blocks either way.
+  /// Moves already-swept constant-interval tuples out in bulk, sweeping
+  /// further groups as needed to fill the block.
   Result<size_t> NextBatch(RowBlock* block) override;
   const Schema& schema() const override { return schema_; }
 

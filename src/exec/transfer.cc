@@ -1,7 +1,5 @@
 #include "exec/transfer.h"
 
-#include <algorithm>
-
 namespace tango {
 namespace exec {
 
@@ -47,15 +45,25 @@ Status TransferMCursor::TryOpen(size_t skip) {
                             std::to_string(schema_.num_columns()));
   }
   // Reposition past rows already delivered downstream: the engine is
-  // deterministic, so the re-issued SELECT reproduces the same sequence.
-  Tuple t;
-  for (size_t i = 0; i < skip; ++i) {
-    TANGO_ASSIGN_OR_RETURN(bool more, remote_->Next(&t));
-    if (!more) {
+  // deterministic, so the re-issued SELECT reproduces the same block
+  // sequence, and the skip offset lands on a block boundary (DESIGN.md §11,
+  // "Restart alignment"). Whole blocks are skipped.
+  RowBlock block;
+  size_t skipped = 0;
+  while (skipped < skip) {
+    TANGO_ASSIGN_OR_RETURN(const size_t n, remote_->NextBatch(&block));
+    if (n == 0) {
       return Status::Internal(
           "TRANSFER^M retry could not reposition: re-issued \"" + sql_ +
           "\" returned fewer rows than already delivered");
     }
+    skipped += n;
+  }
+  if (skipped != skip) {
+    return Status::Internal(
+        "TRANSFER^M retry could not reposition: a block of re-issued \"" +
+        sql_ + "\" straddles row " + std::to_string(skip) +
+        ", the end of what was already delivered");
   }
   if (counters_ != nullptr && skip > 0) counters_->rows_skipped.Increment(skip);
   return Status::OK();
@@ -107,25 +115,11 @@ Status TransferMCursor::Init() {
     // mid-materialization (even past its retry budget) leaves no partial
     // result behind for the other occurrences.
     std::vector<Tuple> rows;
-    Tuple t;
+    RowBlock block;
     while (true) {
-      Result<bool> more = remote_->Next(&t);
-      if (!more.ok()) {
-        if (!retry_->ShouldRetry(more.status())) {
-          return TagTransient(more.status(), "TRANSFER^M", sql_);
-        }
-        if (counters_ != nullptr) ++counters_->tm_retries;
-        {
-          obs::ScopedSpan backoff(obs_.trace, "retry.backoff", "retry",
-                                  obs_.span);
-          TANGO_RETURN_IF_ERROR(retry_->Backoff(control_));
-        }
-        TANGO_RETURN_IF_ERROR(Restore(rows.size()));
-        continue;
-      }
-      if (!more.ValueOrDie()) break;
-      if (obs_.rows_to_middleware != nullptr) ++*obs_.rows_to_middleware;
-      rows.push_back(std::move(t));
+      TANGO_ASSIGN_OR_RETURN(const size_t n, Fetch(&block));
+      if (n == 0) break;
+      MoveRowsInto(&block, &rows);
     }
     remote_.reset();
     cache_->Put(sql_, std::move(rows));
@@ -134,41 +128,16 @@ Status TransferMCursor::Init() {
   return Status::OK();
 }
 
-Result<bool> TransferMCursor::Next(Tuple* tuple) {
-  if (cached_rows_ != nullptr) {
-    if (cached_pos_ >= cached_rows_->size()) return false;
-    *tuple = (*cached_rows_)[cached_pos_++];
-    return true;
+Result<size_t> TransferMCursor::NextBatch(RowBlock* block) {
+  if (cached_rows_ == nullptr) return Fetch(block);
+  block->Clear();
+  while (cached_pos_ < cached_rows_->size() && !block->full()) {
+    block->AppendRow((*cached_rows_)[cached_pos_++]);
   }
-  while (true) {
-    Result<bool> r = remote_->Next(tuple);
-    if (r.ok()) {
-      if (r.ValueOrDie()) {
-        ++delivered_;
-        if (obs_.rows_to_middleware != nullptr) ++*obs_.rows_to_middleware;
-      }
-      return r;
-    }
-    if (!retry_->ShouldRetry(r.status())) {
-      return TagTransient(r.status(), "TRANSFER^M", sql_);
-    }
-    if (counters_ != nullptr) ++counters_->tm_retries;
-    {
-      obs::ScopedSpan backoff(obs_.trace, "retry.backoff", "retry", obs_.span);
-      TANGO_RETURN_IF_ERROR(retry_->Backoff(control_));
-    }
-    TANGO_RETURN_IF_ERROR(Restore(delivered_));
-  }
+  return block->rows();
 }
 
-Result<size_t> TransferMCursor::NextBatch(RowBlock* block) {
-  if (cached_rows_ != nullptr) {
-    block->Clear();
-    while (cached_pos_ < cached_rows_->size() && !block->full()) {
-      block->AppendRow((*cached_rows_)[cached_pos_++]);
-    }
-    return block->rows();
-  }
+Result<size_t> TransferMCursor::Fetch(RowBlock* block) {
   while (true) {
     Result<size_t> r = remote_->NextBatch(block);
     if (r.ok()) {
@@ -240,17 +209,10 @@ Status TransferDCursor::Init() {
   TANGO_RETURN_IF_ERROR(child_->Init());
   std::vector<Tuple> rows;
   RowBlock block(kControlPollStride);
-  Tuple t;
   while (true) {
     TANGO_ASSIGN_OR_RETURN(const size_t n, child_->NextBatch(&block));
     if (n == 0) break;
-    if (rows.capacity() < rows.size() + n) {
-      rows.reserve(std::max(rows.size() + n, rows.capacity() * 2));
-    }
-    for (size_t i = 0; i < n; ++i) {
-      block.MoveRowTo(i, &t);
-      rows.push_back(std::move(t));
-    }
+    MoveRowsInto(&block, &rows);
     TANGO_RETURN_IF_ERROR(CheckControl(control_));
   }
   rows_loaded_ = rows.size();
@@ -268,11 +230,6 @@ Status TransferDCursor::Init() {
   }
   if (obs_.rows_to_dbms != nullptr) obs_.rows_to_dbms->Increment(rows_loaded_);
   return Status::OK();
-}
-
-Result<bool> TransferDCursor::Next(Tuple* tuple) {
-  (void)tuple;
-  return false;
 }
 
 }  // namespace exec

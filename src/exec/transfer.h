@@ -96,12 +96,11 @@ class TransferMCursor : public Cursor {
                   RecoveryCounters* counters = nullptr);
 
   Status Init() override;
-  Result<bool> Next(Tuple* tuple) override;
-  /// Batched delivery: hands whole decoded wire blocks downstream (or
-  /// copies a block's worth out of the shared cache). Remote fetch errors
-  /// only surface at block boundaries, so `delivered_` — the restart-skip
-  /// offset — stays block-aligned and a re-issued SELECT repositions on the
-  /// same block grid.
+  /// Hands whole decoded wire blocks downstream (or copies a block's worth
+  /// out of the shared cache). Remote fetch errors only surface at block
+  /// boundaries, so `delivered_` — the restart-skip offset — stays
+  /// block-aligned and a re-issued SELECT repositions on the same block
+  /// grid.
   Result<size_t> NextBatch(RowBlock* block) override;
   const Schema& schema() const override { return schema_; }
 
@@ -111,12 +110,17 @@ class TransferMCursor : public Cursor {
   void set_observability(const TransferObservability& obs) { obs_ = obs; }
 
  private:
-  /// One attempt: (re)issue the SELECT and skip `skip` already-delivered
-  /// rows. Non-OK means the attempt failed (possibly transiently).
+  /// One attempt: (re)issue the SELECT and skip the whole wire blocks that
+  /// hold the `skip` already-delivered rows. Non-OK means the attempt
+  /// failed (possibly transiently).
   Status TryOpen(size_t skip);
   /// Retry loop around TryOpen; consumes attempts from retry_ until open
   /// succeeds, the budget is exhausted, or the failure is not retryable.
   Status Restore(size_t skip);
+  /// Fetches the next wire block from the remote cursor; a transient
+  /// failure re-issues the SELECT past the `delivered_` rows and fetches
+  /// again, within the retry budget.
+  Result<size_t> Fetch(RowBlock* block);
 
   dbms::Connection* conn_;
   std::string sql_;
@@ -161,7 +165,11 @@ class TransferDCursor : public Cursor {
                   RecoveryCounters* counters = nullptr);
 
   Status Init() override;
-  Result<bool> Next(Tuple* tuple) override;
+  /// Produces no rows: the SQL of a later TRANSFER^M reads the table.
+  Result<size_t> NextBatch(RowBlock* block) override {
+    block->Clear();
+    return 0;
+  }
   const Schema& schema() const override { return child_->schema(); }
 
   const std::string& table_name() const { return table_name_; }

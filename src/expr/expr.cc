@@ -360,6 +360,26 @@ void CollectColumns(const ExprPtr& expr, std::vector<std::string>* out) {
   for (const ExprPtr& c : expr->children) CollectColumns(c, out);
 }
 
+namespace {
+
+void AppendColumnIndexes(const Expr& e, std::vector<size_t>* out) {
+  if (e.kind == Expr::Kind::kColumn) {
+    out->push_back(static_cast<size_t>(e.index));
+    return;
+  }
+  for (const ExprPtr& c : e.children) AppendColumnIndexes(*c, out);
+}
+
+}  // namespace
+
+std::vector<size_t> BoundColumnIndexes(const Expr& expr) {
+  std::vector<size_t> cols;
+  AppendColumnIndexes(expr, &cols);
+  std::sort(cols.begin(), cols.end());
+  cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
+  return cols;
+}
+
 bool ColumnsResolveIn(const ExprPtr& expr, const Schema& schema) {
   std::vector<std::string> cols;
   CollectColumns(expr, &cols);

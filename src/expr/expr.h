@@ -109,6 +109,9 @@ std::vector<ExprPtr> SplitConjuncts(const ExprPtr& predicate);
 /// this is the paper's `attr(P)` used in rule pre-conditions.
 void CollectColumns(const ExprPtr& expr, std::vector<std::string>* out);
 
+/// The distinct column indexes a bound expression reads, ascending.
+std::vector<size_t> BoundColumnIndexes(const Expr& expr);
+
 /// True when every column reference in `expr` resolves in `schema`
 /// (the `attr(P) ⊆ Ω_r` pre-condition of rules E1/E5).
 bool ColumnsResolveIn(const ExprPtr& expr, const Schema& schema);

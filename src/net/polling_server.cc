@@ -93,12 +93,13 @@ struct PollingServer::Session {
 /// \brief The server's ResultSink: one execution streamed to its client as
 /// SCHEMA, ROWBLOCK* and DONE (DESIGN.md §14).
 ///
-/// Each root block is encoded straight into a ROWBLOCK frame, and one frame
-/// is held back until the next block arrives or DONE is sent. So SCHEMA
-/// leaves with the first ROWBLOCK (a failure before any block is a lone
-/// ERROR, and a degraded re-run's schema replaces one nobody saw), and a
-/// one-block reply leaves in one send: SCHEMA, ROWBLOCK and DONE back to
-/// back. Per request the server holds at most this one encoded block.
+/// Each root block is encoded straight into a ROWBLOCK frame (or several,
+/// when one would exceed `kMaxFrameBytes`), and one block's frames are held
+/// back until the next block arrives or DONE is sent. So SCHEMA leaves with
+/// the first ROWBLOCK (a failure before any block is a lone ERROR, and a
+/// degraded re-run's schema replaces one nobody saw), and a one-block reply
+/// leaves in one send: SCHEMA, ROWBLOCK and DONE back to back. Per request
+/// the server holds at most this one encoded block.
 class PollingServer::ResultStream final : public Middleware::ResultSink {
  public:
   ResultStream(PollingServer* server, SessionPtr session,
@@ -123,8 +124,13 @@ class PollingServer::ResultStream final : public Middleware::ResultSink {
     Status sent = Status::OK();
     if (rows_ > 0) sent = Send();
     if (sent.ok()) {
-      rows_ += block->rows();
-      Append(EncodeRowBlock(*block));
+      Result<std::vector<uint8_t>> frames = EncodeRowBlockFrames(*block);
+      if (frames.ok()) {
+        rows_ += block->rows();
+        Append(frames.MoveValueOrDie());
+      } else {
+        sent = frames.status();
+      }
     }
     sink_seconds_ += std::chrono::duration<double>(Clock::now() - start).count();
     return sent;

@@ -12,6 +12,15 @@ bool KnownType(uint8_t t) {
          t <= static_cast<uint8_t>(MsgType::kBye);
 }
 
+/// One sealed ROWBLOCK frame, straight from the block, without copying its
+/// rows into a Message.
+std::vector<uint8_t> EncodeRowBlock(const RowBlock& block) {
+  WireWriter w;
+  w.PutU8(static_cast<uint8_t>(MsgType::kRowBlock));
+  w.PutRowBlock(block);
+  return WireFrame::Seal(w.Take());
+}
+
 }  // namespace
 
 const char* MsgTypeName(MsgType type) {
@@ -35,11 +44,43 @@ const char* MsgTypeName(MsgType type) {
   return "UNKNOWN";
 }
 
-std::vector<uint8_t> EncodeRowBlock(const RowBlock& block) {
-  WireWriter w;
-  w.PutU8(static_cast<uint8_t>(MsgType::kRowBlock));
-  w.PutRowBlock(block);
-  return WireFrame::Seal(w.Take());
+Result<std::vector<uint8_t>> EncodeRowBlockFrames(const RowBlock& block) {
+  std::vector<uint8_t> frames = EncodeRowBlock(block);
+  if (frames.size() - WireFrame::kHeaderBytes <= kMaxFrameBytes) return frames;
+  // Too big for one frame: cut the rows into consecutive runs whose frames
+  // each fit, sizing every row exactly as PutRowBlock will encode it.
+  constexpr size_t kHeaderBytes = 1 + 4 + 4;  // message type, rows, columns
+  frames.clear();
+  const auto append = [&frames](const RowBlock& piece) {
+    const std::vector<uint8_t> frame = EncodeRowBlock(piece);
+    frames.insert(frames.end(), frame.begin(), frame.end());
+  };
+  RowBlock piece;
+  size_t bytes = kHeaderBytes;
+  Tuple row;
+  for (size_t r = 0; r < block.rows(); ++r) {
+    size_t row_bytes = 0;
+    for (size_t c = 0; c < block.columns(); ++c) {
+      row_bytes += WireWriter::ValueSize(block.At(r, c));
+    }
+    if (kHeaderBytes + row_bytes > kMaxFrameBytes) {
+      return Status::NotSupported(
+          "a result row encodes to " +
+          std::to_string(kHeaderBytes + row_bytes) +
+          " bytes, over the protocol's " + std::to_string(kMaxFrameBytes) +
+          "-byte frame limit");
+    }
+    if (bytes + row_bytes > kMaxFrameBytes) {
+      append(piece);
+      piece.Clear();
+      bytes = kHeaderBytes;
+    }
+    block.CopyRowTo(r, &row);
+    piece.AppendRow(std::move(row));
+    bytes += row_bytes;
+  }
+  append(piece);
+  return frames;
 }
 
 std::vector<uint8_t> EncodeMessage(const Message& message) {

@@ -41,8 +41,8 @@ inline constexpr uint32_t kProtocolVersion = 2;
 
 /// Hard bound on one frame's payload. A forged length header can therefore
 /// never drive a large allocation: the assembler rejects the frame before
-/// buffering it. Result blocks are bounded by the server's batch size and
-/// stay far below this.
+/// buffering it. A result block that would encode past it is split across
+/// frames (`EncodeRowBlockFrames`).
 inline constexpr size_t kMaxFrameBytes = 1u << 22;  // 4 MiB
 
 enum class MsgType : uint8_t {
@@ -108,10 +108,12 @@ struct Message {
 /// Encodes `message` and seals it into one wire frame ready to send.
 std::vector<uint8_t> EncodeMessage(const Message& message);
 
-/// Encodes `block` as one sealed ROWBLOCK frame, straight from the block
-/// (the server's result stream encodes each root block this way, without
-/// copying its rows into a Message).
-std::vector<uint8_t> EncodeRowBlock(const RowBlock& block);
+/// Encodes `block` as sealed ROWBLOCK frames, back to back, each within
+/// `kMaxFrameBytes`, straight from the block without copying its rows into
+/// a Message: one frame when the whole block fits, else consecutive runs
+/// of its rows (the server's result stream encodes each root block this
+/// way). Fails when a single row does not fit in a frame.
+Result<std::vector<uint8_t>> EncodeRowBlockFrames(const RowBlock& block);
 
 /// Decodes one frame payload (already CRC-checked by the assembler).
 /// Every failure is a clean Status — truncated bodies, forged counts and

@@ -28,8 +28,7 @@ struct OpObservation {
 
   /// Measured by the instrumented execution.
   uint64_t act_rows = 0;
-  /// Non-empty RowBlocks the operator produced (vectorized path); 0 when it
-  /// was drained tuple-at-a-time.
+  /// Non-empty RowBlocks the operator produced.
   uint64_t act_batches = 0;
   double inclusive_seconds = 0;
   double self_seconds = 0;  // inclusive minus children (clamped at >= 0)

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <iterator>
+#include <map>
 #include <set>
 
 #include "common/rng.h"
@@ -220,39 +223,21 @@ TEST(CursorReinitTest, AlgorithmsAreReExecutable) {
 }
 
 // ---------------------------------------------------------------------------
-// Batch/tuple differential harness: for every operator, draining via
-// NextBatch (at several block capacities, including degenerate ones) must
-// produce the exact row sequence the tuple-at-a-time drain produces. The
-// same cursor object is drained repeatedly, which also exercises re-Init.
+// Capacity differential: every operator is drained at block capacities 1,
+// 2, 7 and 1,024 and compared row for row with an engine-free oracle (a
+// std::stable_sort, a nested-loop join, std::unique, ...). Each capacity
+// drains a fresh cursor; the last one is then re-Init'ed and drained once
+// more, which must replay the same rows.
 
-std::vector<Tuple> DrainTuple(Cursor* c) {
-  EXPECT_TRUE(c->Init().ok());
-  std::vector<Tuple> rows;
-  Tuple t;
-  while (true) {
-    auto more = c->Next(&t);
-    EXPECT_TRUE(more.ok()) << more.status().ToString();
-    if (!more.ok() || !more.ValueOrDie()) break;
-    rows.push_back(t);
-  }
-  return rows;
-}
-
-std::vector<Tuple> DrainBatch(Cursor* c, size_t capacity) {
-  EXPECT_TRUE(c->Init().ok());
-  std::vector<Tuple> rows;
+/// Drains `c` from Init in blocks of `capacity`, appending to `*out`.
+Status Drain(Cursor* c, size_t capacity, std::vector<Tuple>* out) {
+  TANGO_RETURN_IF_ERROR(c->Init());
   RowBlock block(capacity);
-  Tuple t;
   while (true) {
-    auto n = c->NextBatch(&block);
-    EXPECT_TRUE(n.ok()) << n.status().ToString();
-    if (!n.ok() || n.ValueOrDie() == 0) break;
-    for (size_t i = 0; i < n.ValueOrDie(); ++i) {
-      block.MoveRowTo(i, &t);
-      rows.push_back(std::move(t));
-    }
+    TANGO_ASSIGN_OR_RETURN(const size_t n, c->NextBatch(&block));
+    if (n == 0) return Status::OK();
+    MoveRowsInto(&block, out);
   }
-  return rows;
 }
 
 void ExpectSameRows(const std::vector<Tuple>& want,
@@ -267,130 +252,317 @@ void ExpectSameRows(const std::vector<Tuple>& want,
   }
 }
 
-/// Drains `cursor` tuple-at-a-time, then batched at capacities 1/2/7/1024,
-/// asserting bit-identical output every time.
-void RunDifferential(Cursor* cursor, const std::string& what) {
-  const auto want = DrainTuple(cursor);
+void RunCapacityDifferential(const std::function<CursorPtr()>& make,
+                             const std::vector<Tuple>& want,
+                             const std::string& what) {
+  CursorPtr cursor;
   for (const size_t capacity : {size_t{1}, size_t{2}, size_t{7},
                                 RowBlock::kDefaultCapacity}) {
-    const auto got = DrainBatch(cursor, capacity);
-    ExpectSameRows(want, got,
-                   what + " @capacity=" + std::to_string(capacity));
+    const std::string cell = what + " @capacity=" + std::to_string(capacity);
+    cursor = make();
+    ASSERT_TRUE(cursor->Init().ok()) << cell;
+    RowBlock block(capacity);
+    std::vector<Tuple> got;
+    while (true) {
+      auto n = cursor->NextBatch(&block);
+      ASSERT_TRUE(n.ok()) << cell << ": " << n.status().ToString();
+      if (n.ValueOrDie() == 0) break;
+      ASSERT_LE(n.ValueOrDie(), capacity) << cell;
+      ASSERT_EQ(n.ValueOrDie(), block.rows()) << cell;
+      MoveRowsInto(&block, &got);
+    }
+    ExpectSameRows(want, got, cell);
   }
-  // Mixing row and batch calls between Inits must also replay identically.
-  const auto again = DrainTuple(cursor);
-  ExpectSameRows(want, again, what + " re-drained tuple-at-a-time");
+  std::vector<Tuple> again;
+  ASSERT_TRUE(Drain(cursor.get(), 7, &again).ok()) << what;
+  ExpectSameRows(want, again, what + " re-Init");
 }
 
 CursorPtr KeyedVector(std::vector<Tuple> rows) {
   return std::make_unique<VectorCursor>(KeyedSchema(), std::move(rows));
 }
 
-TEST(BatchDifferentialTest, FilterCursor) {
-  auto pred = Bind(Expr::Binary(BinaryOp::kLt, Expr::ColumnRef("T1"),
-                                Expr::Int(30)),
-                   KeyedSchema())
-                  .ValueOrDie();
-  FilterCursor f(KeyedVector(RandomPeriods(91, 500, 8, 80)), pred);
-  RunDifferential(&f, "FILTER^M");
-  // An all-rejecting filter must terminate the batch drain with zero.
-  auto none = Bind(Expr::Binary(BinaryOp::kLt, Expr::ColumnRef("T1"),
-                                Expr::Int(-1)),
-                   KeyedSchema())
-                  .ValueOrDie();
-  FilterCursor empty(KeyedVector(RandomPeriods(91, 100, 8, 80)), none);
-  RunDifferential(&empty, "FILTER^M(empty)");
+/// Whole-row order, all columns in schema order.
+bool RowLess(const Tuple& a, const Tuple& b) {
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (int c = a[i].Compare(b[i]); c != 0) return c < 0;
+  }
+  return false;
 }
 
-TEST(BatchDifferentialTest, ProjectCursor) {
+bool RowEqual(const Tuple& a, const Tuple& b) {
+  return !RowLess(a, b) && !RowLess(b, a);
+}
+
+/// `rows` with every third row doubled, sorted on all columns.
+std::vector<Tuple> SortedWithDuplicates(const std::vector<Tuple>& rows) {
+  std::vector<Tuple> out;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    out.push_back(rows[i]);
+    if (i % 3 == 0) out.push_back(rows[i]);
+  }
+  std::sort(out.begin(), out.end(), RowLess);
+  return out;
+}
+
+ExprPtr KeyedPredicate(BinaryOp op, const char* column, int64_t literal) {
+  return Bind(Expr::Binary(op, Expr::ColumnRef(column), Expr::Int(literal)),
+              KeyedSchema())
+      .ValueOrDie();
+}
+
+TEST(CapacityDifferentialTest, Filter) {
+  const auto rows = RandomPeriods(91, 500, 8, 80);
+  std::vector<Tuple> want;
+  std::copy_if(rows.begin(), rows.end(), std::back_inserter(want),
+               [](const Tuple& t) { return t[1].AsInt() < 30; });
+  ASSERT_FALSE(want.empty());
+  RunCapacityDifferential(
+      [&] {
+        return std::make_unique<FilterCursor>(
+            KeyedVector(rows), KeyedPredicate(BinaryOp::kLt, "T1", 30));
+      },
+      want, "FILTER^M");
+  // An all-rejecting filter must end every drain with zero.
+  RunCapacityDifferential(
+      [&] {
+        return std::make_unique<FilterCursor>(
+            KeyedVector(rows), KeyedPredicate(BinaryOp::kLt, "T1", -1));
+      },
+      {}, "FILTER^M(empty)");
+}
+
+TEST(CapacityDifferentialTest, Project) {
+  const auto rows = RandomPeriods(92, 400, 6, 70);
+  std::vector<Tuple> want;
+  for (const Tuple& t : rows) {
+    want.push_back({t[0], Value(t[2].AsInt() - t[1].AsInt())});
+  }
   Schema out({{"", "K", DataType::kInt}, {"", "DUR", DataType::kInt}});
   auto k = Bind(Expr::ColumnRef("K"), KeyedSchema()).ValueOrDie();
   auto dur = Bind(Expr::Binary(BinaryOp::kSub, Expr::ColumnRef("T2"),
                                Expr::ColumnRef("T1")),
                   KeyedSchema())
                  .ValueOrDie();
-  ProjectCursor p(KeyedVector(RandomPeriods(92, 400, 6, 70)), {k, dur}, out);
-  RunDifferential(&p, "PROJECT^M");
+  RunCapacityDifferential(
+      [&] {
+        return std::make_unique<ProjectCursor>(
+            KeyedVector(rows), std::vector<ExprPtr>{k, dur}, out);
+      },
+      want, "PROJECT^M");
 }
 
-TEST(BatchDifferentialTest, SortCursorInMemoryAndSpilled) {
+TEST(CapacityDifferentialTest, SortInMemoryAndSpilled) {
   const auto rows = RandomPeriods(93, 800, 10, 90);
-  SortCursor in_mem(KeyedVector(rows), {{0, true}, {1, true}});
-  RunDifferential(&in_mem, "SORT^M(in-memory)");
-  SortCursor spilled(KeyedVector(rows), {{0, true}, {1, true}},
-                     /*memory_budget_bytes=*/4096);
-  RunDifferential(&spilled, "SORT^M(spilled)");
+  // K ascending, then T1 descending; ties keep their input order.
+  auto want = rows;
+  std::stable_sort(want.begin(), want.end(),
+                   [](const Tuple& a, const Tuple& b) {
+                     if (int c = a[0].Compare(b[0]); c != 0) return c < 0;
+                     return a[1] > b[1];
+                   });
+  const std::vector<SortKey> keys = {{0, true}, {1, false}};
+  RunCapacityDifferential(
+      [&] { return std::make_unique<SortCursor>(KeyedVector(rows), keys); },
+      want, "SORT^M(in-memory)");
+  RunCapacityDifferential(
+      [&] {
+        return std::make_unique<SortCursor>(KeyedVector(rows), keys,
+                                            /*memory_budget_bytes=*/4096);
+      },
+      want, "SORT^M(spilled)");
+  SortCursor spilled(KeyedVector(rows), keys, /*memory_budget_bytes=*/4096);
+  ASSERT_TRUE(MaterializeAll(&spilled).ok());
+  EXPECT_GT(spilled.spilled_runs(), 1u);
 }
 
-TEST(BatchDifferentialTest, DupElimAndDifferenceAndCoalesce) {
-  auto sorted = SortedForCoalesce(RandomPeriods(94, 300, 5, 60));
-  DupElimCursor dup(KeyedVector(sorted));
-  RunDifferential(&dup, "DUPELIM^M");
-
-  auto all_sorted = sorted;
-  std::sort(all_sorted.begin(), all_sorted.end(),
-            [](const Tuple& a, const Tuple& b) {
-              for (size_t i = 0; i < a.size(); ++i) {
-                if (int c = a[i].Compare(b[i]); c != 0) return c < 0;
-              }
-              return false;
-            });
-  std::vector<Tuple> half(all_sorted.begin(),
-                          all_sorted.begin() + all_sorted.size() / 2);
-  DifferenceCursor diff(KeyedVector(all_sorted), KeyedVector(half));
-  RunDifferential(&diff, "DIFF^M");
-
-  CoalesceCursor coal(KeyedVector(sorted), 1, 2);
-  RunDifferential(&coal, "COALESCE^M");
+TEST(CapacityDifferentialTest, DupElim) {
+  const auto sorted = SortedWithDuplicates(RandomPeriods(94, 300, 5, 60));
+  auto want = sorted;
+  want.erase(std::unique(want.begin(), want.end(), RowEqual), want.end());
+  ASSERT_LT(want.size(), sorted.size());
+  RunCapacityDifferential(
+      [&] { return std::make_unique<DupElimCursor>(KeyedVector(sorted)); },
+      want, "DUPELIM^M");
 }
 
-TEST(BatchDifferentialTest, MergeAndTemporalJoin) {
-  auto left = SortedForCoalesce(RandomPeriods(95, 250, 6, 70));
-  auto right = SortedForCoalesce(RandomPeriods(96, 200, 6, 70));
-  MergeJoinCursor mj(KeyedVector(left), KeyedVector(right), {0}, {0});
-  RunDifferential(&mj, "MERGEJOIN^M");
+TEST(CapacityDifferentialTest, Difference) {
+  // Multiset difference: each right row cancels one equal left row, which
+  // is std::set_difference on sorted ranges.
+  const auto left = SortedWithDuplicates(RandomPeriods(95, 300, 5, 60));
+  std::vector<Tuple> right;
+  for (size_t i = 0; i < left.size(); i += 2) right.push_back(left[i]);
+  std::vector<Tuple> want;
+  std::set_difference(left.begin(), left.end(), right.begin(), right.end(),
+                      std::back_inserter(want), RowLess);
+  ASSERT_FALSE(want.empty());
+  RunCapacityDifferential(
+      [&] {
+        return std::make_unique<DifferenceCursor>(KeyedVector(left),
+                                                  KeyedVector(right));
+      },
+      want, "DIFF^M");
+}
 
+TEST(CapacityDifferentialTest, Coalesce) {
+  // Oracle: the days each key covers, cut into maximal runs.
+  const auto sorted = SortedForCoalesce(RandomPeriods(96, 300, 5, 60));
+  std::map<int64_t, std::set<int64_t>> days;
+  for (const Tuple& t : sorted) {
+    for (int64_t d = t[1].AsInt(); d < t[2].AsInt(); ++d) {
+      days[t[0].AsInt()].insert(d);
+    }
+  }
+  std::vector<Tuple> want;
+  for (const auto& [key, covered] : days) {
+    for (auto it = covered.begin(); it != covered.end();) {
+      const int64_t start = *it;
+      int64_t end = start;
+      while (it != covered.end() && *it == end) {
+        ++it;
+        ++end;
+      }
+      want.push_back({Value(key), Value(start), Value(end)});
+    }
+  }
+  RunCapacityDifferential(
+      [&] {
+        return std::make_unique<CoalesceCursor>(KeyedVector(sorted), 1, 2);
+      },
+      want, "COALESCE^M");
+}
+
+/// Nested-loop join oracle on K: for each left row in order, each right row
+/// in order whose K equals it (NULL never joins), through `pair`.
+template <typename Pair>
+std::vector<Tuple> NestedLoopOnK(const std::vector<Tuple>& left,
+                                 const std::vector<Tuple>& right, Pair pair) {
+  std::vector<Tuple> out;
+  Tuple joined;
+  for (const Tuple& l : left) {
+    for (const Tuple& r : right) {
+      if (l[0].is_null() || l[0].Compare(r[0]) != 0) continue;
+      if (pair(l, r, &joined)) out.push_back(joined);
+    }
+  }
+  return out;
+}
+
+TEST(CapacityDifferentialTest, MergeJoin) {
+  const auto left = SortedForCoalesce(RandomPeriods(97, 250, 6, 70));
+  const auto right = SortedForCoalesce(RandomPeriods(98, 200, 6, 70));
+  const auto concat = [](const Tuple& l, const Tuple& r, Tuple* out) {
+    *out = l;
+    out->insert(out->end(), r.begin(), r.end());
+    return true;
+  };
+  RunCapacityDifferential(
+      [&] {
+        return std::make_unique<MergeJoinCursor>(KeyedVector(left),
+                                                 KeyedVector(right),
+                                                 std::vector<size_t>{0},
+                                                 std::vector<size_t>{0});
+      },
+      NestedLoopOnK(left, right, concat), "MERGEJOIN^M");
+
+  // Residual L.T1 < R.T1, bound to the output schema (left 0-2, right 3-5).
+  const ExprPtr residual = Expr::Binary(BinaryOp::kLt, Expr::BoundColumn(1),
+                                        Expr::BoundColumn(4));
+  const auto want = NestedLoopOnK(
+      left, right, [&](const Tuple& l, const Tuple& r, Tuple* out) {
+        return l[1].AsInt() < r[1].AsInt() && concat(l, r, out);
+      });
+  ASSERT_FALSE(want.empty());
+  RunCapacityDifferential(
+      [&] {
+        return std::make_unique<MergeJoinCursor>(
+            KeyedVector(left), KeyedVector(right), std::vector<size_t>{0},
+            std::vector<size_t>{0}, residual);
+      },
+      want, "MERGEJOIN^M(residual)");
+}
+
+TEST(CapacityDifferentialTest, TemporalJoin) {
+  const auto left = SortedForCoalesce(RandomPeriods(99, 250, 6, 70));
+  const auto right = SortedForCoalesce(RandomPeriods(100, 200, 6, 70));
+  // Overlapping pairs, with the intersection of the two periods.
+  const auto want = NestedLoopOnK(
+      left, right, [](const Tuple& l, const Tuple& r, Tuple* out) {
+        const int64_t t1 = std::max(l[1].AsInt(), r[1].AsInt());
+        const int64_t t2 = std::min(l[2].AsInt(), r[2].AsInt());
+        if (t1 >= t2) return false;
+        *out = {l[0], Value(t1), Value(t2)};
+        return true;
+      });
+  ASSERT_FALSE(want.empty());
   Schema out({{"", "K", DataType::kInt},
               {"", "T1", DataType::kInt},
               {"", "T2", DataType::kInt}});
-  TemporalJoinCursor tj(KeyedVector(left), KeyedVector(right), {0}, {0}, 1, 2,
-                        1, 2, /*left_out=*/{0}, /*right_out=*/{}, out);
-  RunDifferential(&tj, "TJOIN^M");
+  RunCapacityDifferential(
+      [&] {
+        return std::make_unique<TemporalJoinCursor>(
+            KeyedVector(left), KeyedVector(right), std::vector<size_t>{0},
+            std::vector<size_t>{0}, 1, 2, 1, 2,
+            /*left_out=*/std::vector<size_t>{0},
+            /*right_out=*/std::vector<size_t>{}, out);
+      },
+      want, "TJOIN^M");
 }
 
-TEST(BatchDifferentialTest, TemporalAggregation) {
-  auto rows = SortedForCoalesce(RandomPeriods(97, 350, 4, 80));
+TEST(CapacityDifferentialTest, TemporalAggregation) {
+  // Oracle: per key, every span between consecutive distinct period
+  // endpoints that some row covers, with COUNT(*) and MAX(T1) over the
+  // rows covering it.
+  const auto rows = SortedForCoalesce(RandomPeriods(101, 350, 4, 80));
+  std::map<int64_t, std::vector<const Tuple*>> groups;
+  for (const Tuple& t : rows) groups[t[0].AsInt()].push_back(&t);
+  std::vector<Tuple> want;
+  for (const auto& [key, members] : groups) {
+    std::set<int64_t> points;
+    for (const Tuple* t : members) {
+      points.insert((*t)[1].AsInt());
+      points.insert((*t)[2].AsInt());
+    }
+    for (auto a = points.begin(); std::next(a) != points.end(); ++a) {
+      const int64_t b = *std::next(a);
+      int64_t count = 0;
+      int64_t max_t1 = 0;
+      for (const Tuple* t : members) {
+        if ((*t)[1].AsInt() <= *a && (*t)[2].AsInt() >= b) {
+          ++count;
+          max_t1 = std::max(max_t1, (*t)[1].AsInt());
+        }
+      }
+      if (count > 0) {
+        want.push_back({Value(key), Value(*a), Value(b), Value(count),
+                        Value(max_t1)});
+      }
+    }
+  }
   Schema out({{"", "K", DataType::kInt},
               {"", "T1", DataType::kInt},
               {"", "T2", DataType::kInt},
-              {"", "C", DataType::kInt}});
-  TemporalAggregationCursor agg(KeyedVector(rows), {0}, 1, 2,
-                                {{AggFunc::kCount, 0, true}}, out);
-  RunDifferential(&agg, "TAGGR^M");
+              {"", "C", DataType::kInt},
+              {"", "MX", DataType::kInt}});
+  RunCapacityDifferential(
+      [&] {
+        return std::make_unique<TemporalAggregationCursor>(
+            KeyedVector(rows), std::vector<size_t>{0}, 1, 2,
+            std::vector<TAggrSpec>{{AggFunc::kCount, 0, true},
+                                   {AggFunc::kMax, 1, false}},
+            out);
+      },
+      want, "TAGGR^M");
 }
 
 // ---------------------------------------------------------------------------
 // Restart invariant: a TRANSFER^M whose remote cursor is killed mid-drain
-// re-issues its SELECT and skips the rows already delivered. Drained at any
-// batch capacity, with the kill landing in the first wire batch, early,
-// mid-stream and late, the delivered sequence must equal a clean drain row
-// for row — the skip offset stays block-aligned, so no row is duplicated or
-// lost.
-
-Status DrainBatched(Cursor* c, size_t capacity, std::vector<Tuple>* out) {
-  TANGO_RETURN_IF_ERROR(c->Init());
-  RowBlock block(capacity);
-  Tuple t;
-  while (true) {
-    auto n = c->NextBatch(&block);
-    TANGO_RETURN_IF_ERROR(n.status());
-    if (n.ValueOrDie() == 0) return Status::OK();
-    for (size_t i = 0; i < n.ValueOrDie(); ++i) {
-      block.MoveRowTo(i, &t);
-      out->push_back(std::move(t));
-    }
-  }
-}
+// re-issues its SELECT and skips the whole wire blocks already delivered.
+// Drained at any batch capacity, with the kill landing in the first wire
+// batch, early, mid-stream and late, the delivered sequence must equal a
+// clean drain row for row — the skip offset stays block-aligned, so no row
+// is duplicated or lost. The same holds for a statement marked shared,
+// whose rows are materialized into the transfer cache during Init.
 
 class TransferRestartPropertyTest : public ::testing::TestWithParam<size_t> {};
 
@@ -410,7 +582,7 @@ TEST_P(TransferRestartPropertyTest, RestartedDrainMatchesCleanDrain) {
   std::vector<Tuple> clean;
   {
     TransferMCursor c(&conn, sql, schema);
-    ASSERT_TRUE(DrainBatched(&c, capacity, &clean).ok());
+    ASSERT_TRUE(Drain(&c, capacity, &clean).ok());
     ASSERT_EQ(clean.size(), kRows);
   }
 
@@ -418,26 +590,39 @@ TEST_P(TransferRestartPropertyTest, RestartedDrainMatchesCleanDrain) {
   conn.set_fault_injector(injector);
   // Wire batches are 16 rows, so 2,500 rows take 157 of them: the kill
   // lands in the first batch, early, mid-stream and near the tail.
-  for (const uint64_t fault_batch : {0, 10, 70, 150}) {
-    const std::string what = "capacity=" + std::to_string(capacity) +
-                             " fault_batch=" + std::to_string(fault_batch);
-    dbms::FaultPlan plan;
-    plan.kind = dbms::FaultKind::kCursorKill;
-    plan.batch_index = fault_batch;
-    plan.times = 1;
-    injector->Arm(plan);
-    const uint64_t fired_before = injector->faults_fired();
+  for (const bool shared : {false, true}) {
+    for (const uint64_t fault_batch : {0, 10, 70, 150}) {
+      const std::string what = std::string(shared ? "shared" : "streamed") +
+                               " capacity=" + std::to_string(capacity) +
+                               " fault_batch=" + std::to_string(fault_batch);
+      dbms::FaultPlan plan;
+      plan.kind = dbms::FaultKind::kCursorKill;
+      plan.batch_index = fault_batch;
+      plan.times = 1;
+      injector->Arm(plan);
+      const uint64_t fired_before = injector->faults_fired();
 
-    RecoveryCounters counters;
-    TransferMCursor c(&conn, sql, schema, {}, nullptr, nullptr, RetryPolicy(),
-                      &counters);
-    std::vector<Tuple> delivered;
-    const Status status = DrainBatched(&c, capacity, &delivered);
-    ASSERT_TRUE(status.ok()) << what << ": " << status.ToString();
-    EXPECT_EQ(injector->faults_fired() - fired_before, 1u) << what;
-    EXPECT_GE(counters.tm_retries.load(), 1u) << what;
-    ExpectSameRows(clean, delivered, what + " restarted drain");
-    injector->Disarm();
+      std::shared_ptr<TransferCache> cache;
+      if (shared) {
+        cache = std::make_shared<TransferCache>();
+        cache->MarkShared(sql);
+      }
+      RecoveryCounters counters;
+      TransferMCursor c(&conn, sql, schema, {}, cache, nullptr, RetryPolicy(),
+                        &counters);
+      std::vector<Tuple> delivered;
+      const Status status = Drain(&c, capacity, &delivered);
+      ASSERT_TRUE(status.ok()) << what << ": " << status.ToString();
+      EXPECT_EQ(injector->faults_fired() - fired_before, 1u) << what;
+      EXPECT_GE(counters.tm_retries.load(), 1u) << what;
+      ExpectSameRows(clean, delivered, what + " restarted drain");
+      if (shared) {
+        const auto cached = cache->Get(sql);
+        ASSERT_NE(cached, nullptr) << what;
+        ExpectSameRows(clean, *cached, what + " cached rows");
+      }
+      injector->Disarm();
+    }
   }
 }
 
@@ -447,10 +632,12 @@ INSTANTIATE_TEST_SUITE_P(BatchCapacities, TransferRestartPropertyTest,
 TEST(VectorCursorTest, ReplaysAfterDrain) {
   const auto rows = RandomPeriods(102, 50, 4, 40);
   VectorCursor cursor(KeyedSchema(), rows);
-  const auto first = DrainTuple(&cursor);
-  const auto second = DrainBatch(&cursor, 7);
-  ExpectSameRows(first, second, "VectorCursor re-Init replay");
-  ASSERT_EQ(first.size(), rows.size());
+  for (const size_t capacity : {size_t{7}, RowBlock::kDefaultCapacity}) {
+    std::vector<Tuple> got;
+    ASSERT_TRUE(Drain(&cursor, capacity, &got).ok());
+    ExpectSameRows(rows, got, "VectorCursor @capacity=" +
+                                  std::to_string(capacity));
+  }
 }
 
 }  // namespace

@@ -123,14 +123,14 @@ TEST(RecoveryTest, CursorKillMidStreamRepositions) {
   const std::string sql = "SELECT G, V, T1, T2 FROM R";
   const Schema schema = conn.GetTableSchema("R").ValueOrDie();
 
-  auto drain = [&](exec::TransferMCursor* c, std::vector<Tuple>* out) {
+  auto drain = [&](exec::TransferMCursor* c,
+                   std::vector<Tuple>* out) -> Status {
     TANGO_RETURN_IF_ERROR(c->Init());
-    Tuple t;
+    RowBlock block;
     while (true) {
-      auto more = c->Next(&t);
-      TANGO_RETURN_IF_ERROR(more.status());
-      if (!more.ValueOrDie()) return Status::OK();
-      out->push_back(t);
+      TANGO_ASSIGN_OR_RETURN(const size_t n, c->NextBatch(&block));
+      if (n == 0) return Status::OK();
+      MoveRowsInto(&block, out);
     }
   };
 
@@ -200,13 +200,13 @@ TEST(RecoveryTest, SharedTransferCacheNotPoisonedByFailure) {
   exec::TransferMCursor second(&conn, sql, schema, {}, cache, nullptr,
                                RetryPolicy(), &counters);
   ASSERT_TRUE(second.Init().ok());
-  Tuple t;
+  RowBlock block;
   size_t n = 0;
   while (true) {
-    auto more = second.Next(&t);
+    auto more = second.NextBatch(&block);
     ASSERT_TRUE(more.ok()) << more.status().ToString();
-    if (!more.ValueOrDie()) break;
-    ++n;
+    if (more.ValueOrDie() == 0) break;
+    n += more.ValueOrDie();
   }
   EXPECT_EQ(n, 80u);
   auto stored = cache->Get(sql);

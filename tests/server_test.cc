@@ -835,6 +835,77 @@ TEST(ServerTest, ClientGoneMidStreamStopsTheWorker) {
   EXPECT_TRUE(result.ok()) << result.status().ToString();
 }
 
+// Wide rows: a table W of `rows` rows whose string column S holds `width`
+// bytes each.
+void LoadWide(dbms::Engine* db, size_t rows, size_t width) {
+  ASSERT_TRUE(
+      db->Execute("CREATE TABLE W (ID INT, S VARCHAR, T1 INT, T2 INT)").ok());
+  std::vector<Tuple> data;
+  for (size_t i = 0; i < rows; ++i) {
+    data.push_back({Value(static_cast<int64_t>(i)),
+                    Value(std::string(width, static_cast<char>('a' + i % 26))),
+                    Value(static_cast<int64_t>(i % 50)),
+                    Value(static_cast<int64_t>(i % 50 + 60))});
+  }
+  ASSERT_TRUE(db->BulkLoad("W", data).ok());
+  ASSERT_TRUE(db->Execute("ANALYZE").ok());
+}
+
+TEST(ServerTest, BlocksPastTheFrameLimitAreSplitAcrossFrames) {
+  // 300 rows of 20 KB: a 256-row wire block encodes to about 5 MB, past the
+  // 4 MiB frame limit, so the server cuts it into several ROWBLOCK frames.
+  dbms::Engine db;
+  LoadWide(&db, 300, 20000);
+  const ServerConfig config = FastConfig();
+  PollingServer server(&db, config);
+  ASSERT_TRUE(server.Start().ok());
+  const std::string tsql = "TEMPORAL SELECT ID, S, T1, T2 FROM W";
+  Middleware local(&db, config.middleware);
+  auto expected = local.Query(tsql);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  const std::vector<Tuple>& want = expected.ValueOrDie().rows;
+  ASSERT_EQ(want.size(), 300u);
+
+  RawSession session(server.port());
+  ASSERT_TRUE(session.ok());
+  std::vector<Message> replies = session.Query(tsql);
+  size_t blocks = 0;
+  const std::vector<Tuple> got = StreamRows(&replies, &blocks);
+  EXPECT_GE(blocks, 3u);
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(got[i], want[i]) << "row " << i;
+  }
+
+  Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+  auto result = client.Query(tsql);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result.ValueOrDie().rows.size(), 300u);
+}
+
+TEST(ServerTest, RowPastTheFrameLimitFailsCleanlyAndTheSessionServesOn) {
+  // One row whose string alone fills a frame: no split can carry it.
+  dbms::Engine db;
+  LoadFigure3(&db);
+  LoadWide(&db, 1, kMaxFrameBytes);
+  PollingServer server(&db, FastConfig());
+  ASSERT_TRUE(server.Start().ok());
+  RawSession session(server.port());
+  ASSERT_TRUE(session.ok());
+  const std::vector<Message> failed =
+      session.Query("TEMPORAL SELECT ID, S, T1, T2 FROM W");
+  ASSERT_EQ(failed.size(), 1u);
+  EXPECT_EQ(failed[0].type, MsgType::kError);
+  EXPECT_NE(failed[0].text.find("frame limit"), std::string::npos)
+      << failed[0].text;
+
+  // The same session serves its next request.
+  std::vector<Message> replies = session.Query(kAggQuery);
+  size_t blocks = 0;
+  EXPECT_EQ(StreamRows(&replies, &blocks).size(), 5u);
+}
+
 // ---------------------------------------------------------------------------
 // Soak: a mixed adversarial workload hammering one server — well-behaved
 // query loops, prepare/execute churn, mid-query cancels, reconnect storms
