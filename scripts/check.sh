@@ -48,9 +48,10 @@
 # server.queue_depth or query.active, that did not drain back to zero).
 #
 # The adaptive-plan-management suites (plan_cache_test, feedback_test,
-# fingerprint_test) join the by-name matrix too: the sharded plan cache and
-# the feedback store are hit concurrently from every query thread, and
-# plan_cache_test's ConcurrentHammer only means something under TSan.
+# fingerprint_test) join the by-name matrix too: the plan cache (one LRU
+# under one mutex) and the feedback store are hit concurrently from every
+# query thread, and plan_cache_test's ConcurrentHammer only means something
+# under TSan.
 #
 # The durability suites (wal_recovery_test, write_churn_test) are the write
 # path's referee: the crash matrix kills and recovers the engine at injected

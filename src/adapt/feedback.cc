@@ -27,15 +27,5 @@ std::map<uint64_t, double> FeedbackStore::OverridesFor(
   return it->second;
 }
 
-void FeedbackStore::Forget(uint64_t fingerprint) {
-  std::lock_guard<std::mutex> lock(mu_);
-  observed_.erase(fingerprint);
-}
-
-size_t FeedbackStore::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return observed_.size();
-}
-
 }  // namespace adapt
 }  // namespace tango

@@ -37,13 +37,6 @@ class FeedbackStore {
   /// fingerprint has never executed.
   std::map<uint64_t, double> OverridesFor(uint64_t fingerprint) const;
 
-  /// Drops a fingerprint's observations (statistics were re-collected; the
-  /// estimates may be right now).
-  void Forget(uint64_t fingerprint);
-
-  /// Number of fingerprints with recorded observations.
-  size_t size() const;
-
  private:
   mutable std::mutex mu_;
   std::map<uint64_t, std::map<uint64_t, double>> observed_;

@@ -59,7 +59,7 @@ class Client {
     std::vector<Tuple> rows;
     double elapsed_seconds = 0;
     bool degraded = false;
-    /// Plan provenance: "uncached" | "fresh" | "cached" | "reoptimized".
+    /// Plan provenance: "fresh" | "cached" | "reoptimized".
     std::string plan_source;
   };
 

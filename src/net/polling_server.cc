@@ -51,7 +51,6 @@ bool SendAllBytes(int fd, const uint8_t* data, size_t n) {
 
 const char* SourceName(Middleware::Prepared::Source source) {
   switch (source) {
-    case Middleware::Prepared::Source::kUncached: return "uncached";
     case Middleware::Prepared::Source::kFresh: return "fresh";
     case Middleware::Prepared::Source::kCached: return "cached";
     case Middleware::Prepared::Source::kReoptimized: return "reoptimized";
@@ -193,7 +192,7 @@ PollingServer::PollingServer(dbms::Engine* engine, ServerConfig config)
                          : nullptr),
       metrics_(config_.metrics != nullptr ? config_.metrics
                                           : owned_metrics_.get()),
-      plan_cache_(config_.plan_cache, metrics_) {
+      plan_cache_(metrics_) {
   m_sessions_ = &metrics_->gauge("server.sessions", /*expect_zero=*/true);
   m_queue_depth_ =
       &metrics_->gauge("server.queue_depth", /*expect_zero=*/true);

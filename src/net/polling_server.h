@@ -43,14 +43,17 @@ struct ServerConfig {
   /// the server.queue_depth gauge: a request arriving past it is answered
   /// with BUSY (transient; the client may retry) instead of queued.
   size_t queue_limit = 128;
-  /// Per-worker middleware template (wire simulation, batch size,
-  /// plan-cache enable, retry discipline...). Cost-factor feedback
-  /// (`adapt`) defaults OFF for the server: the factors are per-middleware
-  /// state, so under a pooled worker fleet each worker's prices would
-  /// drift independently and every cross-worker cache lookup would trip
-  /// the drift invalidation — churning the shared cache instead of
-  /// sharing it. Cardinality-feedback re-optimization lives in the cache
-  /// entries themselves (shared) and stays fully functional.
+  /// Per-worker middleware template (wire simulation, batch size, retry
+  /// discipline...); the server overrides `metrics`, `shared_plan_cache`
+  /// and `sweep_orphans_on_start`. Cost-factor feedback (`adapt`) defaults
+  /// OFF for the server: the factors are per-middleware state, so under a
+  /// pooled worker fleet each worker's prices would drift independently
+  /// and every cross-worker cache lookup would trip the drift invalidation
+  /// — churning the shared cache instead of sharing it. Cardinality
+  /// feedback is half shared: the stale mark and the re-optimized plan
+  /// live in the shared cache entry, but each worker keeps its own
+  /// observations (Middleware::feedback_store), so a re-optimization
+  /// injects only what the serving worker has seen itself.
   Middleware::Config middleware = DefaultWorkerConfig();
 
   static Middleware::Config DefaultWorkerConfig() {
@@ -58,10 +61,6 @@ struct ServerConfig {
     config.adapt = false;
     return config;
   }
-  /// Configuration of the process-wide shared plan cache (byte budget,
-  /// capacity, age-out). `middleware.plan_cache` is ignored per the
-  /// shared-cache injection contract, except its `enable` gate.
-  adapt::PlanCacheConfig plan_cache;
   /// Shared registry for server.*, plancache.* and all middleware series.
   /// Null = server-owned private registry.
   obs::MetricsRegistry* metrics = nullptr;

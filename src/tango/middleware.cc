@@ -14,9 +14,8 @@ namespace {
 /// live from the entry, so an ExplainAnalyze run reports the execution it
 /// just performed.
 std::string ProvenanceLine(const Middleware::Prepared& prepared) {
-  const char* source = "uncached";
+  const char* source = "fresh";
   switch (prepared.source) {
-    case Middleware::Prepared::Source::kUncached: source = "uncached"; break;
     case Middleware::Prepared::Source::kFresh: source = "fresh"; break;
     case Middleware::Prepared::Source::kCached: source = "cached"; break;
     case Middleware::Prepared::Source::kReoptimized:
@@ -200,9 +199,6 @@ Result<Middleware::Prepared> Middleware::Prepare(const std::string& tsql_text) {
 Result<Middleware::Prepared> Middleware::PrepareLogical(
     const algebra::OpPtr& initial_plan,
     optimizer::SiteRestriction restriction) {
-  if (!config_.plan_cache.enable) {
-    return OptimizeLogical(initial_plan, restriction, nullptr);
-  }
   // Parameterize: literal sites become ordered slots (Expr::param_id) while
   // keeping their values in place, so optimization sees true selectivities
   // and the produced plan can be rebound to other literals of the same
@@ -424,7 +420,7 @@ void Middleware::RecordCardinalityFeedback(const CompiledPlan& compiled,
       feedback_.Record(provenance.fingerprint, observations);
   adapt::PlanCache::Entry& entry = *provenance.cache_entry;
   entry.executions.fetch_add(1, std::memory_order_relaxed);
-  if (worst > config_.plan_cache.q_error_bound &&
+  if (worst > adapt::PlanCache::kStaleQError &&
       !entry.stale.exchange(true, std::memory_order_acq_rel)) {
     ++metrics_->counter("reoptimize.stale_marks");
   }

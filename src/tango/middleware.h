@@ -66,19 +66,16 @@ class Middleware {
     /// registry; pass obs::MetricsRegistry::Global() (or any shared
     /// registry) to aggregate across middleware instances. Not owned.
     obs::MetricsRegistry* metrics = nullptr;
-    /// Adaptive plan management: the fingerprinted plan cache and the
-    /// cardinality-feedback re-optimization loop (see DESIGN.md §10).
-    /// Ignored when `shared_plan_cache` is set — the shared instance brings
-    /// its own configuration (except `plan_cache.enable`, which still gates
-    /// whether this middleware consults the cache at all).
-    adapt::PlanCacheConfig plan_cache;
     /// Process-wide plan cache shared across middleware instances, injected
-    /// like `metrics`: null (default) = a private per-instance cache built
-    /// from `plan_cache`. Not owned; must outlive the middleware. The
-    /// cache key embeds each instance's plan-relevant config (estimation
-    /// knobs, site restriction), so instances with different settings stay
-    /// honest while identical ones warm each other's plans — the server
-    /// front end (src/net) injects one cache across its whole worker pool.
+    /// like `metrics`: null (default) = a private per-instance cache. Not
+    /// owned; must outlive the middleware. Either way every Prepare goes
+    /// through the cache, and this middleware judges staleness of the
+    /// entries it executes by adapt::PlanCache::kStaleQError (DESIGN.md
+    /// §10). The cache key embeds each instance's plan-relevant config
+    /// (estimation knobs, site restriction), so instances with different
+    /// settings stay honest while identical ones warm each other's plans —
+    /// the server front end (src/net) injects one cache across its whole
+    /// worker pool.
     adapt::PlanCache* shared_plan_cache = nullptr;
   };
 
@@ -93,8 +90,7 @@ class Middleware {
         connection_(engine, config.wire),
         recovery_(metrics_),
         owned_plan_cache_(config.shared_plan_cache == nullptr
-                              ? std::make_unique<adapt::PlanCache>(
-                                    config.plan_cache, metrics_)
+                              ? std::make_unique<adapt::PlanCache>(metrics_)
                               : nullptr),
         plan_cache_(config.shared_plan_cache != nullptr
                         ? config.shared_plan_cache
@@ -161,16 +157,16 @@ class Middleware {
     size_t num_classes = 0;
     size_t num_elements = 0;
     size_t num_physical = 0;
-    /// Where the plan came from: kUncached = cache disabled, kFresh =
-    /// optimized and inserted, kCached = rebound from a cached entry,
-    /// kReoptimized = the entry was stale (Q-error exceeded the bound) and
-    /// was re-optimized with observed cardinalities injected.
-    enum class Source { kUncached, kFresh, kCached, kReoptimized };
-    Source source = Source::kUncached;
-    /// Parameterized-query fingerprint (0 when the cache is disabled).
+    /// Where the plan came from: kFresh = optimized and inserted, kCached =
+    /// rebound from a cached entry, kReoptimized = the entry was stale
+    /// (Q-error exceeded the bound) and was re-optimized with observed
+    /// cardinalities injected.
+    enum class Source { kFresh, kCached, kReoptimized };
+    Source source = Source::kFresh;
+    /// Parameterized-query fingerprint.
     uint64_t fingerprint = 0;
     /// The cache entry backing this plan; executions record cardinality
-    /// feedback against it. Null when the cache is disabled.
+    /// feedback against it.
     adapt::PlanCache::EntryPtr cache_entry;
   };
 
@@ -289,7 +285,7 @@ class Middleware {
 
   /// Records one execution's per-node estimate-vs-actual cardinalities
   /// against the provenance's fingerprint and marks the cache entry stale
-  /// when the worst Q-error exceeds the configured bound.
+  /// when the worst Q-error exceeds adapt::PlanCache::kStaleQError.
   void RecordCardinalityFeedback(const CompiledPlan& compiled,
                                  const exec::TimingSink& timings,
                                  const Prepared& provenance);

@@ -29,15 +29,11 @@ TEST(FeedbackStoreTest, RecordReturnsWorstQError) {
   EXPECT_TRUE(store.OverridesFor(2).empty());
 }
 
-TEST(FeedbackStoreTest, LastWriteWinsAndForget) {
+TEST(FeedbackStoreTest, LastWriteWins) {
   adapt::FeedbackStore store;
   store.Record(1, {{7, 10.0, 100}});
   store.Record(1, {{7, 10.0, 60}});
   EXPECT_DOUBLE_EQ(store.OverridesFor(1).at(7), 60.0);
-  EXPECT_EQ(store.size(), 1u);
-  store.Forget(1);
-  EXPECT_TRUE(store.OverridesFor(1).empty());
-  EXPECT_EQ(store.size(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -125,26 +121,6 @@ TEST(FeedbackLoopTest, MisestimatedJoinMigratesSitesAfterOneRun) {
   EXPECT_EQ(third.ValueOrDie().source, Middleware::Prepared::Source::kCached);
   EXPECT_EQ(mw.metrics().counter("reoptimize.count").load(), 1u);
   EXPECT_EQ(third.ValueOrDie().cache_entry->reoptimized.load(), 1u);
-}
-
-TEST(FeedbackLoopTest, QErrorBoundIsConfigurable) {
-  dbms::Engine db;
-  LoadDisjoint(&db);
-  Middleware::Config config = AdaptiveConfig();
-  // A bound looser than the 2000x mis-estimate: no staleness, no
-  // re-optimization — the second prepare reuses the entry as-is.
-  config.plan_cache.q_error_bound = 1e6;
-  Middleware mw(&db, config);
-
-  auto first = mw.Prepare(kDisjointJoin);
-  ASSERT_TRUE(first.ok()) << first.status().ToString();
-  ASSERT_TRUE(mw.Execute(first.ValueOrDie()).ok());
-  EXPECT_EQ(mw.metrics().counter("reoptimize.stale_marks").load(), 0u);
-
-  auto second = mw.Prepare(kDisjointJoin);
-  ASSERT_TRUE(second.ok()) << second.status().ToString();
-  EXPECT_EQ(second.ValueOrDie().source, Middleware::Prepared::Source::kCached);
-  EXPECT_EQ(mw.metrics().counter("reoptimize.count").load(), 0u);
 }
 
 TEST(FeedbackLoopTest, CollectStatisticsInvalidatesButKeepsFeedback) {

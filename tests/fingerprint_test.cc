@@ -167,22 +167,5 @@ TEST(FingerprintTest, MiddlewareCacheHitRebindsAndCounts) {
       << explained.ValueOrDie();
 }
 
-TEST(FingerprintTest, DisabledCacheIsUncached) {
-  dbms::Engine db;
-  ASSERT_TRUE(db.Execute("CREATE TABLE R (G INT, V INT)").ok());
-  ASSERT_TRUE(db.BulkLoad("R", {{Value(int64_t{1}), Value(int64_t{2})}}).ok());
-  ASSERT_TRUE(db.Execute("ANALYZE R").ok());
-  Middleware::Config config;
-  config.wire.simulate_delay = false;
-  config.plan_cache.enable = false;
-  Middleware mw(&db, config);
-  auto prepared = mw.Prepare("SELECT G FROM R WHERE V > 1");
-  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
-  EXPECT_EQ(prepared.ValueOrDie().source,
-            Middleware::Prepared::Source::kUncached);
-  EXPECT_EQ(prepared.ValueOrDie().cache_entry, nullptr);
-  EXPECT_EQ(mw.metrics().counter("plancache.miss").load(), 0u);
-}
-
 }  // namespace
 }  // namespace tango

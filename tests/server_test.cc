@@ -75,10 +75,6 @@ void LoadBig(dbms::Engine* db, size_t rows = 1000) {
 ServerConfig FastConfig() {
   ServerConfig config;
   config.middleware.wire.simulate_delay = false;
-  // Plan-source assertions ("cached") must be deterministic: tiny test
-  // tables make Q-error-driven staleness a coin flip, so loosen the bound
-  // (the feedback loop has its own suites).
-  config.plan_cache.q_error_bound = 1e9;
   return config;
 }
 
