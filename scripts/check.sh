@@ -30,12 +30,15 @@
 # race in the recovery paths, so they must stay green under ASan and TSan
 # even if the main ctest selection is ever narrowed. dbms_exec_ops_test
 # joins them because the table scan evaluates WHERE on the page's encoded
-# rows through the codec's per-column reader (TupleView), and the joins
-# test their residual on a scratch row before building the output: its
-# differential suites walk tombstoned and relocated slots and rejected join
-# candidates, and ASan is what proves no read leaves a slot's bytes and no
-# moved-from row is reused; wire_fuzz_test fuzzes the same reader on
-# damaged encodings. dbms_planner_test joins them for projection pushdown:
+# rows through the codec's per-column reader (TupleView), the joins test
+# their residual on a scratch row before building the output, and the hash
+# join's grouped build moves each build row out of the child's block into
+# (hash, input position) order behind an open-addressing directory: its
+# differential suites walk tombstoned and relocated slots, rejected join
+# candidates and the build's runs, and ASan is what proves no read leaves a
+# slot's bytes or a run and no moved-from row is reused; wire_fuzz_test
+# fuzzes the same reader on damaged encodings. dbms_planner_test joins
+# them for projection pushdown:
 # every scan and join input is narrowed to the columns its statement reads,
 # and its differential suite against an engine-free oracle is what catches
 # a column bound to the wrong position.

@@ -1,5 +1,8 @@
 #include "dbms/exec_ops.h"
 
+#include <algorithm>
+#include <utility>
+
 namespace tango {
 namespace dbms {
 
@@ -195,12 +198,30 @@ Result<size_t> UnionAllOp::NextBatch(RowBlock* block) {
 
 // ----------------------------------------------------------------- HashJoin
 
+namespace {
+
+/// The hash of a row's `keys`, reading key column c as `value(c)`; false
+/// when one of them is NULL, since NULL keys never join.
+template <typename ValueAt>
+bool HashKeys(const std::vector<size_t>& keys, const ValueAt& value,
+              uint64_t* hash) {
+  size_t h = 0;
+  for (const size_t k : keys) {
+    const Value& v = value(k);
+    if (v.is_null()) return false;
+    h = h * 1315423911u + v.Hash();
+  }
+  *hash = h;
+  return true;
+}
+
+}  // namespace
+
 HashJoinOp::HashJoinOp(CursorPtr left, CursorPtr right,
                        std::vector<size_t> left_keys,
                        std::vector<size_t> right_keys, ExprPtr residual)
     : left_(std::move(left)),
       right_(std::move(right)),
-      left_reader_(left_.get()),
       right_reader_(right_.get()),
       left_keys_(std::move(left_keys)),
       right_keys_(std::move(right_keys)),
@@ -208,52 +229,103 @@ HashJoinOp::HashJoinOp(CursorPtr left, CursorPtr right,
       residual_(std::move(residual), left_->schema().num_columns(),
                 right_->schema().num_columns()) {}
 
+size_t HashJoinOp::SlotOf(uint64_t hash) const {
+  // Fibonacci hashing: the top bits of the product index the directory.
+  return static_cast<size_t>((hash * 0x9E3779B97F4A7C15ull) >>
+                             directory_shift_);
+}
+
 Status HashJoinOp::Init() {
-  TANGO_RETURN_IF_ERROR(left_reader_.Init());
+  TANGO_RETURN_IF_ERROR(left_->Init());
   TANGO_RETURN_IF_ERROR(right_reader_.Init());
-  hash_table_.clear();
-  match_bucket_ = nullptr;
   match_pos_ = 0;
-  // Build on the left input.
-  Tuple t;
+  match_end_ = 0;
+
+  // Keep the build side's blocks as they come and hash each row's keys
+  // where it lies. A row's position is its block << 32 | its row.
+  std::vector<RowBlock> blocks(1);
+  std::vector<std::pair<uint64_t, uint64_t>> order;  // (hash, position)
   while (true) {
-    TANGO_ASSIGN_OR_RETURN(bool more, left_reader_.Next(&t));
-    if (!more) break;
-    std::vector<Value> key;
-    key.reserve(left_keys_.size());
-    bool has_null = false;
-    for (size_t k : left_keys_) {
-      if (t[k].is_null()) has_null = true;
-      key.push_back(t[k]);
+    RowBlock& block = blocks.back();
+    TANGO_ASSIGN_OR_RETURN(const size_t n, left_->NextBatch(&block));
+    if (n == 0) break;
+    for (size_t r = 0; r < n; ++r) {
+      uint64_t hash = 0;
+      const auto value = [&](size_t c) -> const Value& { return block.At(r, c); };
+      if (HashKeys(left_keys_, value, &hash)) {
+        order.emplace_back(hash, uint64_t{blocks.size() - 1} << 32 | r);
+      }
     }
-    if (has_null) continue;  // NULL keys never join
-    hash_table_[std::move(key)].push_back(std::move(t));
+    // The next block gets this one's shape and room for as many rows, so
+    // the child's fill does not regrow its columns.
+    RowBlock& next = blocks.emplace_back(blocks.back().capacity());
+    next.Reset(blocks[blocks.size() - 2].columns());
+    for (size_t c = 0; c < next.columns(); ++c) next.column(c).reserve(n);
+  }
+
+  // Order the rows by (hash, input position); each moves once, to its place.
+  std::sort(order.begin(), order.end());
+  build_.resize(order.size());
+  for (size_t i = 0; i < order.size(); ++i) {
+    const uint64_t pos = order[i].second;
+    blocks[pos >> 32].MoveRowTo(pos & 0xFFFFFFFF, &build_[i]);
+  }
+
+  // One directory slot per distinct hash, at most half of them used.
+  size_t runs = 0;
+  for (size_t i = 0; i < order.size(); ++i) {
+    if (i == 0 || order[i].first != order[i - 1].first) ++runs;
+  }
+  size_t size = 2;
+  directory_shift_ = 63;
+  while (size < 2 * runs) {
+    size *= 2;
+    --directory_shift_;
+  }
+  directory_.assign(size, Slot{});
+  for (size_t begin = 0; begin < order.size();) {
+    const uint64_t hash = order[begin].first;
+    size_t end = begin + 1;
+    while (end < order.size() && order[end].first == hash) ++end;
+    size_t s = SlotOf(hash);
+    while (directory_[s].end != 0) s = (s + 1) & (size - 1);
+    directory_[s] = {hash, static_cast<uint32_t>(begin),
+                     static_cast<uint32_t>(end)};
+    begin = end;
   }
   return Status::OK();
 }
 
 Result<bool> HashJoinOp::NextRow(Tuple* tuple) {
   while (true) {
-    if (match_bucket_ != nullptr && match_pos_ < match_bucket_->size()) {
-      if (residual_.Match((*match_bucket_)[match_pos_++], probe_row_, tuple)) {
+    while (match_pos_ < match_end_) {
+      const Tuple& candidate = build_[match_pos_++];
+      bool keys_equal = true;
+      for (size_t i = 0; i < left_keys_.size() && keys_equal; ++i) {
+        keys_equal =
+            candidate[left_keys_[i]].Compare(probe_row_[right_keys_[i]]) == 0;
+      }
+      if (keys_equal && residual_.Match(candidate, probe_row_, tuple)) {
         return true;
       }
-      continue;
     }
     TANGO_ASSIGN_OR_RETURN(const bool more, right_reader_.Next(&probe_row_));
     if (!more) return false;
-    probe_key_.resize(right_keys_.size());
-    bool has_null = false;
-    for (size_t i = 0; i < right_keys_.size(); ++i) {
-      const Value& v = probe_row_[right_keys_[i]];
-      if (v.is_null()) has_null = true;
-      probe_key_[i] = v;
-    }
-    match_bucket_ = nullptr;
     match_pos_ = 0;
-    if (has_null) continue;
-    const auto it = hash_table_.find(probe_key_);
-    if (it != hash_table_.end()) match_bucket_ = &it->second;
+    match_end_ = 0;
+    uint64_t hash = 0;
+    const auto value = [this](size_t c) -> const Value& {
+      return probe_row_[c];
+    };
+    if (!HashKeys(right_keys_, value, &hash)) continue;
+    const size_t mask = directory_.size() - 1;
+    for (size_t s = SlotOf(hash); directory_[s].end != 0; s = (s + 1) & mask) {
+      if (directory_[s].hash == hash) {
+        match_pos_ = directory_[s].begin;
+        match_end_ = directory_[s].end;
+        break;
+      }
+    }
   }
 }
 

@@ -4,7 +4,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/cursor.h"
@@ -154,6 +153,16 @@ class UnionAllOp : public Cursor {
 /// \brief Hash join (build = left, probe = right) on equi-keys with an
 /// optional residual predicate (through `JoinResidual`). Output order: left
 /// columns then right.
+///
+/// Init hashes each build row's key columns once, where the row lies in the
+/// child's block (`Value::Hash`, combined as h * 1315423911 + hash, so 1
+/// joins 1.0), and drops the rows with a NULL key. It then moves each row
+/// once, into (hash, input position) order, so the rows of one hash lie
+/// together, and an open-addressing directory maps each hash to its run. A
+/// probe row hashes its key columns in place, walks its hash's run and
+/// confirms each candidate's keys with `Value::Compare` before testing the
+/// residual. Rows come out in probe order, each probe row followed by its
+/// matches in build order.
 class HashJoinOp : public RowCursor {
  public:
   HashJoinOp(CursorPtr left, CursorPtr right, std::vector<size_t> left_keys,
@@ -165,38 +174,28 @@ class HashJoinOp : public RowCursor {
  private:
   Result<bool> NextRow(Tuple* tuple) override;
 
+  /// One hash's run of build rows, [begin, end); `end == 0` marks a free
+  /// slot.
+  struct Slot {
+    uint64_t hash = 0;
+    uint32_t begin = 0;
+    uint32_t end = 0;
+  };
+  size_t SlotOf(uint64_t hash) const;
+
   CursorPtr left_, right_;
-  BatchedReader left_reader_, right_reader_;
+  BatchedReader right_reader_;
   std::vector<size_t> left_keys_, right_keys_;
   Schema schema_;
   exec::JoinResidual residual_;
 
-  struct KeyHash {
-    size_t operator()(const std::vector<Value>& k) const {
-      size_t h = 0;
-      for (const Value& v : k) h = h * 1315423911u + v.Hash();
-      return h;
-    }
-  };
-  struct KeyEq {
-    bool operator()(const std::vector<Value>& a,
-                    const std::vector<Value>& b) const {
-      if (a.size() != b.size()) return false;
-      for (size_t i = 0; i < a.size(); ++i) {
-        // NULL keys never join; treat them as equal only to keep the map
-        // well-formed (NULL rows are filtered out before insertion).
-        if (a[i].Compare(b[i]) != 0) return false;
-      }
-      return true;
-    }
-  };
-  std::unordered_map<std::vector<Value>, std::vector<Tuple>, KeyHash, KeyEq>
-      hash_table_;
+  std::vector<Tuple> build_;     // in (hash, input position) order
+  std::vector<Slot> directory_;  // a power of two, at most half full
+  int directory_shift_ = 63;     // 64 - log2(directory size)
 
-  std::vector<Value> probe_key_;
   Tuple probe_row_;
-  const std::vector<Tuple>* match_bucket_ = nullptr;
   size_t match_pos_ = 0;
+  size_t match_end_ = 0;
 };
 
 /// \brief Block nested-loop join with an arbitrary predicate (through

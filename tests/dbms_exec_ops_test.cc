@@ -784,6 +784,113 @@ TEST(JoinResidualTest, RejectedCandidatesCostNoHeapAllocation) {
   }
 }
 
+// ------------------------------------------------ hash join output order
+
+// The hash join's contract, as an oracle: for each probe (right) row in
+// order, every build (left) row in order whose keys equal its keys, none of
+// them NULL, and whose concatenation passes the residual.
+std::vector<Tuple> ProbeOrderOracle(const std::vector<Tuple>& left,
+                                    const std::vector<Tuple>& right,
+                                    const std::vector<size_t>& left_keys,
+                                    const std::vector<size_t>& right_keys,
+                                    const ExprPtr& residual) {
+  std::vector<Tuple> out;
+  for (const Tuple& r : right) {
+    for (const Tuple& l : left) {
+      bool equal = true;
+      for (size_t i = 0; i < left_keys.size() && equal; ++i) {
+        const Value& a = l[left_keys[i]];
+        const Value& b = r[right_keys[i]];
+        equal = !a.is_null() && !b.is_null() && a.Compare(b) == 0;
+      }
+      if (!equal) continue;
+      Tuple joined = l;
+      joined.insert(joined.end(), r.begin(), r.end());
+      if (residual == nullptr || EvalPredicate(*residual, joined)) {
+        out.push_back(std::move(joined));
+      }
+    }
+  }
+  return out;
+}
+
+/// Runs the hash join with and without a residual, drained at capacities
+/// 1, 2, 7 and 1,024 and once more after a re-Init, and requires the
+/// oracle's exact sequence.
+void ExpectProbeOrder(const std::vector<Tuple>& left,
+                      const std::vector<Tuple>& right,
+                      const std::vector<size_t>& left_keys,
+                      const std::vector<size_t>& right_keys,
+                      const std::string& label) {
+  for (const char* text : {"", "L.V < R.V"}) {
+    const ExprPtr residual = BoundResidual(text);
+    const std::vector<Tuple> want =
+        ProbeOrderOracle(left, right, left_keys, right_keys, residual);
+    HashJoinOp join(
+        std::make_unique<VectorCursor>(JoinSchema().WithQualifier("L"), left),
+        std::make_unique<VectorCursor>(JoinSchema().WithQualifier("R"), right),
+        left_keys, right_keys, residual);
+    for (const size_t capacity : {1, 2, 7, 1024, 1024}) {
+      const std::string cell = label + " [" + text + "] @capacity=" +
+                               std::to_string(capacity);
+      ASSERT_TRUE(join.Init().ok()) << cell;
+      RowBlock block(capacity);
+      std::vector<Tuple> got;
+      while (true) {
+        auto n = join.NextBatch(&block);
+        ASSERT_TRUE(n.ok()) << cell << ": " << n.status().ToString();
+        if (n.ValueOrDie() == 0) break;
+        ASSERT_LE(n.ValueOrDie(), capacity) << cell;
+        MoveRowsInto(&block, &got);
+      }
+      ASSERT_EQ(got.size(), want.size()) << cell;
+      for (size_t r = 0; r < got.size(); ++r) {
+        ASSERT_EQ(got[r].size(), want[r].size()) << cell;
+        for (size_t c = 0; c < got[r].size(); ++c) {
+          ASSERT_TRUE(SameValue(got[r][c], want[r][c]))
+              << cell << " row " << r << " col " << c << ": "
+              << got[r][c].ToString() << " vs " << want[r][c].ToString();
+        }
+      }
+    }
+  }
+}
+
+TEST(HashJoinOpTest, ProbeOrderMatchesNestedLoopOracle) {
+  // Duplicate keys on both sides; NULL keys, values and strings on either.
+  const std::vector<Tuple> left = JoinRows(150, 0x51, 12, true);
+  const std::vector<Tuple> right = JoinRows(130, 0x52, 12, true);
+  ExpectProbeOrder(left, right, {0}, {0}, "duplicate and NULL keys");
+  ExpectProbeOrder(left, right, {0, 2}, {0, 2}, "two-column keys");
+  ExpectProbeOrder(left, right, {2}, {2}, "string keys");
+  // 1 joins 1.0 in either direction; x.5 joins nothing.
+  std::vector<Tuple> doubles = right;
+  for (Tuple& t : doubles) {
+    if (!t[0].is_int()) continue;
+    const double k = static_cast<double>(t[0].AsInt());
+    t[0] = Value(t[0].AsInt() % 4 == 3 ? k + 0.5 : k);
+  }
+  ExpectProbeOrder(left, doubles, {0}, {0}, "int build, double probe");
+  ExpectProbeOrder(doubles, left, {0}, {0}, "double build, int probe");
+  ExpectProbeOrder({}, right, {0}, {0}, "empty build side");
+  ExpectProbeOrder(left, {}, {0}, {0}, "empty probe side");
+}
+
+TEST(HashJoinOpTest, ManyDistinctBuildKeys) {
+  // 12,000 distinct build keys, probed by hits, misses and repeats.
+  std::vector<Tuple> left;
+  for (int64_t i = 0; i < 12000; ++i) {
+    std::string s = "s";
+    s += std::to_string(i % 7);
+    left.push_back({Value(i * 3), Value(i % 100), Value(std::move(s))});
+  }
+  std::vector<Tuple> right;
+  for (int64_t i = 0; i < 1000; ++i) {
+    right.push_back({Value((i * 97) % 40000), Value(i % 100), Value("s")});
+  }
+  ExpectProbeOrder(left, right, {0}, {0}, "12,000 distinct build keys");
+}
+
 }  // namespace
 }  // namespace dbms
 }  // namespace tango

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <functional>
 #include <iterator>
+#include <limits>
 #include <map>
 #include <set>
 
@@ -374,6 +375,132 @@ TEST(CapacityDifferentialTest, SortInMemoryAndSpilled) {
   SortCursor spilled(KeyedVector(rows), keys, /*memory_budget_bytes=*/4096);
   ASSERT_TRUE(MaterializeAll(&spilled).ok());
   EXPECT_GT(spilled.spilled_runs(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// SORT^M's normalized keys: each key becomes a 64-bit word (lossy for string
+// prefixes and for ints beyond 2^53 beside doubles), then the input position
+// breaks ties. The oracle is std::stable_sort with TupleComparator, over
+// values on which Value::Compare is an order. Every row carries a distinct
+// ID, so a tie emitted out of input order (1 before 1.0, say) fails.
+
+Schema SortKeySchema() {
+  return Schema({{"", "I", DataType::kInt},
+                 {"", "N", DataType::kDouble},
+                 {"", "S", DataType::kString},
+                 {"", "M", DataType::kString},
+                 {"", "ID", DataType::kInt}});
+}
+
+/// Rows drawn from small pools, so every key has many duplicates and every
+/// pool value occurs in memory and in spilled runs alike.
+std::vector<Tuple> SortKeyRows(uint64_t seed, size_t n) {
+  constexpr int64_t k2To53 = int64_t{1} << 53;
+  const std::vector<Value> ints = {
+      Value::Null(), Value(int64_t{-7}), Value(int64_t{-1}), Value(int64_t{0}),
+      Value(int64_t{3}), Value(std::numeric_limits<int64_t>::min()),
+      Value(std::numeric_limits<int64_t>::max())};
+  // Ints mixed with doubles: 1 ties 1.0 and -0.0 ties 0; 2^53 and 2^53 + 1
+  // share a double image, so only the values tell them apart.
+  const std::vector<Value> numbers = {
+      Value::Null(),      Value(int64_t{1}),       Value(1.0),
+      Value(2.5),         Value(int64_t{-3}),      Value(-0.0),
+      Value(int64_t{0}),  Value(k2To53),           Value(k2To53 + 1),
+      Value(-k2To53 - 1), Value(1e300),            Value(-2.25)};
+  const std::vector<Value> strings = {
+      Value::Null(),         Value(""),
+      Value("abcdefgh"),     Value("abcdefgh1"),
+      Value("abcdefgh2"),    Value("abcdefghA"),
+      Value("abc"),          Value("abc\x80"),
+      Value("abc\xff"),      Value("abcdefg\xff"),
+      Value("ABC"),          Value("abcdefgh\x80z")};
+  const std::vector<Value> mixed = {
+      Value::Null(), Value(int64_t{5}), Value(2.5),    Value(int64_t{-1}),
+      Value("x"),    Value(""),         Value("5"),    Value(5.0),
+      Value("abcdefghij")};
+  Rng rng(seed);
+  const auto pick = [&rng](const std::vector<Value>& pool) {
+    return pool[static_cast<size_t>(
+        rng.Uniform(0, static_cast<int64_t>(pool.size()) - 1))];
+  };
+  std::vector<Tuple> rows;
+  for (size_t i = 0; i < n; ++i) {
+    rows.push_back({pick(ints), pick(numbers), pick(strings), pick(mixed),
+                    Value(static_cast<int64_t>(i))});
+  }
+  return rows;
+}
+
+TEST(CapacityDifferentialTest, SortNormalizedKeys) {
+  const std::vector<std::vector<SortKey>> key_sets = {
+      {{0, true}},
+      {{0, false}},
+      {{1, true}},
+      {{1, false}, {0, true}},
+      {{2, true}},
+      {{2, false}, {0, false}},
+      {{3, true}},
+      {{3, false}, {1, true}, {2, true}, {0, false}},
+      {{2, true}, {3, true}, {1, false}},
+  };
+  const auto rows = SortKeyRows(95, 700);
+  const auto make = [&rows](const std::vector<SortKey>& keys, size_t budget) {
+    return std::make_unique<SortCursor>(
+        std::make_unique<VectorCursor>(SortKeySchema(), rows), keys, budget);
+  };
+  for (const std::vector<SortKey>& keys : key_sets) {
+    std::string label = "keys";
+    for (const SortKey& k : keys) {
+      label += ' ';
+      label += std::to_string(k.column);
+      label += k.ascending ? '+' : '-';
+    }
+    auto want = rows;
+    std::stable_sort(want.begin(), want.end(), TupleComparator(keys));
+    RunCapacityDifferential(
+        [&] { return make(keys, SortCursor::kDefaultMemoryBudgetBytes); },
+        want, "SORT^M(in-memory) " + label);
+    RunCapacityDifferential([&] { return make(keys, 4096); }, want,
+                            "SORT^M(spilled) " + label);
+    auto spilled = make(keys, 4096);
+    ASSERT_TRUE(MaterializeAll(spilled.get()).ok());
+    EXPECT_GT(spilled->spilled_runs(), 1u) << label;
+  }
+}
+
+TEST(SortCursorTest, NaNSortsAboveInfinityInInputOrder) {
+  // Value::Compare finds NaN equal to every number, which is no order; the
+  // sort places NaN above +infinity (below it descending), NaNs in input
+  // order.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> input = {nan, 1.0, -inf, nan, inf, 0.5, -nan, 2.0};
+  Schema schema({{"", "D", DataType::kDouble}, {"", "ID", DataType::kInt}});
+  std::vector<Tuple> rows;
+  for (size_t i = 0; i < input.size(); ++i) {
+    rows.push_back({Value(input[i]), Value(static_cast<int64_t>(i))});
+  }
+  rows.push_back({Value::Null(), Value(int64_t{8})});
+  const auto ids = [&](bool ascending, size_t budget) {
+    SortCursor sort(std::make_unique<VectorCursor>(schema, rows),
+                    {{0, ascending}}, budget);
+    auto sorted = MaterializeAll(&sort);
+    EXPECT_TRUE(sorted.ok());
+    std::vector<int64_t> out;
+    for (const Tuple& t : sorted.ValueOrDie()) out.push_back(t[1].AsInt());
+    return out;
+  };
+  EXPECT_EQ(ids(true, SortCursor::kDefaultMemoryBudgetBytes),
+            (std::vector<int64_t>{8, 2, 5, 1, 7, 4, 0, 3, 6}));
+  EXPECT_EQ(ids(false, SortCursor::kDefaultMemoryBudgetBytes),
+            (std::vector<int64_t>{0, 3, 6, 4, 7, 1, 5, 2, 8}));
+  // Spilled, the runs are merged by Value::Compare, which has no place for
+  // NaN: any order, but every row, once.
+  for (const bool ascending : {true, false}) {
+    std::vector<int64_t> got = ids(ascending, 16);
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, (std::vector<int64_t>{0, 1, 2, 3, 4, 5, 6, 7, 8}));
+  }
 }
 
 TEST(CapacityDifferentialTest, DupElim) {
