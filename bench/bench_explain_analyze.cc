@@ -2,11 +2,9 @@
 // on the POSITION variant nearest the Plan-1/Plan-2 crossover region
 // (~27k tuples), executed through Middleware::ExplainAnalyze so the printed
 // tree shows, per operator, estimated vs actual rows, Q-error, and the
-// estimated cost next to the measured self/inclusive/worker times.
+// estimated cost next to the measured self/inclusive times.
 
 #include "bench_util.h"
-
-#include "obs/explain.h"
 
 namespace tango {
 namespace bench {
@@ -45,26 +43,26 @@ int Main() {
 
   // The data form drives the shape checks: estimates within a sane factor
   // of the actuals, and the measured tree accounts for the elapsed time.
-  auto report = mw.Analyze(prepared.ValueOrDie());
-  if (!report.ok()) {
+  auto analyzed = mw.Analyze(prepared.ValueOrDie());
+  if (!analyzed.ok()) {
     std::fprintf(stderr, "analyze failed: %s\n",
-                 report.status().ToString().c_str());
+                 analyzed.status().ToString().c_str());
     return 1;
   }
-  const obs::AnalyzeReport& r = report.ValueOrDie();
+  const Middleware::Execution& r = analyzed.ValueOrDie();
   double worst_q = 1.0;
-  for (const obs::OpObservation& op : r.ops) {
-    if (op.label.find("TRANSFER^D") != std::string::npos) continue;
-    worst_q = std::max(
-        worst_q, obs::QError(op.est_rows, static_cast<double>(op.act_rows)));
+  for (const exec::AlgorithmTiming& op : r.timings) {
+    if (op.label == "TRANSFER^D") continue;
+    worst_q = std::max(worst_q, adapt::QError(op.plan->est_cardinality,
+                                              static_cast<double>(op.rows)));
   }
 
   ShapeChecks checks;
-  checks.Check(r.result_rows > 0, "query produced rows");
+  checks.Check(!r.rows.empty(), "query produced rows");
   checks.Check(worst_q <= 16.0, "worst per-operator Q-error <= 16 (got " +
                                     std::to_string(worst_q) + ")");
   checks.Check(
-      r.ops[r.root].inclusive_seconds <= r.elapsed_seconds,
+      r.timings.back().inclusive_seconds <= r.elapsed_seconds,
       "root inclusive time within the query's elapsed time");
   return checks.failures() == 0 ? 0 : 1;
 }

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Full verification matrix: builds and runs the test suite in four
 # configurations — plain, AddressSanitizer+UBSan, ThreadSanitizer, and
-# Release. The TSan leg is what proves the concurrent parts free of data
+# Release. The ASan leg's UBSan includes float-cast-overflow and every
+# report is fatal (CMakeLists.txt), so undefined behaviour fails a test
+# rather than scrolling past in its log. The TSan leg is what proves the concurrent parts free of data
 # races: readers sharing the engine latch beside the write-churn writer
 # (server workers' cursor batches and catalog reads run concurrently under
 # the shared latch; only statements and loads take it exclusive), the
@@ -22,6 +24,12 @@
 # deliberately not ctest tests, so the default `ctest` run leaves them out:
 # their timing comparisons would contend with the other suites under
 # `ctest -j`, and only an optimized build times what the paper timed.
+#
+# Last, the Release leg builds the repository benchmark (perfbench/, which
+# compiles ../src on its own into .bench_build/ and reads the middleware's
+# execution records) and smoke-runs both workloads at a reduced size with
+# perfbench/test_smoke.py, so a src/ API change that breaks the benchmark
+# fails here rather than only in a benchmark run.
 #
 # The robustness suites (fault_matrix_test, wire_fuzz_test,
 # dbms_exec_ops_test, dbms_planner_test, recovery_test) are additionally
@@ -151,6 +159,8 @@ run_config() {
       echo "--- ${bench}"
       TANGO_BENCH_SCALE=0.2 "${dir}/bench/${bench}"
     done
+    echo "=== ${name}: benchmark build + smoke run (perfbench/test_smoke.py) ==="
+    python3 perfbench/test_smoke.py
   fi
   echo "=== ${name}: OK ==="
   echo

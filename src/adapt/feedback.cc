@@ -1,9 +1,13 @@
 #include "adapt/feedback.h"
 
-#include "obs/explain.h"
-
 namespace tango {
 namespace adapt {
+
+double QError(double estimated, double actual) {
+  const double est = estimated < 1 ? 1 : estimated;
+  const double act = actual < 1 ? 1 : actual;
+  return est > act ? est / act : act / est;
+}
 
 double FeedbackStore::Record(uint64_t fingerprint,
                              const std::vector<Observation>& observations) {
@@ -13,7 +17,7 @@ double FeedbackStore::Record(uint64_t fingerprint,
   for (const Observation& o : observations) {
     if (o.node_key == 0) continue;
     per_node[o.node_key] = static_cast<double>(o.act_rows);
-    const double q = obs::QError(o.est_rows, static_cast<double>(o.act_rows));
+    const double q = QError(o.est_rows, static_cast<double>(o.act_rows));
     if (q > worst) worst = q;
   }
   return worst;

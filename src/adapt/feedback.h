@@ -20,6 +20,11 @@ struct Observation {
   uint64_t act_rows = 0;
 };
 
+/// Cardinality-estimation error: max(est, act) / min(est, act), with both
+/// sides floored at one row so empty results and zero estimates stay
+/// finite. Always >= 1; 1 is a perfect estimate.
+double QError(double estimated, double actual);
+
 /// \brief Per-fingerprint store of observed cardinalities (the feedback half
 /// of the adaptive loop; the plan cache holds the plans).
 ///

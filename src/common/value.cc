@@ -89,21 +89,19 @@ size_t Value::Hash() const {
     const char tag = 0;
     mix(&tag, 1);
   } else if (is_numeric()) {
-    // Hash ints and equal-valued doubles identically by hashing the double
-    // image when the int is exactly representable; identifiers stay exact.
+    // Compare matches an int and a double through the int's double image,
+    // so every number hashes through its double image: an integral one in
+    // [-2^63, 2^63) as that int64 (ints within 2^53 as themselves), any
+    // other (fractions, +-inf, NaN, beyond 2^63) as its bits.
     const char tag = 1;
     mix(&tag, 1);
-    if (is_int()) {
-      const int64_t v = AsInt();
+    const double d = AsDouble();
+    if (d >= -0x1p63 && d < 0x1p63 &&
+        static_cast<double>(static_cast<int64_t>(d)) == d) {
+      const auto v = static_cast<int64_t>(d);
       mix(&v, sizeof(v));
     } else {
-      const double d = AsDouble();
-      const auto v = static_cast<int64_t>(d);
-      if (static_cast<double>(v) == d) {
-        mix(&v, sizeof(v));
-      } else {
-        mix(&d, sizeof(d));
-      }
+      mix(&d, sizeof(d));
     }
   } else {
     const char tag = 2;

@@ -9,24 +9,35 @@
 
 #include "common/cursor.h"
 #include "obs/trace.h"
+#include "optimizer/phys.h"
 
 namespace tango {
 namespace exec {
 
-/// Inclusive wall-clock timing of one algorithm in an executed plan; the
-/// execution engine subtracts child times to obtain self times, which feed
-/// the cost model's adaptation loop (the paper's "performance feedback").
+/// The one record of an executed algorithm: its plan node, the SQL it sent
+/// and its trace span (set by the plan compiler), and what the
+/// InstrumentedCursor measured. The adaptation loop (the paper's
+/// "performance feedback") and EXPLAIN ANALYZE read these records.
 struct AlgorithmTiming {
   std::string label;
+  std::vector<size_t> child_ids;  // ids of wrapped children
+  /// Null for a cursor instrumented outside a compiled plan. Shared, so the
+  /// plan lives as long as its records.
+  optimizer::PhysPlanPtr plan;
+  /// The SELECT a TRANSFER^M issued (empty for other operators).
+  std::string sql;
+  obs::SpanId span = obs::kNoSpan;  // kNoSpan when tracing is off
+
+  /// Wall time inside Init and every NextBatch, children included.
   double inclusive_seconds = 0;
   uint64_t rows = 0;
   /// Non-empty RowBlocks this algorithm produced; rows/batches is the
   /// realized batch size.
   uint64_t batches = 0;
-  std::vector<size_t> child_ids;  // ids of wrapped children
 };
 
-/// Sink shared by all instrumented cursors of one plan execution.
+/// Sink shared by all instrumented cursors of one plan execution; a
+/// compiled plan's records are in post order, so the root's is the last.
 using TimingSink = std::vector<AlgorithmTiming>;
 
 /// \brief Decorator measuring the wall time spent inside a cursor (Init and
@@ -55,28 +66,25 @@ class InstrumentedCursor : public Cursor {
   /// and every child span (ended by its own destructor) nests inside it.
   ~InstrumentedCursor() override {
     inner_.reset();
-    if (trace_ != nullptr && span_begun_) trace_->End(span_);
+    if (trace_ != nullptr && span_begun_) trace_->End(span());
   }
 
   size_t id() const { return id_; }
 
-  /// Attributes this cursor's lifetime to `span` in `trace` (may be null):
-  /// the span begins at the first Init call — stamping the initiating
-  /// thread — and ends when the cursor is destroyed.
-  void set_trace(obs::TraceRecorder* trace, obs::SpanId span) {
-    trace_ = trace;
-    span_ = span;
-  }
+  /// Attributes this cursor's lifetime to its record's span in `trace`
+  /// (may be null): the span begins at the first Init call — stamping the
+  /// initiating thread — and ends when the cursor is destroyed.
+  void set_trace(obs::TraceRecorder* trace) { trace_ = trace; }
 
   Status Init() override {
     if (trace_ != nullptr && !span_begun_) {
-      trace_->Begin(span_);
+      trace_->Begin(span());
       span_begun_ = true;
     }
     const auto start = Clock::now();
     Status s;
     {
-      obs::ScopedSpan init_span(trace_, "init", "operator", span_,
+      obs::ScopedSpan init_span(trace_, "init", "operator", span(),
                                 static_cast<int64_t>(id_));
       s = inner_->Init();
     }
@@ -97,6 +105,9 @@ class InstrumentedCursor : public Cursor {
  private:
   using Clock = std::chrono::steady_clock;
 
+  /// Written by the compiler before the plan runs; read-only afterwards.
+  obs::SpanId span() const { return (*sink_)[id_].span; }
+
   void Record(Clock::time_point start, uint64_t produced_rows = 0,
               uint64_t produced_batches = 0) {
     const auto elapsed = Clock::now() - start;
@@ -111,7 +122,6 @@ class InstrumentedCursor : public Cursor {
   TimingSink* sink_;
   size_t id_;
   obs::TraceRecorder* trace_ = nullptr;
-  obs::SpanId span_ = obs::kNoSpan;
   bool span_begun_ = false;
   std::mutex mu_;
 };

@@ -146,7 +146,7 @@ size_t Memo::num_exprs() const {
 
 Result<size_t> Memo::Explore() {
   const size_t before = generated_;
-  for (size_t pass = 0; pass < options_.max_passes; ++pass) {
+  for (size_t pass = 0; pass < kMaxPasses; ++pass) {
     const size_t pass_start = generated_;
     const size_t group_count = groups_.size();
     for (size_t g = 0; g < group_count; ++g) {

@@ -49,8 +49,6 @@ class Memo {
     /// Recognize the Overlaps/timeslice conjunct pairs during derivation
     /// (§3.3); off = the straightforward estimation the paper shows failing.
     bool semantic_temporal_selectivity = true;
-    /// Upper bound on rule application passes (safety valve).
-    size_t max_passes = 8;
   };
 
   Memo() : Memo(Options()) {}
@@ -79,7 +77,7 @@ class Memo {
   }
 
   /// Applies the transformation rules to saturation (bounded by
-  /// options.max_passes). Returns the number of new elements generated.
+  /// kMaxPasses). Returns the number of new elements generated.
   Result<size_t> Explore();
 
   size_t num_groups() const { return groups_.size(); }
@@ -92,6 +90,9 @@ class Memo {
   std::string ToString() const;
 
  private:
+  /// Upper bound on rule application passes (safety valve).
+  static constexpr size_t kMaxPasses = 8;
+
   /// Inserts an expression (op params + child groups) into group `target`
   /// (or a fresh group when target == kNewGroup). Returns the group id, or
   /// SIZE_MAX if the expression was already present.

@@ -77,9 +77,7 @@ Result<Optimizer::Optimized> Optimizer::Optimize(algebra::OpPtr initial_plan) {
   memo.set_scan_stats_provider(scan_stats_);
   memo.set_cardinality_overrides(options_.cardinality_overrides);
   TANGO_ASSIGN_OR_RETURN(size_t root, memo.CopyIn(initial_plan));
-  if (options_.enable_exploration) {
-    TANGO_RETURN_IF_ERROR(memo.Explore().status());
-  }
+  TANGO_RETURN_IF_ERROR(memo.Explore().status());
 
   winners_.clear();
   in_progress_.clear();

@@ -41,8 +41,6 @@ class Optimizer {
     /// §3.3 semantic estimation of temporal predicates (off = the
     /// straightforward method the paper shows being ~40x off).
     bool semantic_temporal_selectivity = true;
-    /// Skip memo exploration (cost the initial plan's shape only).
-    bool enable_exploration = true;
     /// Confine processing to one site (degraded-mode planning). Queries
     /// using middleware-only algorithms (COALESCE, temporal DIFFERENCE)
     /// cannot be planned under kDbmsOnly; Optimize then fails cleanly and

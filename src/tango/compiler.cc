@@ -18,16 +18,16 @@ namespace {
 
 using optimizer::Algorithm;
 using optimizer::PhysPlan;
+using optimizer::PhysPlanPtr;
 
 /// Collects the TRANSFER^D nodes inside a DBMS fragment (not descending
 /// into their middleware subtrees).
-void CollectTransferDs(const PhysPlan& node,
-                       std::vector<const PhysPlan*>* out) {
-  if (node.algorithm == Algorithm::kTransferD) {
-    out->push_back(&node);
+void CollectTransferDs(const PhysPlanPtr& node, std::vector<PhysPlanPtr>* out) {
+  if (node->algorithm == Algorithm::kTransferD) {
+    out->push_back(node);
     return;
   }
-  for (const auto& c : node.children) CollectTransferDs(*c, out);
+  for (const auto& c : node->children) CollectTransferDs(c, out);
 }
 
 Result<std::vector<size_t>> ResolveAll(const Schema& schema,
@@ -41,6 +41,14 @@ Result<std::vector<size_t>> ResolveAll(const Schema& schema,
 }
 
 }  // namespace
+
+std::vector<std::string> SqlStatements(const exec::TimingSink& timings) {
+  std::vector<std::string> out;
+  for (const exec::AlgorithmTiming& t : timings) {
+    if (!t.sql.empty()) out.push_back(t.sql);
+  }
+  return out;
+}
 
 std::vector<std::string> PlanCompiler::TempTableColumns(const Schema& schema) {
   // Must stay consistent with sqlgen's alias generation so the SQL that
@@ -66,34 +74,26 @@ std::vector<std::string> PlanCompiler::TempTableColumns(const Schema& schema) {
   return names;
 }
 
-CursorPtr PlanCompiler::Instrument(CursorPtr cursor, const PhysPlan& node,
+CursorPtr PlanCompiler::Instrument(CursorPtr cursor, const PhysPlanPtr& node,
                                    std::vector<size_t> child_ids,
                                    CompiledPlan* out, size_t* timing_id) {
-  obs::SpanId span = obs::kNoSpan;
+  exec::TimingSink& records = *out->timings;
+  const char* label = optimizer::AlgorithmName(node->algorithm);
+  auto instrumented = std::make_unique<exec::InstrumentedCursor>(
+      std::move(cursor), label, &records, std::move(child_ids));
+  *timing_id = instrumented->id();
+  exec::AlgorithmTiming& record = records[*timing_id];
+  record.plan = node;
   if (trace_ != nullptr) {
-    // The timing id this cursor is about to get (sink ids are sequential).
-    const size_t next_id = out->timings->size();
-    span = trace_->Allocate(optimizer::AlgorithmName(node.algorithm),
-                            "operator", trace_parent_,
-                            static_cast<int64_t>(next_id));
+    record.span = trace_->Allocate(label, "operator", trace_parent_,
+                                   static_cast<int64_t>(*timing_id));
     // Compiled bottom-up: re-parent the children's spans (allocated against
     // the execute span) under this operator so spans mirror the plan tree.
-    for (size_t child : child_ids) {
-      if (child < span_of_timing_.size()) {
-        trace_->SetParent(span_of_timing_[child], span);
-      }
+    for (size_t child : record.child_ids) {
+      trace_->SetParent(records[child].span, record.span);
     }
+    instrumented->set_trace(trace_);
   }
-  auto instrumented = std::make_unique<exec::InstrumentedCursor>(
-      std::move(cursor), optimizer::AlgorithmName(node.algorithm),
-      out->timings.get(), std::move(child_ids));
-  *timing_id = instrumented->id();
-  if (span_of_timing_.size() <= *timing_id) {
-    span_of_timing_.resize(*timing_id + 1, obs::kNoSpan);
-  }
-  span_of_timing_[*timing_id] = span;
-  instrumented->set_trace(trace_, span);
-  out->nodes.push_back({*timing_id, &node, /*sql=*/""});
   return instrumented;
 }
 
@@ -115,15 +115,13 @@ Result<CompiledPlan> PlanCompiler::Compile(const optimizer::PhysPlanPtr& plan) {
   CompiledPlan out;
   out.timings = std::make_shared<exec::TimingSink>();
   out.transfer_cache = std::make_shared<exec::TransferCache>();
-  span_of_timing_.clear();
   size_t timing_id = 0;
-  TANGO_ASSIGN_OR_RETURN(out.root, CompileNode(*plan, &out, &timing_id));
-  out.root_timing_id = timing_id;
+  TANGO_ASSIGN_OR_RETURN(out.root, CompileNode(plan, &out, &timing_id));
   // §7 refinement: a statement occurring more than once in the plan is
   // transferred once and served from the shared store afterwards.
   if (share_transfers_) {
     std::map<std::string, int> counts;
-    for (const std::string& sql : out.sql_statements) counts[sql] += 1;
+    for (const std::string& sql : SqlStatements(*out.timings)) counts[sql] += 1;
     for (const auto& [sql, n] : counts) {
       if (n > 1) out.transfer_cache->MarkShared(sql);
     }
@@ -131,57 +129,58 @@ Result<CompiledPlan> PlanCompiler::Compile(const optimizer::PhysPlanPtr& plan) {
   return out;
 }
 
-Result<CursorPtr> PlanCompiler::CompileTransferM(const PhysPlan& node,
+Result<CursorPtr> PlanCompiler::CompileTransferM(const PhysPlanPtr& node,
                                                  CompiledPlan* out,
                                                  size_t* timing_id) {
-  const PhysPlan& fragment = *node.children[0];
+  const PhysPlan& fragment = *node->children[0];
 
   // Compile the middleware subtrees feeding the fragment's TRANSFER^D
   // leaves, assigning each a unique temp table.
-  std::vector<const PhysPlan*> tds;
-  CollectTransferDs(fragment, &tds);
+  std::vector<PhysPlanPtr> tds;
+  CollectTransferDs(node->children[0], &tds);
   std::map<const PhysPlan*, std::string> td_tables;
   std::vector<CursorPtr> dependencies;
   std::vector<size_t> dep_ids;
-  for (const PhysPlan* td : tds) {
+  for (const PhysPlanPtr& td : tds) {
     const std::string name = temp_prefix_ + std::to_string(++temp_counter_);
-    td_tables[td] = name;
+    td_tables[td.get()] = name;
     out->temp_tables.push_back(name);
     size_t child_id = 0;
     TANGO_ASSIGN_OR_RETURN(CursorPtr child,
-                           CompileNode(*td->children[0], out, &child_id));
+                           CompileNode(td->children[0], out, &child_id));
     auto cursor = std::make_unique<exec::TransferDCursor>(
         conn_, name, TempTableColumns(td->op->schema), std::move(child),
         control_, retry_, counters_);
     exec::TransferDCursor* raw_td = cursor.get();
     size_t td_id = 0;
     dependencies.push_back(
-        Instrument(std::move(cursor), *td, {child_id}, out, &td_id));
-    raw_td->set_observability(TransferHooks(span_of_timing_[td_id]));
+        Instrument(std::move(cursor), td, {child_id}, out, &td_id));
+    raw_td->set_observability(TransferHooks((*out->timings)[td_id].span));
     dep_ids.push_back(td_id);
   }
 
   sqlgen::Translator translator(td_tables);
   TANGO_ASSIGN_OR_RETURN(sqlgen::RenderedSql rendered,
                          translator.Render(fragment));
-  out->sql_statements.push_back(rendered.sql);
 
   auto cursor = std::make_unique<exec::TransferMCursor>(
-      conn_, rendered.sql, node.op->schema, std::move(dependencies),
+      conn_, rendered.sql, node->op->schema, std::move(dependencies),
       out->transfer_cache, control_, retry_, counters_);
   exec::TransferMCursor* raw_tm = cursor.get();
   CursorPtr instrumented =
       Instrument(std::move(cursor), node, dep_ids, out, timing_id);
-  raw_tm->set_observability(TransferHooks(span_of_timing_[*timing_id]));
-  out->nodes.back().sql = rendered.sql;
+  exec::AlgorithmTiming& record = (*out->timings)[*timing_id];
+  record.sql = std::move(rendered.sql);
+  raw_tm->set_observability(TransferHooks(record.span));
   return instrumented;
 }
 
-Result<CursorPtr> PlanCompiler::CompileNode(const PhysPlan& node,
+Result<CursorPtr> PlanCompiler::CompileNode(const PhysPlanPtr& plan,
                                             CompiledPlan* out,
                                             size_t* timing_id) {
+  const PhysPlan& node = *plan;
   if (node.algorithm == Algorithm::kTransferM) {
-    return CompileTransferM(node, out, timing_id);
+    return CompileTransferM(plan, out, timing_id);
   }
   if (optimizer::IsDbmsAlgorithm(node.algorithm) ||
       node.algorithm == Algorithm::kTransferD) {
@@ -195,7 +194,7 @@ Result<CursorPtr> PlanCompiler::CompileNode(const PhysPlan& node,
   std::vector<size_t> child_ids;
   for (const auto& c : node.children) {
     size_t id = 0;
-    TANGO_ASSIGN_OR_RETURN(CursorPtr cursor, CompileNode(*c, out, &id));
+    TANGO_ASSIGN_OR_RETURN(CursorPtr cursor, CompileNode(c, out, &id));
     children.push_back(std::move(cursor));
     child_ids.push_back(id);
   }
@@ -316,7 +315,7 @@ Result<CursorPtr> PlanCompiler::CompileNode(const PhysPlan& node,
           std::string("unexpected algorithm in middleware part: ") +
           optimizer::AlgorithmName(node.algorithm));
   }
-  return Instrument(std::move(cursor), node, std::move(child_ids), out,
+  return Instrument(std::move(cursor), plan, std::move(child_ids), out,
                     timing_id);
 }
 

@@ -16,27 +16,13 @@
 
 namespace tango {
 
-/// Association of an executed algorithm with its plan node, for the
-/// performance-feedback loop.
-struct CompiledNode {
-  size_t timing_id = 0;
-  const optimizer::PhysPlan* plan = nullptr;
-  /// The SELECT this node issues (TRANSFER^M only; empty otherwise).
-  std::string sql;
-};
-
 /// An execution-ready plan (Figure 5): a cursor tree whose DBMS-resident
-/// fragments have been rendered to SQL, plus the temporary tables to drop
-/// when the query finishes.
+/// fragments have been rendered to SQL, one record per instrumented cursor
+/// (children before parents, so the root's is the last), plus the
+/// temporary tables to drop when the query finishes.
 struct CompiledPlan {
   std::shared_ptr<exec::TimingSink> timings;
   std::vector<std::string> temp_tables;
-  std::vector<CompiledNode> nodes;
-  /// Timing id of the plan root (the last id assigned — EXPLAIN ANALYZE
-  /// renders the observation tree from here).
-  size_t root_timing_id = 0;
-  /// The SQL statements issued by TRANSFER^M nodes (observability/EXPLAIN).
-  std::vector<std::string> sql_statements;
   /// Shared store for identical TRANSFER^M statements (§7 refinement).
   std::shared_ptr<exec::TransferCache> transfer_cache;
   /// Declared last on purpose: members destruct in reverse declaration
@@ -44,6 +30,9 @@ struct CompiledPlan {
   /// into `timings`, so `root` must be destroyed first.
   CursorPtr root;
 };
+
+/// The SQL the plan's TRANSFER^M records issue, in record order.
+std::vector<std::string> SqlStatements(const exec::TimingSink& timings);
 
 /// \brief Builds the execution-ready plan from an optimized physical plan:
 /// middleware algorithms become exec:: cursors, maximal DBMS fragments are
@@ -96,12 +85,14 @@ class PlanCompiler {
   static std::vector<std::string> TempTableColumns(const Schema& schema);
 
  private:
-  Result<CursorPtr> CompileNode(const optimizer::PhysPlan& node,
+  Result<CursorPtr> CompileNode(const optimizer::PhysPlanPtr& node,
                                 CompiledPlan* out, size_t* timing_id);
-  Result<CursorPtr> CompileTransferM(const optimizer::PhysPlan& node,
+  Result<CursorPtr> CompileTransferM(const optimizer::PhysPlanPtr& node,
                                      CompiledPlan* out, size_t* timing_id);
 
-  CursorPtr Instrument(CursorPtr cursor, const optimizer::PhysPlan& node,
+  /// Wraps `cursor` in an InstrumentedCursor whose record carries `node`
+  /// and, when tracing, the operator's span.
+  CursorPtr Instrument(CursorPtr cursor, const optimizer::PhysPlanPtr& node,
                        std::vector<size_t> child_ids, CompiledPlan* out,
                        size_t* timing_id);
 
@@ -120,9 +111,6 @@ class PlanCompiler {
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::TraceRecorder* trace_ = nullptr;
   obs::SpanId trace_parent_ = obs::kNoSpan;
-  /// Operator span of each timing id in the plan being compiled (parallel
-  /// to the timing sink; kNoSpan when tracing is off).
-  std::vector<obs::SpanId> span_of_timing_;
 };
 
 }  // namespace tango

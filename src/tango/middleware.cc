@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 
 #include "adapt/fingerprint.h"
@@ -34,36 +35,48 @@ std::string ProvenanceLine(const Middleware::Prepared& prepared) {
   return out + "\n";
 }
 
-/// Builds the EXPLAIN ANALYZE observation tree from one execution: the
-/// optimizer's estimates come from the plan nodes, the actuals from the
-/// timing sink the instrumented cursors filled in.
-obs::AnalyzeReport BuildReport(const CompiledPlan& compiled,
-                               const Middleware::Execution& exec,
-                               uint64_t result_rows) {
-  obs::AnalyzeReport report;
-  report.ops.resize(exec.timings.size());
-  for (const CompiledNode& node : compiled.nodes) {
-    if (node.timing_id >= report.ops.size()) continue;
-    obs::OpObservation& op = report.ops[node.timing_id];
-    const optimizer::PhysPlan& p = *node.plan;
-    const exec::AlgorithmTiming& t = exec.timings[node.timing_id];
-    op.label = optimizer::AlgorithmName(p.algorithm);
-    op.site = p.site == optimizer::Site::kMiddleware ? 'M' : 'D';
-    op.timing_id = node.timing_id;
-    op.children = t.child_ids;
-    op.est_rows = p.est_cardinality;
-    op.est_bytes = p.est_bytes;
-    op.est_cost_us = p.cost;
-    op.act_rows = t.rows;
-    op.act_batches = t.batches;
-    op.inclusive_seconds = t.inclusive_seconds;
-    op.self_seconds = exec::SelfSeconds(exec.timings, node.timing_id);
-    op.sql = node.sql;
+std::string FormatSeconds(double seconds) {
+  char buf[48];
+  if (seconds < 1e-3) {
+    std::snprintf(buf, sizeof(buf), "%.0fus", seconds * 1e6);
+  } else if (seconds < 1.0) {
+    std::snprintf(buf, sizeof(buf), "%.2fms", seconds * 1e3);
+  } else {
+    std::snprintf(buf, sizeof(buf), "%.3fs", seconds);
   }
-  report.root = compiled.root_timing_id;
-  report.elapsed_seconds = exec.elapsed_seconds;
-  report.result_rows = result_rows;
-  return report;
+  return buf;
+}
+
+/// EXPLAIN ANALYZE's tree, one line per record, children indented under
+/// their parents, root first:
+///   TAGGR^M [M] rows est=6 act=34 q=5.67 batches=1 cost=1234us self=0.2ms ...
+/// TRANSFER^D produces no tuples (it loads them into the DBMS during
+/// Init), so its actual-rows, Q-error and batch columns render as "-".
+void RenderRecord(const exec::TimingSink& records, size_t id, int depth,
+                  std::string* out) {
+  const exec::AlgorithmTiming& t = records[id];
+  const optimizer::PhysPlan& p = *t.plan;
+  const long long est_rows = std::llround(p.est_cardinality);
+  char buf[160];
+  if (p.algorithm == optimizer::Algorithm::kTransferD) {
+    std::snprintf(buf, sizeof(buf), " rows est=%lld act=- q=- batches=-",
+                  est_rows);
+  } else {
+    std::snprintf(buf, sizeof(buf),
+                  " rows est=%lld act=%llu q=%.2f batches=%llu", est_rows,
+                  static_cast<unsigned long long>(t.rows),
+                  adapt::QError(p.est_cardinality, static_cast<double>(t.rows)),
+                  static_cast<unsigned long long>(t.batches));
+  }
+  out->append(static_cast<size_t>(depth) * 2, ' ');
+  *out += t.label;
+  *out += p.site == optimizer::Site::kMiddleware ? " [M]" : " [D]";
+  *out += buf;
+  std::snprintf(buf, sizeof(buf), " cost=%.0fus self=%s incl=%s\n", p.cost,
+                FormatSeconds(exec::SelfSeconds(records, id)).c_str(),
+                FormatSeconds(t.inclusive_seconds).c_str());
+  *out += buf;
+  for (size_t child : t.child_ids) RenderRecord(records, child, depth + 1, out);
 }
 
 /// The in-process sink: moves every root row into a vector.
@@ -299,8 +312,7 @@ Result<Middleware::Prepared> Middleware::OptimizeLogical(
 
 Result<Middleware::Execution> Middleware::ExecuteOnce(
     const optimizer::PhysPlanPtr& plan, const QueryControlPtr& control,
-    ResultSink* sink, obs::AnalyzeReport* report, const Prepared* provenance,
-    bool* reached_sink) {
+    ResultSink* sink, const Prepared* provenance, bool* reached_sink) {
   // Declared first so the span closes after every other interval of this
   // execution (compile, operators, retries).
   obs::ScopedSpan execute_span(trace_, "execute", "query");
@@ -378,8 +390,8 @@ Result<Middleware::Execution> Middleware::ExecuteOnce(
   Execution exec;
   exec.schema = schema;
   exec.elapsed_seconds = std::chrono::duration<double>(elapsed).count();
-  exec.timings = *compiled.timings;
-  exec.sql_statements = compiled.sql_statements;
+  exec.timings = std::move(*compiled.timings);
+  exec.sql_statements = SqlStatements(exec.timings);
   exec.cleanup_status = cleanup;
   metrics_->histogram("query.latency_seconds").Record(exec.elapsed_seconds);
   // Vectorization observability: rows that reached the (batched) root drain
@@ -391,30 +403,26 @@ Result<Middleware::Execution> Middleware::ExecuteOnce(
   }
   metrics_->counter("exec.batch.blocks").Increment(plan_batches);
 
-  if (config_.adapt) ApplyFeedback(compiled, exec.timings);
+  if (config_.adapt) ApplyFeedback(exec.timings);
   if (provenance != nullptr && provenance->cache_entry != nullptr) {
-    RecordCardinalityFeedback(compiled, exec.timings, *provenance);
+    RecordCardinalityFeedback(exec.timings, *provenance);
   }
-  if (report != nullptr) *report = BuildReport(compiled, exec, result_rows);
   return exec;
 }
 
-void Middleware::RecordCardinalityFeedback(const CompiledPlan& compiled,
-                                           const exec::TimingSink& timings,
+void Middleware::RecordCardinalityFeedback(const exec::TimingSink& timings,
                                            const Prepared& provenance) {
   std::vector<adapt::Observation> observations;
-  observations.reserve(compiled.nodes.size());
-  for (const CompiledNode& node : compiled.nodes) {
-    const optimizer::PhysPlan& p = *node.plan;
-    // TRANSFER^D sinks rows into a temp table; its timing does not observe
+  observations.reserve(timings.size());
+  for (const exec::AlgorithmTiming& t : timings) {
+    const optimizer::PhysPlan& p = *t.plan;
+    // TRANSFER^D sinks rows into a temp table; its record does not observe
     // the group's output cardinality. Synthetic nodes carry no key.
     if (p.feedback_key == 0 ||
-        p.algorithm == optimizer::Algorithm::kTransferD ||
-        node.timing_id >= timings.size()) {
+        p.algorithm == optimizer::Algorithm::kTransferD) {
       continue;
     }
-    observations.push_back(
-        {p.feedback_key, p.est_cardinality, timings[node.timing_id].rows});
+    observations.push_back({p.feedback_key, p.est_cardinality, t.rows});
   }
   const double worst =
       feedback_.Record(provenance.fingerprint, observations);
@@ -448,8 +456,8 @@ Result<Middleware::Execution> Middleware::Execute(
     const Prepared& prepared, ResultSink* sink,
     const QueryControlPtr& control) {
   bool reached_sink = false;
-  Result<Execution> first = ExecuteOnce(prepared.plan, control, sink, nullptr,
-                                        &prepared, &reached_sink);
+  Result<Execution> first =
+      ExecuteOnce(prepared.plan, control, sink, &prepared, &reached_sink);
   if (first.ok() || !config_.degrade_on_failure) return first;
   // Past the first block the sink holds rows of this attempt (a client may
   // already have them): a re-run would repeat them, so the failure stands.
@@ -484,7 +492,7 @@ Result<Middleware::Execution> Middleware::Execute(
 
   ++recovery_.downgrades;
   Result<Execution> second = ExecuteOnce(fallback.ValueOrDie().plan, control,
-                                         sink, nullptr, &fallback.ValueOrDie());
+                                         sink, &fallback.ValueOrDie());
   if (!second.ok()) return second;
   Execution degraded = second.MoveValueOrDie();
   degraded.degraded = true;
@@ -553,7 +561,7 @@ Result<std::string> Middleware::Explain(const Prepared& prepared) {
          " physical combinations):\n";
   out += prepared.plan->ToString();
   out += "\nSQL sent to the DBMS:\n";
-  for (const std::string& sql : compiled.sql_statements) {
+  for (const std::string& sql : SqlStatements(*compiled.timings)) {
     out += "  " + sql + "\n";
   }
   return out;
@@ -565,36 +573,34 @@ Result<Middleware::Execution> Middleware::Query(const std::string& tsql_text,
   return Execute(prepared, control);
 }
 
-Result<obs::AnalyzeReport> Middleware::Analyze(const Prepared& prepared,
-                                               const QueryControlPtr& control) {
-  obs::AnalyzeReport report;
+Result<Middleware::Execution> Middleware::Analyze(
+    const Prepared& prepared, const QueryControlPtr& control) {
   std::vector<Tuple> rows;
   AppendRows sink(&rows);
-  TANGO_RETURN_IF_ERROR(
-      ExecuteOnce(prepared.plan, control, &sink, &report, &prepared).status());
-  return report;
+  TANGO_ASSIGN_OR_RETURN(Execution exec,
+                         ExecuteOnce(prepared.plan, control, &sink, &prepared));
+  exec.rows = std::move(rows);
+  return exec;
 }
 
 Result<std::string> Middleware::ExplainAnalyze(const Prepared& prepared,
                                                const QueryControlPtr& control) {
-  TANGO_ASSIGN_OR_RETURN(obs::AnalyzeReport report, Analyze(prepared, control));
+  TANGO_ASSIGN_OR_RETURN(Execution exec, Analyze(prepared, control));
   char buf[64];
-  std::snprintf(buf, sizeof(buf), "elapsed=%.3fms",
-                report.elapsed_seconds * 1e3);
-  std::string out = "EXPLAIN ANALYZE rows=" +
-                    std::to_string(report.result_rows) + " " + buf + "\n";
+  std::snprintf(buf, sizeof(buf), "elapsed=%.3fms", exec.elapsed_seconds * 1e3);
+  std::string out = "EXPLAIN ANALYZE rows=" + std::to_string(exec.rows.size()) +
+                    " " + buf + "\n";
   out += ProvenanceLine(prepared);
-  out += obs::RenderAnalyzeTree(report);
+  RenderRecord(exec.timings, exec.timings.size() - 1, 0, &out);
   return out;
 }
 
-void Middleware::ApplyFeedback(const CompiledPlan& compiled,
-                               const exec::TimingSink& timings) {
+void Middleware::ApplyFeedback(const exec::TimingSink& timings) {
   cost::CostFactors& f = cost_model_.factors();
   const double alpha = config_.feedback_alpha;
-  for (const CompiledNode& node : compiled.nodes) {
-    const optimizer::PhysPlan& p = *node.plan;
-    const double self_us = exec::SelfSeconds(timings, node.timing_id) * 1e6;
+  for (size_t id = 0; id < timings.size(); ++id) {
+    const optimizer::PhysPlan& p = *timings[id].plan;
+    const double self_us = exec::SelfSeconds(timings, id) * 1e6;
     if (self_us <= 1) continue;
     // The size basis of each factor, per the Figure 6 formulas. For
     // TRANSFER^M the measured time includes the DBMS fragment's work — the

@@ -12,7 +12,6 @@
 #include "common/retry.h"
 #include "cost/cost_model.h"
 #include "dbms/connection.h"
-#include "obs/explain.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "optimizer/optimizer.h"
@@ -188,7 +187,10 @@ class Middleware {
     std::vector<Tuple> rows;
     /// Root drain time, the sink's own time included.
     double elapsed_seconds = 0;
+    /// One record per executed operator, children before parents (the
+    /// root's is the last): plan node, SQL, span and measured actuals.
     exec::TimingSink timings;
+    /// The TRANSFER^M records' SQL, in record order.
     std::vector<std::string> sql_statements;
     /// True when the result came from a degraded (site-restricted) fallback
     /// plan after the chosen plan exhausted its retry budget.
@@ -248,30 +250,28 @@ class Middleware {
   /// TRANSFER^M would send — without executing anything.
   Result<std::string> Explain(const Prepared& prepared);
 
-  /// EXPLAIN ANALYZE's data form: executes the prepared plan (no
-  /// degradation — the report must describe the chosen plan) and returns
-  /// the per-operator estimate-vs-actual observation tree.
-  Result<obs::AnalyzeReport> Analyze(const Prepared& prepared,
-                                     const QueryControlPtr& control = nullptr);
+  /// EXPLAIN ANALYZE's data form: executes the prepared plan without
+  /// degradation, so the execution's records describe the chosen plan;
+  /// each record's plan node carries the estimates beside its actuals.
+  Result<Execution> Analyze(const Prepared& prepared,
+                            const QueryControlPtr& control = nullptr);
 
-  /// EXPLAIN ANALYZE: executes the prepared plan and renders the
-  /// per-operator tree — est vs actual rows, Q-error, estimated cost vs
-  /// measured self/inclusive time, site — plus query totals.
+  /// EXPLAIN ANALYZE: executes the prepared plan and renders its records
+  /// as a tree — est vs actual rows, Q-error, estimated cost vs measured
+  /// self/inclusive time, site — plus query totals.
   Result<std::string> ExplainAnalyze(const Prepared& prepared,
                                      const QueryControlPtr& control = nullptr);
 
  private:
   /// One compile-and-run of a physical plan, with the janitor guarding its
   /// temp tables: the root is drained into `sink`. No degradation (that is
-  /// the Prepared overload's job). `report` (optional) receives the EXPLAIN
-  /// ANALYZE observation tree; `provenance` (optional) identifies the cache
-  /// entry and fingerprint the execution's observed cardinalities are
+  /// the Prepared overload's job). `provenance` (optional) identifies the
+  /// cache entry and fingerprint the execution's observed cardinalities are
   /// recorded against; `reached_sink` (optional) is set once a block has
   /// been handed to the sink, failure or not.
   Result<Execution> ExecuteOnce(const optimizer::PhysPlanPtr& plan,
                                 const QueryControlPtr& control,
                                 ResultSink* sink,
-                                obs::AnalyzeReport* report = nullptr,
                                 const Prepared* provenance = nullptr,
                                 bool* reached_sink = nullptr);
 
@@ -286,8 +286,7 @@ class Middleware {
   /// Records one execution's per-node estimate-vs-actual cardinalities
   /// against the provenance's fingerprint and marks the cache entry stale
   /// when the worst Q-error exceeds adapt::PlanCache::kStaleQError.
-  void RecordCardinalityFeedback(const CompiledPlan& compiled,
-                                 const exec::TimingSink& timings,
+  void RecordCardinalityFeedback(const exec::TimingSink& timings,
                                  const Prepared& provenance);
 
   /// Cost factors in a fixed order, for the cache's drift detection.
@@ -296,8 +295,7 @@ class Middleware {
   std::string PlanConfigKey(optimizer::SiteRestriction restriction) const;
 
   /// Applies the performance feedback of one execution to the cost factors.
-  void ApplyFeedback(const CompiledPlan& compiled,
-                     const exec::TimingSink& timings);
+  void ApplyFeedback(const exec::TimingSink& timings);
 
   stats::RelStats StripHistograms(stats::RelStats rel) const;
 

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
 #include "common/date.h"
 #include "common/rng.h"
 #include "common/schema.h"
@@ -62,6 +65,33 @@ TEST(ValueTest, HashConsistentWithEquality) {
   EXPECT_EQ(Value(int64_t{5}).Hash(), Value(5.0).Hash());
   EXPECT_EQ(Value("xy").Hash(), Value("xy").Hash());
   EXPECT_NE(Value("xy").Hash(), Value("xz").Hash());
+}
+
+TEST(ValueTest, CompareEqualImpliesEqualHash) {
+  // Around 2^53 ints stop fitting a double, and beyond 2^63 doubles stop
+  // fitting an int64: Compare matches an int with a double through the
+  // int's double image, and Hash must agree (and stay defined) there.
+  const int64_t p53 = int64_t{1} << 53;
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<Value> values = {
+      Value(int64_t{0}),  Value(0.0),          Value(-0.0),
+      Value(p53),         Value(-p53),         Value(p53 + 1),
+      Value(p53 - 1),     Value(-p53 - 1),     Value(0x1p53),
+      Value(-0x1p53),     Value(0x1p53 + 2),   Value(0x1p53 - 1),
+      Value(std::numeric_limits<int64_t>::min()),
+      Value(std::numeric_limits<int64_t>::max()),
+      Value(0x1p63),      Value(-0x1p63),      Value(1e300),
+      Value(-1e300),      Value(inf),          Value(-inf)};
+  size_t equal_pairs = 0;
+  for (const Value& a : values) {
+    for (const Value& b : values) {
+      if (a.Compare(b) != 0) continue;
+      ++equal_pairs;
+      EXPECT_EQ(a.Hash(), b.Hash()) << a.ToString() << " vs " << b.ToString();
+    }
+  }
+  // Cross-kind pairs, not just each value with itself.
+  EXPECT_GT(equal_pairs, values.size());
 }
 
 TEST(ValueTest, ByteSizeReflectsContent) {

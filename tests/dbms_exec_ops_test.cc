@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <limits>
 #include <new>
 #include <random>
 #include <set>
@@ -874,6 +875,25 @@ TEST(HashJoinOpTest, ProbeOrderMatchesNestedLoopOracle) {
   ExpectProbeOrder(doubles, left, {0}, {0}, "double build, int probe");
   ExpectProbeOrder({}, right, {0}, {0}, "empty build side");
   ExpectProbeOrder(left, {}, {0}, {0}, "empty probe side");
+}
+
+TEST(HashJoinOpTest, IntsBeyond2To53JoinTheirDoubleImage) {
+  // int 2^53+1 equals double 2^53 under Value::Compare (the int's double
+  // image), as INT64_MAX equals double 2^63; the hash join must pair them
+  // as the nested loop does, from either side.
+  const int64_t p53 = int64_t{1} << 53;
+  const std::vector<Tuple> ints = {
+      {Value(p53 + 1), Value(int64_t{1}), Value("a")},
+      {Value(std::numeric_limits<int64_t>::max()), Value(int64_t{2}),
+       Value("b")},
+      {Value(int64_t{7}), Value(int64_t{3}), Value("c")}};
+  const std::vector<Tuple> doubles = {
+      {Value(0x1p53), Value(int64_t{50}), Value("x")},
+      {Value(0x1p63), Value(int64_t{60}), Value("y")},
+      {Value(7.5), Value(int64_t{70}), Value("z")}};
+  ASSERT_EQ(ProbeOrderOracle(ints, doubles, {0}, {0}, nullptr).size(), 2u);
+  ExpectProbeOrder(ints, doubles, {0}, {0}, "int build, double probe");
+  ExpectProbeOrder(doubles, ints, {0}, {0}, "double build, int probe");
 }
 
 TEST(HashJoinOpTest, ManyDistinctBuildKeys) {

@@ -1,8 +1,8 @@
 // Golden-snapshot tests for EXPLAIN ANALYZE: the four fault-matrix queries
 // rendered with volatile time fields masked, so the snapshots pin the exact
 // tree shape, sites, estimated/actual row columns, and Q-errors — plus
-// report-level invariants and a Q-error bound on the UIS workload after
-// ANALYZE.
+// invariants of the per-operator records and a Q-error bound on the UIS
+// workload after ANALYZE.
 
 #include <gtest/gtest.h>
 
@@ -158,9 +158,9 @@ TEST(ExplainAnalyzeSnapshotTest, Query4CoalescedAggregation) {
 }
 
 // ---------------------------------------------------------------------------
-// Report-level invariants (independent of the rendered text).
+// Record-level invariants (independent of the rendered text).
 
-TEST(AnalyzeReportTest, InvariantsHoldForQuery2) {
+TEST(AnalyzeRecordTest, InvariantsHoldForQuery2) {
   dbms::Engine db;
   Load(&db, "RA", MakeRelation(11, 120, 5, 50));
   Load(&db, "RB", MakeRelation(11 ^ 0xbeef, 100, 5, 50));
@@ -169,51 +169,109 @@ TEST(AnalyzeReportTest, InvariantsHoldForQuery2) {
   ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
   auto r = mw.Analyze(prepared.ValueOrDie());
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  const obs::AnalyzeReport& report = r.ValueOrDie();
+  const Middleware::Execution& run = r.ValueOrDie();
+  const exec::TimingSink& records = run.timings;
 
-  ASSERT_FALSE(report.ops.empty());
-  ASSERT_LT(report.root, report.ops.size());
-  EXPECT_GT(report.result_rows, 0u);
+  ASSERT_FALSE(records.empty());
+  EXPECT_FALSE(run.rows.empty());
 
-  const obs::OpObservation& root = report.ops[report.root];
+  const exec::AlgorithmTiming& root = records.back();
   // The root operator delivers the query's result rows, and its inclusive
   // time is part of (hence bounded by) the query's elapsed time.
-  EXPECT_EQ(root.act_rows, report.result_rows);
-  EXPECT_LE(root.inclusive_seconds, report.elapsed_seconds);
+  EXPECT_EQ(root.rows, run.rows.size());
+  EXPECT_LE(root.inclusive_seconds, run.elapsed_seconds);
 
-  std::vector<bool> is_child(report.ops.size(), false);
-  for (const obs::OpObservation& op : report.ops) {
-    EXPECT_EQ(op.site == 'M' || op.site == 'D', true) << op.label;
-    EXPECT_GE(op.self_seconds, 0.0) << op.label;
-    EXPECT_LE(op.self_seconds, op.inclusive_seconds + 1e-9) << op.label;
-    EXPECT_GE(obs::QError(op.est_rows, static_cast<double>(op.act_rows)), 1.0)
+  std::vector<bool> is_child(records.size(), false);
+  for (size_t id = 0; id < records.size(); ++id) {
+    const exec::AlgorithmTiming& op = records[id];
+    ASSERT_NE(op.plan, nullptr) << op.label;
+    EXPECT_EQ(op.label, optimizer::AlgorithmName(op.plan->algorithm));
+    EXPECT_EQ(op.sql.empty(),
+              op.plan->algorithm != optimizer::Algorithm::kTransferM)
         << op.label;
-    for (size_t c : op.children) {
-      ASSERT_LT(c, report.ops.size());
+    const double self = exec::SelfSeconds(records, id);
+    EXPECT_GE(self, 0.0) << op.label;
+    EXPECT_LE(self, op.inclusive_seconds + 1e-9) << op.label;
+    EXPECT_GE(adapt::QError(op.plan->est_cardinality,
+                            static_cast<double>(op.rows)),
+              1.0)
+        << op.label;
+    for (size_t c : op.child_ids) {
+      // Compiled bottom-up: a child's record precedes its parent's.
+      ASSERT_LT(c, id) << op.label;
       is_child[c] = true;
       // A child's inclusive interval is contained in the parent's work.
-      EXPECT_LE(report.ops[c].inclusive_seconds,
-                op.inclusive_seconds + 1e-9)
-          << op.label << " -> " << report.ops[c].label;
+      EXPECT_LE(records[c].inclusive_seconds, op.inclusive_seconds + 1e-9)
+          << op.label << " -> " << records[c].label;
     }
   }
-  // Exactly one root: every other observation is some operator's child.
-  EXPECT_FALSE(is_child[report.root]);
-  for (size_t i = 0; i < report.ops.size(); ++i) {
-    if (i != report.root) {
-      EXPECT_TRUE(is_child[i]) << report.ops[i].label;
-    }
+  // Exactly one root, the last record: it is no record's child, and every
+  // other record is some operator's child.
+  EXPECT_FALSE(is_child.back());
+  for (size_t i = 0; i + 1 < records.size(); ++i) {
+    EXPECT_TRUE(is_child[i]) << records[i].label;
   }
 }
 
-TEST(AnalyzeReportTest, QErrorDefinition) {
-  EXPECT_DOUBLE_EQ(obs::QError(10, 10), 1.0);
-  EXPECT_DOUBLE_EQ(obs::QError(5, 20), 4.0);
-  EXPECT_DOUBLE_EQ(obs::QError(20, 5), 4.0);
-  // Both sides floored at one row: empty results stay finite.
-  EXPECT_DOUBLE_EQ(obs::QError(0, 0), 1.0);
-  EXPECT_DOUBLE_EQ(obs::QError(0, 8), 8.0);
-  EXPECT_DOUBLE_EQ(obs::QError(8, 0), 8.0);
+TEST(AnalyzeRecordTest, RecordsOutliveThePreparedPlan) {
+  dbms::Engine db;
+  Load(&db, "RA", MakeRelation(11, 120, 5, 50));
+  Load(&db, "RB", MakeRelation(11 ^ 0xbeef, 100, 5, 50));
+  Middleware mw(&db, StableConfig());
+  // The first Prepare puts the plan in the cache; the second rebinds a copy
+  // that only the temporary Prepared owns, so that copy is freed when the
+  // Analyze statement ends unless the records keep it alive.
+  ASSERT_TRUE(mw.Prepare(kQuery2).ok());
+  const uint64_t hits = mw.metrics().counter("plancache.hit").load();
+  auto r = mw.Analyze(mw.Prepare(kQuery2).ValueOrDie());
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(mw.metrics().counter("plancache.hit").load(), hits + 1);
+  for (const exec::AlgorithmTiming& t : r.ValueOrDie().timings) {
+    ASSERT_NE(t.plan, nullptr) << t.label;
+    EXPECT_EQ(t.label, optimizer::AlgorithmName(t.plan->algorithm));
+    EXPECT_GT(t.plan->est_cardinality, 0) << t.label;
+    EXPECT_GT(t.plan->cost, 0) << t.label;
+  }
+}
+
+TEST(AnalyzeRecordTest, SqlStatementsAreTheTransferMRecordsSql) {
+  // Query 3's TRANSFER^D shape: the root TRANSFER^M reads the temporary
+  // table a nested TRANSFER^M's aggregate was shipped into.
+  dbms::Engine db;
+  Load(&db, "R", MakeRelation(23, 150, 6, 60));
+  Middleware mw(&db, StableConfig());
+  cost::CostFactors* f = &mw.cost_model().factors();
+  f->tjm = f->mjm = 1e9;
+  f->taggd1 = f->taggd2 = 1e9;
+  auto prepared = mw.Prepare(kQuery3);
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  auto r = mw.Execute(prepared.ValueOrDie());
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+
+  std::vector<std::string> transfer_m_sql;
+  size_t transfer_ds = 0;
+  for (const exec::AlgorithmTiming& t : r.ValueOrDie().timings) {
+    if (t.label == "TRANSFER^M") transfer_m_sql.push_back(t.sql);
+    if (t.label == "TRANSFER^D") ++transfer_ds;
+  }
+  EXPECT_EQ(transfer_ds, 1u);
+  ASSERT_EQ(transfer_m_sql.size(), 2u);
+  EXPECT_EQ(r.ValueOrDie().sql_statements, transfer_m_sql);
+
+  // EXPLAIN lists the same statements in the same order; it compiles the
+  // plan afresh, so only the temporary table's per-execution name differs.
+  auto explained = mw.Explain(prepared.ValueOrDie());
+  ASSERT_TRUE(explained.ok()) << explained.status().ToString();
+  const std::string& text = explained.ValueOrDie();
+  const std::string header = "SQL sent to the DBMS:\n";
+  const size_t at = text.find(header);
+  ASSERT_NE(at, std::string::npos);
+  std::string listed;
+  for (const std::string& sql : transfer_m_sql) listed += "  " + sql + "\n";
+  const std::regex temp_name(R"(TANGO_TMP_\w+)");
+  EXPECT_EQ(std::regex_replace(text.substr(at + header.size()), temp_name,
+                               "TANGO_TMP"),
+            std::regex_replace(listed, temp_name, "TANGO_TMP"));
 }
 
 // ---------------------------------------------------------------------------
@@ -221,7 +279,7 @@ TEST(AnalyzeReportTest, QErrorDefinition) {
 // run), the optimizer's cardinality estimates for the paper's Query 1 stay
 // within a fixed factor of the measured row counts at every operator.
 
-TEST(AnalyzeReportTest, UisQuery1QErrorBoundAfterAnalyze) {
+TEST(AnalyzeRecordTest, UisQuery1QErrorBoundAfterAnalyze) {
   dbms::Engine db;
   workload::UisOptions opts;
   opts.employee_rows = 500;
@@ -235,14 +293,13 @@ TEST(AnalyzeReportTest, UisQuery1QErrorBoundAfterAnalyze) {
   ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
   auto r = mw.Analyze(prepared.ValueOrDie());
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  const obs::AnalyzeReport& report = r.ValueOrDie();
 
   double worst = 1.0;
   std::string worst_op;
-  for (const obs::OpObservation& op : report.ops) {
-    if (op.label.find("TRANSFER^D") != std::string::npos) continue;
-    const double q =
-        obs::QError(op.est_rows, static_cast<double>(op.act_rows));
+  for (const exec::AlgorithmTiming& op : r.ValueOrDie().timings) {
+    if (op.label == "TRANSFER^D") continue;
+    const double q = adapt::QError(op.plan->est_cardinality,
+                                   static_cast<double>(op.rows));
     if (q > worst) {
       worst = q;
       worst_op = op.label;

@@ -15,6 +15,16 @@
 namespace tango {
 namespace {
 
+TEST(FeedbackStoreTest, QErrorDefinition) {
+  EXPECT_DOUBLE_EQ(adapt::QError(10, 10), 1.0);
+  EXPECT_DOUBLE_EQ(adapt::QError(5, 20), 4.0);
+  EXPECT_DOUBLE_EQ(adapt::QError(20, 5), 4.0);
+  // Both sides floored at one row: empty results stay finite.
+  EXPECT_DOUBLE_EQ(adapt::QError(0, 0), 1.0);
+  EXPECT_DOUBLE_EQ(adapt::QError(0, 8), 8.0);
+  EXPECT_DOUBLE_EQ(adapt::QError(8, 0), 8.0);
+}
+
 TEST(FeedbackStoreTest, RecordReturnsWorstQError) {
   adapt::FeedbackStore store;
   EXPECT_DOUBLE_EQ(store.Record(1, {}), 1.0);
