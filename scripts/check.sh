@@ -97,8 +97,11 @@ DURABILITY_SUITES='^(wal_recovery_test|write_churn_test)$'
 # from many threads. wire_fuzz_test (above) covers the protocol codec.
 SERVER_SUITES='^(server_test|server_soak|connection_test)$'
 
-# The paper's shape checks (Figures 8, 10, 11(a) and 11(b)), Release leg only.
-SHAPE_BENCHES=(bench_query1_fig8 bench_query2_fig10 bench_query3_fig11a bench_query4_fig11b)
+# The paper's shape checks (Figures 8, 10, 11(a) and 11(b)), Release leg only,
+# and the feedback loop's: bench_calibration's Part 2 is the one check that
+# cost-factor feedback flips a plan (TAGGR^D -> TAGGR^M after wrong p_taggd*).
+SHAPE_BENCHES=(bench_query1_fig8 bench_query2_fig10 bench_query3_fig11a bench_query4_fig11b
+               bench_calibration)
 
 # A stuck test under a sanitizer leg should fail the run, not hang it.
 CTEST_TIMEOUT=600

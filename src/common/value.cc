@@ -1,7 +1,9 @@
 #include "common/value.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 
 namespace tango {
 
@@ -41,6 +43,9 @@ int Value::Compare(const Value& other) const {
     }
     const double a = AsDouble();
     const double b = other.AsDouble();
+    const bool a_nan = std::isnan(a);
+    const bool b_nan = std::isnan(b);
+    if (a_nan || b_nan) return a_nan == b_nan ? 0 : (a_nan ? 1 : -1);
     return a < b ? -1 : (a > b ? 1 : 0);
   }
   const int c = AsString().compare(other.AsString());
@@ -92,10 +97,12 @@ size_t Value::Hash() const {
     // Compare matches an int and a double through the int's double image,
     // so every number hashes through its double image: an integral one in
     // [-2^63, 2^63) as that int64 (ints within 2^53 as themselves), any
-    // other (fractions, +-inf, NaN, beyond 2^63) as its bits.
+    // other (fractions, +-inf, beyond 2^63) as its bits, and every NaN, of
+    // any sign or payload, as the quiet NaN's.
     const char tag = 1;
     mix(&tag, 1);
-    const double d = AsDouble();
+    double d = AsDouble();
+    if (std::isnan(d)) d = std::numeric_limits<double>::quiet_NaN();
     if (d >= -0x1p63 && d < 0x1p63 &&
         static_cast<double>(static_cast<int64_t>(d)) == d) {
       const auto v = static_cast<int64_t>(d);

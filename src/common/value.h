@@ -61,7 +61,9 @@ class Value {
   bool is_numeric() const { return is_int() || is_double(); }
 
   /// Three-way comparison with SQL NULLS FIRST total order:
-  /// NULL < numbers < strings; numbers compare numerically across kinds.
+  /// NULL < numbers < strings; numbers compare numerically across kinds (an
+  /// int and a double in double precision). NaN equals every NaN and sorts
+  /// above every other number, as in PostgreSQL.
   int Compare(const Value& other) const;
 
   bool operator==(const Value& other) const { return Compare(other) == 0; }

@@ -1,11 +1,14 @@
 #ifndef TANGO_COST_COST_MODEL_H_
 #define TANGO_COST_COST_MODEL_H_
 
-#include <cmath>
-#include <cstdint>
+#include <array>
+#include <cassert>
+#include <cstddef>
+#include <initializer_list>
 #include <string>
+#include <vector>
 
-#include "expr/expr.h"
+#include "optimizer/phys.h"
 
 namespace tango {
 namespace cost {
@@ -50,19 +53,74 @@ struct CostFactors {
   double joind = 0.012;   // join, per input byte
   double joindout = 0.008;  // join, per output byte
   double prodd = 0.02;    // Cartesian product, per output byte
-  double idxd = 0.02;     // index scan, per output byte
 
   // Per-statement round-trip overhead (microseconds).
   double stmt = 400;
 
+  /// Every factor as "name=value", space-separated, in kFactors order.
   std::string ToString() const;
+  /// The factors in kFactors order, for the plan cache's drift check.
+  std::vector<double> Values() const;
+};
+
+/// One cost factor, as a pointer to its member.
+using Factor = double CostFactors::*;
+
+/// Every factor with its name: the one list ToString and Values walk.
+struct NamedFactor {
+  const char* name;
+  Factor factor;
+};
+inline constexpr NamedFactor kFactors[] = {
+    {"p_tm", &CostFactors::tm},         {"p_td", &CostFactors::td},
+    {"p_tmblk", &CostFactors::tmblk},   {"p_tdblk", &CostFactors::tdblk},
+    {"p_sem", &CostFactors::sem},       {"p_taggm1", &CostFactors::taggm1},
+    {"p_taggm2", &CostFactors::taggm2}, {"p_taggd1", &CostFactors::taggd1},
+    {"p_taggd2", &CostFactors::taggd2}, {"p_sortm", &CostFactors::sortm},
+    {"p_projm", &CostFactors::projm},   {"p_mjm", &CostFactors::mjm},
+    {"p_mjout", &CostFactors::mjout},   {"p_tjm", &CostFactors::tjm},
+    {"p_dupm", &CostFactors::dupm},     {"p_coalm", &CostFactors::coalm},
+    {"p_diffm", &CostFactors::diffm},   {"p_scand", &CostFactors::scand},
+    {"p_sortd", &CostFactors::sortd},   {"p_joind", &CostFactors::joind},
+    {"p_joindout", &CostFactors::joindout},
+    {"p_prodd", &CostFactors::prodd},   {"p_stmt", &CostFactors::stmt},
+};
+
+/// One term of an algorithm's self cost: `factor` microseconds per unit of
+/// `basis` (bytes, bytes x log2(rows), block frames, or one statement).
+struct Term {
+  Factor factor;
+  double basis;
+};
+
+/// \brief An algorithm's self cost as at most kMax terms, held without
+/// allocating (the optimizer prices every candidate node through one).
+class Terms {
+ public:
+  static constexpr size_t kMax = 3;
+
+  Terms() = default;
+  Terms(std::initializer_list<Term> terms) {
+    assert(terms.size() <= kMax);
+    for (const Term& t : terms) terms_[size_++] = t;
+  }
+
+  const Term* begin() const { return terms_.data(); }
+  const Term* end() const { return terms_.data() + size_; }
+  size_t size() const { return size_; }
+
+ private:
+  std::array<Term, kMax> terms_{};
+  size_t size_ = 0;
 };
 
 /// \brief TANGO's cost model: initialization + per-tuple processing +
 /// output-forming costs, simplified as the paper argues (§3.1).
 ///
-/// `size` arguments are the paper's size(r) = cardinality x average tuple
-/// bytes; returned values are estimated microseconds.
+/// Sizes are the paper's size(r) = cardinality x average tuple bytes;
+/// prices are estimated microseconds. SelfTerms is the one place each
+/// algorithm meets its factors: the optimizer prices with its terms, and
+/// Fit re-fits factors from measured times over the same terms.
 class CostModel {
  public:
   CostModel() = default;
@@ -74,83 +132,37 @@ class CostModel {
   /// Rows per RowBlock on the wire; determines how many per-block overheads
   /// a transfer of a given cardinality pays.
   void set_batch_size(size_t rows) { batch_rows_ = rows == 0 ? 1 : rows; }
-  size_t batch_size() const { return batch_rows_; }
 
-  // ---- Figure 6 ----
-  /// `cardinality` <= 0 charges a single block (unknown-cardinality callers
-  /// keep the old stmt + per-byte shape).
-  double TransferM(double size, double cardinality = 0) const {
-    return f_.stmt + f_.tm * size + f_.tmblk * Blocks(cardinality);
-  }
-  double TransferD(double size, double cardinality = 0) const {
-    return f_.stmt + f_.td * size + f_.tdblk * Blocks(cardinality);
-  }
-  /// `predicate_coefficient` is the paper's f(P) (see PredicateCoefficient).
-  double FilterM(double predicate_coefficient, double size) const {
-    return f_.sem * predicate_coefficient * size;
-  }
-  /// TAGGR^M cost *excluding* the external sort of its argument (the
-  /// optimizer charges the child sort separately, as the formula does by
-  /// adding cost(SORT)); the internal T2-sort is folded into taggm1.
-  double TAggrM(double in_size, double out_size) const {
-    return f_.taggm1 * in_size + f_.taggm2 * out_size;
-  }
-  double TAggrD(double in_size, double out_size) const {
-    return f_.taggd1 * in_size + f_.taggd2 * out_size;
+  /// The self cost of `node`'s algorithm, children excluded, per Figure 6
+  /// and the technical report. Each basis comes from the estimated bytes
+  /// and rows of the node and its children, the predicate coefficient
+  /// f(P) (the number of comparisons) or the block count.
+  Terms SelfTerms(const optimizer::PhysPlan& node) const;
+
+  /// Estimated microseconds of `terms` at the current factors.
+  double Price(const Terms& terms) const {
+    double us = 0;
+    for (const Term& t : terms) us += f_.*t.factor * t.basis;
+    return us;
   }
 
-  // ---- middleware algorithms ----
-  double SortM(double size, double cardinality) const {
-    return f_.sortm * size * Log2(cardinality);
-  }
-  double ProjectM(double size) const { return f_.projm * size; }
-  double MergeJoinM(double left_size, double right_size,
-                    double out_size) const {
-    return f_.mjm * (left_size + right_size) + f_.mjout * out_size;
-  }
-  double TJoinM(double left_size, double right_size, double out_size) const {
-    return f_.tjm * (left_size + right_size) + f_.mjout * out_size;
-  }
-  double DupElimM(double size) const { return f_.dupm * size; }
-  double CoalesceM(double size) const { return f_.coalm * size; }
-  double DifferenceM(double left_size, double right_size) const {
-    return f_.diffm * (left_size + right_size);
-  }
-
-  // ---- generic DBMS implementations ----
-  double ScanD(double size) const { return f_.scand * size; }
-  double SortD(double size, double cardinality) const {
-    return f_.sortd * size * Log2(cardinality);
-  }
-  double JoinD(double left_size, double right_size, double out_size) const {
-    return f_.joind * (left_size + right_size) + f_.joindout * out_size;
-  }
-  double ProductD(double out_size) const { return f_.prodd * out_size; }
-  /// Selection and projection in the DBMS are free (§3.1).
-  double SelectD() const { return 0; }
-  double ProjectD() const { return 0; }
-
-  /// The paper's f(P): a coefficient representing the selection condition;
-  /// we use the number of comparison nodes in the predicate.
-  static double PredicateCoefficient(const ExprPtr& predicate);
-
-  /// Exponential-smoothing update of one factor from an observed execution:
-  /// `observed_us` microseconds were actually spent on `size` bytes (the
-  /// paper's performance-feedback adaptation). `alpha` is the smoothing
-  /// weight of the new observation.
-  static void Feedback(double* factor, double observed_us, double size,
-                       double alpha = 0.3);
+  /// The paper's performance feedback from one execution record:
+  /// `observed_us` were spent in `node` and in the DBMS nodes below it,
+  /// which have no record of their own (a TRANSFER^M's fragment, down to
+  /// any TRANSFER^D). The pinned terms (the statement round trip, the
+  /// per-block overheads, the scans, and the per-byte TRANSFER^M when
+  /// another term can take the time) are subtracted; every other term's
+  /// factor is scaled, once, by
+  /// (1 - alpha) + alpha * clamp(rest / estimate, 0.05, 20). With one such
+  /// term that is exponential smoothing toward rest / basis. A record whose
+  /// time the pinned terms already cover says nothing about the others and
+  /// is skipped.
+  void Fit(const optimizer::PhysPlan& node, double observed_us, double alpha);
 
  private:
-  static double Log2(double card) {
-    return card < 2 ? 1 : std::log2(card);
-  }
-
-  /// Block frames a transfer of `cardinality` rows crosses the wire in.
-  double Blocks(double cardinality) const {
-    if (cardinality <= 0) return 1;
-    return std::ceil(cardinality / static_cast<double>(batch_rows_));
-  }
+  /// Block frames a transfer of `cardinality` rows crosses the wire in;
+  /// an unknown (<= 0) cardinality is charged a single block.
+  double Blocks(double cardinality) const;
 
   CostFactors f_;
   size_t batch_rows_ = 1024;

@@ -38,16 +38,15 @@ namespace exec {
 /// of `TupleComparator`: equal keys (1 and 1.0 among them) keep their input
 /// order.
 ///
-/// Where `Value::Compare` is no order, the sort still has one, so
-/// `std::sort` always runs over a consistent comparison. A NaN key, which
-/// `Value::Compare` finds equal to every number, sorts after every other
-/// number (+infinity included; before them in a descending key), NaNs in
-/// input order. An int and a double that are equal in double precision but
-/// not exactly (2^53 + 1 and the double 2^53), which `Value::Compare` calls
-/// equal even though the int 2^53 is less than 2^53 + 1, order by their
-/// exact values. The k-way merge compares run heads with `TupleComparator`,
-/// so a spilled sort returns the in-memory order wherever `Value::Compare`
-/// is an order.
+/// A NaN key sorts after every other number (+infinity included; before
+/// them in a descending key), NaNs in input order, as `Value::Compare`
+/// orders them. Where `Value::Compare` is no order, the sort still has
+/// one, so `std::sort` always runs over a consistent comparison: an int and
+/// a double that are equal in double precision but not exactly (2^53 + 1
+/// and the double 2^53), which `Value::Compare` calls equal even though the
+/// int 2^53 is less than 2^53 + 1, order by their exact values. The k-way
+/// merge compares run heads with `TupleComparator`, so a spilled sort
+/// returns the in-memory order wherever `Value::Compare` is an order.
 class SortCursor : public Cursor {
  public:
   static constexpr size_t kDefaultMemoryBudgetBytes = 32 << 20;

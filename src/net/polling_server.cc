@@ -82,6 +82,15 @@ struct PollingServer::Session {
   bool busy = false;
   QueryControlPtr current_control;
 
+  /// Cancels the in-flight request's control and every pending one. The
+  /// caller holds `mu`.
+  void CancelAllLocked() {
+    if (current_control != nullptr) current_control->Cancel();
+    for (PendingRequest& p : pending) {
+      if (p.control != nullptr) p.control->Cancel();
+    }
+  }
+
   std::mutex send_mu;
   std::atomic<bool> open{true};
 
@@ -305,10 +314,7 @@ void PollingServer::Stop() {
   // stopping_ check fails whatever is still queued with UNAVAILABLE.
   for (auto& [fd, session] : sessions_) {
     std::lock_guard<std::mutex> lock(session->mu);
-    if (session->current_control != nullptr) session->current_control->Cancel();
-    for (auto& pending : session->pending) {
-      if (pending.control != nullptr) pending.control->Cancel();
-    }
+    session->CancelAllLocked();
   }
   {
     std::lock_guard<std::mutex> lock(queue_mu_);
@@ -471,23 +477,13 @@ bool PollingServer::DispatchMessage(const SessionPtr& session,
       return true;
     case MsgType::kCancel: {
       std::lock_guard<std::mutex> lock(session->mu);
-      if (session->current_control != nullptr) {
-        session->current_control->Cancel();
-      }
-      for (auto& pending : session->pending) {
-        if (pending.control != nullptr) pending.control->Cancel();
-      }
+      session->CancelAllLocked();
       return true;
     }
     case MsgType::kGoodbye: {
       {
         std::lock_guard<std::mutex> lock(session->mu);
-        if (session->current_control != nullptr) {
-          session->current_control->Cancel();
-        }
-        for (auto& pending : session->pending) {
-          if (pending.control != nullptr) pending.control->Cancel();
-        }
+        session->CancelAllLocked();
       }
       Message bye;
       bye.type = MsgType::kBye;
@@ -555,10 +551,7 @@ void PollingServer::CloseSession(const SessionPtr& session) {
   size_t drained = 0;
   {
     std::lock_guard<std::mutex> lock(session->mu);
-    if (session->current_control != nullptr) session->current_control->Cancel();
-    for (auto& pending : session->pending) {
-      if (pending.control != nullptr) pending.control->Cancel();
-    }
+    session->CancelAllLocked();
     drained = session->pending.size();
     session->pending.clear();
   }

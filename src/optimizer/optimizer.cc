@@ -47,19 +47,19 @@ std::shared_ptr<algebra::Op> SyntheticOp(algebra::OpKind kind,
 
 PhysPlanPtr Optimizer::MakeNode(Algorithm alg, algebra::OpPtr op, Site site,
                                 std::vector<algebra::SortSpec> order,
-                                double self_cost, const Group& group,
+                                const Group& group,
                                 std::vector<PhysPlanPtr> children) const {
   auto node = std::make_shared<PhysPlan>();
   node->algorithm = alg;
   node->op = std::move(op);
   node->site = site;
   node->order = std::move(order);
-  node->cost = self_cost;
-  for (const PhysPlanPtr& c : children) node->cost += c->cost;
   node->est_cardinality = group.stats.cardinality;
   node->est_bytes = group.stats.size();
   node->feedback_key = group.key;
   node->children = std::move(children);
+  node->cost = model_->Price(model_->SelfTerms(*node));
+  for (const PhysPlanPtr& c : node->children) node->cost += c->cost;
   return node;
 }
 
@@ -143,9 +143,7 @@ Result<PhysPlanPtr> Optimizer::FindBest(Memo* memo, size_t group,
         auto sort_op = SyntheticOp(algebra::OpKind::kSort, g.schema);
         sort_op->sort_keys = props.order;
         consider(MakeNode(Algorithm::kSortM, sort_op, Site::kMiddleware,
-                          props.order,
-                          model_->SortM(g.stats.size(), g.stats.cardinality),
-                          g, {child}));
+                          props.order, g, {child}));
       }
     }
     if (!no_transfer_m) {
@@ -158,9 +156,7 @@ Result<PhysPlanPtr> Optimizer::FindBest(Memo* memo, size_t group,
       if (child != nullptr) {
         consider(MakeNode(Algorithm::kTransferM,
                           SyntheticOp(algebra::OpKind::kTransferM, g.schema),
-                          Site::kMiddleware, child->order,
-                          model_->TransferM(g.stats.size(), g.stats.cardinality),
-                          g, {child}));
+                          Site::kMiddleware, child->order, g, {child}));
       }
     }
   } else {
@@ -173,7 +169,6 @@ Result<PhysPlanPtr> Optimizer::FindBest(Memo* memo, size_t group,
         auto sort_op = SyntheticOp(algebra::OpKind::kSort, g.schema);
         sort_op->sort_keys = props.order;
         consider(MakeNode(Algorithm::kSortD, sort_op, Site::kDbms, props.order,
-                          model_->SortD(g.stats.size(), g.stats.cardinality),
                           g, {child}));
       }
     } else if (!no_transfer_d && restriction == SiteRestriction::kNone) {
@@ -185,9 +180,7 @@ Result<PhysPlanPtr> Optimizer::FindBest(Memo* memo, size_t group,
       if (child != nullptr) {
         consider(MakeNode(Algorithm::kTransferD,
                           SyntheticOp(algebra::OpKind::kTransferD, g.schema),
-                          Site::kDbms, {},
-                          model_->TransferD(g.stats.size(), g.stats.cardinality),
-                          g, {child}));
+                          Site::kDbms, {}, g, {child}));
       }
     }
   }
@@ -212,15 +205,11 @@ Result<PhysPlanPtr> Optimizer::PlanExpr(Memo* memo, size_t group,
     return PhysPlanPtr(nullptr);
   }
   const Group& g = memo->group(group);
-  const auto child_stats = [&](size_t i) -> const stats::RelStats& {
-    return memo->group(e.children[i]).stats;
-  };
 
   switch (e.op->kind) {
     case algebra::OpKind::kScan: {
       if (props.site != Site::kDbms || !props.order.empty()) return PhysPlanPtr(nullptr);
-      return MakeNode(Algorithm::kScanD, e.op, Site::kDbms, {},
-                      model_->ScanD(g.stats.size()), g, {});
+      return MakeNode(Algorithm::kScanD, e.op, Site::kDbms, {}, g, {});
     }
 
     case algebra::OpKind::kSelect: {
@@ -229,19 +218,15 @@ Result<PhysPlanPtr> Optimizer::PlanExpr(Memo* memo, size_t group,
         TANGO_ASSIGN_OR_RETURN(PhysPlanPtr child,
                                FindBest(memo, e.children[0], cp, false, false));
         if (child == nullptr) return PhysPlanPtr(nullptr);
-        const double coef = cost::CostModel::PredicateCoefficient(e.op->predicate);
         return MakeNode(Algorithm::kFilterM, e.op, Site::kMiddleware,
-                        child->order,
-                        model_->FilterM(coef, child_stats(0).size()), g,
-                        {child});
+                        child->order, g, {child});
       }
       if (!props.order.empty()) return PhysPlanPtr(nullptr);
       TANGO_ASSIGN_OR_RETURN(
           PhysPlanPtr child,
           FindBest(memo, e.children[0], {Site::kDbms, {}}, false, false));
       if (child == nullptr) return PhysPlanPtr(nullptr);
-      return MakeNode(Algorithm::kSelectD, e.op, Site::kDbms, {},
-                      model_->SelectD(), g, {child});
+      return MakeNode(Algorithm::kSelectD, e.op, Site::kDbms, {}, g, {child});
     }
 
     case algebra::OpKind::kProject: {
@@ -265,16 +250,14 @@ Result<PhysPlanPtr> Optimizer::PlanExpr(Memo* memo, size_t group,
                                FindBest(memo, e.children[0], cp, false, false));
         if (child == nullptr) return PhysPlanPtr(nullptr);
         return MakeNode(Algorithm::kProjectM, e.op, Site::kMiddleware,
-                        props.order, model_->ProjectM(child_stats(0).size()),
-                        g, {child});
+                        props.order, g, {child});
       }
       if (!props.order.empty()) return PhysPlanPtr(nullptr);
       TANGO_ASSIGN_OR_RETURN(
           PhysPlanPtr child,
           FindBest(memo, e.children[0], {Site::kDbms, {}}, false, false));
       if (child == nullptr) return PhysPlanPtr(nullptr);
-      return MakeNode(Algorithm::kProjectD, e.op, Site::kDbms, {},
-                      model_->ProjectD(), g, {child});
+      return MakeNode(Algorithm::kProjectD, e.op, Site::kDbms, {}, g, {child});
     }
 
     case algebra::OpKind::kSort: {
@@ -288,12 +271,8 @@ Result<PhysPlanPtr> Optimizer::PlanExpr(Memo* memo, size_t group,
                                FindBest(memo, e.children[0], cp, false, false));
         if (child != nullptr) {
           const bool mw = props.site == Site::kMiddleware;
-          best = MakeNode(
-              mw ? Algorithm::kSortM : Algorithm::kSortD, e.op, props.site,
-              keys,
-              mw ? model_->SortM(g.stats.size(), g.stats.cardinality)
-                 : model_->SortD(g.stats.size(), g.stats.cardinality),
-              g, {child});
+          best = MakeNode(mw ? Algorithm::kSortM : Algorithm::kSortD, e.op,
+                          props.site, keys, g, {child});
         }
       }
       // Variant 2: sort elimination (rules T10/T11): the child already
@@ -328,15 +307,8 @@ Result<PhysPlanPtr> Optimizer::PlanExpr(Memo* memo, size_t group,
             FindBest(memo, e.children[1], {Site::kMiddleware, rorder}, false,
                      false));
         if (left == nullptr || right == nullptr) return PhysPlanPtr(nullptr);
-        const double self =
-            temporal ? model_->TJoinM(child_stats(0).size(),
-                                      child_stats(1).size(), g.stats.size())
-                     : model_->MergeJoinM(child_stats(0).size(),
-                                          child_stats(1).size(),
-                                          g.stats.size());
         return MakeNode(temporal ? Algorithm::kTJoinM : Algorithm::kMergeJoinM,
-                        e.op, Site::kMiddleware, lorder, self, g,
-                        {left, right});
+                        e.op, Site::kMiddleware, lorder, g, {left, right});
       }
       if (!props.order.empty()) return PhysPlanPtr(nullptr);
       TANGO_ASSIGN_OR_RETURN(
@@ -347,10 +319,7 @@ Result<PhysPlanPtr> Optimizer::PlanExpr(Memo* memo, size_t group,
           FindBest(memo, e.children[1], {Site::kDbms, {}}, false, false));
       if (left == nullptr || right == nullptr) return PhysPlanPtr(nullptr);
       return MakeNode(temporal ? Algorithm::kTJoinD : Algorithm::kJoinD, e.op,
-                      Site::kDbms, {},
-                      model_->JoinD(child_stats(0).size(),
-                                    child_stats(1).size(), g.stats.size()),
-                      g, {left, right});
+                      Site::kDbms, {}, g, {left, right});
     }
 
     case algebra::OpKind::kTAggregate: {
@@ -369,7 +338,6 @@ Result<PhysPlanPtr> Optimizer::PlanExpr(Memo* memo, size_t group,
                      false, false));
         if (child == nullptr) return PhysPlanPtr(nullptr);
         return MakeNode(Algorithm::kTAggrM, e.op, Site::kMiddleware, out_order,
-                        model_->TAggrM(child_stats(0).size(), g.stats.size()),
                         g, {child});
       }
       if (!props.order.empty()) return PhysPlanPtr(nullptr);
@@ -377,9 +345,7 @@ Result<PhysPlanPtr> Optimizer::PlanExpr(Memo* memo, size_t group,
           PhysPlanPtr child,
           FindBest(memo, e.children[0], {Site::kDbms, {}}, false, false));
       if (child == nullptr) return PhysPlanPtr(nullptr);
-      return MakeNode(Algorithm::kTAggrD, e.op, Site::kDbms, {},
-                      model_->TAggrD(child_stats(0).size(), g.stats.size()), g,
-                      {child});
+      return MakeNode(Algorithm::kTAggrD, e.op, Site::kDbms, {}, g, {child});
     }
 
     case algebra::OpKind::kDupElim: {
@@ -392,18 +358,14 @@ Result<PhysPlanPtr> Optimizer::PlanExpr(Memo* memo, size_t group,
                      false));
         if (child == nullptr) return PhysPlanPtr(nullptr);
         return MakeNode(Algorithm::kDupElimM, e.op, Site::kMiddleware, order,
-                        model_->DupElimM(child_stats(0).size()), g, {child});
+                        g, {child});
       }
       if (!props.order.empty()) return PhysPlanPtr(nullptr);
       TANGO_ASSIGN_OR_RETURN(
           PhysPlanPtr child,
           FindBest(memo, e.children[0], {Site::kDbms, {}}, false, false));
       if (child == nullptr) return PhysPlanPtr(nullptr);
-      // Generic DISTINCT: costed like a DBMS sort.
-      return MakeNode(Algorithm::kDistinctD, e.op, Site::kDbms, {},
-                      model_->SortD(child_stats(0).size(),
-                                    child_stats(0).cardinality),
-                      g, {child});
+      return MakeNode(Algorithm::kDistinctD, e.op, Site::kDbms, {}, g, {child});
     }
 
     case algebra::OpKind::kCoalesce: {
@@ -420,8 +382,8 @@ Result<PhysPlanPtr> Optimizer::PlanExpr(Memo* memo, size_t group,
           FindBest(memo, e.children[0], {Site::kMiddleware, order}, false,
                    false));
       if (child == nullptr) return PhysPlanPtr(nullptr);
-      return MakeNode(Algorithm::kCoalesceM, e.op, Site::kMiddleware, order,
-                      model_->CoalesceM(child_stats(0).size()), g, {child});
+      return MakeNode(Algorithm::kCoalesceM, e.op, Site::kMiddleware, order, g,
+                      {child});
     }
 
     case algebra::OpKind::kDifference: {
@@ -437,10 +399,8 @@ Result<PhysPlanPtr> Optimizer::PlanExpr(Memo* memo, size_t group,
           FindBest(memo, e.children[1], {Site::kMiddleware, order}, false,
                    false));
       if (left == nullptr || right == nullptr) return PhysPlanPtr(nullptr);
-      return MakeNode(Algorithm::kDiffM, e.op, Site::kMiddleware, order,
-                      model_->DifferenceM(child_stats(0).size(),
-                                          child_stats(1).size()),
-                      g, {left, right});
+      return MakeNode(Algorithm::kDiffM, e.op, Site::kMiddleware, order, g,
+                      {left, right});
     }
 
     case algebra::OpKind::kProduct: {
@@ -452,8 +412,8 @@ Result<PhysPlanPtr> Optimizer::PlanExpr(Memo* memo, size_t group,
           PhysPlanPtr right,
           FindBest(memo, e.children[1], {Site::kDbms, {}}, false, false));
       if (left == nullptr || right == nullptr) return PhysPlanPtr(nullptr);
-      return MakeNode(Algorithm::kProductD, e.op, Site::kDbms, {},
-                      model_->ProductD(g.stats.size()), g, {left, right});
+      return MakeNode(Algorithm::kProductD, e.op, Site::kDbms, {}, g,
+                      {left, right});
     }
 
     case algebra::OpKind::kTransferM:

@@ -103,9 +103,10 @@ class Optimizer {
   Result<PhysPlanPtr> PlanExpr(Memo* memo, size_t group, const MExpr& expr,
                                const PhysProps& props);
 
+  /// A plan node for `group`, priced by the cost model's terms for `alg`
+  /// plus its children's costs.
   PhysPlanPtr MakeNode(Algorithm alg, algebra::OpPtr op, Site site,
-                       std::vector<algebra::SortSpec> order, double self_cost,
-                       const Group& group,
+                       std::vector<algebra::SortSpec> order, const Group& group,
                        std::vector<PhysPlanPtr> children) const;
 
   const cost::CostModel* model_;

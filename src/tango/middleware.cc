@@ -222,7 +222,7 @@ Result<Middleware::Prepared> Middleware::PrepareLogical(
   key.fingerprint = pq.hash;
   key.canon = pq.canon;
   key.config_key = PlanConfigKey(restriction);
-  const std::vector<double> factors = FactorSnapshot();
+  const std::vector<double> factors = cost_model_.factors().Values();
 
   adapt::PlanCache::EntryPtr entry = plan_cache_->Lookup(key, factors);
   if (entry != nullptr) {
@@ -268,7 +268,7 @@ Result<Middleware::Prepared> Middleware::PrepareLogical(
   payload.num_elements = fresh.num_elements;
   payload.num_physical = fresh.num_physical;
   payload.tables = adapt::ReferencedTables(pq.plan);
-  payload.factor_snapshot = FactorSnapshot();
+  payload.factor_snapshot = factors;
   if (reoptimizing) {
     entry->Refresh(std::move(payload));
     fresh.source = Prepared::Source::kReoptimized;
@@ -596,144 +596,11 @@ Result<std::string> Middleware::ExplainAnalyze(const Prepared& prepared,
 }
 
 void Middleware::ApplyFeedback(const exec::TimingSink& timings) {
-  cost::CostFactors& f = cost_model_.factors();
-  const double alpha = config_.feedback_alpha;
   for (size_t id = 0; id < timings.size(); ++id) {
-    const optimizer::PhysPlan& p = *timings[id].plan;
     const double self_us = exec::SelfSeconds(timings, id) * 1e6;
     if (self_us <= 1) continue;
-    // The size basis of each factor, per the Figure 6 formulas. For
-    // TRANSFER^M the measured time includes the DBMS fragment's work — the
-    // paper notes dividing it is an open challenge; attributing it to p_tm
-    // makes the factor absorb the DBMS cost observed for similar fragments.
-    double in_bytes = 0;
-    for (const auto& c : p.children) in_bytes += c->est_bytes;
-    switch (p.algorithm) {
-      case optimizer::Algorithm::kTransferM: {
-        // The measured time covers the transfer AND the DBMS fragment below
-        // it. The paper leaves dividing it among the DBMS algorithms as
-        // future work; we implement the natural split: attribute the
-        // observed time proportionally to each part's estimated cost and
-        // scale every involved factor toward the observed ratio. A fragment
-        // that ran 10x over its estimate thus makes all its DBMS factors
-        // ~10x larger, repartitioning subsequent queries.
-        std::vector<const optimizer::PhysPlan*> fragment;
-        std::function<void(const optimizer::PhysPlan&)> collect =
-            [&](const optimizer::PhysPlan& n) {
-              if (n.algorithm == optimizer::Algorithm::kTransferD) return;
-              fragment.push_back(&n);
-              for (const auto& c : n.children) collect(*c);
-            };
-        collect(*p.children[0]);
-        auto self_est = [](const optimizer::PhysPlan& n) {
-          double est = n.cost;
-          for (const auto& c : n.children) est -= c->cost;
-          return est < 0 ? 0 : est;
-        };
-        // Trust the simple, calibration-pinned parts (the round trip, the
-        // per-byte transfer, the scans); the remainder of the observed time
-        // belongs to the complex operators, whose factors are scaled toward
-        // the observed ratio.
-        double trusted = f.stmt + f.tm * p.est_bytes;
-        double adjustable_est = 0;
-        for (const optimizer::PhysPlan* n : fragment) {
-          if (n->algorithm == optimizer::Algorithm::kScanD) {
-            trusted += self_est(*n);
-          } else {
-            adjustable_est += self_est(*n);
-          }
-        }
-        if (adjustable_est < 1) {
-          // Nothing adjustable in the fragment: the time is the transfer's.
-          cost::CostModel::Feedback(&f.tm, self_us - f.stmt, p.est_bytes,
-                                    alpha);
-          break;
-        }
-        const double leftover = std::max(0.0, self_us - trusted);
-        const double ratio = std::clamp(leftover / adjustable_est, 0.05, 20.0);
-        const double scale = (1 - alpha) + alpha * ratio;
-        for (const optimizer::PhysPlan* n : fragment) {
-          switch (n->algorithm) {
-            case optimizer::Algorithm::kSortD:
-            case optimizer::Algorithm::kDistinctD:
-              f.sortd *= scale;
-              break;
-            case optimizer::Algorithm::kJoinD:
-            case optimizer::Algorithm::kTJoinD:
-              f.joind *= scale;
-              f.joindout *= scale;
-              break;
-            case optimizer::Algorithm::kProductD:
-              f.prodd *= scale;
-              break;
-            case optimizer::Algorithm::kTAggrD:
-              f.taggd1 *= scale;
-              f.taggd2 *= scale;
-              break;
-            default:
-              break;  // scans handled above; selection/projection are free
-          }
-        }
-        break;
-      }
-      case optimizer::Algorithm::kTransferD:
-        cost::CostModel::Feedback(&f.td, self_us - f.stmt, in_bytes, alpha);
-        break;
-      case optimizer::Algorithm::kFilterM: {
-        const double coef =
-            cost::CostModel::PredicateCoefficient(p.op->predicate);
-        cost::CostModel::Feedback(&f.sem, self_us, coef * in_bytes, alpha);
-        break;
-      }
-      case optimizer::Algorithm::kProjectM:
-        cost::CostModel::Feedback(&f.projm, self_us, in_bytes, alpha);
-        break;
-      case optimizer::Algorithm::kSortM: {
-        const double card = p.est_cardinality < 2 ? 2 : p.est_cardinality;
-        cost::CostModel::Feedback(&f.sortm, self_us,
-                                  p.est_bytes * std::log2(card), alpha);
-        break;
-      }
-      case optimizer::Algorithm::kMergeJoinM:
-        cost::CostModel::Feedback(&f.mjm, self_us, in_bytes, alpha);
-        break;
-      case optimizer::Algorithm::kTJoinM:
-        cost::CostModel::Feedback(&f.tjm, self_us, in_bytes, alpha);
-        break;
-      case optimizer::Algorithm::kTAggrM:
-        // Two factors share the observation; scale both by the ratio of
-        // observed to estimated time.
-        if (in_bytes > 0) {
-          const double est =
-              f.taggm1 * in_bytes + f.taggm2 * p.est_bytes;
-          if (est > 1) {
-            const double ratio = self_us / est;
-            f.taggm1 *= (1 - alpha) + alpha * ratio;
-            f.taggm2 *= (1 - alpha) + alpha * ratio;
-          }
-        }
-        break;
-      case optimizer::Algorithm::kDupElimM:
-        cost::CostModel::Feedback(&f.dupm, self_us, in_bytes, alpha);
-        break;
-      case optimizer::Algorithm::kCoalesceM:
-        cost::CostModel::Feedback(&f.coalm, self_us, in_bytes, alpha);
-        break;
-      case optimizer::Algorithm::kDiffM:
-        cost::CostModel::Feedback(&f.diffm, self_us, in_bytes, alpha);
-        break;
-      default:
-        break;
-    }
+    cost_model_.Fit(*timings[id].plan, self_us, config_.feedback_alpha);
   }
-}
-
-std::vector<double> Middleware::FactorSnapshot() const {
-  const cost::CostFactors& f = cost_model_.factors();
-  return {f.tm,    f.td,    f.sem,   f.taggm1, f.taggm2, f.taggd1,
-          f.taggd2, f.sortm, f.projm, f.mjm,    f.mjout,  f.tjm,
-          f.dupm,   f.coalm, f.diffm, f.scand,  f.sortd,  f.joind,
-          f.joindout, f.prodd, f.idxd, f.stmt};
 }
 
 std::string Middleware::PlanConfigKey(

@@ -289,12 +289,12 @@ class Middleware {
   void RecordCardinalityFeedback(const exec::TimingSink& timings,
                                  const Prepared& provenance);
 
-  /// Cost factors in a fixed order, for the cache's drift detection.
-  std::vector<double> FactorSnapshot() const;
   /// Plan-relevant configuration dimensions of the cache key.
   std::string PlanConfigKey(optimizer::SiteRestriction restriction) const;
 
-  /// Applies the performance feedback of one execution to the cost factors.
+  /// Applies the performance feedback of one execution to the cost factors:
+  /// cost::CostModel::Fit over every record with more than 1 us of self
+  /// time.
   void ApplyFeedback(const exec::TimingSink& timings);
 
   stats::RelStats StripHistograms(stats::RelStats rel) const;

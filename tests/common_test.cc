@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <limits>
 #include <vector>
 
@@ -70,9 +72,15 @@ TEST(ValueTest, HashConsistentWithEquality) {
 TEST(ValueTest, CompareEqualImpliesEqualHash) {
   // Around 2^53 ints stop fitting a double, and beyond 2^63 doubles stop
   // fitting an int64: Compare matches an int with a double through the
-  // int's double image, and Hash must agree (and stay defined) there.
+  // int's double image, and Hash must agree (and stay defined) there. Every
+  // NaN, whatever its sign or payload, equals every other NaN and sorts
+  // above +infinity.
   const int64_t p53 = int64_t{1} << 53;
   const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double payload_nan =
+      std::bit_cast<double>(uint64_t{0x7ff8000000000123});
+  ASSERT_TRUE(std::isnan(payload_nan));
   const std::vector<Value> values = {
       Value(int64_t{0}),  Value(0.0),          Value(-0.0),
       Value(p53),         Value(-p53),         Value(p53 + 1),
@@ -81,10 +89,14 @@ TEST(ValueTest, CompareEqualImpliesEqualHash) {
       Value(std::numeric_limits<int64_t>::min()),
       Value(std::numeric_limits<int64_t>::max()),
       Value(0x1p63),      Value(-0x1p63),      Value(1e300),
-      Value(-1e300),      Value(inf),          Value(-inf)};
+      Value(-1e300),      Value(inf),          Value(-inf),
+      Value(nan),         Value(-nan),         Value(payload_nan)};
+  const auto sign = [](int c) { return (c > 0) - (c < 0); };
   size_t equal_pairs = 0;
   for (const Value& a : values) {
     for (const Value& b : values) {
+      EXPECT_EQ(sign(a.Compare(b)), -sign(b.Compare(a)))
+          << a.ToString() << " vs " << b.ToString();
       if (a.Compare(b) != 0) continue;
       ++equal_pairs;
       EXPECT_EQ(a.Hash(), b.Hash()) << a.ToString() << " vs " << b.ToString();
@@ -92,6 +104,26 @@ TEST(ValueTest, CompareEqualImpliesEqualHash) {
   }
   // Cross-kind pairs, not just each value with itself.
   EXPECT_GT(equal_pairs, values.size());
+  // Transitive: `<` always; equality except between two ints, which compare
+  // exactly although both may equal one double (2^53 and 2^53 + 1 both
+  // equal the double 2^53).
+  for (const Value& a : values) {
+    for (const Value& b : values) {
+      for (const Value& c : values) {
+        if (a < b && b < c) {
+          EXPECT_LT(a, c) << a.ToString() << " < " << b.ToString() << " < "
+                          << c.ToString();
+        }
+        if (a == b && b == c && !(a.is_int() && c.is_int())) {
+          EXPECT_EQ(a, c) << a.ToString() << " = " << b.ToString() << " = "
+                          << c.ToString();
+        }
+      }
+    }
+  }
+  EXPECT_GT(Value(nan), Value(inf));
+  EXPECT_GT(Value(-nan), Value(std::numeric_limits<int64_t>::max()));
+  EXPECT_LT(Value(nan), Value("a"));
 }
 
 TEST(ValueTest, ByteSizeReflectsContent) {

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cstdlib>
 #include <limits>
 #include <new>
@@ -894,6 +895,29 @@ TEST(HashJoinOpTest, IntsBeyond2To53JoinTheirDoubleImage) {
   ASSERT_EQ(ProbeOrderOracle(ints, doubles, {0}, {0}, nullptr).size(), 2u);
   ExpectProbeOrder(ints, doubles, {0}, {0}, "int build, double probe");
   ExpectProbeOrder(doubles, ints, {0}, {0}, "double build, int probe");
+}
+
+TEST(HashJoinOpTest, NaNKeysJoinEveryNaNAndNothingElse) {
+  // Under Value::Compare every NaN, whatever its sign or payload, equals
+  // every other NaN and no other number; the hash join must pair them as
+  // the nested loop does, from either side.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double payload_nan =
+      std::bit_cast<double>(uint64_t{0x7ff8000000000123});
+  const std::vector<Tuple> left = {
+      {Value(nan), Value(int64_t{1}), Value("a")},
+      {Value(5.0), Value(int64_t{2}), Value("b")},
+      {Value(-nan), Value(int64_t{3}), Value("c")},
+      {Value(std::numeric_limits<double>::infinity()), Value(int64_t{4}),
+       Value("d")}};
+  const std::vector<Tuple> right = {
+      {Value(payload_nan), Value(int64_t{10}), Value("x")},
+      {Value(int64_t{5}), Value(int64_t{20}), Value("y")},
+      {Value(nan), Value(int64_t{0}), Value("z")}};
+  // Two NaNs a side pair four ways; 5.0 meets the int 5.
+  ASSERT_EQ(ProbeOrderOracle(left, right, {0}, {0}, nullptr).size(), 5u);
+  ExpectProbeOrder(left, right, {0}, {0}, "NaN keys");
+  ExpectProbeOrder(right, left, {0}, {0}, "NaN keys, sides swapped");
 }
 
 TEST(HashJoinOpTest, ManyDistinctBuildKeys) {

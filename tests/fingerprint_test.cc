@@ -167,5 +167,29 @@ TEST(FingerprintTest, MiddlewareCacheHitRebindsAndCounts) {
       << explained.ValueOrDie();
 }
 
+TEST(FingerprintTest, EveryFactorsDriftInvalidatesTheCachedPlan) {
+  // The drift check sees every cost factor, the per-block transfer ones
+  // included: a plan priced under other block overheads is re-optimized.
+  dbms::Engine db;
+  ASSERT_TRUE(db.Execute("CREATE TABLE R (G INT, V INT)").ok());
+  ASSERT_TRUE(db.Execute("INSERT INTO R VALUES (1, 2), (3, 4)").ok());
+  ASSERT_TRUE(db.Execute("ANALYZE R").ok());
+  Middleware::Config config;
+  config.wire.simulate_delay = false;
+  config.adapt = false;
+  Middleware mw(&db, config);
+  const std::string query = "SELECT G, V FROM R WHERE V > 1";
+  using Source = Middleware::Prepared::Source;
+  ASSERT_EQ(mw.Prepare(query).ValueOrDie().source, Source::kFresh);
+  ASSERT_EQ(mw.Prepare(query).ValueOrDie().source, Source::kCached);
+  for (const cost::Factor factor : {&cost::CostFactors::tmblk,
+                                    &cost::CostFactors::tdblk}) {
+    mw.cost_model().factors().*factor *= 2;
+    EXPECT_EQ(mw.Prepare(query).ValueOrDie().source, Source::kFresh);
+    EXPECT_EQ(mw.Prepare(query).ValueOrDie().source, Source::kCached);
+  }
+  EXPECT_EQ(mw.metrics().counter("plancache.invalidation").load(), 2u);
+}
+
 }  // namespace
 }  // namespace tango
