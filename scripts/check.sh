@@ -64,13 +64,20 @@
 # query thread, and plan_cache_test's ConcurrentHammer only means something
 # under TSan.
 #
-# The durability suites (wal_recovery_test, write_churn_test) are the write
-# path's referee: the crash matrix kills and recovers the engine at injected
-# LSN boundaries (torn tails, partial fsyncs), and the churn tests race the
+# The durability suites (wal_recovery_test, wal_crash_loop, write_churn_test)
+# are the write path's referee: the crash matrix kills and recovers the
+# engine at injected LSN boundaries (torn tails, partial fsyncs; wal_crash_loop
+# is the same matrix at every boundary), and the churn tests race the
 # temporal-update writer against live queries, four readers at once on the
 # shared latch — exactly the code whose failure mode is a racy log append,
 # a reader seeing a half-applied write, or a use-after-free in undo, so
-# both must stay green under ASan and TSan.
+# they must stay green under ASan and TSan.
+#
+# The front-end and end-to-end suites: sql_parser_fuzz_test fuzzes the
+# lexer, the parsers and the plan cache's fingerprint canon (the slot-style
+# plan rendering), where a bad read or an overflow is exactly what ASan and
+# UBSan catch; integration_test runs the paper's queries through the whole
+# pipeline, so every layer runs instrumented at least once.
 #
 # Usage: scripts/check.sh [jobs]   (default: nproc)
 
@@ -87,7 +94,8 @@ ADAPT_SUITES='^(plan_cache_test|feedback_test|fingerprint_test)$'
 # it once — ASan catches a moved-from row reused, so the suite runs under
 # both sanitizers by name.
 VECTOR_SUITES='^(exec_property_test)$'
-DURABILITY_SUITES='^(wal_recovery_test|write_churn_test)$'
+DURABILITY_SUITES='^(wal_recovery_test|wal_crash_loop|write_churn_test)$'
+END_TO_END_SUITES='^(sql_parser_fuzz_test|integration_test)$'
 # The network service: server_test drives a real PollingServer over
 # loopback (poll thread + worker pool + concurrent clients sharing the
 # plan cache and the engine latch — TSan's bread and butter), and
@@ -149,11 +157,14 @@ run_config() {
     echo "=== ${name}: vectorization suites (capacity differential) ==="
     (cd "${dir}" && ctest --output-on-failure -R "${VECTOR_SUITES}" --timeout "${CTEST_TIMEOUT}")
     check_leaks "${name}" "${dir}"
-    echo "=== ${name}: durability suites (WAL crash matrix + write churn) ==="
+    echo "=== ${name}: durability suites (WAL crash matrix + crash loop + write churn) ==="
     (cd "${dir}" && ctest --output-on-failure -R "${DURABILITY_SUITES}" --timeout "${CTEST_TIMEOUT}")
     check_leaks "${name}" "${dir}"
     echo "=== ${name}: server suites (polling server + soak) ==="
     (cd "${dir}" && ctest --output-on-failure -R "${SERVER_SUITES}" --timeout "${CTEST_TIMEOUT}")
+    check_leaks "${name}" "${dir}"
+    echo "=== ${name}: front-end and end-to-end suites (parser fuzz + integration) ==="
+    (cd "${dir}" && ctest --output-on-failure -R "${END_TO_END_SUITES}" --timeout "${CTEST_TIMEOUT}")
     check_leaks "${name}" "${dir}"
   fi
   if [[ "${build_type}" == "Release" ]]; then

@@ -9,151 +9,6 @@ namespace adapt {
 
 namespace {
 
-/// Typed placeholder for a literal: tagged sites render their parameter
-/// slot (positionally stable within a fingerprint), untagged ones just the
-/// type, so an int -> string change always changes the canon.
-std::string LiteralCanon(const Expr& e) {
-  char type = 'n';
-  if (e.literal.is_int()) type = 'i';
-  else if (e.literal.is_double()) type = 'd';
-  else if (e.literal.is_string()) type = 's';
-  std::string out = "?";
-  if (e.param_id >= 0) out += std::to_string(e.param_id);
-  out += ':';
-  out += type;
-  return out;
-}
-
-std::string ExprCanon(const Expr& e) {
-  switch (e.kind) {
-    case Expr::Kind::kColumn: {
-      std::string q = e.table.empty() ? e.name : e.table + "." + e.name;
-      if (q.empty()) q.append("$").append(std::to_string(e.index));
-      return q;
-    }
-    case Expr::Kind::kLiteral:
-      return LiteralCanon(e);
-    case Expr::Kind::kUnary: {
-      const char* op = "NOT";
-      switch (e.unary_op) {
-        case UnaryOp::kNot: op = "NOT"; break;
-        case UnaryOp::kNeg: op = "NEG"; break;
-        case UnaryOp::kIsNull: op = "ISNULL"; break;
-        case UnaryOp::kIsNotNull: op = "ISNOTNULL"; break;
-      }
-      return std::string(op) + "(" + ExprCanon(*e.children[0]) + ")";
-    }
-    case Expr::Kind::kBinary:
-      return std::string("(")
-          .append(ExprCanon(*e.children[0]))
-          .append(" ")
-          .append(BinaryOpName(e.binary_op))
-          .append(" ")
-          .append(ExprCanon(*e.children[1]))
-          .append(")");
-    case Expr::Kind::kFunction: {
-      std::string out = e.function + "(";
-      for (size_t i = 0; i < e.children.size(); ++i) {
-        if (i > 0) out += ",";
-        out += ExprCanon(*e.children[i]);
-      }
-      return out + ")";
-    }
-    case Expr::Kind::kAggregate: {
-      std::string out = AggFuncName(e.agg);
-      out += "(";
-      out += e.agg_star ? "*" : ExprCanon(*e.children[0]);
-      return out + ")";
-    }
-  }
-  return "?";
-}
-
-/// Canon of one node's own parameters — Describe() with expressions
-/// literal-lifted and, for scans, the catalog schema signature embedded so
-/// a schema change is a new fingerprint (invalidation for free).
-std::string NodeCanon(const algebra::Op& op) {
-  std::string out = algebra::OpKindName(op.kind);
-  switch (op.kind) {
-    case algebra::OpKind::kScan: {
-      out += " " + op.table;
-      if (op.alias != op.table) out += " AS " + op.alias;
-      out += " {";
-      for (size_t i = 0; i < op.schema.num_columns(); ++i) {
-        if (i > 0) out += ",";
-        const Column& c = op.schema.column(i);
-        out += c.name;
-        out += ':';
-        out += DataTypeName(c.type);
-      }
-      out += "}";
-      break;
-    }
-    case algebra::OpKind::kSelect:
-      out += " [" + ExprCanon(*op.predicate) + "]";
-      break;
-    case algebra::OpKind::kProject: {
-      out += " [";
-      for (size_t i = 0; i < op.items.size(); ++i) {
-        if (i > 0) out += ", ";
-        out += ExprCanon(*op.items[i].expr) + " AS " + op.items[i].name;
-      }
-      out += "]";
-      break;
-    }
-    case algebra::OpKind::kSort: {
-      out += " [";
-      for (size_t i = 0; i < op.sort_keys.size(); ++i) {
-        if (i > 0) out += ", ";
-        out += op.sort_keys[i].attr;
-        if (!op.sort_keys[i].ascending) out += " DESC";
-      }
-      out += "]";
-      break;
-    }
-    case algebra::OpKind::kJoin:
-    case algebra::OpKind::kTJoin: {
-      out += " [";
-      for (size_t i = 0; i < op.join_attrs.size(); ++i) {
-        if (i > 0) out += ", ";
-        out += op.join_attrs[i].first + "=" + op.join_attrs[i].second;
-      }
-      out += "]";
-      break;
-    }
-    case algebra::OpKind::kTAggregate: {
-      out += " [";
-      for (size_t i = 0; i < op.group_by.size(); ++i) {
-        if (i > 0) out += ", ";
-        out += op.group_by[i];
-      }
-      out += "; ";
-      for (size_t i = 0; i < op.aggs.size(); ++i) {
-        if (i > 0) out += ", ";
-        out += AggFuncName(op.aggs[i].func);
-        out += "(" + (op.aggs[i].arg.empty() ? "*" : op.aggs[i].arg) + ")";
-        out += " AS " + op.aggs[i].name;
-      }
-      out += "]";
-      break;
-    }
-    default:
-      break;  // transfers / dupelim / coalesce / difference / product: kind only
-  }
-  return out;
-}
-
-std::string PlanCanon(const algebra::Op& op) {
-  std::string out = NodeCanon(op);
-  out += "(";
-  for (size_t i = 0; i < op.children.size(); ++i) {
-    if (i > 0) out += ",";
-    out += PlanCanon(*op.children[i]);
-  }
-  out += ")";
-  return out;
-}
-
 ExprPtr TagExpr(const ExprPtr& e, std::vector<Value>* params) {
   auto out = std::make_shared<Expr>(*e);
   if (e->kind == Expr::Kind::kLiteral) {
@@ -229,7 +84,7 @@ ParameterizedQuery ParameterizeQuery(const algebra::OpPtr& plan) {
   ParameterizedQuery out;
   if (plan == nullptr) return out;
   out.plan = TagOp(plan, &out.params);
-  out.canon = PlanCanon(*out.plan);
+  out.canon = out.plan->ToString(LiteralStyle::kSlots);
   out.hash = Fingerprint64(out.canon);
   return out;
 }
@@ -263,7 +118,7 @@ optimizer::PhysPlanPtr BindPhysParams(const optimizer::PhysPlanPtr& plan,
 
 uint64_t NodeKey(const algebra::Op& op,
                  const std::vector<uint64_t>& child_keys) {
-  std::string s = NodeCanon(op);
+  std::string s = op.Describe(LiteralStyle::kSlots);
   for (const uint64_t k : child_keys) {
     s.append("|").append(std::to_string(k));
   }

@@ -25,9 +25,10 @@ struct ParameterizedQuery {
   std::vector<Value> params;
   /// Stable FNV-1a hash of `canon` (never 0 for a non-null plan).
   uint64_t hash = 0;
-  /// The canonical parameterized form; cache keys carry it verbatim as a
-  /// collision guard, and scans embed their schema signature so a schema
-  /// change yields a new fingerprint.
+  /// The canonical parameterized form, `plan->ToString(LiteralStyle::
+  /// kSlots)`; cache keys carry it verbatim as a collision guard, and scans
+  /// embed their schema signature so a schema change yields a new
+  /// fingerprint.
   std::string canon;
 };
 
@@ -50,7 +51,7 @@ algebra::OpPtr BindLogicalParams(const algebra::OpPtr& plan,
 optimizer::PhysPlanPtr BindPhysParams(const optimizer::PhysPlanPtr& plan,
                                       const std::vector<Value>& params);
 
-/// Stable key of one memo node: hash of the node's literal-lifted canon
+/// Stable key of one memo node: hash of the node's slot-style Describe()
 /// combined with its child group keys. Cardinality feedback is recorded and
 /// re-injected under these keys, so they must not depend on literal values
 /// (tagged literals render as their parameter slot, which is positionally

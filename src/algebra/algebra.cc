@@ -271,24 +271,31 @@ Result<OpPtr> WithChildren(const Op& op, std::vector<OpPtr> children) {
   return Status::Internal("unreachable");
 }
 
-std::string Op::Describe() const {
+std::string Op::Describe(LiteralStyle style) const {
   std::string out = OpKindName(kind);
   switch (kind) {
     case OpKind::kScan:
       out += " " + table;
       if (alias != table) out += " AS " + alias;
+      if (style == LiteralStyle::kSlots) {
+        out += ' ';
+        out += schema.ToString();
+      }
       break;
     case OpKind::kSelect:
-      out += " [" + predicate->ToString() + "]";
+      out += " [" + predicate->ToString(style) + "]";
       break;
     case OpKind::kProject: {
       out += " [";
       for (size_t i = 0; i < items.size(); ++i) {
         if (i > 0) out += ", ";
-        out += items[i].expr->ToString();
-        if (items[i].name != items[i].expr->ToString()) {
-          out += " AS " + items[i].name;
-        }
+        const ProjectItem& item = items[i];
+        const std::string expr = item.expr->ToString(style);
+        const std::string output = item.qualifier.empty()
+                                       ? item.name
+                                       : item.qualifier + "." + item.name;
+        out += expr;
+        if (output != expr) out += " AS " + output;
       }
       out += "]";
       break;
@@ -335,31 +342,12 @@ std::string Op::Describe() const {
   return out;
 }
 
-std::string Op::ToString(int indent) const {
+std::string Op::ToString(LiteralStyle style, int indent) const {
   std::string out(static_cast<size_t>(indent) * 2, ' ');
-  out += Describe();
+  out += Describe(style);
   out += "\n";
-  for (const OpPtr& c : children) out += c->ToString(indent + 1);
+  for (const OpPtr& c : children) out += c->ToString(style, indent + 1);
   return out;
-}
-
-std::string Op::ParamFingerprint() const {
-  // Describe() covers all parameters but projection qualifiers, which
-  // EXPLAIN does not print; schema is derived so excluded.
-  std::string out = Describe();
-  for (const ProjectItem& item : items) {
-    if (!item.qualifier.empty()) out.append(" ").append(item.qualifier);
-  }
-  return out;
-}
-
-bool Op::Equals(const Op& other) const {
-  if (ParamFingerprint() != other.ParamFingerprint()) return false;
-  if (children.size() != other.children.size()) return false;
-  for (size_t i = 0; i < children.size(); ++i) {
-    if (!children[i]->Equals(*other.children[i])) return false;
-  }
-  return true;
 }
 
 }  // namespace algebra

@@ -94,20 +94,18 @@ struct Op {
   /// Derived output schema.
   Schema schema;
 
-  /// Pretty tree rendering for EXPLAIN output and tests.
-  std::string ToString(int indent = 0) const;
+  /// Indented tree of Describe() lines: EXPLAIN's initial plan and, in the
+  /// kSlots style, the plan cache's canon (adapt::ParameterizeQuery).
+  std::string ToString(LiteralStyle style = LiteralStyle::kValues,
+                       int indent = 0) const;
 
-  /// One-line description of this node (no children).
-  std::string Describe() const;
-
-  /// Deep structural equality (used by memo deduplication at the top level;
-  /// the memo itself compares children by group).
-  bool Equals(const Op& other) const;
-
-  /// Fingerprint of this node's own parameters (kind + params, not
-  /// children); two nodes with equal fingerprints and equal child groups are
-  /// duplicates in the memo.
-  std::string ParamFingerprint() const;
+  /// One line naming this node's kind and every parameter, exactly (no
+  /// children, no derived schema). Equal descriptions over equal children
+  /// are the same expression: the memo files expressions by Describe() plus
+  /// their child groups. kSlots prints literals as parameter slots and
+  /// appends a scan's column signature, so a schema change is a new
+  /// fingerprint.
+  std::string Describe(LiteralStyle style = LiteralStyle::kValues) const;
 };
 
 // ---- factory functions (validate + derive schemas) ----

@@ -1,7 +1,7 @@
 #include "common/value.h"
 
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstring>
 #include <limits>
 
@@ -56,9 +56,17 @@ std::string Value::ToString() const {
   if (is_null()) return "NULL";
   if (is_int()) return std::to_string(AsInt());
   if (is_double()) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%g", std::get<double>(data_));
-    return buf;
+    // The shortest fixed-notation text that reads back as the same double
+    // (no exponent, which the SQL lexer does not read), with ".0" when it has
+    // no point so that it never reads back as an int. The longest finite
+    // one, a subnormal's, has about 330 characters.
+    const double d = std::get<double>(data_);
+    char buf[400];
+    const char* end =
+        std::to_chars(buf, buf + sizeof(buf), d, std::chars_format::fixed).ptr;
+    std::string out(static_cast<const char*>(buf), end);
+    if (std::isfinite(d) && out.find('.') == std::string::npos) out += ".0";
+    return out;
   }
   return AsString();
 }

@@ -74,10 +74,12 @@ class Value {
   bool operator>=(const Value& other) const { return Compare(other) >= 0; }
 
   /// Renders the value for plan printouts and test expectations; strings are
-  /// not quoted.
+  /// not quoted. A finite double prints exactly: the shortest fixed-notation
+  /// text that reads back as the same double, always with a point ("5.0").
   std::string ToString() const;
 
-  /// Renders as a SQL literal (strings single-quoted with '' escaping).
+  /// Renders as a SQL literal (strings single-quoted with '' escaping); the
+  /// SQL parser reads a number's literal back as the same value and kind.
   std::string ToSqlLiteral() const;
 
   /// The on-wire / in-page byte footprint used for `size(r)` statistics.

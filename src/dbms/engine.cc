@@ -472,13 +472,13 @@ Result<QueryResult> Engine::Execute(const std::string& sql, uint64_t session) {
       WalRecord an;
       an.type = WalRecordType::kAnalyze;
       an.table = key;
-      an.aux = analyze_histogram_buckets;
+      an.aux = kAnalyzeHistogramBuckets;
       TANGO_RETURN_IF_ERROR(LogSystem(&an));
     }
     if (key.empty()) {
-      TANGO_RETURN_IF_ERROR(catalog_.AnalyzeAll(analyze_histogram_buckets));
+      TANGO_RETURN_IF_ERROR(catalog_.AnalyzeAll(kAnalyzeHistogramBuckets));
     } else {
-      TANGO_RETURN_IF_ERROR(catalog_.Analyze(key, analyze_histogram_buckets));
+      TANGO_RETURN_IF_ERROR(catalog_.Analyze(key, kAnalyzeHistogramBuckets));
     }
     return QueryResult{};
   }

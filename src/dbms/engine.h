@@ -103,9 +103,9 @@ class Engine {
   const Catalog& catalog() const { return catalog_; }
   SessionConfig& config() { return config_; }
 
-  /// Histogram buckets used by ANALYZE (0 disables histograms, the paper's
-  /// "optimizer without histograms" configuration).
-  size_t analyze_histogram_buckets = 32;
+  /// Histogram buckets ANALYZE builds per column. The paper's "optimizer
+  /// without histograms" is the middleware's Config::use_histograms.
+  static constexpr size_t kAnalyzeHistogramBuckets = 32;
 
   /// Allocates a session: explicit-transaction state (BEGIN .. COMMIT) is
   /// per session, so concurrent Connections do not share transactions.

@@ -13,6 +13,9 @@ namespace dbms {
 
 namespace {
 
+/// Selectivity below which an available index is preferred over a full scan.
+constexpr double kIndexScanThreshold = 0.25;
+
 /// Re-qualifies a child's schema with a range-variable alias (used for
 /// subqueries in FROM: `(SELECT ...) A`).
 class AliasOp : public Cursor {
@@ -658,7 +661,7 @@ Result<CursorPtr> Planner::PlanBaseTable(const Table* table,
 
   // Pick the most selective indexed range under the threshold.
   int best_col = -1;
-  double best_sel = config_->index_scan_threshold;
+  double best_sel = kIndexScanThreshold;
   for (const auto& [col, range] : ranges) {
     if (range.selectivity < best_sel) {
       best_sel = range.selectivity;

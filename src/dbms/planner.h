@@ -18,10 +18,6 @@ namespace dbms {
 struct SessionConfig {
   enum class JoinMethod { kAuto, kNestedLoop, kMerge, kHash };
   JoinMethod forced_join = JoinMethod::kAuto;
-
-  /// Selectivity threshold below which an available index is preferred over
-  /// a full scan.
-  double index_scan_threshold = 0.25;
 };
 
 /// \brief Required-column analysis (DESIGN.md §16): for each FROM entry of

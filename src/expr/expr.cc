@@ -105,7 +105,61 @@ ExprPtr Expr::AndAll(std::vector<ExprPtr> conjuncts) {
   return out;
 }
 
-std::string Expr::ToString() const {
+namespace {
+
+/// How tightly an expression's printed form binds, after the parser's
+/// grammar (sql/parser.cc): OR < AND < NOT < comparison < additive <
+/// multiplicative < unary minus and primaries. AND and OR print inside their
+/// own parentheses, and unary minus, IS [NOT] NULL and NOT parenthesize
+/// their operand, so only the binary operators below ever need more.
+enum Binding { kNotForm, kComparison, kAdditive, kMultiplicative, kPrimary };
+
+Binding BindingOf(const Expr& e) {
+  if (e.kind == Expr::Kind::kUnary) {
+    if (e.unary_op == UnaryOp::kNot) return kNotForm;
+    return e.unary_op == UnaryOp::kNeg ? kPrimary : kComparison;
+  }
+  if (e.kind != Expr::Kind::kBinary) return kPrimary;
+  switch (e.binary_op) {
+    case BinaryOp::kAnd:
+    case BinaryOp::kOr:
+      return kPrimary;
+    case BinaryOp::kAdd:
+    case BinaryOp::kSub:
+      return kAdditive;
+    case BinaryOp::kMul:
+    case BinaryOp::kDiv:
+      return kMultiplicative;
+    default:
+      return kComparison;
+  }
+}
+
+/// The operand's text, parenthesized when it binds looser than `least`.
+std::string Operand(const Expr& e, Binding least, LiteralStyle style) {
+  if (BindingOf(e) >= least) return e.ToString(style);
+  std::string out = "(";
+  out += e.ToString(style);
+  out += ')';
+  return out;
+}
+
+/// A literal as its parameter slot and type (LiteralStyle::kSlots).
+std::string SlotLiteral(const Expr& e) {
+  char type = 'n';
+  if (e.literal.is_int()) type = 'i';
+  else if (e.literal.is_double()) type = 'd';
+  else if (e.literal.is_string()) type = 's';
+  std::string out = "?";
+  if (e.param_id >= 0) out += std::to_string(e.param_id);
+  out += ':';
+  out += type;
+  return out;
+}
+
+}  // namespace
+
+std::string Expr::ToString(LiteralStyle style) const {
   switch (kind) {
     case Kind::kColumn: {
       std::string q = table.empty() ? name : table + "." + name;
@@ -113,42 +167,53 @@ std::string Expr::ToString() const {
       return q;
     }
     case Kind::kLiteral:
-      return literal.ToSqlLiteral();
-    case Kind::kUnary:
+      return style == LiteralStyle::kSlots ? SlotLiteral(*this)
+                                           : literal.ToSqlLiteral();
+    case Kind::kUnary: {
+      const char* prefix = "(";
+      const char* suffix = ")";
       switch (unary_op) {
-        case UnaryOp::kNot:
-          return std::string("NOT (").append(children[0]->ToString()).append(
-              ")");
-        case UnaryOp::kNeg:
-          return std::string("-(").append(children[0]->ToString()).append(
-              ")");
-        case UnaryOp::kIsNull:
-          return std::string("(").append(children[0]->ToString()).append(
-              ") IS NULL");
-        case UnaryOp::kIsNotNull:
-          return std::string("(").append(children[0]->ToString()).append(
-              ") IS NOT NULL");
+        case UnaryOp::kNot: prefix = "NOT ("; break;
+        case UnaryOp::kNeg: prefix = "-("; break;
+        case UnaryOp::kIsNull: suffix = ") IS NULL"; break;
+        case UnaryOp::kIsNotNull: suffix = ") IS NOT NULL"; break;
       }
-      return "?";
+      std::string out = prefix;
+      out += children[0]->ToString(style);
+      out += suffix;
+      return out;
+    }
     case Kind::kBinary: {
-      const bool bare = binary_op == BinaryOp::kAnd || binary_op == BinaryOp::kOr;
-      std::string l = children[0]->ToString();
-      std::string r = children[1]->ToString();
-      if (bare) return "(" + l + " " + BinaryOpName(binary_op) + " " + r + ")";
-      return l + " " + BinaryOpName(binary_op) + " " + r;
+      // AND and OR print inside their own parentheses, so any operand goes.
+      // + - * / associate left, so a left operand may bind as loosely as
+      // the operator itself; comparisons do not associate at all.
+      const Binding self = BindingOf(*this);
+      Binding left = kNotForm, right = kNotForm;
+      if (self != kPrimary) {
+        left = self == kComparison ? kAdditive : self;
+        right = static_cast<Binding>(self + 1);
+      }
+      std::string out = self == kPrimary ? "(" : "";
+      out += Operand(*children[0], left, style);
+      out += ' ';
+      out += BinaryOpName(binary_op);
+      out += ' ';
+      out += Operand(*children[1], right, style);
+      if (self == kPrimary) out += ')';
+      return out;
     }
     case Kind::kFunction: {
       std::string out = function + "(";
       for (size_t i = 0; i < children.size(); ++i) {
         if (i > 0) out += ", ";
-        out += children[i]->ToString();
+        out += children[i]->ToString(style);
       }
       return out + ")";
     }
     case Kind::kAggregate: {
       std::string out = AggFuncName(agg);
       out += "(";
-      out += agg_star ? "*" : children[0]->ToString();
+      out += agg_star ? "*" : children[0]->ToString(style);
       return out + ")";
     }
   }

@@ -30,6 +30,14 @@ enum class AggFunc { kCount, kSum, kMin, kMax, kAvg };
 const char* BinaryOpName(BinaryOp op);   // SQL spelling, e.g. "<="
 const char* AggFuncName(AggFunc f);      // "COUNT", ...
 
+/// How a rendering prints literals. kValues prints each one exactly as its
+/// SQL literal (EXPLAIN, computed column names, the memo's identity).
+/// kSlots prints it as its plan-cache parameter slot and type, `?<id>:<t>`
+/// with t in {i, d, s, n}, or `?:<t>` when untagged, so the literal variants
+/// of one query render alike (adapt's fingerprints and feedback keys); a
+/// scan then also prints its schema.
+enum class LiteralStyle { kValues, kSlots };
+
 /// \brief Node of the expression tree shared by the SQL frontend, the
 /// temporal algebra, the middleware executor, and the DBMS executor.
 ///
@@ -49,7 +57,8 @@ struct Expr {
   Value literal;
   /// Plan-cache parameter slot this literal was lifted into (adapt::
   /// ParameterizeQuery tags literal sites in preorder); -1 = untagged.
-  /// Ignored by Equals/ToString — it is bookkeeping, not semantics.
+  /// Ignored by Equals and by ToString's kValues style — it is bookkeeping,
+  /// not semantics.
   int param_id = -1;
 
   // kUnary / kBinary
@@ -84,10 +93,12 @@ struct Expr {
   /// Conjunction of a list; returns nullptr for an empty list.
   static ExprPtr AndAll(std::vector<ExprPtr> conjuncts);
 
-  /// SQL rendering (used by the Translator-To-SQL and plan printers).
-  std::string ToString() const;
+  /// SQL text that the parser reads back as this tree: an operand is
+  /// parenthesized wherever the grammar's precedence would regroup it, and
+  /// AND/OR always are, so distinct trees print distinct text.
+  std::string ToString(LiteralStyle style = LiteralStyle::kValues) const;
 
-  /// Structural equality (used for memo deduplication).
+  /// Structural equality (numbers compare by value: 5 equals 5.0).
   bool Equals(const Expr& other) const;
 };
 

@@ -49,15 +49,6 @@ bool SendAllBytes(int fd, const uint8_t* data, size_t n) {
   return true;
 }
 
-const char* SourceName(Middleware::Prepared::Source source) {
-  switch (source) {
-    case Middleware::Prepared::Source::kFresh: return "fresh";
-    case Middleware::Prepared::Source::kCached: return "cached";
-    case Middleware::Prepared::Source::kReoptimized: return "reoptimized";
-  }
-  return "unknown";
-}
-
 }  // namespace
 
 /// Per-connection state. The poll thread owns `fd`, `admitted` and the
@@ -656,7 +647,8 @@ Status PollingServer::ServePrepare(Worker* worker, const WorkItem& item) {
   Message reply;
   reply.type = MsgType::kPrepared;
   reply.stmt_id = item.session->next_stmt_id++;
-  reply.plan_source = SourceName(prepared.ValueOrDie().source);
+  reply.plan_source =
+      Middleware::Prepared::SourceName(prepared.ValueOrDie().source);
   reply.fingerprint = prepared.ValueOrDie().fingerprint;
   item.session->stmts.emplace(reply.stmt_id, prepared.MoveValueOrDie());
   SendFrame(item.session, reply);
@@ -697,7 +689,8 @@ Status PollingServer::ServeExecute(Worker* worker, const WorkItem& item,
     SendFrame(item.session, ErrorMessage(result.status()));
     return result.status();
   }
-  return stream.Finish(result.ValueOrDie(), SourceName(prepared->source));
+  return stream.Finish(result.ValueOrDie(),
+                       Middleware::Prepared::SourceName(prepared->source));
 }
 
 bool PollingServer::SendFrame(const SessionPtr& session,

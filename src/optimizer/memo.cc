@@ -20,6 +20,15 @@ algebra::OpPtr Placeholder(size_t group_id, const Schema& schema) {
   return op;
 }
 
+/// The memo's identity of an expression: its node's exact Describe() and
+/// its child groups.
+std::string ExprKey(const algebra::Op& op,
+                    const std::vector<size_t>& children) {
+  std::string key = op.Describe();
+  for (size_t g : children) key.append("|").append(std::to_string(g));
+  return key;
+}
+
 /// True when the conjunct matches half of the Overlaps pattern: an upper
 /// bound on T1 or a lower bound on T2.
 bool IsTemporalWindowConjunct(const ExprPtr& c, const Schema& schema) {
@@ -93,12 +102,11 @@ Result<stats::RelStats> Memo::DeriveStats(const algebra::OpPtr& op,
 
 Result<size_t> Memo::Insert(const algebra::OpPtr& op,
                             std::vector<size_t> children, size_t target) {
-  std::string fingerprint = op->ParamFingerprint();
-  for (size_t g : children) fingerprint.append("|").append(std::to_string(g));
+  const std::string key = ExprKey(*op, children);
 
   size_t group_id = target;
   if (target == kNewGroup) {
-    const auto it = expr_index_.find(fingerprint);
+    const auto it = expr_index_.find(key);
     if (it != expr_index_.end()) return it->second;  // reuse existing class
     TANGO_ASSIGN_OR_RETURN(stats::RelStats stats, DeriveStats(op, children));
     Group g;
@@ -122,18 +130,14 @@ Result<size_t> Memo::Insert(const algebra::OpPtr& op,
   } else {
     // In-group dedup: do not add the same element twice.
     for (const MExpr& e : groups_[target].exprs) {
-      std::string fp = e.op->ParamFingerprint();
-      for (size_t g : e.children) fp.append("|").append(std::to_string(g));
-      if (fp == fingerprint) return target;
+      if (ExprKey(*e.op, e.children) == key) return target;
     }
   }
   MExpr expr;
   expr.op = MakePatternOp(op, children);
   expr.children = std::move(children);
   groups_[group_id].exprs.push_back(std::move(expr));
-  if (expr_index_.find(fingerprint) == expr_index_.end()) {
-    expr_index_[fingerprint] = group_id;
-  }
+  expr_index_.emplace(key, group_id);
   ++generated_;
   return group_id;
 }
@@ -518,11 +522,7 @@ Result<size_t> Memo::RuleJoinCommute(size_t group_id, const MExpr& e) {
   const size_t rg = e.children[1];
   // Apply commutativity only once per join: re-commuting the product would
   // create mutually-referencing projection classes.
-  {
-    std::string fp = e.op->ParamFingerprint();
-    for (size_t g : e.children) fp.append("|").append(std::to_string(g));
-    if (commute_products_.count(fp) != 0) return 0;
-  }
+  if (commute_products_.count(ExprKey(*e.op, e.children)) != 0) return 0;
   std::vector<std::pair<std::string, std::string>> swapped;
   for (const auto& [l, r] : e.op->join_attrs) swapped.emplace_back(r, l);
 
@@ -533,12 +533,7 @@ Result<size_t> Memo::RuleJoinCommute(size_t group_id, const MExpr& e) {
           : algebra::Product(Placeholder(rg, groups_[rg].schema),
                              Placeholder(lg, groups_[lg].schema));
   if (!commuted.ok()) return generated_ - before;
-  {
-    std::string fp = commuted.ValueOrDie()->ParamFingerprint();
-    fp.append("|").append(std::to_string(rg)).append("|").append(
-        std::to_string(lg));
-    commute_products_.insert(fp);
-  }
+  commute_products_.insert(ExprKey(*commuted.ValueOrDie(), {rg, lg}));
   TANGO_ASSIGN_OR_RETURN(size_t cg,
                          Insert(commuted.ValueOrDie(), {rg, lg}, kNewGroup));
 

@@ -34,7 +34,7 @@ struct Group {
   Schema schema;
   stats::RelStats stats;
   /// Stable identity for cardinality feedback (adapt::NodeKey over the
-  /// literal-lifted canon of the group's first expression and its child
+  /// slot-style Describe() of the group's first expression and its child
   /// group keys). Deterministic across optimizations of the same
   /// fingerprint, so observed actuals recorded under this key find the
   /// same group on re-optimization. 0 = unkeyed (should not happen).
@@ -121,9 +121,10 @@ class Memo {
 
   Options options_;
   std::vector<Group> groups_;
-  // Fingerprint -> group id, for new-group deduplication.
+  // Expression key (Describe() + child groups) -> group id, for new-group
+  // deduplication.
   std::map<std::string, size_t> expr_index_;
-  // Fingerprints of commuted joins (rule E2 is applied once per join).
+  // Keys of commuted joins (rule E2 is applied once per join).
   std::set<std::string> commute_products_;
   size_t generated_ = 0;
   ScanStatsProvider scan_stats_;

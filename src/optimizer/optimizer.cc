@@ -103,13 +103,9 @@ Result<PhysPlanPtr> Optimizer::FindBest(Memo* memo, size_t group,
   CacheKey key{group, props.Key(), no_transfer_m, no_transfer_d};
   const auto cached = winners_.find(key);
   if (cached != winners_.end()) return cached->second;
-  const std::string progress_key = std::to_string(group) + "/" + props.Key() +
-                                   (no_transfer_m ? "m" : "") +
-                                   (no_transfer_d ? "d" : "");
-  if (in_progress_.count(progress_key) != 0) {
+  if (!in_progress_.insert(key).second) {
     return PhysPlanPtr(nullptr);  // cycle: treat as unplannable here
   }
-  in_progress_.insert(progress_key);
 
   const Group& g = memo->group(group);
   PhysPlanPtr best = nullptr;
@@ -185,7 +181,7 @@ Result<PhysPlanPtr> Optimizer::FindBest(Memo* memo, size_t group,
     }
   }
 
-  in_progress_.erase(progress_key);
+  in_progress_.erase(key);
   winners_[key] = best;
   return best;
 }

@@ -113,7 +113,7 @@ class Optimizer {
   Options options_;
   Memo::ScanStatsProvider scan_stats_;
   std::map<CacheKey, PhysPlanPtr> winners_;
-  std::set<std::string> in_progress_;
+  std::set<CacheKey> in_progress_;
 };
 
 }  // namespace optimizer

@@ -1,6 +1,7 @@
 #include "optimizer/phys.h"
 
 #include <cstdio>
+#include <cstring>
 
 namespace tango {
 namespace optimizer {
@@ -74,12 +75,9 @@ bool IsDbmsAlgorithm(Algorithm alg) {
 std::string PhysPlan::ToString(int indent) const {
   std::string out(static_cast<size_t>(indent) * 2, ' ');
   out += AlgorithmName(algorithm);
-  // Parameters from the logical node, kind-specific.
+  // The logical node's parameters: its Describe() after the kind's name.
   if (op != nullptr) {
-    const std::string desc = op->Describe();
-    const size_t bracket = desc.find(" [");
-    if (bracket != std::string::npos) out += desc.substr(bracket);
-    if (op->kind == algebra::OpKind::kScan) out += " " + op->table;
+    out += op->Describe().substr(std::strlen(algebra::OpKindName(op->kind)));
   }
   char buf[96];
   std::snprintf(buf, sizeof(buf), "  (cost=%.0fus, rows=%.0f)", cost,

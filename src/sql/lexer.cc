@@ -1,7 +1,7 @@
 #include "sql/lexer.h"
 
 #include <cctype>
-#include <cstdlib>
+#include <charconv>
 #include <unordered_set>
 
 #include "common/schema.h"
@@ -72,12 +72,22 @@ Result<std::vector<Token>> Lexer::Tokenize(const std::string& input) {
         while (j < n && std::isdigit(static_cast<unsigned char>(input[j]))) ++j;
       }
       tok.text = input.substr(i, j - i);
+      const char* first = tok.text.data();
+      const char* last = first + tok.text.size();
+      std::from_chars_result read;
       if (is_float) {
         tok.type = TokenType::kFloat;
-        tok.float_value = std::strtod(tok.text.c_str(), nullptr);
+        read = std::from_chars(first, last, tok.float_value);
       } else {
         tok.type = TokenType::kInteger;
-        tok.int_value = std::strtoll(tok.text.c_str(), nullptr, 10);
+        read = std::from_chars(first, last, tok.int_value);
+      }
+      if (read.ec != std::errc()) {
+        std::string message = "numeric literal ";
+        message += tok.text;
+        message += " out of range at offset ";
+        message += std::to_string(i);
+        return Status::ParseError(message);
       }
       i = j;
     } else if (c == '\'') {

@@ -51,8 +51,6 @@ RelStats FromTableStats(const dbms::TableStats& ts, const Schema& schema) {
       if (cs.min.is_numeric()) c.min = cs.min.AsDouble();
       if (cs.max.is_numeric()) c.max = cs.max.AsDouble();
       c.histogram = cs.histogram;
-      c.has_index = cs.has_index;
-      c.index_clustered = cs.index_clustered;
     }
   }
   return rel;

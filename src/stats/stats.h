@@ -22,13 +22,6 @@ struct ColumnInfo {
   double num_distinct = 1;
   double avg_width = 9;     // encoded bytes incl. tag
   Histogram histogram;      // may be empty
-  /// Index availability and clustering (§3: "index availability for
-  /// attributes; and clusterings for indexes"). The middleware's generic
-  /// DBMS cost formulas deliberately do not depend on them — it cannot know
-  /// which access path the DBMS picks — but the Statistics Collector
-  /// surfaces them for diagnostics and future cost refinements.
-  bool has_index = false;
-  bool index_clustered = false;
 };
 
 /// Statistics of one (possibly intermediate) relation.

@@ -15,15 +15,8 @@ namespace {
 /// live from the entry, so an ExplainAnalyze run reports the execution it
 /// just performed.
 std::string ProvenanceLine(const Middleware::Prepared& prepared) {
-  const char* source = "fresh";
-  switch (prepared.source) {
-    case Middleware::Prepared::Source::kFresh: source = "fresh"; break;
-    case Middleware::Prepared::Source::kCached: source = "cached"; break;
-    case Middleware::Prepared::Source::kReoptimized:
-      source = "reoptimized";
-      break;
-  }
-  std::string out = std::string("plan: ") + source;
+  std::string out = "plan: ";
+  out += Middleware::Prepared::SourceName(prepared.source);
   if (prepared.cache_entry != nullptr) {
     out += ", executions=" +
            std::to_string(prepared.cache_entry->executions.load(
@@ -161,6 +154,15 @@ class TempTableGuard {
 };
 
 }  // namespace
+
+const char* Middleware::Prepared::SourceName(Source source) {
+  switch (source) {
+    case Source::kFresh: return "fresh";
+    case Source::kCached: return "cached";
+    case Source::kReoptimized: return "reoptimized";
+  }
+  return "unknown";
+}
 
 uint64_t Middleware::NextInstanceId() {
   static std::atomic<uint64_t> next{1};

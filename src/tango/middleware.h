@@ -162,6 +162,9 @@ class Middleware {
     /// cardinalities injected.
     enum class Source { kFresh, kCached, kReoptimized };
     Source source = Source::kFresh;
+    /// "fresh", "cached" or "reoptimized": EXPLAIN's provenance line and
+    /// the wire's plan_source.
+    static const char* SourceName(Source source);
     /// Parameterized-query fingerprint.
     uint64_t fingerprint = 0;
     /// The cache entry backing this plan; executions record cardinality

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "algebra/algebra.h"
 
 namespace tango {
@@ -128,17 +133,17 @@ TEST(AlgebraTest, WithChildrenRebuildsAndRederives) {
   EXPECT_EQ(rebuilt.ValueOrDie()->schema.column(0).table, "Z");
 }
 
-TEST(AlgebraTest, FingerprintsDistinguishParameters) {
+TEST(AlgebraTest, DescribeDistinguishesParameters) {
   auto s1 = Sort(PosScan(), {{"POSID", true}}).ValueOrDie();
   auto s2 = Sort(PosScan(), {{"POSID", false}}).ValueOrDie();
   auto s3 = Sort(PosScan(), {{"POSID", true}}).ValueOrDie();
-  EXPECT_NE(s1->ParamFingerprint(), s2->ParamFingerprint());
-  EXPECT_EQ(s1->ParamFingerprint(), s3->ParamFingerprint());
-  EXPECT_TRUE(s1->Equals(*s3));
-  EXPECT_FALSE(s1->Equals(*s2));
+  EXPECT_NE(s1->Describe(), s2->Describe());
+  EXPECT_EQ(s1->Describe(), s3->Describe());
+  EXPECT_EQ(s1->ToString(), s3->ToString());
+  EXPECT_NE(s1->ToString(), s2->ToString());
 }
 
-TEST(AlgebraTest, EqualsComparesDeeply) {
+TEST(AlgebraTest, ToStringComparesDeeply) {
   auto a = Select(PosScan(), Expr::Binary(BinaryOp::kEq,
                                           Expr::ColumnRef("POSID"),
                                           Expr::Int(1)))
@@ -151,8 +156,65 @@ TEST(AlgebraTest, EqualsComparesDeeply) {
                                              Expr::ColumnRef("POSID"),
                                              Expr::Int(1)))
                .ValueOrDie();
-  EXPECT_TRUE(a->Equals(*b));
-  EXPECT_FALSE(a->Equals(*c));
+  EXPECT_EQ(a->ToString(), b->ToString());
+  EXPECT_NE(a->ToString(), c->ToString());
+  // The difference is below the root: the nodes alone describe alike.
+  EXPECT_EQ(a->Describe(), c->Describe());
+}
+
+TEST(AlgebraTest, DescribeIsExact) {
+  const OpPtr r = Scan("R", Schema({{"", "A", DataType::kInt},
+                                    {"", "B", DataType::kInt},
+                                    {"", "C", DataType::kInt}}))
+                      .ValueOrDie();
+  const auto col = [](const char* name) { return Expr::ColumnRef(name); };
+  const auto bin = [](BinaryOp op, ExprPtr l, ExprPtr r) {
+    return Expr::Binary(op, std::move(l), std::move(r));
+  };
+  const auto where = [&](ExprPtr lhs, ExprPtr rhs) {
+    return Select(r, bin(BinaryOp::kGt, std::move(lhs), std::move(rhs)))
+        .ValueOrDie();
+  };
+  // Each pair builds two trees that the parser would tell apart; building
+  // either side twice must describe it alike.
+  const std::vector<std::pair<std::function<OpPtr()>, std::function<OpPtr()>>>
+      pairs = {
+          {[&] {  // (A + B) * C
+             return where(bin(BinaryOp::kMul,
+                              bin(BinaryOp::kAdd, col("A"), col("B")),
+                              col("C")),
+                          Expr::Int(30));
+           },
+           [&] {  // A + B * C
+             return where(bin(BinaryOp::kAdd, col("A"),
+                              bin(BinaryOp::kMul, col("B"), col("C"))),
+                          Expr::Int(30));
+           }},
+          {[&] {  // A - (B - C)
+             return where(bin(BinaryOp::kSub, col("A"),
+                              bin(BinaryOp::kSub, col("B"), col("C"))),
+                          Expr::Int(0));
+           },
+           [&] {  // A - B - C
+             return where(bin(BinaryOp::kSub,
+                              bin(BinaryOp::kSub, col("A"), col("B")),
+                              col("C")),
+                          Expr::Int(0));
+           }},
+          {[&] { return where(col("A"), Expr::Int(5)); },
+           [&] { return where(col("A"), Expr::Real(5.0)); }},
+          {[&] { return where(col("A"), Expr::Real(12.3456)); },
+           [&] { return where(col("A"), Expr::Real(12.34561)); }},
+          {[&] { return Project(r, {{col("A"), "A", "X"}}).ValueOrDie(); },
+           [&] { return Project(r, {{col("A"), "A", ""}}).ValueOrDie(); }},
+      };
+  for (const auto& [make_x, make_y] : pairs) {
+    const std::string x = make_x()->Describe();
+    const std::string y = make_y()->Describe();
+    EXPECT_NE(x, y);
+    EXPECT_EQ(x, make_x()->Describe());
+    EXPECT_EQ(y, make_y()->Describe());
+  }
 }
 
 }  // namespace

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "common/date.h"
@@ -11,6 +13,8 @@
 #include "common/status.h"
 #include "common/value.h"
 #include "common/wire.h"
+#include "dbms/engine.h"
+#include "sql/lexer.h"
 
 namespace tango {
 namespace {
@@ -61,6 +65,101 @@ TEST(ValueTest, ToSqlLiteralQuotesStrings) {
   EXPECT_EQ(Value("O'Neil").ToSqlLiteral(), "'O''Neil'");
   EXPECT_EQ(Value(int64_t{7}).ToSqlLiteral(), "7");
   EXPECT_EQ(Value::Null().ToSqlLiteral(), "NULL");
+}
+
+TEST(ValueTest, DoublesPrintExactlyAndStayDoubles) {
+  EXPECT_EQ(Value(5.0).ToSqlLiteral(), "5.0");
+  EXPECT_EQ(Value(-0.0).ToString(), "-0.0");
+  EXPECT_EQ(Value(12.34561).ToString(), "12.34561");
+  EXPECT_EQ(Value(7.123456789).ToString(), "7.123456789");
+  EXPECT_EQ(Value(54321.98765).ToString(), "54321.98765");
+  EXPECT_EQ(Value(1234567.5).ToSqlLiteral(), "1234567.5");
+  EXPECT_EQ(Value(0.00001).ToSqlLiteral(), "0.00001");
+}
+
+/// Finite doubles of every shape, seeded: signed zeros, subnormals, the
+/// extremes, 1e+-300, integral doubles around 2^53, short decimals and
+/// random bit patterns.
+std::vector<double> RoundTripDoubles() {
+  using Limits = std::numeric_limits<double>;
+  std::vector<double> out = {
+      0.0, -0.0, Limits::denorm_min(), -Limits::denorm_min(), Limits::min(),
+      Limits::max(), -Limits::max(), 1e300, 1e-300, -1e300, -1e-300,
+      0x1p53 - 1, 0x1p53, 0x1p53 + 2, -(0x1p53 - 1), -(0x1p53 + 2), 0.1,
+      1.0 / 3, 5.0, 7.123456789, 54321.98765, 1234567.5, 0.00001};
+  Rng rng(0x5EED2025);
+  while (out.size() < 10000) {
+    double d = 0;
+    switch (out.size() % 5) {
+      case 0:  // any finite bit pattern
+        do {
+          d = std::bit_cast<double>(rng.Next());
+        } while (!std::isfinite(d));
+        break;
+      case 1:  // a subnormal
+        d = std::bit_cast<double>(rng.Next() & ((uint64_t{1} << 52) - 1));
+        break;
+      case 2:  // an integral double, within and beyond 2^53
+        d = static_cast<double>(rng.Uniform(0, int64_t{1} << 61));
+        break;
+      case 3:  // 2^53 + k
+        d = 0x1p53 + static_cast<double>(rng.Uniform(-4, 4));
+        break;
+      default:  // a short decimal
+        d = static_cast<double>(rng.Uniform(-1000000000, 1000000000)) /
+            std::pow(10.0, static_cast<double>(rng.Uniform(0, 12)));
+        break;
+    }
+    out.push_back(rng.Bernoulli(0.5) ? d : -d);
+  }
+  return out;
+}
+
+TEST(ValueTest, DoubleSqlLiteralsReadBackBitExact) {
+  // A non-negative double's literal is one float token with the same bits.
+  // A negative one starts with '-', which the parser folds into the literal
+  // (unary minus), so it goes through a DBMS SELECT.
+  const std::vector<double> doubles = RoundTripDoubles();
+  dbms::Engine db;
+  ASSERT_TRUE(db.Execute("CREATE TABLE ONE (X INT)").ok());
+  ASSERT_TRUE(db.Execute("INSERT INTO ONE VALUES (1)").ok());
+  std::vector<double> negative;
+  for (const double d : doubles) {
+    const std::string literal = Value(d).ToSqlLiteral();
+    if (std::signbit(d)) {
+      negative.push_back(d);
+      continue;
+    }
+    auto tokens = sql::Lexer::Tokenize(literal);
+    ASSERT_TRUE(tokens.ok()) << literal << ": " << tokens.status().ToString();
+    ASSERT_EQ(tokens.ValueOrDie().size(), 2u) << literal;
+    const sql::Token& token = tokens.ValueOrDie()[0];
+    ASSERT_EQ(token.type, sql::TokenType::kFloat) << literal;
+    EXPECT_EQ(std::bit_cast<uint64_t>(token.float_value),
+              std::bit_cast<uint64_t>(d))
+        << literal;
+  }
+  ASSERT_GT(negative.size(), 4000u);
+  constexpr size_t kPerStatement = 50;
+  for (size_t first = 0; first < negative.size(); first += kPerStatement) {
+    const size_t n = std::min(kPerStatement, negative.size() - first);
+    std::string sql = "SELECT X";
+    for (size_t i = 0; i < n; ++i) {
+      sql += ", " + Value(negative[first + i]).ToSqlLiteral() + " AS V" +
+             std::to_string(i);
+    }
+    sql += " FROM ONE";
+    auto result = db.Execute(sql);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    const Tuple& row = result.ValueOrDie().rows.at(0);
+    for (size_t i = 0; i < n; ++i) {
+      const double d = negative[first + i];
+      ASSERT_TRUE(row[i + 1].is_double()) << Value(d).ToSqlLiteral();
+      EXPECT_EQ(std::bit_cast<uint64_t>(row[i + 1].AsDouble()),
+                std::bit_cast<uint64_t>(d))
+          << Value(d).ToSqlLiteral();
+    }
+  }
 }
 
 TEST(ValueTest, HashConsistentWithEquality) {

@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <string>
+#include <vector>
+
 #include "common/date.h"
+#include "common/rng.h"
 #include "dbms/connection.h"
 #include "dbms/engine.h"
 
@@ -297,24 +303,51 @@ TEST(ConnectionTest, RemoteCursorDeliversBatches) {
 
 TEST(ConnectionTest, BulkLoadAndInsertLoadAgree) {
   Engine db;
-  ASSERT_TRUE(db.Execute("CREATE TABLE A (X INT, S VARCHAR(8))").ok());
-  ASSERT_TRUE(db.Execute("CREATE TABLE B (X INT, S VARCHAR(8))").ok());
+  ASSERT_TRUE(
+      db.Execute("CREATE TABLE A (X INT, S VARCHAR(8), R DOUBLE)").ok());
+  ASSERT_TRUE(
+      db.Execute("CREATE TABLE B (X INT, S VARCHAR(8), R DOUBLE)").ok());
   WireConfig wire;
   wire.simulate_delay = false;
   Connection conn(&db, wire);
+  // Full-precision doubles: UIS-like PayRates, and values whose six-digit
+  // rendering would lose digits, read back as an int, or carry an exponent.
+  Rng rng(2001);
+  std::vector<double> rates;
+  for (int i = 0; i < 20; ++i) {
+    rates.push_back(3.0 - 5.0 * std::log(1.0 - rng.NextDouble()));
+  }
+  rates.insert(rates.end(), {7.123456789, 54321.98765, 1234567.5});
   std::vector<Tuple> rows;
-  for (int64_t i = 0; i < 20; ++i) {
-    rows.push_back(
-        {Value(i), Value(std::string("s").append(std::to_string(i)))});
+  for (size_t i = 0; i < rates.size(); ++i) {
+    rows.push_back({Value(static_cast<int64_t>(i)),
+                    Value(std::string("s").append(std::to_string(i))),
+                    Value(rates[i])});
   }
   ASSERT_TRUE(conn.BulkLoad("A", rows).ok());
-  ASSERT_TRUE(conn.InsertLoad("B", rows).ok());
-  auto a = db.Execute("SELECT COUNT(*) AS C FROM A");
-  auto b = db.Execute("SELECT COUNT(*) AS C FROM B");
-  EXPECT_EQ(a.ValueOrDie().rows[0][0].AsInt(), 20);
-  EXPECT_EQ(b.ValueOrDie().rows[0][0].AsInt(), 20);
+  const Status inserted = conn.InsertLoad("B", rows);
+  ASSERT_TRUE(inserted.ok()) << inserted.ToString();
+  auto a = db.Execute("SELECT X, S, R FROM A ORDER BY X");
+  auto b = db.Execute("SELECT X, S, R FROM B ORDER BY X");
+  ASSERT_TRUE(a.ok() && b.ok());
+  const std::vector<Tuple>& ra = a.ValueOrDie().rows;
+  const std::vector<Tuple>& rb = b.ValueOrDie().rows;
+  ASSERT_EQ(ra.size(), rows.size());
+  ASSERT_EQ(rb.size(), rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    for (size_t c = 0; c < rows[i].size(); ++c) {
+      SCOPED_TRACE("row " + std::to_string(i) + " column " +
+                   std::to_string(c));
+      EXPECT_EQ(ra[i][c], rows[i][c]);
+      EXPECT_EQ(rb[i][c], ra[i][c]);
+      EXPECT_EQ(rb[i][c].is_double(), ra[i][c].is_double());
+      EXPECT_EQ(rb[i][c].is_int(), ra[i][c].is_int());
+    }
+    EXPECT_EQ(std::bit_cast<uint64_t>(rb[i][2].AsDouble()),
+              std::bit_cast<uint64_t>(rates[i]));
+  }
   // InsertLoad pays one round trip per row.
-  EXPECT_GE(conn.counters().statements, 21u);
+  EXPECT_GE(conn.counters().statements, rows.size() + 1);
 }
 
 TEST(ConnectionTest, StatsOverTheWire) {

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "expr/expr.h"
 #include "sql/parser.h"
 
@@ -127,6 +130,36 @@ TEST(ExprTest, ContainsAggregate) {
   EXPECT_TRUE(ContainsAggregate(
       Expr::Aggregate(AggFunc::kMax, Expr::ColumnRef("X"))));
   EXPECT_FALSE(ContainsAggregate(ParseExpr("A = 1")));
+}
+
+TEST(ExprTest, ToStringParenthesizesWhereTheGrammarWouldRegroup) {
+  const auto col = [](const char* name) { return Expr::ColumnRef(name); };
+  const auto bin = [](BinaryOp op, ExprPtr l, ExprPtr r) {
+    return Expr::Binary(op, std::move(l), std::move(r));
+  };
+  const std::pair<ExprPtr, std::string> cases[] = {
+      {ParseExpr("(A + B) * C > 30"), "(A + B) * C > 30"},
+      {ParseExpr("A + B * C > 30"), "A + B * C > 30"},
+      {ParseExpr("A - (B - C) > 0"), "A - (B - C) > 0"},
+      {ParseExpr("A - B - C > 0"), "A - B - C > 0"},
+      {ParseExpr("A / (B * C) <= 1.5"), "A / (B * C) <= 1.5"},
+      {ParseExpr("T2 > 4748 AND T1 < 9862"), "(T2 > 4748 AND T1 < 9862)"},
+      {ParseExpr("A * -2 = -(B)"), "A * -2 = -(B)"},
+      {bin(BinaryOp::kEq, bin(BinaryOp::kLt, col("A"), col("B")),
+           Expr::Int(1)),
+       "(A < B) = 1"},
+      {bin(BinaryOp::kEq, Expr::Unary(UnaryOp::kNot, col("A")), Expr::Int(0)),
+       "(NOT (A)) = 0"},
+      {bin(BinaryOp::kAdd, Expr::Unary(UnaryOp::kIsNull, col("A")),
+           Expr::Int(1)),
+       "((A) IS NULL) + 1"},
+  };
+  for (const auto& [e, text] : cases) {
+    EXPECT_EQ(e->ToString(), text);
+    // The text reads back as the same tree.
+    const ExprPtr reparsed = ParseExpr(text);
+    EXPECT_TRUE(e->Equals(*reparsed)) << text << " vs " << reparsed->ToString();
+  }
 }
 
 TEST(ExprTest, ToStringRoundTripsThroughParser) {

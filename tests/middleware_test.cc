@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include "tango/middleware.h"
 #include "workload/uis.h"
@@ -381,6 +383,85 @@ TEST(MiddlewareTest, ExceptComputesMultisetDifference) {
   EXPECT_FALSE(mw.Query("TEMPORAL SELECT PosID, EmpName FROM POSITION "
                         "EXCEPT SELECT X FROM D")
                    .ok());
+}
+
+/// P(PosID, Rate, T1, T2): PosIDs 1, 2, ... in `rates` order, each valid
+/// over [1, 10).
+void LoadRates(dbms::Engine* db, const std::vector<std::string>& rates) {
+  ASSERT_TRUE(
+      db->Execute("CREATE TABLE P (PosID INT, Rate DOUBLE, T1 INT, T2 INT)")
+          .ok());
+  for (size_t i = 0; i < rates.size(); ++i) {
+    ASSERT_TRUE(db->Execute("INSERT INTO P VALUES (" + std::to_string(i + 1) +
+                            ", " + rates[i] + ", 1, 10)")
+                    .ok());
+  }
+  ASSERT_TRUE(db->Execute("ANALYZE").ok());
+}
+
+std::vector<int64_t> PosIds(const Middleware::Execution& execution) {
+  std::vector<int64_t> out;
+  for (const Tuple& row : execution.rows) out.push_back(row[0].AsInt());
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST(MiddlewareTest, ExceptArmsThatDifferInGroupingStayApart) {
+  // The two selections differ only in where the parentheses go. Were they
+  // filed as one memo expression, both arms would send one arm's SQL and
+  // the difference would be empty.
+  dbms::Engine db;
+  LoadRates(&db, {"14.0", "20.5", "0.5"});
+  Middleware mw(&db, TestConfig());
+  auto result = mw.Query(
+      "TEMPORAL SELECT PosID FROM P WHERE (Rate + 1) * 2 > 30 "
+      "EXCEPT TEMPORAL SELECT PosID FROM P WHERE Rate + 1 * 2 > 30");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(PosIds(result.ValueOrDie()), std::vector<int64_t>{2});
+}
+
+TEST(MiddlewareTest, ExceptArmsThatDifferInADoublesLastDigitsStayApart) {
+  dbms::Engine db;
+  LoadRates(&db, {"12.345605"});
+  Middleware mw(&db, TestConfig());
+  auto result = mw.Query(
+      "TEMPORAL SELECT PosID FROM P WHERE Rate > 12.3456 "
+      "EXCEPT TEMPORAL SELECT PosID FROM P WHERE Rate > 12.34561");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(PosIds(result.ValueOrDie()), std::vector<int64_t>{1});
+  auto alone = mw.Query("TEMPORAL SELECT PosID FROM P WHERE Rate > 12.34561");
+  ASSERT_TRUE(alone.ok()) << alone.status().ToString();
+  EXPECT_TRUE(alone.ValueOrDie().rows.empty());
+}
+
+TEST(MiddlewareTest, DbmsSelectionsCarryDoubleLiteralsExactly) {
+  // A six-digit rendering would send 1.23457e+06 and 1e-05, which the SQL
+  // lexer cannot read, and 1234567.5 would lose its last digit.
+  dbms::Engine db;
+  LoadRates(&db, {"0.000005", "0.00001", "0.00002", "1234567.25", "1234567.5",
+                  "1234567.75"});
+  Middleware mw(&db, TestConfig());
+  const struct {
+    const char* literal;
+    std::vector<int64_t> expected;
+  } kCases[] = {{"1234567.5", {6}}, {"0.00001", {3, 4, 5, 6}}};
+  for (const auto& c : kCases) {
+    SCOPED_TRACE(c.literal);
+    auto prepared = mw.Prepare(
+        std::string("TEMPORAL SELECT PosID FROM P WHERE Rate > ") + c.literal);
+    ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+    EXPECT_NE(prepared.ValueOrDie().plan->ToString().find("SELECT^D"),
+              std::string::npos)
+        << prepared.ValueOrDie().plan->ToString();
+    auto result = mw.Execute(prepared.ValueOrDie());
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(PosIds(result.ValueOrDie()), c.expected);
+    const std::vector<std::string>& sql = result.ValueOrDie().sql_statements;
+    ASSERT_EQ(sql.size(), 1u);
+    EXPECT_NE(sql[0].find(std::string("> ") + c.literal + ")"),
+              std::string::npos)
+        << sql[0];
+  }
 }
 
 TEST(MiddlewareTest, ExplainShowsPlanAndSqlWithoutExecuting) {

@@ -33,6 +33,23 @@ TEST(LexerTest, RejectsBadInput) {
   EXPECT_FALSE(Lexer::Tokenize("a ? b").ok());
 }
 
+TEST(LexerTest, RejectsIntegerLiteralsThatOverflow) {
+  auto max = Lexer::Tokenize("9223372036854775807");
+  ASSERT_TRUE(max.ok());
+  EXPECT_EQ(max.ValueOrDie()[0].int_value, INT64_MAX);
+  auto over = Lexer::Tokenize("9223372036854775808");
+  ASSERT_FALSE(over.ok());
+  EXPECT_EQ(over.status().code(), StatusCode::kParseError);
+  // Formerly clamped to INT64_MAX and stored.
+  EXPECT_FALSE(
+      Parser::Parse("INSERT INTO D VALUES (99999999999999999999)").ok());
+  // The minus is an operator, so INT64_MIN has no literal either.
+  EXPECT_FALSE(
+      Parser::Parse("SELECT X FROM T WHERE X > -9223372036854775808").ok());
+  EXPECT_TRUE(
+      Parser::Parse("SELECT X FROM T WHERE X > -9223372036854775807").ok());
+}
+
 TEST(ParserTest, SimpleSelect) {
   auto r = Parser::ParseSelect("SELECT PosID, T1 FROM POSITION");
   ASSERT_TRUE(r.ok()) << r.status().ToString();

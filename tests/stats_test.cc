@@ -272,11 +272,12 @@ TEST(FromTableStatsTest, ConvertsAnalyzeOutput) {
   EXPECT_DOUBLE_EQ(rel.columns[0].max, 3);
   EXPECT_FALSE(rel.columns[0].histogram.empty());
   EXPECT_FALSE(rel.columns[1].numeric);
-  // Index availability and clustering flow through to the middleware
-  // (inserted in key order, so the index is clustered).
-  EXPECT_TRUE(rel.columns[0].has_index);
-  EXPECT_TRUE(rel.columns[0].index_clustered);
-  EXPECT_FALSE(rel.columns[1].has_index);
+  // ANALYZE records index availability and clustering in the catalog's
+  // statistics (inserted in key order, so the index is clustered); the
+  // middleware's cost formulas do not read them.
+  EXPECT_TRUE(t->stats().columns[0].has_index);
+  EXPECT_TRUE(t->stats().columns[0].index_clustered);
+  EXPECT_FALSE(t->stats().columns[1].has_index);
 }
 
 }  // namespace
