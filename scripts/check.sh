@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# Full verification matrix: builds and runs the test suite in four
-# configurations — plain, AddressSanitizer+UBSan, ThreadSanitizer, and
-# Release. The ASan leg's UBSan includes float-cast-overflow and every
-# report is fatal (CMakeLists.txt), so undefined behaviour fails a test
-# rather than scrolling past in its log. The TSan leg is what proves the concurrent parts free of data
+# Full verification matrix: builds and runs the test suite in five
+# configurations — plain, AddressSanitizer+UBSan, ThreadSanitizer, Release
+# and Debug — and builds a sixth, MinSizeRel. The ASan leg's UBSan
+# includes float-cast-overflow and every report is fatal (CMakeLists.txt),
+# so undefined behaviour fails a test rather than scrolling past in its
+# log. The TSan leg is what proves the concurrent parts free of data
 # races: readers sharing the engine latch beside the write-churn writer
 # (server workers' cursor batches and catalog reads run concurrently under
 # the shared latch; only statements and loads take it exclusive), the
@@ -12,7 +13,9 @@
 # because the build uses -Werror and GCC's inlining-driven warnings
 # (-Wrestrict, -Wformat-truncation, -Wnonnull, -Warray-bounds) fire only at
 # -O3: every CMake build type must compile, and the optimized one is what
-# benches run.
+# benches run. The Debug leg (-O0, assertions on) runs the whole suite too;
+# the MinSizeRel leg (-Os, whose inlining differs from -O3's) only
+# compiles, since its tests would repeat the Release leg's.
 #
 # The Release leg also runs the paper's shape checks: bench_query1_fig8,
 # bench_query2_fig10, bench_query3_fig11a and bench_query4_fig11b, once
@@ -180,9 +183,20 @@ run_config() {
   echo
 }
 
+build_only() {
+  local name="$1" dir="$2" build_type="$3"
+  echo "=== ${name}: configure + build (${dir}) ==="
+  cmake -B "${dir}" -S . -DCMAKE_BUILD_TYPE="${build_type}" >/dev/null
+  cmake --build "${dir}" -j "${JOBS}"
+  echo "=== ${name}: OK ==="
+  echo
+}
+
 run_config "plain"   build           ""
 run_config "asan"    build-asan      address
 run_config "tsan"    build-tsan      thread
 run_config "release" build-release   ""        Release
+run_config "debug"   build-debug     ""        Debug
+build_only "minsizerel" build-minsizerel MinSizeRel
 
 echo "all configurations passed"

@@ -286,8 +286,11 @@ Result<CalibrationReport> Calibrator::Calibrate(CostModel* model) {
     FitOne(&f.scand, t, full_bytes, t, full_bytes);
   }
   {
-    // DBMS sort: ORDER BY over the impossible-filter scan isolates the sort
-    // from transfer; subtract the scan time just measured.
+    // DBMS sort: an ORDER BY over the whole probe table. The statement has
+    // no filter, so it ships every row; the fit subtracts the round trip,
+    // the scan and the transfer of the bytes it shipped, and floors the
+    // rest at 1 us. The transfer is most of the drain, so that rest, the
+    // sort's share, is noisy and can land on the floor.
     TANGO_ASSIGN_OR_RETURN(
         CursorPtr cur,
         conn_->ExecuteQuery(

@@ -59,9 +59,7 @@ bool IsTemporalWindowConjunct(const ExprPtr& c, const Schema& schema) {
 
 }  // namespace
 
-Result<size_t> Memo::CopyIn(const algebra::OpPtr& plan,
-                            const stats::RelStats& base_placeholder) {
-  (void)base_placeholder;
+Result<size_t> Memo::CopyIn(const algebra::OpPtr& plan) {
   if (plan->kind == algebra::OpKind::kTransferM ||
       plan->kind == algebra::OpKind::kTransferD) {
     return Status::InvalidArgument(
@@ -488,7 +486,10 @@ Result<size_t> Memo::RuleSelectCoalesceCommute(size_t group_id,
 }
 
 // Rule T9: a projection on all attributes (identity) is redundant; the
-// child's expressions join this class.
+// child's expressions join this class. Names and positions must match, but
+// qualifiers need not: the adopted expressions are relabeled with this
+// class's schema, so dropping the π never changes the qualifiers a parent
+// or a client sees.
 Result<size_t> Memo::RuleIdentityProjectCollapse(size_t group_id,
                                                  const MExpr& e) {
   const size_t before = generated_;
@@ -509,7 +510,9 @@ Result<size_t> Memo::RuleIdentityProjectCollapse(size_t group_id,
   const size_t n = groups_[child].exprs.size();
   for (size_t i = 0; i < n; ++i) {
     const MExpr f = groups_[child].exprs[i];
-    TANGO_RETURN_IF_ERROR(Insert(f.op, f.children, group_id).status());
+    auto relabeled = std::make_shared<algebra::Op>(*f.op);
+    relabeled->schema = groups_[group_id].schema;
+    TANGO_RETURN_IF_ERROR(Insert(relabeled, f.children, group_id).status());
   }
   return generated_ - before;
 }

@@ -58,8 +58,7 @@ class Memo {
   /// The tree must not contain transfer operators (location is a physical
   /// property here; the top-level T^M of the initial plan is expressed by
   /// the root requirement "site = middleware").
-  Result<size_t> CopyIn(const algebra::OpPtr& plan,
-                        const stats::RelStats& base_placeholder = {});
+  Result<size_t> CopyIn(const algebra::OpPtr& plan);
 
   /// Registers base-relation statistics for scan groups; must be called via
   /// the provider before CopyIn derives stats.

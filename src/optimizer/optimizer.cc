@@ -43,7 +43,169 @@ std::shared_ptr<algebra::Op> SyntheticOp(algebra::OpKind kind,
   return op;
 }
 
+/// One flag per output column of an operator: does its consumer read it?
+using ColumnSet = std::vector<bool>;
+
+Status AddColumn(const Schema& schema, const std::string& reference,
+                 ColumnSet* set) {
+  TANGO_ASSIGN_OR_RETURN(size_t i, schema.IndexOf(reference));
+  (*set)[i] = true;
+  return Status::OK();
+}
+
+Status AddColumns(const Schema& schema, const ExprPtr& expr, ColumnSet* set) {
+  std::vector<std::string> references;
+  CollectColumns(expr, &references);
+  for (const std::string& r : references) {
+    TANGO_RETURN_IF_ERROR(AddColumn(schema, r, set));
+  }
+  return Status::OK();
+}
+
+/// A scan plus any σ directly over it.
+bool IsBaseAccess(const algebra::Op* op) {
+  while (op->kind == algebra::OpKind::kSelect) op = op->children[0].get();
+  return op->kind == algebra::OpKind::kScan;
+}
+
+/// π over the columns of `access` that `read` flags, qualifiers kept. When
+/// it flags none, the first numeric column (the narrowest: numbers are 9
+/// bytes wide), or else the first column, carries the rows.
+Result<algebra::OpPtr> NarrowAccess(const algebra::OpPtr& access,
+                                    ColumnSet read) {
+  const Schema& schema = access->schema;
+  if (std::find(read.begin(), read.end(), false) == read.end()) return access;
+  if (std::find(read.begin(), read.end(), true) == read.end()) {
+    const auto& columns = schema.columns();
+    const auto numeric =
+        std::find_if(columns.begin(), columns.end(), [](const Column& c) {
+          return c.type != DataType::kString;
+        });
+    read[numeric == columns.end() ? 0 : numeric - columns.begin()] = true;
+  }
+  std::vector<algebra::ProjectItem> items;
+  for (size_t i = 0; i < schema.num_columns(); ++i) {
+    if (!read[i]) continue;
+    const Column& c = schema.column(i);
+    items.push_back({Expr::Column(c.table, c.name), c.name, c.table});
+  }
+  return algebra::Project(access, std::move(items));
+}
+
+/// Rebuilds `op` with its base-table accesses narrowed to what is read
+/// above them; `read` flags the columns of `op` its consumer reads.
+Result<algebra::OpPtr> Narrow(const algebra::OpPtr& op, ColumnSet read,
+                              bool consumer_is_project) {
+  if (IsBaseAccess(op.get())) {
+    if (consumer_is_project) return op;
+    return NarrowAccess(op, std::move(read));
+  }
+  std::vector<ColumnSet> child_reads;
+  for (const algebra::OpPtr& c : op->children) {
+    child_reads.emplace_back(c->schema.num_columns(), false);
+  }
+  switch (op->kind) {
+    case algebra::OpKind::kSelect:
+      child_reads[0] = std::move(read);
+      TANGO_RETURN_IF_ERROR(AddColumns(op->children[0]->schema, op->predicate,
+                                       &child_reads[0]));
+      break;
+    case algebra::OpKind::kSort:
+      child_reads[0] = std::move(read);
+      for (const algebra::SortSpec& k : op->sort_keys) {
+        TANGO_RETURN_IF_ERROR(
+            AddColumn(op->children[0]->schema, k.attr, &child_reads[0]));
+      }
+      break;
+    case algebra::OpKind::kProject:
+      for (const algebra::ProjectItem& item : op->items) {
+        TANGO_RETURN_IF_ERROR(AddColumns(op->children[0]->schema, item.expr,
+                                         &child_reads[0]));
+      }
+      break;
+    case algebra::OpKind::kJoin:
+    case algebra::OpKind::kProduct: {
+      const size_t left_columns = child_reads[0].size();
+      for (size_t i = 0; i < read.size(); ++i) {
+        if (!read[i]) continue;
+        if (i < left_columns) {
+          child_reads[0][i] = true;
+        } else {
+          child_reads[1][i - left_columns] = true;
+        }
+      }
+      for (const auto& [l, r] : op->join_attrs) {
+        TANGO_RETURN_IF_ERROR(
+            AddColumn(op->children[0]->schema, l, &child_reads[0]));
+        TANGO_RETURN_IF_ERROR(
+            AddColumn(op->children[1]->schema, r, &child_reads[1]));
+      }
+      break;
+    }
+    case algebra::OpKind::kTJoin: {
+      // algebra::TJoin's layout: the left input's columns but T1/T2, the
+      // right's but T1/T2 and its join attributes, then the intersected
+      // T1, T2. Both periods and all join attributes are read.
+      ColumnSet dropped[2];
+      for (size_t side = 0; side < 2; ++side) {
+        const Schema& in = op->children[side]->schema;
+        dropped[side].assign(in.num_columns(), false);
+        for (const char* period : {"T1", "T2"}) {
+          TANGO_ASSIGN_OR_RETURN(size_t i, in.IndexOf(period));
+          dropped[side][i] = child_reads[side][i] = true;
+        }
+      }
+      for (const auto& [l, r] : op->join_attrs) {
+        TANGO_RETURN_IF_ERROR(
+            AddColumn(op->children[0]->schema, l, &child_reads[0]));
+        TANGO_ASSIGN_OR_RETURN(size_t ri, op->children[1]->schema.IndexOf(r));
+        dropped[1][ri] = child_reads[1][ri] = true;
+      }
+      size_t out = 0;
+      for (size_t side = 0; side < 2; ++side) {
+        for (size_t i = 0; i < dropped[side].size(); ++i) {
+          if (!dropped[side][i] && read[out++]) child_reads[side][i] = true;
+        }
+      }
+      break;
+    }
+    case algebra::OpKind::kTAggregate: {
+      const Schema& in = op->children[0]->schema;
+      for (const std::string& g : op->group_by) {
+        TANGO_RETURN_IF_ERROR(AddColumn(in, g, &child_reads[0]));
+      }
+      for (const algebra::AggItem& a : op->aggs) {
+        if (!a.arg.empty()) {
+          TANGO_RETURN_IF_ERROR(AddColumn(in, a.arg, &child_reads[0]));
+        }
+      }
+      TANGO_RETURN_IF_ERROR(AddColumn(in, "T1", &child_reads[0]));
+      TANGO_RETURN_IF_ERROR(AddColumn(in, "T2", &child_reads[0]));
+      break;
+    }
+    default:  // rdup, coal and − read every column
+      for (ColumnSet& set : child_reads) set.assign(set.size(), true);
+      break;
+  }
+  std::vector<algebra::OpPtr> children;
+  bool changed = false;
+  for (size_t i = 0; i < op->children.size(); ++i) {
+    TANGO_ASSIGN_OR_RETURN(
+        algebra::OpPtr child,
+        Narrow(op->children[i], std::move(child_reads[i]),
+               op->kind == algebra::OpKind::kProject));
+    changed = changed || child != op->children[i];
+    children.push_back(std::move(child));
+  }
+  if (!changed) return op;
+  return algebra::WithChildren(*op, std::move(children));
+}
+
 }  // namespace
+
+Result<algebra::OpPtr> NarrowBaseAccesses(const algebra::OpPtr& plan) {
+  return Narrow(plan, ColumnSet(plan->schema.num_columns(), true), false);
+}
 
 PhysPlanPtr Optimizer::MakeNode(Algorithm alg, algebra::OpPtr op, Site site,
                                 std::vector<algebra::SortSpec> order,
@@ -69,6 +231,9 @@ Result<Optimizer::Optimized> Optimizer::Optimize(algebra::OpPtr initial_plan) {
   while (initial_plan->kind == algebra::OpKind::kTransferM ||
          initial_plan->kind == algebra::OpKind::kTransferD) {
     initial_plan = initial_plan->children[0];
+  }
+  if (options_.site_restriction != SiteRestriction::kMiddlewareOnly) {
+    TANGO_ASSIGN_OR_RETURN(initial_plan, NarrowBaseAccesses(initial_plan));
   }
 
   Memo::Options mopts;

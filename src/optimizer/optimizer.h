@@ -26,6 +26,16 @@ enum class SiteRestriction {
   kMiddlewareOnly,
 };
 
+/// Heuristic group 4 ("reduce the arguments of expensive operations")
+/// applied to attributes. Derives top-down the columns each operator's
+/// consumer reads and puts a narrowing π over every base-table access (a
+/// scan plus any σ directly over it) that carries more, so the narrower
+/// widths reach `size(r)` and every transfer's price. The π keeps each
+/// column's range-variable qualifier. An access whose consumer is a π is
+/// left alone, and one whose columns are all unread keeps its narrowest
+/// column so that its row count survives.
+Result<algebra::OpPtr> NarrowBaseAccesses(const algebra::OpPtr& plan);
+
 /// \brief TANGO's query optimizer: Volcano-style exploration of the memo
 /// followed by top-down physical planning with site and order properties.
 ///
@@ -77,6 +87,9 @@ class Optimizer {
 
   /// Optimizes an initial logical plan. A top-level T^M (Figure 4a) is
   /// accepted and stripped; the root is planned for {site = middleware}.
+  /// Base-table accesses are narrowed first (NarrowBaseAccesses) unless
+  /// the DBMS may only scan (kMiddlewareOnly), where no π could reach the
+  /// wire.
   Result<Optimized> Optimize(algebra::OpPtr initial_plan);
 
  private:

@@ -147,13 +147,48 @@ Result<RenderedSql> Translator::Render(const PhysPlan& node) {
         if (i > 0) out.sql += ", ";
         out.sql += s + "." + child.aliases[i] + " AS " + out.aliases[i];
       }
-      out.sql += " FROM " + FromItem(child, s) + " WHERE " + pred;
+      const std::string tail = " FROM " + FromItem(child, s) + " WHERE " + pred;
+      out.sql += tail;
+      if (!child.base_table.empty()) {
+        out.filter = tail;
+        out.filter_alias = s;
+      }
       return out;
     }
 
     case Algorithm::kProjectD: {
       TANGO_ASSIGN_OR_RETURN(RenderedSql child, Render(*node.children[0]));
-      const std::string s = FreshSubqueryAlias();
+      const Schema& cs = node.children[0]->op->schema;
+      if (!child.base_table.empty()) {
+        // Distinct plain columns under their own names keep the bare table.
+        std::vector<std::string> columns;
+        for (const algebra::ProjectItem& item : node.op->items) {
+          if (item.expr->kind != Expr::Kind::kColumn) break;
+          TANGO_ASSIGN_OR_RETURN(size_t idx,
+                                 cs.IndexOf(item.expr->table, item.expr->name));
+          const std::string& column = child.aliases[idx];
+          if (item.name != cs.column(idx).name ||
+              std::find(columns.begin(), columns.end(), column) !=
+                  columns.end()) {
+            break;
+          }
+          columns.push_back(column);
+        }
+        if (columns.size() == node.op->items.size()) {
+          RenderedSql out;
+          out.sql = "SELECT ";
+          for (size_t i = 0; i < columns.size(); ++i) {
+            if (i > 0) out.sql += ", ";
+            out.sql += columns[i] + " AS " + columns[i];
+          }
+          out.sql += " FROM " + child.base_table;
+          out.aliases = std::move(columns);
+          out.base_table = child.base_table;
+          return out;
+        }
+      }
+      const bool fold = !child.filter.empty();
+      const std::string s = fold ? child.filter_alias : FreshSubqueryAlias();
       RenderedSql out;
       out.aliases = MakeAliases(node.op->schema);
       out.sql = "SELECT ";
@@ -161,11 +196,10 @@ Result<RenderedSql> Translator::Render(const PhysPlan& node) {
         if (i > 0) out.sql += ", ";
         TANGO_ASSIGN_OR_RETURN(
             std::string e,
-            RenderExpr(node.op->items[i].expr, node.children[0]->op->schema,
-                       child.aliases, s));
+            RenderExpr(node.op->items[i].expr, cs, child.aliases, s));
         out.sql += e + " AS " + out.aliases[i];
       }
-      out.sql += " FROM " + FromItem(child, s);
+      out.sql += fold ? child.filter : " FROM " + FromItem(child, s);
       return out;
     }
 

@@ -17,11 +17,19 @@ struct RenderedSql {
   /// Emitted output column aliases, parallel to the fragment's algebra
   /// schema (the middleware relies on positional compatibility).
   std::vector<std::string> aliases;
-  /// Non-empty when the fragment is a bare table access (a base-table scan
-  /// or a TRANSFER^D temporary): parents then reference the table directly
-  /// in FROM instead of nesting a subquery — yielding the flat SQL of
-  /// Figure 5 and letting the DBMS planner use its index access paths.
+  /// Non-empty when the fragment is a bare table access (a base-table scan,
+  /// a TRANSFER^D temporary, or a projection of distinct plain columns over
+  /// either): parents then reference the table directly in FROM instead of
+  /// nesting a subquery — yielding the flat SQL of Figure 5 and letting the
+  /// DBMS planner use its index access paths and narrow the columns it reads.
   std::string base_table;
+  /// Non-empty when the fragment is a selection over a bare table, rendered
+  /// as one block whose columns read `<filter_alias>.<alias>`: `filter` is
+  /// that block's " FROM <table> <filter_alias> WHERE <predicate>" tail. A
+  /// projection above reuses it instead of nesting the block, so
+  /// π^D(σ^D(table)) is one SELECT.
+  std::string filter;
+  std::string filter_alias;
 };
 
 /// \brief The Translator-To-SQL component: renders the parts of a chosen

@@ -149,8 +149,8 @@ TEST(ExplainAnalyzeSnapshotTest, Query4CoalescedAggregation) {
       "plan: fresh, executions=1, reoptimized=0\n"
       "SORT^M [M] rows est=123 act=177 q=1.43 batches=# cost=# self=# incl=#\n"
       "  COALESCE^M [M] rows est=123 act=177 q=1.43 batches=# cost=# self=# incl=#\n"
-      "    PROJECT^M [M] rows est=176 act=205 q=1.16 batches=# cost=# self=# incl=#\n"
-      "      SORT^M [M] rows est=176 act=205 q=1.16 batches=# cost=# self=# incl=#\n"
+      "    SORT^M [M] rows est=176 act=205 q=1.16 batches=# cost=# self=# incl=#\n"
+      "      PROJECT^M [M] rows est=176 act=205 q=1.16 batches=# cost=# self=# incl=#\n"
       "        TAGGR^M [M] rows est=176 act=205 q=1.16 batches=# cost=# self=# incl=#\n"
       "          TRANSFER^M [M] rows est=150 act=150 q=1.00 batches=# cost=# self=# "
       "incl=#\n";

@@ -181,6 +181,31 @@ TEST(MemoTest, SelectProjectCommute) {
   EXPECT_TRUE(commuted) << memo.ToString();
 }
 
+TEST(MemoTest, IdentityProjectionCollapseKeepsTheProjectionsSchema) {
+  // T9 drops a π that only strips qualifiers; the expressions its class
+  // adopts must still deliver the π's schema, which is what a parent binds
+  // against and what a client receives.
+  auto scan = algebra::Scan("POSITION", PosSchema(), "A").ValueOrDie();
+  std::vector<algebra::ProjectItem> items;
+  for (const Column& c : scan->schema.columns()) {
+    items.push_back({Expr::Column(c.table, c.name), c.name});
+  }
+  auto proj = algebra::Project(scan, items).ValueOrDie();
+  Memo memo = MakeMemo();
+  auto root = memo.CopyIn(proj);
+  ASSERT_TRUE(root.ok()) << root.status().ToString();
+  ASSERT_TRUE(memo.Explore().ok());
+  const Group& g = memo.group(root.ValueOrDie());
+  EXPECT_EQ(g.schema.ToString(), "(POSID:INT, PAYRATE:DOUBLE, T1:INT, T2:INT)");
+  bool collapsed = false;
+  for (const MExpr& e : g.exprs) {
+    collapsed = collapsed || e.op->kind == algebra::OpKind::kScan;
+    EXPECT_EQ(e.op->schema.ToString(), g.schema.ToString())
+        << e.op->Describe();
+  }
+  EXPECT_TRUE(collapsed) << memo.ToString();
+}
+
 TEST(MemoTest, JoinCommutativityAddsRestoringProjection) {
   auto a = algebra::Scan("POSITION", PosSchema(), "A").ValueOrDie();
   auto b = algebra::Scan("POSITION", PosSchema(), "B").ValueOrDie();

@@ -291,6 +291,176 @@ TEST(OptimizerTest, PlanPrintingCarriesCostsAndRows) {
   EXPECT_NE(rendered.find("TAGGR"), std::string::npos);
 }
 
+// ---- NarrowBaseAccesses: heuristic group 4 for attributes ----
+
+Schema WideSchema() {
+  return Schema({{"", "POSID", DataType::kInt},
+                 {"", "EMPNAME", DataType::kString},
+                 {"", "PAYRATE", DataType::kDouble},
+                 {"", "DEPT", DataType::kString},
+                 {"", "T1", DataType::kInt},
+                 {"", "T2", DataType::kInt}});
+}
+
+algebra::OpPtr WideScan(const std::string& alias) {
+  return algebra::Scan("POSITION", WideSchema(), alias).ValueOrDie();
+}
+
+ExprPtr Where(const std::string& text) {
+  return sql::Parser::ParseSelect("SELECT X FROM T WHERE " + text)
+      .ValueOrDie()
+      ->where;
+}
+
+std::string Narrowed(const algebra::OpPtr& plan) {
+  auto narrowed = NarrowBaseAccesses(plan);
+  EXPECT_TRUE(narrowed.ok()) << narrowed.status().ToString();
+  return narrowed.ok() ? narrowed.ValueOrDie()->ToString() : "";
+}
+
+TEST(NarrowBaseAccessesTest, SelectionAndJoinSplitWhatTheirParentsRead) {
+  // π reads A.EMPNAME; σ adds both PAYRATEs; ⋈ splits them by side and
+  // adds the join attributes.
+  auto join =
+      algebra::Join(WideScan("A"), WideScan("B"), {{"A.POSID", "B.POSID"}})
+          .ValueOrDie();
+  auto sel = algebra::Select(join, Where("A.PAYRATE > B.PAYRATE")).ValueOrDie();
+  auto proj =
+      algebra::Project(sel, {{Expr::ColumnRef("A.EMPNAME"), "EMPNAME"}})
+          .ValueOrDie();
+  EXPECT_EQ(Narrowed(proj),
+            "PROJECT [A.EMPNAME AS EMPNAME]\n"
+            "  SELECT [A.PAYRATE > B.PAYRATE]\n"
+            "    JOIN [A.POSID=B.POSID]\n"
+            "      PROJECT [A.POSID, A.EMPNAME, A.PAYRATE]\n"
+            "        SCAN POSITION AS A\n"
+            "      PROJECT [B.POSID, B.PAYRATE]\n"
+            "        SCAN POSITION AS B\n");
+}
+
+TEST(NarrowBaseAccessesTest, SortKeepsItsKeysAndTheAccessItsFilter) {
+  // ξ^T reads POSID, T1, T2; the sort adds DEPT. The π goes above the
+  // access's σ, whose PAYRATE nothing above reads.
+  auto sel = algebra::Select(WideScan("P"), Where("PAYRATE > 10")).ValueOrDie();
+  auto sorted = algebra::Sort(sel, {{"DEPT", true}}).ValueOrDie();
+  auto agg = algebra::TAggregate(sorted, {"POSID"},
+                                 {{AggFunc::kCount, "POSID", "CNT"}})
+                 .ValueOrDie();
+  EXPECT_EQ(Narrowed(agg),
+            "TAGGR [POSID; COUNT(POSID) AS CNT]\n"
+            "  SORT [DEPT]\n"
+            "    PROJECT [P.POSID, P.DEPT, P.T1, P.T2]\n"
+            "      SELECT [PAYRATE > 10]\n"
+            "        SCAN POSITION AS P\n");
+}
+
+TEST(NarrowBaseAccessesTest, ProjectionNarrowsItsOwnAccess) {
+  // A π consumer narrows already: its access stays as it is.
+  auto sel = algebra::Select(WideScan("P"), Where("PAYRATE > 10")).ValueOrDie();
+  auto proj =
+      algebra::Project(sel, {{Expr::ColumnRef("EMPNAME"), "EMPNAME"}})
+          .ValueOrDie();
+  EXPECT_EQ(Narrowed(proj), proj->ToString());
+}
+
+TEST(NarrowBaseAccessesTest, TemporalJoinMapsOutputPositionsBack) {
+  // ⋈^T's output: A's columns but its period, B's but its period and
+  // POSID, then T1, T2. Each side keeps what is read of it, its period
+  // and its join attribute.
+  auto tjoin =
+      algebra::TJoin(WideScan("A"), WideScan("B"), {{"A.POSID", "B.POSID"}})
+          .ValueOrDie();
+  auto proj = algebra::Project(tjoin, {{Expr::ColumnRef("A.EMPNAME"), "E"},
+                                       {Expr::ColumnRef("B.DEPT"), "D"},
+                                       {Expr::ColumnRef("T1"), "T1"},
+                                       {Expr::ColumnRef("T2"), "T2"}})
+                  .ValueOrDie();
+  EXPECT_EQ(Narrowed(proj),
+            "PROJECT [A.EMPNAME AS E, B.DEPT AS D, T1, T2]\n"
+            "  TJOIN [A.POSID=B.POSID]\n"
+            "    PROJECT [A.POSID, A.EMPNAME, A.T1, A.T2]\n"
+            "      SCAN POSITION AS A\n"
+            "    PROJECT [B.POSID, B.DEPT, B.T1, B.T2]\n"
+            "      SCAN POSITION AS B\n");
+}
+
+TEST(NarrowBaseAccessesTest, TemporalAggregationReadsGroupsArgumentsAndPeriod) {
+  auto agg = algebra::TAggregate(WideScan("P"), {"DEPT"},
+                                 {{AggFunc::kSum, "PAYRATE", "TOTAL"}})
+                 .ValueOrDie();
+  EXPECT_EQ(Narrowed(agg),
+            "TAGGR [DEPT; SUM(PAYRATE) AS TOTAL]\n"
+            "  PROJECT [P.PAYRATE, P.DEPT, P.T1, P.T2]\n"
+            "    SCAN POSITION AS P\n");
+}
+
+TEST(NarrowBaseAccessesTest, UnreadProductSideKeepsItsNarrowestColumn) {
+  // Nothing reads B, but its rows still multiply A's: the first numeric
+  // column carries them.
+  auto product = algebra::Product(WideScan("A"), WideScan("B")).ValueOrDie();
+  auto proj =
+      algebra::Project(product, {{Expr::ColumnRef("A.DEPT"), "DEPT"}})
+          .ValueOrDie();
+  EXPECT_EQ(Narrowed(proj),
+            "PROJECT [A.DEPT AS DEPT]\n"
+            "  PRODUCT\n"
+            "    PROJECT [A.DEPT]\n"
+            "      SCAN POSITION AS A\n"
+            "    PROJECT [B.POSID]\n"
+            "      SCAN POSITION AS B\n");
+}
+
+TEST(NarrowBaseAccessesTest, DistinctCoalesceAndDifferenceReadEveryColumn) {
+  // rdup, coal and − compare whole tuples: nothing below them narrows,
+  // even under a parent that reads one column.
+  auto join =
+      algebra::Join(WideScan("A"), WideScan("B"), {{"A.POSID", "B.POSID"}})
+          .ValueOrDie();
+  const auto read_first = [](const algebra::OpPtr& op) {
+    const Column& c = op->schema.column(0);
+    return algebra::Project(op, {{Expr::Column(c.table, c.name), "C"}})
+        .ValueOrDie();
+  };
+  for (const algebra::OpPtr& op :
+       {algebra::DupElim(join).ValueOrDie(),
+        algebra::Coalesce(WideScan("P")).ValueOrDie(),
+        algebra::Difference(WideScan("A"), WideScan("B")).ValueOrDie()}) {
+    const algebra::OpPtr parent = read_first(op);
+    EXPECT_EQ(Narrowed(parent), parent->ToString());
+  }
+  // Without the rdup, the same join's inputs narrow.
+  const algebra::OpPtr parent = read_first(join);
+  EXPECT_NE(Narrowed(parent), parent->ToString());
+}
+
+TEST(NarrowBaseAccessesTest, OptimizerPricesTheNarrowerTransfer) {
+  // Query 1's aggregation reads 3 of 6 columns: the plan ships them
+  // through a PROJECT^D, and TRANSFER^M is priced on their bytes alone.
+  auto agg = algebra::TAggregate(WideScan("POSITION"), {"POSID"},
+                                 {{AggFunc::kCount, "POSID", "CNT"}})
+                 .ValueOrDie();
+  stats::RelStats wide = PosStats(80000);
+  const stats::ColumnInfo posid = wide.columns[0];
+  const stats::ColumnInfo name = wide.columns[1];
+  const stats::ColumnInfo t1 = wide.columns[2];
+  const stats::ColumnInfo t2 = wide.columns[3];
+  wide.columns = {posid, name, posid, name, t1, t2};
+  wide.avg_tuple_bytes = 4 + 2 * (posid.avg_width + name.avg_width) +
+                         t1.avg_width + t2.avg_width;
+  cost::CostModel model;
+  Optimizer opt(&model);
+  opt.set_scan_stats_provider(
+      [wide](const std::string&) -> Result<stats::RelStats> { return wide; });
+  auto result = opt.Optimize(algebra::TransferM(agg).ValueOrDie());
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const PhysPlanPtr& plan = result.ValueOrDie().plan;
+  ASSERT_EQ(Flat(plan),
+            "TAGGR^M(TRANSFER^M(SORT^D(PROJECT^D(SCAN^D()))))");
+  EXPECT_DOUBLE_EQ(
+      plan->children[0]->est_bytes,
+      80000 * (4 + posid.avg_width + t1.avg_width + t2.avg_width));
+}
+
 TEST(PhysPropsTest, OrderSatisfiesIsPrefixOf) {
   std::vector<algebra::SortSpec> gd = {{"A", true}, {"B", true}};
   EXPECT_TRUE(OrderSatisfies({}, gd));

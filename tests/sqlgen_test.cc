@@ -223,6 +223,114 @@ TEST(TranslatorTest, ProductRendersCrossJoin) {
   EXPECT_EQ(RunSql(rendered.ValueOrDie().sql).size(), 9u);  // 3 x 3
 }
 
+/// π items passing `columns` of `input` through under their own names and
+/// qualifiers, as the optimizer's narrowing projection writes them.
+std::vector<algebra::ProjectItem> PassThrough(
+    const algebra::OpPtr& input, const std::vector<std::string>& columns) {
+  std::vector<algebra::ProjectItem> items;
+  for (const std::string& c : columns) {
+    const Column& col =
+        input->schema.column(input->schema.IndexOf(c).ValueOrDie());
+    items.push_back({Expr::Column(col.table, col.name), col.name, col.table});
+  }
+  return items;
+}
+
+TEST(TranslatorTest, ProjectionOfPlainColumnsStaysABareTable) {
+  auto scan = algebra::Scan("POSITION", PosSchema()).ValueOrDie();
+  auto proj =
+      algebra::Project(scan, PassThrough(scan, {"POSID", "T1"})).ValueOrDie();
+  Translator t({});
+  auto rendered = t.Render(
+      *Node(Algorithm::kProjectD, proj, {Node(Algorithm::kScanD, scan, {})}));
+  ASSERT_TRUE(rendered.ok()) << rendered.status().ToString();
+  EXPECT_EQ(rendered.ValueOrDie().sql,
+            "SELECT POSID AS POSID, T1 AS T1 FROM POSITION");
+  EXPECT_EQ(rendered.ValueOrDie().base_table, "POSITION");
+  EXPECT_EQ(rendered.ValueOrDie().aliases,
+            (std::vector<std::string>{"POSID", "T1"}));
+  const auto rows = RunSql(rendered.ValueOrDie().sql);
+  ASSERT_EQ(rows.size(), 3u);
+  EXPECT_EQ(rows[0].size(), 2u);
+}
+
+TEST(TranslatorTest, ProjectionOverSelectionIsOneBlock) {
+  auto scan = algebra::Scan("POSITION", PosSchema()).ValueOrDie();
+  auto pred = sql::Parser::ParseSelect("SELECT X FROM T WHERE PosID = 1")
+                  .ValueOrDie()
+                  ->where;
+  auto sel = algebra::Select(scan, pred).ValueOrDie();
+  auto proj =
+      algebra::Project(sel, PassThrough(sel, {"POSID", "EMPNAME"})).ValueOrDie();
+  Translator t({});
+  auto rendered = t.Render(*Node(
+      Algorithm::kProjectD, proj,
+      {Node(Algorithm::kSelectD, sel, {Node(Algorithm::kScanD, scan, {})})}));
+  ASSERT_TRUE(rendered.ok()) << rendered.status().ToString();
+  EXPECT_EQ(rendered.ValueOrDie().sql,
+            "SELECT S1.POSID AS POSID, S1.EMPNAME AS EMPNAME FROM POSITION S1 "
+            "WHERE (S1.POSID = 1)");
+  EXPECT_TRUE(rendered.ValueOrDie().base_table.empty());
+  EXPECT_EQ(RunSql(rendered.ValueOrDie().sql).size(), 2u);
+}
+
+TEST(TranslatorTest, ProjectedJoinInputsNameTheirTablesInFrom) {
+  auto a = algebra::Scan("POSITION", PosSchema(), "A").ValueOrDie();
+  auto b = algebra::Scan("POSITION", PosSchema(), "B").ValueOrDie();
+  auto pa = algebra::Project(a, PassThrough(a, {"A.POSID", "A.EMPNAME"}))
+                .ValueOrDie();
+  auto pb =
+      algebra::Project(b, PassThrough(b, {"B.POSID", "B.T1"})).ValueOrDie();
+  auto join = algebra::Join(pa, pb, {{"A.POSID", "B.POSID"}}).ValueOrDie();
+  Translator t({});
+  auto rendered = t.Render(*Node(
+      Algorithm::kJoinD, join,
+      {Node(Algorithm::kProjectD, pa, {Node(Algorithm::kScanD, a, {})}),
+       Node(Algorithm::kProjectD, pb, {Node(Algorithm::kScanD, b, {})})}));
+  ASSERT_TRUE(rendered.ok()) << rendered.status().ToString();
+  EXPECT_EQ(rendered.ValueOrDie().sql,
+            "SELECT S1.POSID AS POSID, S1.EMPNAME AS EMPNAME, S2.POSID AS "
+            "POSID_2, S2.T1 AS T1 FROM POSITION S1, POSITION S2 WHERE "
+            "S1.POSID = S2.POSID");
+  EXPECT_EQ(RunSql(rendered.ValueOrDie().sql).size(), 5u);  // 2x2 + 1
+}
+
+TEST(TranslatorTest, ComputedProjectionItemRendersItsExpression) {
+  auto scan = algebra::Scan("POSITION", PosSchema()).ValueOrDie();
+  auto proj =
+      algebra::Project(
+          scan, {{Expr::Binary(BinaryOp::kAdd, Expr::Column("", "POSID"),
+                               Expr::Int(1)),
+                  "X"}})
+          .ValueOrDie();
+  Translator t({});
+  auto rendered = t.Render(
+      *Node(Algorithm::kProjectD, proj, {Node(Algorithm::kScanD, scan, {})}));
+  ASSERT_TRUE(rendered.ok()) << rendered.status().ToString();
+  EXPECT_EQ(rendered.ValueOrDie().sql,
+            "SELECT (S1.POSID + 1) AS X FROM POSITION S1");
+  EXPECT_TRUE(rendered.ValueOrDie().base_table.empty());
+  const auto rows = RunSql(rendered.ValueOrDie().sql + " ORDER BY X");
+  ASSERT_EQ(rows.size(), 3u);
+  EXPECT_EQ(rows[2][0].AsInt(), 3);
+}
+
+TEST(TranslatorTest, RepeatedProjectionColumnGetsItsOwnAlias) {
+  auto scan = algebra::Scan("POSITION", PosSchema()).ValueOrDie();
+  auto proj =
+      algebra::Project(scan, PassThrough(scan, {"POSID", "POSID"})).ValueOrDie();
+  Translator t({});
+  auto rendered = t.Render(
+      *Node(Algorithm::kProjectD, proj, {Node(Algorithm::kScanD, scan, {})}));
+  ASSERT_TRUE(rendered.ok()) << rendered.status().ToString();
+  EXPECT_EQ(rendered.ValueOrDie().sql,
+            "SELECT S1.POSID AS POSID, S1.POSID AS POSID_2 FROM POSITION S1");
+  EXPECT_TRUE(rendered.ValueOrDie().base_table.empty());
+  const auto rows = RunSql(rendered.ValueOrDie().sql);
+  ASSERT_EQ(rows.size(), 3u);
+  EXPECT_EQ(rows[0][0].AsInt(), rows[0][1].AsInt());
+}
+
 TEST(TranslatorTest, MiddlewareAlgorithmsAreNotRenderable) {
   auto scan = algebra::Scan("POSITION", PosSchema()).ValueOrDie();
   Translator t({});
