@@ -8,8 +8,9 @@
 # races: readers sharing the engine latch beside the write-churn writer
 # (server workers' cursor batches and catalog reads run concurrently under
 # the shared latch; only statements and loads take it exclusive), the
-# network server's poll thread and worker pool, the shared plan cache, and
-# the metrics registry every thread records into. The Release leg exists
+# network server's poll thread and worker pool, the one middleware the
+# workers share (its plan cache, statistics, cost model and idle list of
+# DBMS connections), and the metrics registry every thread records into. The Release leg exists
 # because the build uses -Werror and GCC's inlining-driven warnings
 # (-Wrestrict, -Wformat-truncation, -Wnonnull, -Warray-bounds) fire only at
 # -O3: every CMake build type must compile, and the optimized one is what
@@ -100,13 +101,17 @@ VECTOR_SUITES='^(exec_property_test)$'
 DURABILITY_SUITES='^(wal_recovery_test|wal_crash_loop|write_churn_test)$'
 END_TO_END_SUITES='^(sql_parser_fuzz_test|integration_test)$'
 # The network service: server_test drives a real PollingServer over
-# loopback (poll thread + worker pool + concurrent clients sharing the
-# plan cache and the engine latch — TSan's bread and butter), and
-# server_soak is the same binary's mixed adversarial workload with its
-# iteration counts multiplied. connection_test holds the engine latch's
-# own tests: writer preference, latch-wait metrics, and sessions allocated
-# from many threads. wire_fuzz_test (above) covers the protocol codec.
-SERVER_SUITES='^(server_test|server_soak|connection_test)$'
+# loopback (poll thread + worker pool + concurrent clients sharing the one
+# middleware — its statistics, cost model, feedback store and plan cache —
+# and the engine latch: TSan's bread and butter), and server_soak is the
+# same binary's mixed adversarial workload with its iteration counts
+# multiplied. middleware_test joins them for the middleware the workers
+# share: its threads test calls one Middleware from four threads, with
+# cost feedback on and off, each call on a DBMS connection of its own.
+# connection_test holds the engine latch's own tests: writer preference,
+# latch-wait metrics, and sessions allocated from many threads.
+# wire_fuzz_test (above) covers the protocol codec.
+SERVER_SUITES='^(server_test|server_soak|connection_test|middleware_test)$'
 
 # The paper's shape checks (Figures 8, 10, 11(a) and 11(b)), Release leg only,
 # and the feedback loop's: bench_calibration's Part 2 is the one check that
@@ -163,7 +168,7 @@ run_config() {
     echo "=== ${name}: durability suites (WAL crash matrix + crash loop + write churn) ==="
     (cd "${dir}" && ctest --output-on-failure -R "${DURABILITY_SUITES}" --timeout "${CTEST_TIMEOUT}")
     check_leaks "${name}" "${dir}"
-    echo "=== ${name}: server suites (polling server + soak) ==="
+    echo "=== ${name}: server suites (polling server + soak + shared middleware) ==="
     (cd "${dir}" && ctest --output-on-failure -R "${SERVER_SUITES}" --timeout "${CTEST_TIMEOUT}")
     check_leaks "${name}" "${dir}"
     echo "=== ${name}: front-end and end-to-end suites (parser fuzz + integration) ==="

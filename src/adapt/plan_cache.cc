@@ -1,7 +1,6 @@
 #include "adapt/plan_cache.h"
 
 #include <algorithm>
-#include <cmath>
 #include <iterator>
 
 namespace tango {
@@ -12,22 +11,6 @@ namespace {
 std::string IndexKey(const PlanKey& key) {
   return std::to_string(key.fingerprint) + "|" + key.config_key + "|" +
          key.canon;
-}
-
-bool Drifted(const CachedPlan& plan,
-             const std::vector<double>& current_factors) {
-  if (plan.factor_snapshot.size() != current_factors.size()) {
-    return !plan.factor_snapshot.empty() || !current_factors.empty();
-  }
-  for (size_t i = 0; i < current_factors.size(); ++i) {
-    const double old_f = plan.factor_snapshot[i];
-    const double denom = std::max(std::abs(old_f), 1e-12);
-    if (std::abs(current_factors[i] - old_f) / denom >
-        PlanCache::kCostDriftThreshold) {
-      return true;
-    }
-  }
-  return false;
 }
 
 }  // namespace
@@ -60,8 +43,8 @@ PlanCache::Lru::iterator PlanCache::EraseLocked(Lru::iterator it) {
   return lru_.erase(it);
 }
 
-PlanCache::EntryPtr PlanCache::Lookup(
-    const PlanKey& key, const std::vector<double>& current_factors) {
+PlanCache::EntryPtr PlanCache::Lookup(const PlanKey& key,
+                                      uint64_t cost_version) {
   const std::string ik = IndexKey(key);
   EntryPtr entry;
   {
@@ -69,7 +52,7 @@ PlanCache::EntryPtr PlanCache::Lookup(
     const auto it = index_.find(ik);
     if (it != index_.end()) {
       const auto plan = it->second->second->plan();
-      if (plan != nullptr && Drifted(*plan, current_factors)) {
+      if (plan != nullptr && plan->cost_version != cost_version) {
         EraseLocked(it->second);
         ++invalidation_;
       } else {

@@ -29,8 +29,9 @@ struct CachedPlan {
   size_t num_physical = 0;
   /// Base relations the plan reads — invalidation targets.
   std::vector<std::string> tables;
-  /// Cost factors at optimization time, for drift detection.
-  std::vector<double> factor_snapshot;
+  /// The cost model's version the plan was priced under
+  /// (cost::CostModel::Version).
+  uint64_t cost_version = 0;
 };
 
 /// Cache key: the query fingerprint plus every plan-relevant config
@@ -54,10 +55,6 @@ class PlanCache {
  public:
   /// Cached plans; an insert past this evicts the least recently used.
   static constexpr size_t kCapacity = 128;
-  /// Relative drift of any cost factor from the entry's snapshot beyond
-  /// which a lookup invalidates it: the plan was chosen under prices that
-  /// no longer hold.
-  static constexpr double kCostDriftThreshold = 0.5;
   /// An execution whose worst estimate-vs-actual Q-error exceeds this marks
   /// its entry stale; the next lookup re-optimizes with the observed
   /// cardinalities (Middleware::RecordCardinalityFeedback).
@@ -96,12 +93,12 @@ class PlanCache {
   PlanCache(const PlanCache&) = delete;
   PlanCache& operator=(const PlanCache&) = delete;
 
-  /// Returns the entry for `key`, or nullptr on a miss. An entry whose cost
-  /// factors drifted past kCostDriftThreshold is invalidated and reported
-  /// as a miss. A stale entry IS returned (counted as plancache.stale_hit)
-  /// — the caller re-optimizes and Refreshes it in place.
-  EntryPtr Lookup(const PlanKey& key,
-                  const std::vector<double>& current_factors);
+  /// Returns the entry for `key`, or nullptr on a miss. An entry priced
+  /// under another cost-model version than `cost_version` is invalidated
+  /// and reported as a miss: its prices no longer hold. A stale entry IS
+  /// returned (counted as plancache.stale_hit) — the caller re-optimizes
+  /// and Refreshes it in place.
+  EntryPtr Lookup(const PlanKey& key, uint64_t cost_version);
 
   /// Inserts (or replaces) the entry for `key`, evicting the least recently
   /// used entry beyond kCapacity. Returns the inserted entry.

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <iterator>
+#include <vector>
 
 #include "expr/expr.h"
 
@@ -65,11 +67,20 @@ std::string CostFactors::ToString() const {
   return out;
 }
 
-std::vector<double> CostFactors::Values() const {
-  std::vector<double> values;
-  values.reserve(std::size(kFactors));
-  for (const NamedFactor& nf : kFactors) values.push_back(this->*nf.factor);
-  return values;
+uint64_t CostModel::Version() {
+  const bool drifted =
+      std::any_of(std::begin(kFactors), std::end(kFactors),
+                  [this](const NamedFactor& nf) {
+                    const double base = baseline_.*nf.factor;
+                    return std::abs(f_.*nf.factor - base) /
+                               std::max(std::abs(base), 1e-12) >
+                           kDriftThreshold;
+                  });
+  if (drifted) {
+    baseline_ = f_;
+    ++version_;
+  }
+  return version_;
 }
 
 double CostModel::Blocks(double cardinality) const {

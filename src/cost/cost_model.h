@@ -4,9 +4,9 @@
 #include <array>
 #include <cassert>
 #include <cstddef>
+#include <cstdint>
 #include <initializer_list>
 #include <string>
-#include <vector>
 
 #include "optimizer/phys.h"
 
@@ -59,14 +59,13 @@ struct CostFactors {
 
   /// Every factor as "name=value", space-separated, in kFactors order.
   std::string ToString() const;
-  /// The factors in kFactors order, for the plan cache's drift check.
-  std::vector<double> Values() const;
 };
 
 /// One cost factor, as a pointer to its member.
 using Factor = double CostFactors::*;
 
-/// Every factor with its name: the one list ToString and Values walk.
+/// Every factor with its name: the one list ToString and the version's
+/// drift rule walk.
 struct NamedFactor {
   const char* name;
   Factor factor;
@@ -123,11 +122,21 @@ class Terms {
 /// Fit re-fits factors from measured times over the same terms.
 class CostModel {
  public:
+  /// Relative move of any factor, from its value at the last version bump,
+  /// past which Version() bumps: plans priced before no longer hold.
+  static constexpr double kDriftThreshold = 0.5;
+
   CostModel() = default;
-  explicit CostModel(CostFactors factors) : f_(factors) {}
+  explicit CostModel(CostFactors factors) : f_(factors), baseline_(factors) {}
 
   CostFactors& factors() { return f_; }
   const CostFactors& factors() const { return f_; }
+
+  /// The version the plan cache keys cached plans by. It bumps when any
+  /// factor has moved more than kDriftThreshold relative to the factors at
+  /// the last bump (the constructor's are the first version's). The rule
+  /// runs on each call, so writes through factors() count as well as Fit.
+  uint64_t Version();
 
   /// Rows per RowBlock on the wire; determines how many per-block overheads
   /// a transfer of a given cardinality pays.
@@ -165,6 +174,9 @@ class CostModel {
   double Blocks(double cardinality) const;
 
   CostFactors f_;
+  /// The factors at the last version bump.
+  CostFactors baseline_;
+  uint64_t version_ = 0;
   size_t batch_rows_ = 1024;
 };
 

@@ -192,7 +192,12 @@ PollingServer::PollingServer(dbms::Engine* engine, ServerConfig config)
                          : nullptr),
       metrics_(config_.metrics != nullptr ? config_.metrics
                                           : owned_metrics_.get()),
-      plan_cache_(metrics_) {
+      middleware_(engine, [this] {
+        Middleware::Config middleware = config_.middleware;
+        middleware.metrics = metrics_;
+        return middleware;
+      }()) {
+  if (config_.trace != nullptr) middleware_.set_trace_recorder(config_.trace);
   m_sessions_ = &metrics_->gauge("server.sessions", /*expect_zero=*/true);
   m_queue_depth_ =
       &metrics_->gauge("server.queue_depth", /*expect_zero=*/true);
@@ -245,49 +250,19 @@ Status PollingServer::Start() {
   SetNonBlocking(wake_pipe_[0]);
   SetNonBlocking(wake_pipe_[1]);
 
-  // Worker pool: each worker's Middleware shares the registry and the
-  // process-wide plan cache; none of them sweeps at startup.
-  const size_t num_workers = config_.workers == 0 ? 1 : config_.workers;
-  for (size_t i = 0; i < num_workers; ++i) {
-    Middleware::Config wcfg = config_.middleware;
-    wcfg.metrics = metrics_;
-    wcfg.shared_plan_cache = &plan_cache_;
-    wcfg.sweep_orphans_on_start = false;
-    auto worker = std::make_unique<Worker>();
-    worker->middleware = std::make_unique<Middleware>(engine_, wcfg);
-    if (config_.trace != nullptr) {
-      worker->middleware->set_trace_recorder(config_.trace);
-    }
-    workers_.push_back(std::move(worker));
-  }
-
-  // Boot-once orphan sweep: one pass for the whole server, not one per
-  // session/worker (their configs disabled it above). Best effort — an
-  // unreachable DBMS must not keep the server down.
-  if (config_.middleware.sweep_orphans_on_start) {
-    (void)workers_.front()->middleware->SweepOrphanTempTables();
-  }
-
-  // Warm every worker's statistics over the tables that already exist.
-  // Without this, each worker's first query over a table collects its
-  // statistics lazily — and CollectStatistics invalidates the SHARED plan
-  // cache's entries for that table (from that worker's view the stats just
-  // changed), so cross-client plan sharing would lose its first N rounds.
+  // Statistics of the tables that exist, collected once, so the first
+  // queries do not pay for them.
   std::vector<std::string> tables;
   for (const std::string& t : engine_->catalog().TableNames()) {
     if (t.rfind("TANGO_TMP", 0) != 0) tables.push_back(t);
   }
-  if (!tables.empty()) {
-    for (auto& worker : workers_) {
-      (void)worker->middleware->CollectStatistics(tables);
-    }
-  }
+  if (!tables.empty()) (void)middleware_.CollectStatistics(tables);
 
   running_.store(true);
   stopping_.store(false);
-  for (auto& worker : workers_) {
-    worker->thread = std::thread(&PollingServer::WorkerLoop, this,
-                                 worker.get());
+  const size_t num_workers = config_.workers == 0 ? 1 : config_.workers;
+  for (size_t i = 0; i < num_workers; ++i) {
+    workers_.emplace_back(&PollingServer::WorkerLoop, this);
   }
   poll_thread_ = std::thread(&PollingServer::PollLoop, this);
   return Status::OK();
@@ -311,8 +286,8 @@ void PollingServer::Stop() {
     std::lock_guard<std::mutex> lock(queue_mu_);
   }
   queue_cv_.notify_all();
-  for (auto& worker : workers_) {
-    if (worker->thread.joinable()) worker->thread.join();
+  for (std::thread& worker : workers_) {
+    if (worker.joinable()) worker.join();
   }
   workers_.clear();
 
@@ -564,7 +539,7 @@ void PollingServer::CloseSession(const SessionPtr& session) {
   }
 }
 
-void PollingServer::WorkerLoop(Worker* worker) {
+void PollingServer::WorkerLoop() {
   for (;;) {
     WorkItem item;
     {
@@ -580,7 +555,7 @@ void PollingServer::WorkerLoop(Worker* worker) {
       queue_.pop_front();
     }
 
-    ServeRequest(worker, item);
+    ServeRequest(item);
     m_queue_depth_->Decrement();
 
     // In-order handoff: promote the session's next pending request, or
@@ -611,7 +586,7 @@ void PollingServer::WorkerLoop(Worker* worker) {
   }
 }
 
-void PollingServer::ServeRequest(Worker* worker, const WorkItem& item) {
+void PollingServer::ServeRequest(const WorkItem& item) {
   const Clock::time_point start = Clock::now();
   obs::SpanId span = obs::kNoSpan;
   if (config_.trace != nullptr) {
@@ -626,9 +601,9 @@ void PollingServer::ServeRequest(Worker* worker, const WorkItem& item) {
     status = Status::Unavailable("server shutting down");
     SendFrame(item.session, ErrorMessage(status));
   } else if (item.request.type == MsgType::kPrepare) {
-    status = ServePrepare(worker, item);
+    status = ServePrepare(item);
   } else {
-    status = ServeExecute(worker, item, start);
+    status = ServeExecute(item, start);
   }
   (void)status;
 
@@ -638,8 +613,8 @@ void PollingServer::ServeRequest(Worker* worker, const WorkItem& item) {
   m_request_seconds_->Record(elapsed);
 }
 
-Status PollingServer::ServePrepare(Worker* worker, const WorkItem& item) {
-  auto prepared = worker->middleware->Prepare(item.request.text);
+Status PollingServer::ServePrepare(const WorkItem& item) {
+  auto prepared = middleware_.Prepare(item.request.text);
   if (!prepared.ok()) {
     SendFrame(item.session, ErrorMessage(prepared.status()));
     return prepared.status();
@@ -655,15 +630,15 @@ Status PollingServer::ServePrepare(Worker* worker, const WorkItem& item) {
   return Status::OK();
 }
 
-Status PollingServer::ServeExecute(Worker* worker, const WorkItem& item,
+Status PollingServer::ServeExecute(const WorkItem& item,
                                    Clock::time_point start) {
   const Middleware::Prepared* prepared = nullptr;
   Middleware::Prepared local;
   if (item.request.type == MsgType::kQuery) {
     // QUERY = Prepare + Execute on the worker, so DONE can report the plan
-    // source (the shared cache's hit/miss provenance — "cached" on client B
-    // after client A warmed the fingerprint).
-    auto p = worker->middleware->Prepare(item.request.text);
+    // source (the cache's hit/miss provenance — "cached" on client B after
+    // client A warmed the fingerprint).
+    auto p = middleware_.Prepare(item.request.text);
     if (!p.ok()) {
       SendFrame(item.session, ErrorMessage(p.status()));
       return p.status();
@@ -682,7 +657,7 @@ Status PollingServer::ServeExecute(Worker* worker, const WorkItem& item,
   }
 
   ResultStream stream(this, item.session, start);
-  auto result = worker->middleware->Execute(*prepared, &stream, item.control);
+  auto result = middleware_.Execute(*prepared, &stream, item.control);
   if (!result.ok()) {
     // After ROWBLOCKs too: the client drops the partial result. A gone
     // client (the stream's own failure) just misses this frame as well.

@@ -13,7 +13,6 @@
 #include <thread>
 #include <vector>
 
-#include "adapt/plan_cache.h"
 #include "common/cancel.h"
 #include "common/status.h"
 #include "dbms/engine.h"
@@ -25,16 +24,15 @@
 namespace tango {
 namespace net {
 
-/// PollingServer knobs. `middleware` is the per-worker template; the server
-/// overrides its metrics registry (one shared registry), its plan cache
-/// (one shared PlanCache) and its startup sweep (run once at boot, not once
-/// per worker) before instantiating the pool.
+/// PollingServer knobs. `middleware` configures the server's one
+/// Middleware; the server overrides only its metrics registry (the
+/// server's).
 struct ServerConfig {
   std::string host = "127.0.0.1";
   /// 0 = ephemeral: the kernel picks; read the bound port from `port()`.
   uint16_t port = 0;
-  /// Middleware workers; each owns a Middleware (own DBMS connection) and
-  /// serves one request at a time.
+  /// Worker threads; each serves one request at a time through the one
+  /// Middleware, on a DBMS connection of the request's own.
   size_t workers = 4;
   /// Admission bound on concurrently admitted sessions: a Hello past this
   /// is answered with REJECTED and the connection closed.
@@ -43,17 +41,14 @@ struct ServerConfig {
   /// the server.queue_depth gauge: a request arriving past it is answered
   /// with BUSY (transient; the client may retry) instead of queued.
   size_t queue_limit = 128;
-  /// Per-worker middleware template (wire simulation, batch size, retry
-  /// discipline...); the server overrides `metrics`, `shared_plan_cache`
-  /// and `sweep_orphans_on_start`. Cost-factor feedback (`adapt`) defaults
-  /// OFF for the server: the factors are per-middleware state, so under a
-  /// pooled worker fleet each worker's prices would drift independently
-  /// and every cross-worker cache lookup would trip the drift invalidation
-  /// — churning the shared cache instead of sharing it. Cardinality
-  /// feedback is half shared: the stale mark and the re-optimized plan
-  /// live in the shared cache entry, but each worker keeps its own
-  /// observations (Middleware::feedback_store), so a re-optimization
-  /// injects only what the serving worker has seen itself.
+  /// The middleware's configuration (wire simulation, batch size, retry
+  /// discipline...); its orphan sweep runs once, when the server is built.
+  /// Cost-factor feedback (`adapt`) defaults OFF for the server: the
+  /// service plans with the uncalibrated default factors, and feedback on
+  /// them can move a plan mid-run (at the defaults, the full-scale paper
+  /// Query 3's TJOIN^M plan leads its TJOIN^D plan by only 9 %).
+  /// Cardinality feedback stays on: every worker records into, and
+  /// re-optimizes from, the one middleware's observations.
   Middleware::Config middleware = DefaultWorkerConfig();
 
   static Middleware::Config DefaultWorkerConfig() {
@@ -65,24 +60,24 @@ struct ServerConfig {
   /// Null = server-owned private registry.
   obs::MetricsRegistry* metrics = nullptr;
   /// When set, every request is recorded as a server.request span and the
-  /// worker middlewares record their optimize/compile/execute spans into
-  /// the same recorder. Not owned; must outlive the server.
+  /// middleware records its optimize/compile/execute spans into the same
+  /// recorder. Not owned; must outlive the server.
   obs::TraceRecorder* trace = nullptr;
   std::string server_name = "tango-server";
 };
 
 /// \brief TANGO as a network service: a poll(2)-driven TCP front end over a
-/// pool of middleware workers sharing one plan cache (DESIGN.md §14).
+/// pool of worker threads calling one Middleware (DESIGN.md §14).
 ///
 /// Thread model:
 ///  - One poll thread owns the listen socket and every session's read side:
 ///    it accepts, splits the byte stream into frames, answers handshake and
 ///    admission traffic inline (HELLO/CANCEL/GOODBYE, REJECTED/BUSY), and
 ///    enqueues PREPARE/EXECUTE/QUERY work items.
-///  - `workers` worker threads each own a Middleware over the shared
-///    dbms::Engine. A worker sends its session's responses directly
-///    (serialized per session by a send mutex), so result streams never
-///    queue server-side.
+///  - `workers` worker threads call the server's one Middleware, which
+///    gives each in-flight request a dbms::Connection of its own. A worker
+///    sends its session's responses directly (serialized per session by a
+///    send mutex), so result streams never queue server-side.
 ///  - Requests of one session are served strictly in order (one in flight;
 ///    the rest wait in the session's pending queue), while different
 ///    sessions spread across the pool.
@@ -100,8 +95,9 @@ class PollingServer {
   PollingServer(const PollingServer&) = delete;
   PollingServer& operator=(const PollingServer&) = delete;
 
-  /// Binds, listens, boots the worker pool, runs the boot-once orphan
-  /// sweep, and starts the poll loop. Fails cleanly when the port is taken.
+  /// Binds, listens, collects the statistics of the tables that exist,
+  /// boots the worker pool and starts the poll loop. Fails cleanly when the
+  /// port is taken.
   Status Start();
 
   /// Graceful shutdown: stop accepting, cancel in-flight queries, drain the
@@ -113,7 +109,6 @@ class PollingServer {
   uint16_t port() const { return port_; }
 
   obs::MetricsRegistry& metrics() { return *metrics_; }
-  adapt::PlanCache& plan_cache() { return plan_cache_; }
 
  private:
   struct Session;
@@ -129,13 +124,8 @@ class PollingServer {
     QueryControlPtr control;
   };
 
-  struct Worker {
-    std::unique_ptr<Middleware> middleware;
-    std::thread thread;
-  };
-
   void PollLoop();
-  void WorkerLoop(Worker* worker);
+  void WorkerLoop();
 
   /// Accept loop body: accepts until EAGAIN (non-blocking listen socket).
   void AcceptNewSessions();
@@ -150,12 +140,11 @@ class PollingServer {
   void CloseSession(const SessionPtr& session);
 
   /// Worker side: serves one request end to end (reply frames included).
-  void ServeRequest(Worker* worker, const WorkItem& item);
-  Status ServePrepare(Worker* worker, const WorkItem& item);
+  void ServeRequest(const WorkItem& item);
+  Status ServePrepare(const WorkItem& item);
   /// Streams the result from the root cursor to the socket as it is
   /// produced (ResultStream); `start` is when the worker took the request.
-  Status ServeExecute(Worker* worker, const WorkItem& item,
-                      Clock::time_point start);
+  Status ServeExecute(const WorkItem& item, Clock::time_point start);
 
   /// Frame send serialized on the session's send mutex; returns false (and
   /// marks the session broken) when the peer is gone.
@@ -167,7 +156,7 @@ class PollingServer {
   ServerConfig config_;
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
   obs::MetricsRegistry* metrics_;
-  adapt::PlanCache plan_cache_;
+  Middleware middleware_;
 
   int listen_fd_ = -1;
   /// Self-pipe waking the poll loop out of poll(2) for Stop().
@@ -177,7 +166,7 @@ class PollingServer {
   std::atomic<bool> stopping_{false};
 
   std::thread poll_thread_;
-  std::vector<std::unique_ptr<Worker>> workers_;
+  std::vector<std::thread> workers_;
 
   /// Poll-thread state: fd -> session.
   std::map<int, SessionPtr> sessions_;

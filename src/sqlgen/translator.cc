@@ -35,7 +35,7 @@ std::string FromItem(const RenderedSql& child, const std::string& alias) {
 
 }  // namespace
 
-std::vector<std::string> Translator::MakeAliases(const Schema& schema) {
+std::vector<std::string> ColumnAliases(const Schema& schema) {
   std::vector<std::string> aliases;
   std::set<std::string> used;
   for (const Column& c : schema.columns()) {
@@ -105,7 +105,7 @@ Result<RenderedSql> Translator::Render(const PhysPlan& node) {
   switch (node.algorithm) {
     case Algorithm::kScanD: {
       RenderedSql out;
-      out.aliases = MakeAliases(node.op->schema);
+      out.aliases = ColumnAliases(node.op->schema);
       out.sql = "SELECT ";
       for (size_t i = 0; i < out.aliases.size(); ++i) {
         if (i > 0) out.sql += ", ";
@@ -122,7 +122,7 @@ Result<RenderedSql> Translator::Render(const PhysPlan& node) {
         return Status::Internal("TRANSFER^D node without a temp table name");
       }
       RenderedSql out;
-      out.aliases = MakeAliases(node.op->schema);
+      out.aliases = ColumnAliases(node.op->schema);
       out.sql = "SELECT ";
       for (size_t i = 0; i < out.aliases.size(); ++i) {
         if (i > 0) out.sql += ", ";
@@ -190,7 +190,7 @@ Result<RenderedSql> Translator::Render(const PhysPlan& node) {
       const bool fold = !child.filter.empty();
       const std::string s = fold ? child.filter_alias : FreshSubqueryAlias();
       RenderedSql out;
-      out.aliases = MakeAliases(node.op->schema);
+      out.aliases = ColumnAliases(node.op->schema);
       out.sql = "SELECT ";
       for (size_t i = 0; i < node.op->items.size(); ++i) {
         if (i > 0) out.sql += ", ";
@@ -239,7 +239,7 @@ Result<RenderedSql> Translator::Render(const PhysPlan& node) {
       const std::string a = FreshSubqueryAlias();
       const std::string b = FreshSubqueryAlias();
       RenderedSql out;
-      out.aliases = MakeAliases(node.op->schema);
+      out.aliases = ColumnAliases(node.op->schema);
       out.sql = "SELECT ";
       const size_t lcols = left.aliases.size();
       for (size_t i = 0; i < out.aliases.size(); ++i) {
@@ -289,7 +289,7 @@ Result<RenderedSql> Translator::Render(const PhysPlan& node) {
         r_excluded.push_back(ri);
       }
       RenderedSql out;
-      out.aliases = MakeAliases(node.op->schema);
+      out.aliases = ColumnAliases(node.op->schema);
       out.sql = "SELECT ";
       size_t pos = 0;
       for (size_t i = 0; i < ls.num_columns(); ++i) {
@@ -344,7 +344,7 @@ Result<RenderedSql> Translator::RenderTAggr(const PhysPlan& node) {
   }
 
   RenderedSql out;
-  out.aliases = MakeAliases(node.op->schema);
+  out.aliases = ColumnAliases(node.op->schema);
 
   // Constant-period instants: start and end points per group.
   auto instants = [&](const std::string& x) {

@@ -32,6 +32,13 @@ struct RenderedSql {
   std::string filter_alias;
 };
 
+/// The column aliases of `schema`'s columns: each name with characters
+/// other than letters, digits and '_' replaced by '_', prefixed "C_" when
+/// empty or led by a digit, and suffixed "_2", "_3", ... where it repeats.
+/// Every SELECT the translator emits names its columns so, and a TRANSFER^D
+/// temporary table names its columns so too, so the SQL reading it matches.
+std::vector<std::string> ColumnAliases(const Schema& schema);
+
 /// \brief The Translator-To-SQL component: renders the parts of a chosen
 /// plan that occur in the DBMS into SQL (the parts below T^M's that either
 /// reach the leaf level or T^D's — Section 2.1).
@@ -49,9 +56,6 @@ class Translator {
   Result<RenderedSql> Render(const optimizer::PhysPlan& node);
 
  private:
-  /// Allocates select-list aliases that are unique within one SELECT.
-  std::vector<std::string> MakeAliases(const Schema& schema);
-
   std::string FreshSubqueryAlias() {
     return std::string("S").append(std::to_string(++alias_counter_));
   }

@@ -1,9 +1,7 @@
 #include "tango/compiler.h"
 
 #include <algorithm>
-#include <cctype>
 #include <map>
-#include <set>
 
 #include "exec/basic.h"
 #include "exec/join.h"
@@ -48,30 +46,6 @@ std::vector<std::string> SqlStatements(const exec::TimingSink& timings) {
     if (!t.sql.empty()) out.push_back(t.sql);
   }
   return out;
-}
-
-std::vector<std::string> PlanCompiler::TempTableColumns(const Schema& schema) {
-  // Must stay consistent with sqlgen's alias generation so the SQL that
-  // reads the temp table uses the right column names.
-  std::vector<std::string> names;
-  std::set<std::string> used;
-  for (const Column& c : schema.columns()) {
-    std::string base;
-    for (char ch : c.name) {
-      base += (std::isalnum(static_cast<unsigned char>(ch)) || ch == '_')
-                  ? ch
-                  : '_';
-    }
-    if (base.empty() || std::isdigit(static_cast<unsigned char>(base[0]))) {
-      base = "C_" + base;
-    }
-    std::string name = base;
-    int k = 1;
-    while (used.count(name) != 0) name = base + "_" + std::to_string(++k);
-    used.insert(name);
-    names.push_back(name);
-  }
-  return names;
 }
 
 CursorPtr PlanCompiler::Instrument(CursorPtr cursor, const PhysPlanPtr& node,
@@ -119,12 +93,10 @@ Result<CompiledPlan> PlanCompiler::Compile(const optimizer::PhysPlanPtr& plan) {
   TANGO_ASSIGN_OR_RETURN(out.root, CompileNode(plan, &out, &timing_id));
   // §7 refinement: a statement occurring more than once in the plan is
   // transferred once and served from the shared store afterwards.
-  if (share_transfers_) {
-    std::map<std::string, int> counts;
-    for (const std::string& sql : SqlStatements(*out.timings)) counts[sql] += 1;
-    for (const auto& [sql, n] : counts) {
-      if (n > 1) out.transfer_cache->MarkShared(sql);
-    }
+  std::map<std::string, int> counts;
+  for (const std::string& sql : SqlStatements(*out.timings)) counts[sql] += 1;
+  for (const auto& [sql, n] : counts) {
+    if (n > 1) out.transfer_cache->MarkShared(sql);
   }
   return out;
 }
@@ -149,7 +121,7 @@ Result<CursorPtr> PlanCompiler::CompileTransferM(const PhysPlanPtr& node,
     TANGO_ASSIGN_OR_RETURN(CursorPtr child,
                            CompileNode(td->children[0], out, &child_id));
     auto cursor = std::make_unique<exec::TransferDCursor>(
-        conn_, name, TempTableColumns(td->op->schema), std::move(child),
+        conn_, name, sqlgen::ColumnAliases(td->op->schema), std::move(child),
         control_, retry_, counters_);
     exec::TransferDCursor* raw_td = cursor.get();
     size_t td_id = 0;

@@ -43,9 +43,6 @@ class PlanCompiler {
  public:
   explicit PlanCompiler(dbms::Connection* conn) : conn_(conn) {}
 
-  /// Off disables the §7 shared-transfer refinement (ablation/testing).
-  void set_share_common_transfers(bool share) { share_transfers_ = share; }
-
   /// Memory budget for each SORT^M before it spills runs to disk (the
   /// paper's "support very large relations" enhancement).
   void set_sort_memory_budget(size_t bytes) { sort_budget_ = bytes; }
@@ -80,10 +77,6 @@ class PlanCompiler {
 
   Result<CompiledPlan> Compile(const optimizer::PhysPlanPtr& plan);
 
-  /// Column names used for a TRANSFER^D temporary table (unique-ified
-  /// algebra schema names; shared with the Translator-To-SQL).
-  static std::vector<std::string> TempTableColumns(const Schema& schema);
-
  private:
   Result<CursorPtr> CompileNode(const optimizer::PhysPlanPtr& node,
                                 CompiledPlan* out, size_t* timing_id);
@@ -102,7 +95,6 @@ class PlanCompiler {
 
   dbms::Connection* conn_;
   int temp_counter_ = 0;
-  bool share_transfers_ = true;
   size_t sort_budget_ = 32 << 20;
   QueryControlPtr control_;
   RetryPolicy retry_;

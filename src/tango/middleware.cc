@@ -72,6 +72,11 @@ void RenderRecord(const exec::TimingSink& records, size_t id, int depth,
   for (size_t child : t.child_ids) RenderRecord(records, child, depth + 1, out);
 }
 
+/// Numbers every execution in the process. An execution names its temp
+/// tables TANGO_TMP_<n>_<k>, so no two executions share a name: not two
+/// calls of one middleware, nor two middlewares over one engine.
+std::atomic<uint64_t> execution_seq{0};
+
 /// The in-process sink: moves every root row into a vector.
 class AppendRows final : public Middleware::ResultSink {
  public:
@@ -164,22 +169,38 @@ const char* Middleware::Prepared::SourceName(Source source) {
   return "unknown";
 }
 
-uint64_t Middleware::NextInstanceId() {
-  static std::atomic<uint64_t> next{1};
-  return next.fetch_add(1, std::memory_order_relaxed);
+Middleware::ConnectionLease Middleware::LeaseConnection() {
+  std::lock_guard<std::mutex> lock(connections_mu_);
+  if (idle_connections_.empty()) {
+    more_connections_.push_back(
+        std::make_unique<dbms::Connection>(engine_, config_.wire));
+    more_connections_.back()->set_metrics(metrics_);
+    return ConnectionLease(more_connections_.back().get(), {this});
+  }
+  dbms::Connection* conn = idle_connections_.back();
+  idle_connections_.pop_back();
+  return ConnectionLease(conn, {this});
+}
+
+void Middleware::ReturnConnection::operator()(dbms::Connection* conn) const {
+  std::lock_guard<std::mutex> lock(mw->connections_mu_);
+  // connection_ goes last, where the next lease takes it first.
+  std::vector<dbms::Connection*>& idle = mw->idle_connections_;
+  idle.insert(conn == &mw->connection_ ? idle.end() : idle.begin(), conn);
 }
 
 Status Middleware::CollectStatistics(const std::vector<std::string>& tables) {
+  const ConnectionLease conn = LeaseConnection();
   for (const std::string& t : tables) {
-    TANGO_ASSIGN_OR_RETURN(dbms::TableStats raw,
-                           connection_.GetTableStats(t));
-    TANGO_ASSIGN_OR_RETURN(Schema schema, connection_.GetTableSchema(t));
+    TANGO_ASSIGN_OR_RETURN(dbms::TableStats raw, conn->GetTableStats(t));
+    TANGO_ASSIGN_OR_RETURN(Schema schema, conn->GetTableSchema(t));
     stats::RelStats rel = stats::FromTableStats(raw, schema);
     if (!config_.use_histograms) rel = StripHistograms(std::move(rel));
+    std::lock_guard<std::mutex> lock(stats_mu_);
     table_stats_[ToUpper(t)] = std::move(rel);
   }
   // The stats cached plans were costed under are gone; drop those plans.
-  plan_cache_->InvalidateTables(tables);
+  plan_cache_.InvalidateTables(tables);
   return Status::OK();
 }
 
@@ -189,6 +210,7 @@ stats::RelStats Middleware::StripHistograms(stats::RelStats rel) const {
 }
 
 Result<stats::RelStats> Middleware::TableStatistics(const std::string& table) {
+  std::lock_guard<std::mutex> lock(stats_mu_);
   const auto it = table_stats_.find(ToUpper(table));
   if (it == table_stats_.end()) {
     return Status::NotFound("no statistics collected for " + ToUpper(table));
@@ -197,18 +219,18 @@ Result<stats::RelStats> Middleware::TableStatistics(const std::string& table) {
 }
 
 Result<Middleware::Prepared> Middleware::Prepare(const std::string& tsql_text) {
-  // Schema provider backed by the DBMS catalog (and implicit statistics
-  // collection so the optimizer can cost scans of every referenced table).
-  tsql::Parser::SchemaProvider provider =
-      [this](const std::string& table) -> Result<Schema> {
-    if (table_stats_.find(ToUpper(table)) == table_stats_.end()) {
-      TANGO_RETURN_IF_ERROR(CollectStatistics({table}));
-    }
-    return connection_.GetTableSchema(table);
-  };
-  TANGO_ASSIGN_OR_RETURN(algebra::OpPtr initial,
-                         tsql::Parser::Parse(tsql_text, provider));
-  return PrepareLogical(initial);
+  // Schema provider backed by the DBMS catalog. The lease ends with the
+  // parse: the optimizer collects a table's statistics on first use.
+  Result<algebra::OpPtr> initial = [&] {
+    const ConnectionLease conn = LeaseConnection();
+    tsql::Parser::SchemaProvider provider =
+        [&conn](const std::string& table) -> Result<Schema> {
+      return conn->GetTableSchema(table);
+    };
+    return tsql::Parser::Parse(tsql_text, provider);
+  }();
+  TANGO_RETURN_IF_ERROR(initial.status());
+  return PrepareLogical(initial.ValueOrDie());
 }
 
 Result<Middleware::Prepared> Middleware::PrepareLogical(
@@ -224,9 +246,17 @@ Result<Middleware::Prepared> Middleware::PrepareLogical(
   key.fingerprint = pq.hash;
   key.canon = pq.canon;
   key.config_key = PlanConfigKey(restriction);
-  const std::vector<double> factors = cost_model_.factors().Values();
+  // Looked up and, on a miss, optimized at one version of the cost model:
+  // a copy taken under the lock, after Version() folded in every write.
+  uint64_t cost_version = 0;
+  cost::CostModel model;
+  {
+    std::lock_guard<std::mutex> lock(cost_mu_);
+    cost_version = cost_model_.Version();
+    model = cost_model_;
+  }
 
-  adapt::PlanCache::EntryPtr entry = plan_cache_->Lookup(key, factors);
+  adapt::PlanCache::EntryPtr entry = plan_cache_.Lookup(key, cost_version);
   if (entry != nullptr) {
     const std::shared_ptr<const adapt::CachedPlan> cached = entry->plan();
     if (cached != nullptr && !entry->stale.load(std::memory_order_acquire)) {
@@ -252,12 +282,12 @@ Result<Middleware::Prepared> Middleware::PrepareLogical(
   const std::map<uint64_t, double> overrides = feedback_.OverridesFor(pq.hash);
   Result<Prepared> fresh_or = [&] {
     if (!reoptimizing) {
-      return OptimizeLogical(pq.plan, restriction,
+      return OptimizeLogical(model, pq.plan, restriction,
                              overrides.empty() ? nullptr : &overrides);
     }
     obs::ScopedSpan reoptimize_span(trace_, "adapt.reoptimize", "adapt");
     ++metrics_->counter("reoptimize.count");
-    return OptimizeLogical(pq.plan, restriction,
+    return OptimizeLogical(model, pq.plan, restriction,
                            overrides.empty() ? nullptr : &overrides);
   }();
   TANGO_RETURN_IF_ERROR(fresh_or.status());
@@ -270,12 +300,12 @@ Result<Middleware::Prepared> Middleware::PrepareLogical(
   payload.num_elements = fresh.num_elements;
   payload.num_physical = fresh.num_physical;
   payload.tables = adapt::ReferencedTables(pq.plan);
-  payload.factor_snapshot = factors;
+  payload.cost_version = cost_version;
   if (reoptimizing) {
     entry->Refresh(std::move(payload));
     fresh.source = Prepared::Source::kReoptimized;
   } else {
-    entry = plan_cache_->Insert(key, std::move(payload));
+    entry = plan_cache_.Insert(key, std::move(payload));
     fresh.source = Prepared::Source::kFresh;
   }
   fresh.fingerprint = pq.hash;
@@ -284,22 +314,22 @@ Result<Middleware::Prepared> Middleware::PrepareLogical(
 }
 
 Result<Middleware::Prepared> Middleware::OptimizeLogical(
-    const algebra::OpPtr& initial_plan, optimizer::SiteRestriction restriction,
+    const cost::CostModel& model, const algebra::OpPtr& initial_plan,
+    optimizer::SiteRestriction restriction,
     const std::map<uint64_t, double>* overrides) {
   obs::ScopedSpan optimize_span(trace_, "optimize", "query");
   optimizer::Optimizer::Options opts;
   opts.semantic_temporal_selectivity = config_.semantic_temporal_selectivity;
   opts.site_restriction = restriction;
   opts.cardinality_overrides = overrides;
-  optimizer::Optimizer opt(&cost_model_, opts);
+  optimizer::Optimizer opt(&model, opts);
+  // Statistics are collected on a table's first use.
   opt.set_scan_stats_provider(
       [this](const std::string& table) -> Result<stats::RelStats> {
-        auto it = table_stats_.find(ToUpper(table));
-        if (it == table_stats_.end()) {
-          TANGO_RETURN_IF_ERROR(CollectStatistics({table}));
-          it = table_stats_.find(ToUpper(table));
-        }
-        return it->second;
+        Result<stats::RelStats> known = TableStatistics(table);
+        if (known.ok()) return known;
+        TANGO_RETURN_IF_ERROR(CollectStatistics({table}));
+        return TableStatistics(table);
       });
   TANGO_ASSIGN_OR_RETURN(optimizer::Optimizer::Optimized result,
                          opt.Optimize(initial_plan));
@@ -327,17 +357,16 @@ Result<Middleware::Execution> Middleware::ExecuteOnce(
   } active_guard{&active};
   ++metrics_->counter("query.executions");
 
-  PlanCompiler compiler(&connection_);
-  compiler.set_share_common_transfers(config_.share_common_transfers);
+  // Declared before everything holding the connection, so it is returned
+  // after the cursors and the janitor are gone.
+  const ConnectionLease conn = LeaseConnection();
+  PlanCompiler compiler(conn.get());
   compiler.set_sort_memory_budget(config_.sort_memory_budget_bytes);
   compiler.set_query_control(control);
   compiler.set_retry_policy(config_.retry);
   compiler.set_recovery_counters(&recovery_);
-  // Fresh per-execution prefix: temp tables can never collide with names
-  // leaked by an earlier run, and the instance id keeps concurrent
-  // middleware workers over one engine out of each other's namespaces.
-  compiler.set_temp_prefix("TANGO_TMP_" + std::to_string(instance_id_) + "_" +
-                           std::to_string(++exec_seq_) + "_");
+  compiler.set_temp_prefix("TANGO_TMP_" + std::to_string(++execution_seq) +
+                           "_");
   compiler.set_metrics(metrics_);
   compiler.set_trace(trace_, execute_span.id());
   Result<CompiledPlan> compiled_or = [&] {
@@ -352,7 +381,7 @@ Result<Middleware::Execution> Middleware::ExecuteOnce(
 
   // The temporary tables must be dropped at the end of the query (§3.2) no
   // matter how execution ends — the guard's destructor covers every exit.
-  TempTableGuard janitor(&connection_, compiled.temp_tables, config_.retry,
+  TempTableGuard janitor(conn.get(), compiled.temp_tables, config_.retry,
                          &recovery_);
 
   // The one root drain: block by block into the sink, which either keeps
@@ -460,7 +489,7 @@ Result<Middleware::Execution> Middleware::Execute(
   bool reached_sink = false;
   Result<Execution> first =
       ExecuteOnce(prepared.plan, control, sink, &prepared, &reached_sink);
-  if (first.ok() || !config_.degrade_on_failure) return first;
+  if (first.ok()) return first;
   // Past the first block the sink holds rows of this attempt (a client may
   // already have them): a re-run would repeat them, so the failure stands.
   if (reached_sink) return first;
@@ -502,11 +531,12 @@ Result<Middleware::Execution> Middleware::Execute(
 }
 
 Status Middleware::SweepOrphanTempTables() {
+  const ConnectionLease conn = LeaseConnection();
   TANGO_ASSIGN_OR_RETURN(std::vector<std::string> orphans,
-                         connection_.ListTables("TANGO_TMP_"));
+                         conn->ListTables("TANGO_TMP_"));
   Status first_failure;
   for (const std::string& t : orphans) {
-    const Status s = connection_.Execute("DROP TABLE " + t).status();
+    const Status s = conn->Execute("DROP TABLE " + t).status();
     if (s.ok() || s.code() == StatusCode::kNotFound) {
       ++recovery_.orphans_swept;
     } else if (first_failure.ok()) {
@@ -516,7 +546,7 @@ Status Middleware::SweepOrphanTempTables() {
   // Durable garbage: WAL segments and snapshot files wholly covered by the
   // latest checkpoint. Best effort, like the drops — a crashed engine (or a
   // volatile one, which reclaims nothing) must not fail the sweep.
-  const Result<size_t> reclaimed = connection_.ReclaimWalSegments();
+  const Result<size_t> reclaimed = conn->ReclaimWalSegments();
   if (reclaimed.ok() && reclaimed.ValueOrDie() > 0) {
     recovery_.wal_segments_reclaimed.Increment(reclaimed.ValueOrDie());
   }
@@ -525,32 +555,32 @@ Status Middleware::SweepOrphanTempTables() {
 
 Result<size_t> Middleware::RefreshStatisticsIfStale(
     const std::vector<std::string>& tables, bool analyze_first) {
-  size_t refreshed = 0;
   std::vector<std::string> stale;
-  for (const std::string& t : tables) {
-    const std::string key = ToUpper(t);
-    const auto it = table_stats_.find(key);
-    if (it != table_stats_.end()) {
-      TANGO_ASSIGN_OR_RETURN(const dbms::TableStats live,
-                             connection_.GetTableStats(key));
-      if (live.epoch == it->second.source_epoch) continue;  // still fresh
+  {
+    const ConnectionLease conn = LeaseConnection();
+    for (const std::string& t : tables) {
+      const std::string key = ToUpper(t);
+      const Result<stats::RelStats> cached = TableStatistics(key);
+      if (cached.ok()) {
+        TANGO_ASSIGN_OR_RETURN(const dbms::TableStats live,
+                               conn->GetTableStats(key));
+        if (live.epoch == cached.ValueOrDie().source_epoch) continue;
+      }
+      if (analyze_first) {
+        TANGO_RETURN_IF_ERROR(conn->Execute("ANALYZE " + key).status());
+      }
+      stale.push_back(key);
     }
-    if (analyze_first) {
-      TANGO_RETURN_IF_ERROR(
-          connection_.Execute("ANALYZE " + key).status());
-    }
-    stale.push_back(key);
-    ++refreshed;
   }
   // CollectStatistics re-pulls and invalidates cached plans; untouched
-  // tables keep their statistics and plans.
+  // (still fresh) tables keep their statistics and plans.
   if (!stale.empty()) TANGO_RETURN_IF_ERROR(CollectStatistics(stale));
-  return refreshed;
+  return stale.size();
 }
 
 Result<std::string> Middleware::Explain(const Prepared& prepared) {
-  PlanCompiler compiler(&connection_);
-  compiler.set_share_common_transfers(config_.share_common_transfers);
+  const ConnectionLease conn = LeaseConnection();
+  PlanCompiler compiler(conn.get());
   TANGO_ASSIGN_OR_RETURN(CompiledPlan compiled, compiler.Compile(prepared.plan));
   // Compilation creates the T^D temporaries' names only; nothing executed —
   // but any temp tables were not created either (that happens in Init), so
@@ -598,6 +628,7 @@ Result<std::string> Middleware::ExplainAnalyze(const Prepared& prepared,
 }
 
 void Middleware::ApplyFeedback(const exec::TimingSink& timings) {
+  std::lock_guard<std::mutex> lock(cost_mu_);
   for (size_t id = 0; id < timings.size(); ++id) {
     const double self_us = exec::SelfSeconds(timings, id) * 1e6;
     if (self_us <= 1) continue;

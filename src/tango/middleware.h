@@ -3,6 +3,7 @@
 
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -26,7 +27,21 @@ namespace tango {
 /// Wires together the components of the paper's architecture: the temporal
 /// SQL parser, the Statistics Collector, the Cost Estimator, the optimizer,
 /// the Translator-To-SQL, and the Execution Engine — all talking to the
-/// conventional DBMS through one connection.
+/// conventional DBMS through its connections.
+///
+/// Thread-safe: one instance serves any number of concurrent callers (the
+/// network server's whole worker pool), so the statistics, the cost model,
+/// the observed cardinalities and the plan cache exist once. Each call that
+/// talks to the DBMS runs on one dbms::Connection of its own, taken from an
+/// idle list when the call starts and returned when it ends; a call never
+/// holds two. The list hands out connection() whenever it is idle, so a
+/// single-threaded caller always runs on it (its counters and fault
+/// injector describe every call); concurrent calls get further connections,
+/// opened on demand with Config::wire. The statistics and the cost model
+/// each sit behind a mutex: an optimization prices on a copy of the model
+/// taken with its version under that mutex, and feedback fits it under the
+/// same mutex. connection(), cost_model() and set_trace_recorder are for
+/// single-threaded setup (calibration, benches, tests).
 class Middleware {
  public:
   struct Config {
@@ -40,9 +55,6 @@ class Middleware {
     /// feedback loop).
     bool adapt = true;
     double feedback_alpha = 0.3;
-    /// §7 refinement: identical TRANSFER^M statements within one plan are
-    /// issued once and shared.
-    bool share_common_transfers = true;
     /// Memory each SORT^M may use before spilling runs to tmpfiles.
     size_t sort_memory_budget_bytes = 32 << 20;
     /// Rows per RowBlock: the cost model charges one per-block transfer
@@ -52,11 +64,6 @@ class Middleware {
     /// Retry discipline for transient wire/DBMS failures inside the
     /// transfer operators and the temp-table janitor.
     RetryPolicy retry;
-    /// When a transfer exhausts its retry budget, re-plan the query with
-    /// the failing transfer direction forbidden (degraded mode) instead of
-    /// failing outright. Only Execute(Prepared)/Query can do this — they
-    /// hold the logical plan needed for re-planning.
-    bool degrade_on_failure = true;
     /// Drop orphaned TANGO_TMP_* tables (leaked by a crashed earlier run)
     /// when the middleware starts.
     bool sweep_orphans_on_start = true;
@@ -65,22 +72,12 @@ class Middleware {
     /// registry; pass obs::MetricsRegistry::Global() (or any shared
     /// registry) to aggregate across middleware instances. Not owned.
     obs::MetricsRegistry* metrics = nullptr;
-    /// Process-wide plan cache shared across middleware instances, injected
-    /// like `metrics`: null (default) = a private per-instance cache. Not
-    /// owned; must outlive the middleware. Either way every Prepare goes
-    /// through the cache, and this middleware judges staleness of the
-    /// entries it executes by adapt::PlanCache::kStaleQError (DESIGN.md
-    /// §10). The cache key embeds each instance's plan-relevant config
-    /// (estimation knobs, site restriction), so instances with different
-    /// settings stay honest while identical ones warm each other's plans —
-    /// the server front end (src/net) injects one cache across its whole
-    /// worker pool.
-    adapt::PlanCache* shared_plan_cache = nullptr;
   };
 
   explicit Middleware(dbms::Engine* engine) : Middleware(engine, Config()) {}
   Middleware(dbms::Engine* engine, Config config)
-      : config_(config),
+      : engine_(engine),
+        config_(config),
         owned_metrics_(config.metrics == nullptr
                            ? std::make_unique<obs::MetricsRegistry>()
                            : nullptr),
@@ -88,13 +85,7 @@ class Middleware {
                                            : owned_metrics_.get()),
         connection_(engine, config.wire),
         recovery_(metrics_),
-        owned_plan_cache_(config.shared_plan_cache == nullptr
-                              ? std::make_unique<adapt::PlanCache>(metrics_)
-                              : nullptr),
-        plan_cache_(config.shared_plan_cache != nullptr
-                        ? config.shared_plan_cache
-                        : owned_plan_cache_.get()),
-        instance_id_(NextInstanceId()) {
+        plan_cache_(metrics_) {
     connection_.set_metrics(metrics_);
     cost_model_.set_batch_size(config_.batch_size);
     // Best-effort: an unreachable DBMS at startup must not prevent the
@@ -102,7 +93,11 @@ class Middleware {
     if (config_.sweep_orphans_on_start) (void)SweepOrphanTempTables();
   }
 
+  /// The connection every call of a single-threaded caller runs on (see
+  /// the class comment): setup, wire counters, fault injection.
   dbms::Connection& connection() { return connection_; }
+  /// The shared cost model without its lock, for single-threaded setup
+  /// (calibration, benches, tests) while no call is in flight.
   cost::CostModel& cost_model() { return cost_model_; }
   const Config& config() const { return config_; }
   /// How often the recovery machinery ran (retries, drops, leaks,
@@ -114,8 +109,7 @@ class Middleware {
   obs::MetricsRegistry& metrics() { return *metrics_; }
 
   /// The fingerprinted plan cache (counters, invalidation — tests/benches).
-  /// Either this instance's private cache or the injected shared one.
-  adapt::PlanCache& plan_cache() { return *plan_cache_; }
+  adapt::PlanCache& plan_cache() { return plan_cache_; }
   /// Observed per-node cardinalities recorded by instrumented executions.
   adapt::FeedbackStore& feedback_store() { return feedback_; }
 
@@ -279,12 +273,24 @@ class Middleware {
                                 bool* reached_sink = nullptr);
 
   /// The optimization pipeline proper (what PrepareLogical was before the
-  /// plan cache): memo + top-down physical planning, with `overrides`
-  /// (observed cardinalities by memo group key) injected over the §3.3
-  /// estimates when non-null.
-  Result<Prepared> OptimizeLogical(const algebra::OpPtr& initial_plan,
+  /// plan cache): memo + top-down physical planning priced by `model`, with
+  /// `overrides` (observed cardinalities by memo group key) injected over
+  /// the §3.3 estimates when non-null.
+  Result<Prepared> OptimizeLogical(const cost::CostModel& model,
+                                   const algebra::OpPtr& initial_plan,
                                    optimizer::SiteRestriction restriction,
                                    const std::map<uint64_t, double>* overrides);
+
+  /// One call's connection (see the class comment); its deleter puts it
+  /// back on the idle list.
+  struct ReturnConnection {
+    Middleware* mw;
+    void operator()(dbms::Connection* conn) const;
+  };
+  using ConnectionLease = std::unique_ptr<dbms::Connection, ReturnConnection>;
+  /// connection_ when it is idle, else another idle connection, else a new
+  /// one.
+  ConnectionLease LeaseConnection();
 
   /// Records one execution's per-node estimate-vs-actual cardinalities
   /// against the provenance's fingerprint and marks the cache entry stale
@@ -302,32 +308,26 @@ class Middleware {
 
   stats::RelStats StripHistograms(stats::RelStats rel) const;
 
-  /// Process-wide middleware instance id allocator (see `instance_id_`).
-  static uint64_t NextInstanceId();
-
+  dbms::Engine* engine_;
   Config config_;
   /// Owns the per-instance registry when Config::metrics is null; declared
   /// before every member that holds counters from it.
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
   obs::MetricsRegistry* metrics_;
   dbms::Connection connection_;
+  /// Guards the idle list and the connections opened besides connection_.
+  std::mutex connections_mu_;
+  /// Idle connections; connection_, while idle, is the last.
+  std::vector<dbms::Connection*> idle_connections_{&connection_};
+  std::vector<std::unique_ptr<dbms::Connection>> more_connections_;
+  std::mutex cost_mu_;
   cost::CostModel cost_model_;
+  std::mutex stats_mu_;
   std::map<std::string, stats::RelStats> table_stats_;
   RecoveryCounters recovery_;
-  /// Owns the private cache when Config::shared_plan_cache is null.
-  std::unique_ptr<adapt::PlanCache> owned_plan_cache_;
-  adapt::PlanCache* plan_cache_;
+  adapt::PlanCache plan_cache_;
   adapt::FeedbackStore feedback_;
   obs::TraceRecorder* trace_ = nullptr;
-  /// Process-unique instance number baked into this middleware's temp-table
-  /// prefix: a server's worker pool runs many Middleware instances over one
-  /// engine, and each instance counts its executions from zero — without
-  /// the instance id two concurrent workers would both name their tables
-  /// TANGO_TMP_1_* and trip over each other's DROPs.
-  const uint64_t instance_id_;
-  /// Per-execution sequence number: each execution's temp tables get a
-  /// unique prefix, so names can never collide with tables leaked earlier.
-  uint64_t exec_seq_ = 0;
 };
 
 }  // namespace tango

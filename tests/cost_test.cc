@@ -148,24 +148,46 @@ TEST(CostModelTest, FactorsRenderForLogs) {
   EXPECT_NE(s.find("p_tm=0.04 "), std::string::npos) << s;
 }
 
-TEST(CostModelTest, ValuesCoverEveryFactor) {
-  // The plan cache's drift check compares Values(): a change to any factor,
-  // the per-block ones included, must show in exactly its own slot.
-  const CostFactors defaults;
-  const std::vector<double> base = defaults.Values();
-  ASSERT_EQ(base.size(), std::size(kFactors));
-  for (size_t i = 0; i < std::size(kFactors); ++i) {
-    CostFactors f;
-    f.*kFactors[i].factor *= 3;
-    const std::vector<double> changed = f.Values();
-    for (size_t j = 0; j < base.size(); ++j) {
-      if (j == i) {
-        EXPECT_DOUBLE_EQ(changed[j], 3 * base[j]) << kFactors[i].name;
-      } else {
-        EXPECT_EQ(changed[j], base[j]) << kFactors[i].name;
-      }
-    }
+TEST(CostModelTest, VersionBumpsWhenAFactorDriftsPastTheThreshold) {
+  // The plan cache keys plans by Version(): it must move when any factor,
+  // the per-block ones included, has moved more than kDriftThreshold (0.5)
+  // relative to its value at the last bump, and only then.
+  for (const NamedFactor& nf : kFactors) {
+    CostModel m;
+    const uint64_t v0 = m.Version();
+    const double base = m.factors().*nf.factor;
+    m.factors().*nf.factor = base * 1.45;
+    EXPECT_EQ(m.Version(), v0) << nf.name;
+    m.factors().*nf.factor = base * 0.55;
+    EXPECT_EQ(m.Version(), v0) << nf.name;
+    m.factors().*nf.factor = base * 1.55;
+    EXPECT_EQ(m.Version(), v0 + 1) << nf.name;
+    // The bump re-anchors: the next one is measured from 1.55 x base.
+    m.factors().*nf.factor = base * 1.55 * 1.45;
+    EXPECT_EQ(m.Version(), v0 + 1) << nf.name;
   }
+
+  // Exactly 0.5 either way does not bump; anything past it does.
+  CostModel m(CostFactors{});
+  const uint64_t v0 = m.Version();
+  m.factors().stmt = 600;  // 400 -> 600: +0.5
+  EXPECT_EQ(m.Version(), v0);
+  m.factors().stmt = 200;  // 400 -> 200: -0.5
+  EXPECT_EQ(m.Version(), v0);
+  m.factors().stmt = 601;
+  EXPECT_EQ(m.Version(), v0 + 1);
+
+  // Fit writes the factors too: a measured time 20x the estimate scales a
+  // fitted factor past the threshold.
+  CostModel fitted;
+  const uint64_t f0 = fitted.Version();
+  PhysPlan sort;
+  sort.algorithm = Algorithm::kSortM;
+  sort.est_bytes = 1e6;
+  sort.est_cardinality = 1e4;
+  const double estimate = fitted.Price(fitted.SelfTerms(sort));
+  fitted.Fit(sort, estimate * 20, 0.5);
+  EXPECT_EQ(fitted.Version(), f0 + 1);
 }
 
 // The formulas as the optimizer called them before pricing went through

@@ -41,16 +41,23 @@ void Load(dbms::Engine* db, const std::string& table,
   ASSERT_TRUE(db->Execute("ANALYZE " + table).ok());
 }
 
-// Degradation off: the matrix wants crisp succeed-or-transient outcomes.
-// (Degraded fallbacks are exercised in recovery_test.cc.) Adaptation off:
-// feedback would drift the plan shape mid-matrix and change the statement
-// numbering between runs.
+// Adaptation off: feedback would drift the plan shape mid-matrix and
+// change the statement numbering between runs.
 Middleware::Config MatrixConfig() {
   Middleware::Config config;
   config.wire.simulate_delay = false;
   config.adapt = false;
-  config.degrade_on_failure = false;
   return config;
+}
+
+// Query's statements without its degradation: Prepare, then the Execute
+// overload that runs the plan alone, so every cell's outcome is crisp
+// succeed-or-transient. (Degraded fallbacks are exercised in
+// recovery_test.cc.)
+Result<Middleware::Execution> RunUndegraded(Middleware* mw,
+                                            const std::string& sql) {
+  TANGO_ASSIGN_OR_RETURN(Middleware::Prepared prepared, mw->Prepare(sql));
+  return mw->Execute(prepared.plan);
 }
 
 std::multiset<std::string> RowSet(const Middleware::Execution& exec) {
@@ -85,7 +92,7 @@ void RunMatrix(dbms::Engine* db, const std::string& sql,
   // Baseline: a disarmed injector still numbers the statements, giving the
   // matrix its width N and the expected rows.
   injector->Arm(dbms::FaultPlan{});
-  auto baseline = mw.Query(sql);
+  auto baseline = RunUndegraded(&mw, sql);
   ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
   const std::multiset<std::string> expected = RowSet(baseline.ValueOrDie());
   const uint64_t n_statements = injector->statements_seen();
@@ -110,7 +117,7 @@ void RunMatrix(dbms::Engine* db, const std::string& sql,
         plan.seed = 0xfa017 + idx * 31 + static_cast<uint64_t>(kind);
         injector->Arm(plan);
 
-        auto r = mw.Query(sql);
+        auto r = RunUndegraded(&mw, sql);
         const std::string cell = std::string(dbms::FaultKindName(kind)) +
                                  " @stmt " + std::to_string(idx) +
                                  " x" + std::to_string(times);

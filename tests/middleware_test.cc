@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "tango/middleware.h"
@@ -333,30 +335,33 @@ TEST(MiddlewareTest, SharedTransfersIssueOneStatement) {
       "FROM POSITION A, POSITION B "
       "WHERE A.PosID = B.PosID AND A.EmpName < B.EmpName ORDER BY PosID";
 
-  auto run = [&](bool share) {
-    Middleware::Config config = TestConfig();
-    config.share_common_transfers = share;
-    // Force the temporal join into the middleware so both arguments are
-    // TRANSFER^M fragments.
-    Middleware mw(&db, config);
-    mw.cost_model().factors().joind = 1e9;
-    mw.cost_model().factors().joindout = 1e9;
-    mw.connection().ResetCounters();
-    auto r = mw.Query(q);
-    EXPECT_TRUE(r.ok()) << r.status().ToString();
-    return std::make_pair(r.ValueOrDie().rows.size(),
-                          mw.connection().counters().bytes_to_client);
-  };
+  // Force the temporal join into the middleware so both arguments are
+  // TRANSFER^M fragments.
+  Middleware mw(&db, TestConfig());
+  mw.cost_model().factors().joind = 1e9;
+  mw.cost_model().factors().joindout = 1e9;
+  mw.connection().ResetCounters();
+  auto r = mw.Query(q);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r.ValueOrDie().rows.size(), 1u);  // only Jane+Tom share 1
+  const uint64_t bytes = mw.connection().counters().bytes_to_client;
 
-  const auto [rows_shared, bytes_shared] = run(true);
-  const auto [rows_plain, bytes_plain] = run(false);
-  EXPECT_EQ(rows_shared, rows_plain);
-  EXPECT_EQ(rows_shared, 1u);  // Figure 3: only Jane+Tom share position 1
-  // Both arguments render to the same SQL, so sharing halves the wire
-  // volume (strictly: result transfer aside, one argument transfer saved).
-  EXPECT_LT(bytes_shared, bytes_plain);
-  EXPECT_NEAR(static_cast<double>(bytes_shared),
-              static_cast<double>(bytes_plain) / 2, bytes_plain * 0.2);
+  // Both arguments render to the same SQL; it crossed the wire once and
+  // served the second argument from the shared store.
+  const std::vector<std::string>& sql = r.ValueOrDie().sql_statements;
+  ASSERT_EQ(sql.size(), 2u);
+  EXPECT_EQ(sql[0], sql[1]);
+  EXPECT_EQ(mw.metrics().counter("transfer_cache.misses").load(), 1u);
+  EXPECT_EQ(mw.metrics().counter("transfer_cache.hits").load(), 1u);
+
+  // So the middleware received about one drain of that SQL.
+  dbms::Connection plain(&db, TestConfig().wire);
+  auto cursor = plain.ExecuteQuery(sql[0]);
+  ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
+  ASSERT_TRUE(MaterializeAll(cursor.ValueOrDie().get()).ok());
+  const double one_drain =
+      static_cast<double>(plain.counters().bytes_to_client);
+  EXPECT_NEAR(static_cast<double>(bytes), one_drain, one_drain * 0.2);
 }
 
 TEST(MiddlewareTest, ExceptComputesMultisetDifference) {
@@ -744,6 +749,135 @@ TEST(MiddlewareTest, ProductKeepsTheRowsOfAnUnreadSide) {
   EXPECT_NE(sql.find("S2.V AS V"), std::string::npos) << sql;
   EXPECT_EQ(sql.find("NAME"), std::string::npos) << sql;
   EXPECT_EQ(sql.find("W"), std::string::npos) << sql;
+}
+
+/// A result as the sorted text of its rows: the multiset a query returns,
+/// whatever order its plan leaves ties in.
+std::vector<std::string> RowStrings(const std::vector<Tuple>& rows) {
+  std::vector<std::string> out;
+  for (const Tuple& row : rows) {
+    std::string text;
+    for (const Value& v : row) text += v.ToString() + "|";
+    out.push_back(std::move(text));
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST(MiddlewareTest, ConcurrentCallersShareOneMiddleware) {
+  // One middleware called from four threads at once, as the network
+  // server's workers call it: each thread prepares and executes Figure 3's
+  // queries and timeslice lookups for many rounds while thread 0 also
+  // re-collects the statistics and renders Explain and ExplainAnalyze.
+  // Cost feedback on moves the shared factors (and the cost model's
+  // version) under the other threads; factors forcing the join into the
+  // DBMS over the middleware's aggregation put TRANSFER^D temp tables in
+  // every round. Every result must equal a serial run's.
+  dbms::Engine db;
+  LoadFigure3(&db);
+  const std::string aggregation =
+      "TEMPORAL SELECT PosID, T1, T2, COUNT(PosID) AS CNT FROM POSITION "
+      "GROUP BY PosID OVER TIME ORDER BY PosID, T1";
+  const std::string running_example =
+      "TEMPORAL SELECT C.PosID, EmpName, T1, T2, CNT "
+      "FROM (TEMPORAL SELECT PosID, COUNT(PosID) AS CNT "
+      "      FROM POSITION GROUP BY PosID OVER TIME) C, POSITION P "
+      "WHERE C.PosID = P.PosID ORDER BY PosID, T1, EmpName DESC";
+  std::vector<std::string> queries = {aggregation, running_example};
+  for (const int pos : {1, 2}) {
+    for (const int day : {3, 6, 21}) {
+      std::string lookup =
+          "TEMPORAL SELECT PosID, EmpName, T1, T2 FROM POSITION WHERE PosID = ";
+      lookup += std::to_string(pos) + " AND T1 <= " + std::to_string(day) +
+                " AND T2 > " + std::to_string(day);
+      queries.push_back(std::move(lookup));
+    }
+  }
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 25;
+
+  for (const bool adapt : {false, true}) {
+    for (const bool transfer_d : {false, true}) {
+      const std::string label = std::string("adapt=") + (adapt ? "1" : "0") +
+                                " transfer_d=" + (transfer_d ? "1" : "0");
+      Middleware::Config config = TestConfig();
+      config.adapt = adapt;
+      const auto set_up = [transfer_d](Middleware* mw) {
+        if (!transfer_d) return;
+        cost::CostFactors& f = mw->cost_model().factors();
+        f.tjm = f.mjm = 1e9;
+        f.taggd1 = f.taggd2 = 1e9;
+      };
+
+      std::vector<std::vector<std::string>> expected;
+      {
+        Middleware serial(&db, config);
+        set_up(&serial);
+        for (const std::string& q : queries) {
+          auto r = serial.Query(q);
+          ASSERT_TRUE(r.ok()) << label << ": " << r.status().ToString();
+          expected.push_back(RowStrings(r.ValueOrDie().rows));
+          if (transfer_d && q == running_example) {
+            const std::vector<std::string>& sql =
+                r.ValueOrDie().sql_statements;
+            EXPECT_TRUE(std::any_of(sql.begin(), sql.end(),
+                                    [](const std::string& statement) {
+                                      return statement.find("TANGO_TMP_") !=
+                                             std::string::npos;
+                                    }))
+                << label;
+          }
+        }
+      }
+
+      Middleware shared(&db, config);
+      set_up(&shared);
+      std::atomic<int> failures{0};
+      std::atomic<int> mismatches{0};
+      std::vector<std::thread> threads;
+      for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+          for (int round = 0; round < kRounds; ++round) {
+            for (size_t i = 0; i < queries.size(); ++i) {
+              const size_t q = (i + static_cast<size_t>(t)) % queries.size();
+              auto prepared = shared.Prepare(queries[q]);
+              if (!prepared.ok()) {
+                ++failures;
+                continue;
+              }
+              if (t == 0) {
+                // A statistics refresh, as a write-churn check would run
+                // one, under the other threads' optimizations.
+                if (!shared.CollectStatistics({"POSITION"}).ok()) ++failures;
+                std::string head = "EXPLAIN ANALYZE rows=";
+                head += std::to_string(expected[q].size()) + " ";
+                auto explained = shared.Explain(prepared.ValueOrDie());
+                auto analyzed = shared.ExplainAnalyze(prepared.ValueOrDie());
+                if (!explained.ok() || !analyzed.ok() ||
+                    analyzed.ValueOrDie().rfind(head, 0) != 0) {
+                  ++failures;
+                }
+              }
+              auto executed = shared.Execute(prepared.ValueOrDie());
+              if (!executed.ok()) {
+                ++failures;
+              } else if (RowStrings(executed.ValueOrDie().rows) !=
+                         expected[q]) {
+                ++mismatches;
+              }
+            }
+          }
+        });
+      }
+      for (std::thread& thread : threads) thread.join();
+      EXPECT_EQ(failures.load(), 0) << label;
+      EXPECT_EQ(mismatches.load(), 0) << label;
+      EXPECT_EQ(shared.metrics().gauge("query.active").load(), 0) << label;
+      for (const std::string& t : db.catalog().TableNames()) {
+        EXPECT_EQ(t.find("TANGO_TMP"), std::string::npos) << label << t;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -291,9 +291,7 @@ TEST(MiddlewareMetricsTest, QueryExecutionSeriesPopulate) {
 TEST(MiddlewareMetricsTest, FailedQueryCountsOnceAndActiveDrains) {
   dbms::Engine db;
   Load(&db, "R", MakeRelation(11, 100, 5, 50));
-  Middleware::Config config = StableConfig();
-  config.degrade_on_failure = false;
-  Middleware mw(&db, config);
+  Middleware mw(&db, StableConfig());
   auto control = std::make_shared<QueryControl>();
   control->Cancel();
 

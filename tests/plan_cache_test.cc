@@ -1,5 +1,5 @@
 // PlanCache unit tests: hit/miss accounting, LRU eviction at kCapacity,
-// table and cost-drift invalidation, the stale -> Refresh re-optimization
+// table and cost-version invalidation, the stale -> Refresh re-optimization
 // protocol, the plancache.* registry series, and a concurrent hammer for
 // the sanitizers.
 
@@ -25,22 +25,22 @@ adapt::PlanKey Key(uint64_t fingerprint, const std::string& config = "c") {
   return key;
 }
 
+constexpr uint64_t kVersion = 1;
+
 adapt::CachedPlan Plan(std::vector<std::string> tables = {"R"},
-                       std::vector<double> snapshot = {1.0, 2.0}) {
+                       uint64_t cost_version = kVersion) {
   adapt::CachedPlan plan;
   plan.tables = std::move(tables);
-  plan.factor_snapshot = std::move(snapshot);
+  plan.cost_version = cost_version;
   return plan;
 }
 
-const std::vector<double> kFactors = {1.0, 2.0};
-
 TEST(PlanCacheTest, MissInsertHit) {
   PlanCache cache;
-  EXPECT_EQ(cache.Lookup(Key(1), kFactors), nullptr);
+  EXPECT_EQ(cache.Lookup(Key(1), kVersion), nullptr);
   const PlanCache::EntryPtr inserted = cache.Insert(Key(1), Plan());
   ASSERT_NE(inserted, nullptr);
-  const PlanCache::EntryPtr found = cache.Lookup(Key(1), kFactors);
+  const PlanCache::EntryPtr found = cache.Lookup(Key(1), kVersion);
   EXPECT_EQ(found, inserted);
   EXPECT_EQ(cache.size(), 1u);
   const PlanCache::Counters c = cache.counters();
@@ -56,8 +56,8 @@ TEST(PlanCacheTest, ConfigKeySeparatesEntries) {
   const auto primary = cache.Insert(Key(1, "restrict=0"), Plan());
   const auto degraded = cache.Insert(Key(1, "restrict=1"), Plan());
   EXPECT_NE(primary, degraded);
-  EXPECT_EQ(cache.Lookup(Key(1, "restrict=0"), kFactors), primary);
-  EXPECT_EQ(cache.Lookup(Key(1, "restrict=1"), kFactors), degraded);
+  EXPECT_EQ(cache.Lookup(Key(1, "restrict=0"), kVersion), primary);
+  EXPECT_EQ(cache.Lookup(Key(1, "restrict=1"), kVersion), degraded);
   EXPECT_EQ(cache.size(), 2u);
 }
 
@@ -69,14 +69,14 @@ TEST(PlanCacheTest, LruEvictionAtCapacity) {
   EXPECT_EQ(cache.size(), PlanCache::kCapacity);
   EXPECT_EQ(cache.counters().evictions, 0u);
   // Touch 1 so 2 is the least recently used.
-  EXPECT_NE(cache.Lookup(Key(1), kFactors), nullptr);
+  EXPECT_NE(cache.Lookup(Key(1), kVersion), nullptr);
   cache.Insert(Key(PlanCache::kCapacity + 1), Plan());
   EXPECT_EQ(cache.size(), PlanCache::kCapacity);
   EXPECT_EQ(cache.counters().evictions, 1u);
-  EXPECT_NE(cache.Lookup(Key(1), kFactors), nullptr);
-  EXPECT_EQ(cache.Lookup(Key(2), kFactors), nullptr);
-  EXPECT_NE(cache.Lookup(Key(3), kFactors), nullptr);
-  EXPECT_NE(cache.Lookup(Key(PlanCache::kCapacity + 1), kFactors), nullptr);
+  EXPECT_NE(cache.Lookup(Key(1), kVersion), nullptr);
+  EXPECT_EQ(cache.Lookup(Key(2), kVersion), nullptr);
+  EXPECT_NE(cache.Lookup(Key(3), kVersion), nullptr);
+  EXPECT_NE(cache.Lookup(Key(PlanCache::kCapacity + 1), kVersion), nullptr);
 }
 
 TEST(PlanCacheTest, ReinsertReplacesTheEntry) {
@@ -85,7 +85,7 @@ TEST(PlanCacheTest, ReinsertReplacesTheEntry) {
   const auto second = cache.Insert(Key(1), Plan({"S"}));
   EXPECT_NE(first, second);
   EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.Lookup(Key(1), kFactors), second);
+  EXPECT_EQ(cache.Lookup(Key(1), kVersion), second);
 }
 
 TEST(PlanCacheTest, InvalidateTablesIsCaseInsensitive) {
@@ -96,19 +96,20 @@ TEST(PlanCacheTest, InvalidateTablesIsCaseInsensitive) {
   cache.InvalidateTables({"r"});
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_EQ(cache.counters().invalidations, 2u);
-  EXPECT_EQ(cache.Lookup(Key(1), kFactors), nullptr);
-  EXPECT_NE(cache.Lookup(Key(2), kFactors), nullptr);
-  EXPECT_EQ(cache.Lookup(Key(3), kFactors), nullptr);
+  EXPECT_EQ(cache.Lookup(Key(1), kVersion), nullptr);
+  EXPECT_NE(cache.Lookup(Key(2), kVersion), nullptr);
+  EXPECT_EQ(cache.Lookup(Key(3), kVersion), nullptr);
 }
 
 TEST(PlanCacheTest, CostDriftInvalidates) {
   PlanCache cache;
-  cache.Insert(Key(1), Plan({"R"}, {1.0, 2.0}));
-  // Within kCostDriftThreshold (0.5): still a hit.
-  EXPECT_NE(cache.Lookup(Key(1), {1.2, 2.0}), nullptr);
-  // A factor doubled (relative drift 1.0 > 0.5): the entry was priced under
-  // costs that no longer hold — invalidated, reported as a miss.
-  EXPECT_EQ(cache.Lookup(Key(1), {2.0, 2.0}), nullptr);
+  cache.Insert(Key(1), Plan({"R"}, 1));
+  // The version the entry was priced under: still a hit.
+  EXPECT_NE(cache.Lookup(Key(1), 1), nullptr);
+  // The cost model moved on (a factor drifted past its threshold): the
+  // entry was priced under costs that no longer hold — invalidated,
+  // reported as a miss.
+  EXPECT_EQ(cache.Lookup(Key(1), 2), nullptr);
   EXPECT_EQ(cache.size(), 0u);
   const PlanCache::Counters c = cache.counters();
   EXPECT_EQ(c.invalidations, 1u);
@@ -122,25 +123,25 @@ TEST(PlanCacheTest, StaleEntryIsReturnedAndRefreshClears) {
   entry->stale.store(true);
   // A stale entry IS handed back (the caller re-optimizes it in place),
   // counted separately from fresh hits.
-  EXPECT_EQ(cache.Lookup(Key(1), kFactors), entry);
+  EXPECT_EQ(cache.Lookup(Key(1), kVersion), entry);
   EXPECT_EQ(cache.counters().stale_hits, 1u);
   EXPECT_EQ(cache.counters().hits, 0u);
-  entry->Refresh(Plan({"R"}, {3.0, 4.0}));
+  entry->Refresh(Plan({"R"}, 3));
   EXPECT_FALSE(entry->stale.load());
   EXPECT_EQ(entry->reoptimized.load(), 1u);
   ASSERT_NE(entry->plan(), nullptr);
-  EXPECT_EQ(entry->plan()->factor_snapshot, (std::vector<double>{3.0, 4.0}));
-  EXPECT_EQ(cache.Lookup(Key(1), {3.0, 4.0}), entry);
+  EXPECT_EQ(entry->plan()->cost_version, 3u);
+  EXPECT_EQ(cache.Lookup(Key(1), 3), entry);
   EXPECT_EQ(cache.counters().hits, 1u);
 }
 
 // One miss, one hit, kCapacity + 1 inserts (one eviction), then every
 // entry reading S (the even fingerprints) invalidated.
 void RunMetricsScript(PlanCache* cache) {
-  cache->Lookup(Key(1), kFactors);
+  cache->Lookup(Key(1), kVersion);
   for (uint64_t fp = 1; fp <= PlanCache::kCapacity + 1; ++fp) {
     cache->Insert(Key(fp), Plan({fp % 2 == 0 ? "S" : "R"}));
-    if (fp == 1) cache->Lookup(Key(1), kFactors);
+    if (fp == 1) cache->Lookup(Key(1), kVersion);
   }
   cache->InvalidateTables({"S"});
 }
@@ -195,7 +196,7 @@ TEST(PlanCacheTest, CacheWithoutRegistryCountsPrivately) {
 
 TEST(PlanCacheTest, ConcurrentHammer) {
   // Four threads over 400 fingerprints — more than kCapacity — so LRU
-  // eviction, drift invalidation on lookup, Refresh, stale marks,
+  // eviction, version invalidation on lookup, Refresh, stale marks,
   // InvalidateTables and Clear all race on the one mutex.
   PlanCache cache;
   constexpr int kThreads = 4;
@@ -208,11 +209,10 @@ TEST(PlanCacheTest, ConcurrentHammer) {
       for (int i = 0; i < kIterations; ++i) {
         const uint64_t fp =
             static_cast<uint64_t>(t * 37 + i * 7) % kFingerprints + 1;
-        // Every 23rd lookup prices with a tripled factor: a resident entry
-        // drifted and is invalidated.
-        const std::vector<double> factors =
-            i % 23 == 0 ? std::vector<double>{3.0, 2.0} : kFactors;
-        const PlanCache::EntryPtr entry = cache.Lookup(Key(fp), factors);
+        // Every 23rd lookup comes at a later cost-model version: a resident
+        // entry is invalidated.
+        const uint64_t version = i % 23 == 0 ? kVersion + 1 : kVersion;
+        const PlanCache::EntryPtr entry = cache.Lookup(Key(fp), version);
         if (entry == nullptr) {
           cache.Insert(Key(fp), Plan({fp % 2 == 0 ? "R" : "S"}));
         } else {

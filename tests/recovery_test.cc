@@ -244,7 +244,6 @@ TEST(RecoveryTest, OutageOutlastingBudgetDegradesToDbmsOnly) {
   dbms::Engine db;
   Load(&db, "R", MakeRelation(17, 250, 7, 70));
   Middleware::Config config = StableConfig();
-  ASSERT_TRUE(config.degrade_on_failure);
   Middleware mw(&db, config);
   auto injector = std::make_shared<dbms::FaultInjector>();
   mw.connection().set_fault_injector(injector);

@@ -1,7 +1,8 @@
 // PollingServer end-to-end: handshake, concurrent clients (up to 64 in a
-// closed loop), the shared plan cache and its warm hit rate, admission
-// control, deadline/cancel over the socket, graceful shutdown, the
-// boot-once orphan sweep, and robustness against garbage on the wire.
+// closed loop), the shared plan cache and its warm hit rate, one client's
+// cardinality feedback re-optimizing another's plan, admission control,
+// deadline/cancel over the socket, graceful shutdown, the boot-once orphan
+// sweep, and robustness against garbage on the wire.
 // Everything runs against a real TCP socket on loopback.
 #include <gtest/gtest.h>
 
@@ -163,6 +164,61 @@ TEST(ServerTest, SharedPlanCacheAcrossClients) {
   EXPECT_EQ(second.ValueOrDie().rows.size(), 5u);
 
   EXPECT_GE(server.metrics().counter("plancache.hit").load(), 1u);
+}
+
+// The disjoint join of feedback_test.cc: L.J takes 1..5 and R2.J 6..10,
+// so the §3.3 estimate is 100 * 100 / 5 = 2000 rows and the actual is 0.
+void LoadDisjoint(dbms::Engine* db) {
+  ASSERT_TRUE(db->Execute("CREATE TABLE L (J INT, X INT)").ok());
+  ASSERT_TRUE(db->Execute("CREATE TABLE R2 (J INT, Y INT)").ok());
+  std::vector<Tuple> left, right;
+  for (int64_t i = 0; i < 100; ++i) {
+    left.push_back({Value(i % 5 + 1), Value(i)});
+    right.push_back({Value(i % 5 + 6), Value(i)});
+  }
+  ASSERT_TRUE(db->BulkLoad("L", left).ok());
+  ASSERT_TRUE(db->BulkLoad("R2", right).ok());
+  ASSERT_TRUE(db->Execute("ANALYZE").ok());
+}
+
+TEST(ServerTest, OneClientsObservationsReoptimizeAnothersPlan) {
+  // FeedbackLoopTest.MisestimatedJoinMigratesSitesAfterOneRun through the
+  // socket. Client A's execution (the join in the middleware, two
+  // TRANSFER^Ms) leaves the observed cardinalities; client B's next QUERY
+  // of the same text re-optimizes with them and runs the join in the DBMS
+  // behind one TRANSFER^M. The workers share one middleware, so this holds
+  // on every fresh server, whichever workers serve A and B.
+  const char* const join = "SELECT L.J, R2.Y FROM L, R2 WHERE L.J = R2.J";
+  for (int round = 0; round < 5; ++round) {
+    dbms::Engine db;
+    LoadDisjoint(&db);
+    PollingServer server(&db, FastConfig());
+    ASSERT_TRUE(server.Start().ok());
+    const obs::Counter& statements =
+        server.metrics().counter("wire.statements");
+    Client a;
+    Client b;
+    ASSERT_TRUE(a.Connect("127.0.0.1", server.port()).ok());
+    ASSERT_TRUE(b.Connect("127.0.0.1", server.port()).ok());
+
+    uint64_t before = statements.load();
+    auto first = a.Query(join);
+    ASSERT_TRUE(first.ok()) << first.status().ToString();
+    EXPECT_EQ(first.ValueOrDie().plan_source, "fresh");
+    EXPECT_TRUE(first.ValueOrDie().rows.empty());
+    const uint64_t a_statements = statements.load() - before;
+    EXPECT_EQ(server.metrics().counter("reoptimize.stale_marks").load(), 1u);
+
+    before = statements.load();
+    auto second = b.Query(join);
+    ASSERT_TRUE(second.ok()) << second.status().ToString();
+    EXPECT_EQ(second.ValueOrDie().plan_source, "reoptimized");
+    EXPECT_TRUE(second.ValueOrDie().rows.empty());
+    const uint64_t b_statements = statements.load() - before;
+    // Both prepares make the same catalog round trips; the plans differ by
+    // one statement.
+    EXPECT_EQ(a_statements, b_statements + 1) << "round " << round;
+  }
 }
 
 TEST(ServerTest, ConcurrentClientsAllSucceedAndShareTheCache) {
@@ -463,14 +519,14 @@ TEST(ServerTest, OrphanSweepRunsOnceAtBoot) {
   ASSERT_TRUE(server.Start().ok());
 
   // One sweep for the whole server: the orphan was dropped exactly once,
-  // not once per worker (workers' own sweeps are disabled).
+  // by the one middleware the workers share.
   EXPECT_EQ(server.metrics().counter("janitor.orphans_swept").load(), 1u);
   for (const std::string& t : db.catalog().TableNames()) {
     EXPECT_EQ(t.find("TANGO_TMP"), std::string::npos) << t;
   }
 
   // Queries from several clients (served by different workers) leave no
-  // temp tables behind — every worker's janitor cleans up after itself.
+  // temp tables behind — every execution's janitor cleans up after itself.
   constexpr int kClients = 4;
   std::vector<std::thread> threads;
   for (int c = 0; c < kClients; ++c) {
@@ -488,11 +544,11 @@ TEST(ServerTest, OrphanSweepRunsOnceAtBoot) {
 }
 
 TEST(ServerTest, RecoveryCountersAggregateInOneRegistry) {
-  // The worker pool binds one RecoveryCounters per Middleware, all against
-  // the same shared registry. Binding must alias the same named counters —
-  // increments from different workers aggregate into one series, and a
-  // second binding must not double-count (re-registering resets nothing
-  // and creates no parallel counter).
+  // Every Middleware binds one RecoveryCounters, and middlewares may share
+  // a registry. Binding must alias the same named counters — increments
+  // from different middlewares aggregate into one series, and a second
+  // binding must not double-count (re-registering resets nothing and
+  // creates no parallel counter).
   obs::MetricsRegistry registry;
   RecoveryCounters a(&registry);
   RecoveryCounters b(&registry);

@@ -177,6 +177,39 @@ TEST(TranslatorTest, TransferDRendersTempTable) {
   // A TRANSFER^D node the translator was not told about is an error.
   Translator t2({});
   EXPECT_FALSE(t2.Render(*td).ok());
+
+  // The temporary table is created with ColumnAliases' names (the plan
+  // compiler), and the SQL reading it must use exactly those: a repeated
+  // name and a name led by a digit are renamed the same way on both sides.
+  Schema odd({{"A", "POSID", DataType::kInt},
+              {"B", "POSID", DataType::kInt},
+              {"", "1CNT", DataType::kInt}});
+  auto odd_op = std::make_shared<algebra::Op>();
+  odd_op->kind = algebra::OpKind::kTransferD;
+  odd_op->schema = odd;
+  auto odd_td = Node(Algorithm::kTransferD, odd_op, {});
+  const std::vector<std::string> columns = ColumnAliases(odd);
+  EXPECT_EQ(columns,
+            (std::vector<std::string>{"POSID", "POSID_2", "C_1CNT"}));
+  Translator t3({{odd_td.get(), "TANGO_TMP_10"}});
+  auto read = t3.Render(*odd_td);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(read.ValueOrDie().aliases, columns);
+  EXPECT_EQ(read.ValueOrDie().sql,
+            "SELECT POSID AS POSID, POSID_2 AS POSID_2, C_1CNT AS C_1CNT "
+            "FROM TANGO_TMP_10");
+
+  // The DBMS accepts a table of those columns and runs the reading SQL.
+  dbms::Engine db;
+  ASSERT_TRUE(db.Execute("CREATE TABLE TANGO_TMP_10 (" + columns[0] +
+                         " INT, " + columns[1] + " INT, " + columns[2] +
+                         " INT)")
+                  .ok());
+  ASSERT_TRUE(db.Execute("INSERT INTO TANGO_TMP_10 VALUES (1, 2, 3)").ok());
+  auto rows = db.Execute(read.ValueOrDie().sql);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  ASSERT_EQ(rows.ValueOrDie().rows.size(), 1u);
+  EXPECT_EQ(rows.ValueOrDie().rows[0][2].AsInt(), 3);
 }
 
 TEST(TranslatorTest, DuplicateColumnNamesGetUniqueAliases) {
