@@ -9,12 +9,20 @@
 // * merge join vs the DBMS's hash/merge joins;
 // * the DBMS's ORDER BY over full-scale POSITION (Q1's and Q2's SORT^D) and
 //   Q4's hash join, each beside the scans it reads, so the operator's own
-//   cost is the difference.
+//   cost is the difference;
+// * the wire codec every transferred byte runs through on both hops (the
+//   TRANSFER^M link and the client socket): Crc32 with each kernel on
+//   1 MiB, and PutRowBlock / GetRowBlock on a 1,024-row block of four ints
+//   (Q1's result) and one of an int, two names and two ints (Q3's), each
+//   in MB/s (bytes_per_second). scripts/check.sh's Release leg runs these
+//   once (`--benchmark_filter='BM_Crc32|BM_PutRowBlock|BM_GetRowBlock'`),
+//   ungated, so every log carries the codec ledger.
 
 #include <benchmark/benchmark.h>
 
 #include "common/date.h"
 #include "common/rng.h"
+#include "common/wire.h"
 #include "dbms/connection.h"
 #include "exec/join.h"
 #include "exec/sort.h"
@@ -235,6 +243,74 @@ BENCHMARK_CAPTURE(
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_UisSql, q3_scan, PositionBefore1996())
     ->Unit(benchmark::kMillisecond);
+
+void BM_Crc32(benchmark::State& state, bool fold) {
+  const wire_internal::Crc32Kernels& kernels = wire_internal::GetCrc32Kernels();
+  const wire_internal::Crc32Kernel kernel =
+      fold ? kernels.fold : kernels.portable;
+  if (kernel == nullptr) {
+    state.SkipWithError("this CPU reports no PCLMUL and SSE4.1: no fold");
+    return;
+  }
+  Rng rng(3);
+  std::vector<uint8_t> buf(size_t{1} << 20);
+  for (uint8_t& b : buf) b = static_cast<uint8_t>(rng.Next());
+  for (auto _ : state) benchmark::DoNotOptimize(kernel(buf.data(), buf.size()));
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * buf.size()));
+}
+BENCHMARK_CAPTURE(BM_Crc32, portable, false);
+BENCHMARK_CAPTURE(BM_Crc32, fold, true);
+
+/// 1,024 result rows: Q1's four ints (PosID, T1, T2, CNT), or Q3's PosID,
+/// two employee names and the intersected period.
+RowBlock CodecBlock(bool names) {
+  Rng rng(17);
+  RowBlock block;
+  for (size_t r = 0; r < RowBlock::kDefaultCapacity; ++r) {
+    const int64_t t1 = rng.Uniform(3000, 10000);
+    Tuple row{Value(rng.Uniform(1, 2500))};
+    if (names) {
+      row.push_back(Value("EMP" + std::to_string(rng.Uniform(0, 49971))));
+      row.push_back(Value("EMP" + std::to_string(rng.Uniform(0, 49971))));
+    }
+    row.push_back(Value(t1));
+    row.push_back(Value(t1 + rng.Uniform(30, 3000)));
+    if (!names) row.push_back(Value(rng.Uniform(1, 60)));
+    block.AppendRow(std::move(row));
+  }
+  return block;
+}
+
+void BM_PutRowBlock(benchmark::State& state, bool names) {
+  const RowBlock block = CodecBlock(names);
+  size_t bytes = 0;
+  for (auto _ : state) {
+    WireWriter writer;
+    writer.PutRowBlock(block);
+    bytes = writer.size();
+    benchmark::DoNotOptimize(writer.buffer().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * bytes));
+}
+BENCHMARK_CAPTURE(BM_PutRowBlock, q1_ints, false);
+BENCHMARK_CAPTURE(BM_PutRowBlock, q3_names, true);
+
+/// Decodes into a fresh block each time, as both hops do.
+void BM_GetRowBlock(benchmark::State& state, bool names) {
+  WireWriter writer;
+  writer.PutRowBlock(CodecBlock(names));
+  for (auto _ : state) {
+    RowBlock decoded;
+    WireReader reader(writer.buffer());
+    auto rows = reader.GetRowBlock(&decoded);
+    benchmark::DoNotOptimize(rows);
+  }
+  state.SetBytesProcessed(
+      static_cast<int64_t>(state.iterations() * writer.size()));
+}
+BENCHMARK_CAPTURE(BM_GetRowBlock, q1_ints, false);
+BENCHMARK_CAPTURE(BM_GetRowBlock, q3_names, true);
 
 }  // namespace
 }  // namespace tango

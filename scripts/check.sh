@@ -29,6 +29,13 @@
 # their timing comparisons would contend with the other suites under
 # `ctest -j`, and only an optimized build times what the paper timed.
 #
+# The Release leg then prints the wire codec's ledger, ungated: Crc32 with
+# each kernel (the PCLMULQDQ fold and slicing-by-8) on 1 MiB, and block
+# encode and decode on a Q1-like int block and a Q3-like block of names,
+# in MB/s (bench_operators with --benchmark_filter; a few seconds). Every
+# byte crossing either wire runs through these, so each log records their
+# speed on the host it ran on.
+#
 # Last, the Release leg builds the repository benchmark (perfbench/, which
 # compiles ../src on its own into .bench_build/ and reads the middleware's
 # execution records) and smoke-runs both workloads at a reduced size with
@@ -181,6 +188,9 @@ run_config() {
       echo "--- ${bench}"
       TANGO_BENCH_SCALE=0.2 "${dir}/bench/${bench}"
     done
+    echo "=== ${name}: wire codec ledger (bench_operators, ungated) ==="
+    "${dir}/bench/bench_operators" \
+      --benchmark_filter='BM_Crc32|BM_PutRowBlock|BM_GetRowBlock'
     echo "=== ${name}: benchmark build + smoke run (perfbench/test_smoke.py) ==="
     python3 perfbench/test_smoke.py
   fi

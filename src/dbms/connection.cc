@@ -74,10 +74,12 @@ class RemoteCursor : public Cursor {
       server_done_ = true;
       return Status::OK();
     }
-    WireWriter writer;
-    writer.PutRowBlock(server_block_);
     // The block crosses the link, length- and CRC-framed.
-    std::vector<uint8_t> framed = WireFrame::Seal(writer.buffer());
+    WireWriter writer;
+    writer.BeginFrame();
+    writer.PutRowBlock(server_block_);
+    writer.SealFrame();
+    std::vector<uint8_t> framed = writer.Take();
     const uint64_t batch_no = batch_no_++;
     if (faulted_ && conn_->fault_injector() != nullptr) {
       FaultInjector& injector = *conn_->fault_injector();
@@ -280,8 +282,10 @@ Status Connection::BulkLoad(const std::string& table,
     const size_t end = std::min(rows.size(), base + chunk);
     for (size_t i = base; i < end; ++i) block.AppendRow(rows[i]);
     WireWriter writer;
+    writer.BeginFrame();
     writer.PutRowBlock(block);
-    const std::vector<uint8_t> framed = WireFrame::Seal(writer.buffer());
+    writer.SealFrame();
+    const std::vector<uint8_t> framed = writer.Take();
     counters_.bytes_to_server += framed.size();
     if (m_bytes_to_server_ != nullptr) {
       m_bytes_to_server_->Increment(framed.size());

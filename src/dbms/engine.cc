@@ -564,10 +564,10 @@ Status Engine::Checkpoint() {
   // Force everything buffered, so the snapshot lsn is a durable point.
   TANGO_RETURN_IF_ERROR(wal_->Sync());
   const Lsn snapshot_lsn = wal_->end_lsn() - 1;
-  const std::vector<uint8_t> payload =
+  const std::vector<uint8_t> framed =
       RecoveryManager::SerializeSnapshot(catalog_);
   TANGO_RETURN_IF_ERROR(storage::Wal::WriteSealedFile(
-      storage::Wal::SnapshotPath(options_.wal_dir, snapshot_lsn), payload));
+      storage::Wal::SnapshotPath(options_.wal_dir, snapshot_lsn), framed));
   WalRecord ck;
   ck.type = WalRecordType::kCheckpoint;
   ck.aux = snapshot_lsn;

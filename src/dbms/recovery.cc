@@ -55,6 +55,7 @@ Result<ColumnStats> GetColumnStats(WireReader* r) {
 std::vector<uint8_t> RecoveryManager::SerializeSnapshot(
     const Catalog& catalog) {
   WireWriter w;
+  w.BeginFrame();
   std::vector<const Table*> tables;
   for (const std::string& name : catalog.TableNames()) {
     if (IsTempTableName(name)) continue;
@@ -81,6 +82,7 @@ std::vector<uint8_t> RecoveryManager::SerializeSnapshot(
     w.PutU32(static_cast<uint32_t>(ts.columns.size()));
     for (const ColumnStats& cs : ts.columns) PutColumnStats(&w, cs);
   }
+  w.SealFrame();
   return w.Take();
 }
 

@@ -45,7 +45,8 @@ class RecoveryManager {
   /// Serializes the catalog (schemas, heap pages with LSNs and dead marks,
   /// index definitions, full TableStats including histogram buckets) for a
   /// checkpoint snapshot. Temp tables (`TANGO_TMP_`) are excluded — they are
-  /// non-durable by contract.
+  /// non-durable by contract. Returns the snapshot sealed as one frame,
+  /// ready for `Wal::WriteSealedFile`.
   static std::vector<uint8_t> SerializeSnapshot(const Catalog& catalog);
 
   /// Rebuilds the catalog from a snapshot payload (secondary indexes are

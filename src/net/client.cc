@@ -167,13 +167,13 @@ Status Client::SendMessage(const Message& message) {
 }
 
 Result<Message> Client::Recv() {
-  std::vector<uint8_t> payload;
-  uint8_t buf[65536];
   for (;;) {
-    auto next = assembler_.Next(&payload);
+    const uint8_t* payload = nullptr;
+    size_t len = 0;
+    auto next = assembler_.Next(&payload, &len);
     if (!next.ok()) return next.status();
     if (next.ValueOrDie()) {
-      auto message = DecodeMessage(payload.data(), payload.size());
+      auto message = DecodeMessage(payload, len);
       if (!message.ok()) return message.status();
       if (message.ValueOrDie().type == MsgType::kBusy) {
         return Status::Unavailable("server busy: " +
@@ -181,9 +181,10 @@ Result<Message> Client::Recv() {
       }
       return message;
     }
-    const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
+    uint8_t* room = assembler_.Reserve(FrameAssembler::kReadBytes);
+    const ssize_t n = ::recv(fd_, room, FrameAssembler::kReadBytes, 0);
     if (n > 0) {
-      assembler_.Append(buf, static_cast<size_t>(n));
+      assembler_.Commit(static_cast<size_t>(n));
       continue;
     }
     if (n == 0) return Status::IOError("server closed the connection");

@@ -362,12 +362,13 @@ void PollingServer::AcceptNewSessions() {
 }
 
 bool PollingServer::ReadSession(const SessionPtr& session) {
-  uint8_t buf[65536];
+  constexpr size_t kChunk = FrameAssembler::kReadBytes;
   for (;;) {
-    const ssize_t n = ::recv(session->fd, buf, sizeof(buf), 0);
+    uint8_t* room = session->assembler.Reserve(kChunk);
+    const ssize_t n = ::recv(session->fd, room, kChunk, 0);
     if (n > 0) {
-      session->assembler.Append(buf, static_cast<size_t>(n));
-      if (static_cast<size_t>(n) < sizeof(buf)) break;
+      session->assembler.Commit(static_cast<size_t>(n));
+      if (static_cast<size_t>(n) < kChunk) break;
       continue;
     }
     if (n == 0) return false;  // EOF
@@ -376,9 +377,10 @@ bool PollingServer::ReadSession(const SessionPtr& session) {
     return false;
   }
 
-  std::vector<uint8_t> payload;
   for (;;) {
-    auto next = session->assembler.Next(&payload);
+    const uint8_t* payload = nullptr;
+    size_t len = 0;
+    auto next = session->assembler.Next(&payload, &len);
     if (!next.ok()) {
       // Corrupt frame: the stream cannot be resynchronized. Tell the
       // client why (best effort) and drop the connection.
@@ -387,7 +389,7 @@ bool PollingServer::ReadSession(const SessionPtr& session) {
       return false;
     }
     if (!next.ValueOrDie()) return true;  // need more bytes
-    auto message = DecodeMessage(payload.data(), payload.size());
+    auto message = DecodeMessage(payload, len);
     if (!message.ok()) {
       m_protocol_errors_->Increment();
       SendFrame(session, ErrorMessage(message.status()));

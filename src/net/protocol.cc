@@ -1,5 +1,6 @@
 #include "net/protocol.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace tango {
@@ -12,13 +13,13 @@ bool KnownType(uint8_t t) {
          t <= static_cast<uint8_t>(MsgType::kBye);
 }
 
-/// One sealed ROWBLOCK frame, straight from the block, without copying its
-/// rows into a Message.
-std::vector<uint8_t> EncodeRowBlock(const RowBlock& block) {
-  WireWriter w;
-  w.PutU8(static_cast<uint8_t>(MsgType::kRowBlock));
-  w.PutRowBlock(block);
-  return WireFrame::Seal(w.Take());
+/// Appends one sealed ROWBLOCK frame to `w`, straight from the block,
+/// without copying its rows into a Message.
+void EncodeRowBlock(const RowBlock& block, WireWriter* w) {
+  w->BeginFrame();
+  w->PutU8(static_cast<uint8_t>(MsgType::kRowBlock));
+  w->PutRowBlock(block);
+  w->SealFrame();
 }
 
 }  // namespace
@@ -45,16 +46,15 @@ const char* MsgTypeName(MsgType type) {
 }
 
 Result<std::vector<uint8_t>> EncodeRowBlockFrames(const RowBlock& block) {
-  std::vector<uint8_t> frames = EncodeRowBlock(block);
-  if (frames.size() - WireFrame::kHeaderBytes <= kMaxFrameBytes) return frames;
+  WireWriter whole;
+  EncodeRowBlock(block, &whole);
+  if (whole.size() - WireFrame::kHeaderBytes <= kMaxFrameBytes) {
+    return whole.Take();
+  }
   // Too big for one frame: cut the rows into consecutive runs whose frames
   // each fit, sizing every row exactly as PutRowBlock will encode it.
   constexpr size_t kHeaderBytes = 1 + 4 + 4;  // message type, rows, columns
-  frames.clear();
-  const auto append = [&frames](const RowBlock& piece) {
-    const std::vector<uint8_t> frame = EncodeRowBlock(piece);
-    frames.insert(frames.end(), frame.begin(), frame.end());
-  };
+  WireWriter frames;
   RowBlock piece;
   size_t bytes = kHeaderBytes;
   Tuple row;
@@ -71,7 +71,7 @@ Result<std::vector<uint8_t>> EncodeRowBlockFrames(const RowBlock& block) {
           "-byte frame limit");
     }
     if (bytes + row_bytes > kMaxFrameBytes) {
-      append(piece);
+      EncodeRowBlock(piece, &frames);
       piece.Clear();
       bytes = kHeaderBytes;
     }
@@ -79,13 +79,17 @@ Result<std::vector<uint8_t>> EncodeRowBlockFrames(const RowBlock& block) {
     piece.AppendRow(std::move(row));
     bytes += row_bytes;
   }
-  append(piece);
-  return frames;
+  EncodeRowBlock(piece, &frames);
+  return frames.Take();
 }
 
 std::vector<uint8_t> EncodeMessage(const Message& message) {
-  if (message.type == MsgType::kRowBlock) return EncodeRowBlock(message.block);
   WireWriter w;
+  if (message.type == MsgType::kRowBlock) {
+    EncodeRowBlock(message.block, &w);
+    return w.Take();
+  }
+  w.BeginFrame();
   w.PutU8(static_cast<uint8_t>(message.type));
   switch (message.type) {
     case MsgType::kHello:
@@ -137,7 +141,8 @@ std::vector<uint8_t> EncodeMessage(const Message& message) {
       w.PutString(message.text);
       break;
   }
-  return WireFrame::Seal(w.Take());
+  w.SealFrame();
+  return w.Take();
 }
 
 Result<Message> DecodeMessage(const uint8_t* payload, size_t len) {
@@ -253,14 +258,23 @@ Status StatusFromError(const Message& message) {
   return Status(static_cast<StatusCode>(message.status_code), message.text);
 }
 
-Result<bool> FrameAssembler::Next(std::vector<uint8_t>* payload) {
-  // Compact once consumed bytes dominate the buffer, so a long-lived
-  // session does not grow its input buffer without bound.
-  if (pos_ > 4096 && pos_ * 2 > buf_.size()) {
-    buf_.erase(buf_.begin(), buf_.begin() + static_cast<ptrdiff_t>(pos_));
-    pos_ = 0;
+uint8_t* FrameAssembler::Reserve(size_t n) {
+  if (buf_.size() - end_ < n) {
+    // Out of room: move the unread bytes to the front first, so a
+    // long-lived session's buffer grows only to its largest frame plus one
+    // read, however many frames pass through it.
+    if (pos_ > 0) {
+      std::memmove(buf_.data(), buf_.data() + pos_, end_ - pos_);
+      end_ -= pos_;
+      pos_ = 0;
+    }
+    if (buf_.size() - end_ < n) buf_.resize(std::max(end_ + n, 2 * buf_.size()));
   }
-  if (buf_.size() - pos_ < WireFrame::kHeaderBytes) return false;
+  return buf_.data() + end_;
+}
+
+Result<bool> FrameAssembler::Next(const uint8_t** payload, size_t* len) {
+  if (end_ - pos_ < WireFrame::kHeaderBytes) return false;
 
   uint32_t declared = 0;
   std::memcpy(&declared, buf_.data() + pos_, sizeof(declared));
@@ -269,15 +283,20 @@ Result<bool> FrameAssembler::Next(std::vector<uint8_t>* payload) {
                            std::to_string(declared) + " exceeds limit");
   }
   const size_t total = WireFrame::kHeaderBytes + declared;
-  if (buf_.size() - pos_ < total) return false;
+  if (end_ - pos_ < total) return false;
 
-  const uint8_t* body = nullptr;
-  size_t body_len = 0;
   TANGO_RETURN_IF_ERROR(
-      WireFrame::Check(buf_.data() + pos_, total, &body, &body_len));
-  payload->assign(body, body + body_len);
+      WireFrame::Check(buf_.data() + pos_, total, payload, len));
   pos_ += total;
   return true;
+}
+
+Result<bool> FrameAssembler::Next(std::vector<uint8_t>* payload) {
+  const uint8_t* body = nullptr;
+  size_t len = 0;
+  TANGO_ASSIGN_OR_RETURN(const bool got, Next(&body, &len));
+  if (got) payload->assign(body, body + len);
+  return got;
 }
 
 }  // namespace net

@@ -2,6 +2,7 @@
 #define TANGO_NET_PROTOCOL_H_
 
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
@@ -126,27 +127,46 @@ Status StatusFromError(const Message& message);
 
 /// \brief Splits a TCP byte stream into CRC-checked frame payloads.
 ///
-/// Both the server's per-session input path and the client feed their raw
-/// `recv` bytes in; `Next` yields one payload per complete frame. A frame
-/// whose declared length exceeds `kMaxFrameBytes` or whose CRC does not
-/// match is a protocol violation: `Next` returns an error and the
-/// connection must be dropped (the stream cannot be resynchronized).
+/// Both the server's per-session input path and the client `recv` straight
+/// into the assembler's buffer (`Reserve`, then `Commit`); `Next` yields one
+/// payload per complete frame, where it lies in that buffer. A frame whose
+/// declared length exceeds `kMaxFrameBytes` or whose CRC does not match is
+/// a protocol violation: `Next` returns an error and the connection must be
+/// dropped (the stream cannot be resynchronized).
 class FrameAssembler {
  public:
+  /// Bytes one `recv` into the assembler asks for.
+  static constexpr size_t kReadBytes = 64 * 1024;
+
+  /// Room for `n` more bytes at the end of the buffer, for `recv` to write
+  /// into; `Commit` keeps the first of them that were filled. Moves the
+  /// unread bytes to the front before it grows the buffer.
+  uint8_t* Reserve(size_t n);
+  void Commit(size_t n) { end_ += n; }
+
+  /// Copies `n` received bytes in.
   void Append(const uint8_t* data, size_t n) {
     if (n == 0) return;  // `data` may be null then (an empty vector's data())
-    buf_.insert(buf_.end(), data, data + n);
+    std::memcpy(Reserve(n), data, n);
+    Commit(n);
   }
 
-  /// True: `*payload` holds the next frame's payload. False: the buffered
-  /// bytes do not yet form a complete frame (read more). Error: violation.
+  /// True: `*payload` and `*len` point at the next frame's payload inside
+  /// the buffer, valid until the next Reserve or Append. False: the
+  /// buffered bytes do not yet form a complete frame (read more). Error:
+  /// violation.
+  Result<bool> Next(const uint8_t** payload, size_t* len);
+  /// Same, with the payload copied into `*payload`.
   Result<bool> Next(std::vector<uint8_t>* payload);
 
-  size_t buffered_bytes() const { return buf_.size() - pos_; }
+  size_t buffered_bytes() const { return end_ - pos_; }
 
  private:
+  /// Bytes `[pos_, end_)` are received and not yet handed out; bytes from
+  /// `end_` to the vector's size are room.
   std::vector<uint8_t> buf_;
   size_t pos_ = 0;
+  size_t end_ = 0;
 };
 
 }  // namespace net

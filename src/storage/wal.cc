@@ -43,8 +43,9 @@ const char* WalRecordTypeName(WalRecordType type) {
   return "unknown";
 }
 
-std::vector<uint8_t> WalRecord::Encode() const {
+std::vector<uint8_t> WalRecord::EncodeFrame() const {
   WireWriter w;
+  w.BeginFrame();
   w.PutU8(static_cast<uint8_t>(type));
   w.PutI64(static_cast<int64_t>(txn));
   w.PutI64(static_cast<int64_t>(prev_lsn));
@@ -65,6 +66,7 @@ std::vector<uint8_t> WalRecord::Encode() const {
     w.PutI64(static_cast<int64_t>(id));
     w.PutI64(static_cast<int64_t>(first));
   }
+  w.SealFrame();
   return w.Take();
 }
 
@@ -235,7 +237,7 @@ Status Wal::Open() {
 Result<Lsn> Wal::Append(WalRecord* record) {
   if (crashed_) return Status::Unavailable("wal crashed; restart required");
   record->lsn = end_ + 1;
-  const std::vector<uint8_t> framed = WireFrame::Seal(record->Encode());
+  const std::vector<uint8_t> framed = record->EncodeFrame();
   if (fault_hook_) {
     const WalFault fault = fault_hook_(false, record->lsn, framed.size());
     if (fault.action == WalFault::Action::kCrash) {
@@ -332,8 +334,7 @@ Result<size_t> Wal::TruncateBefore(Lsn lsn, Lsn keep_snapshot) {
 }
 
 Status Wal::WriteSealedFile(const std::string& path,
-                            const std::vector<uint8_t>& payload) {
-  const std::vector<uint8_t> framed = WireFrame::Seal(payload);
+                            const std::vector<uint8_t>& framed) {
   const std::string tmp = path + ".tmp";
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
   if (f == nullptr) return Status::IOError("cannot create " + tmp);

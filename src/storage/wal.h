@@ -73,7 +73,9 @@ struct WalRecord {
   /// log truncation must keep everything from min(first lsn) onward.
   std::vector<std::pair<uint64_t, Lsn>> active_txns;
 
-  std::vector<uint8_t> Encode() const;
+  /// The record sealed as one log frame (WireWriter::SealFrame); `Decode`
+  /// reads the frame's payload.
+  std::vector<uint8_t> EncodeFrame() const;
   static Result<WalRecord> Decode(const uint8_t* data, size_t size);
 };
 
@@ -147,9 +149,10 @@ class Wal {
   // ---- snapshot (fuzzy checkpoint) files ----
   /// `snap-<lsn>.ckpt` in `dir`.
   static std::string SnapshotPath(const std::string& dir, Lsn lsn);
-  /// Writes a CRC-framed file atomically (tmp file + rename).
+  /// Writes one sealed frame (WireWriter::SealFrame) as a file, atomically
+  /// (tmp file + rename).
   static Status WriteSealedFile(const std::string& path,
-                                const std::vector<uint8_t>& payload);
+                                const std::vector<uint8_t>& framed);
   /// Reads and verifies a CRC-framed file.
   static Result<std::vector<uint8_t>> ReadSealedFile(const std::string& path);
   /// Snapshot lsns present in `dir`, ascending.

@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -118,15 +120,38 @@ size_t DrainTuples(const uint8_t* data, size_t len) {
 }
 
 // ---------------------------------------------------------------------------
-// The CRC-32 kernel (slicing-by-8). Frames, WAL records and snapshot files
-// written before it must stay readable, so its output must equal the
-// classic bitwise CRC-32 on every input.
+// The CRC-32 kernels: the carry-less-multiply fold where the CPU has it, and
+// slicing-by-8. Frames, WAL records and snapshot files written before them
+// must stay readable, so each kernel's output must equal the classic bitwise
+// CRC-32 on every input.
 
 // Bitwise CRC-32 (reflected 0xEDB88320), one bit per step: the reference.
 uint32_t BitwiseCrcStep(uint32_t crc, uint8_t byte) {
   crc ^= byte;
   for (int k = 0; k < 8; ++k) crc = (crc & 1) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
   return crc;
+}
+
+// Holds `kernel` to the reference at start offsets 0-7 (every alignment of
+// its loads) and lengths 0-4,100: the fold's 64-byte entry, its 16-byte
+// steps and every tail length, many times over. Each input ends where its
+// heap block ends, so ASan flags any load past `data + n`.
+void ExpectMatchesBitwiseReference(wire_internal::Crc32Kernel kernel) {
+  constexpr size_t kMaxLen = 4100;
+  Rng rng(0xC3C32);
+  std::vector<uint8_t> bytes(kMaxLen);
+  for (uint8_t& b : bytes) b = static_cast<uint8_t>(rng.Next());
+  for (size_t offset = 0; offset < 8; ++offset) {
+    uint32_t reference = 0xFFFFFFFFu;  // over bytes[0, len)
+    for (size_t len = 0; len <= kMaxLen; ++len) {
+      const auto block = std::make_unique<uint8_t[]>(offset + len);
+      std::copy(bytes.begin(), bytes.begin() + static_cast<ptrdiff_t>(len),
+                block.get() + offset);
+      ASSERT_EQ(kernel(block.get() + offset, len), reference ^ 0xFFFFFFFFu)
+          << "offset " << offset << ", length " << len;
+      if (len < kMaxLen) reference = BitwiseCrcStep(reference, bytes[len]);
+    }
+  }
 }
 
 TEST(Crc32Test, KnownAnswers) {
@@ -137,21 +162,37 @@ TEST(Crc32Test, KnownAnswers) {
 }
 
 TEST(Crc32Test, EveryOffsetAndLengthMatchesTheBitwiseReference) {
-  // Start offsets 0-7 put the eight-byte steps at every alignment; lengths
-  // 0-4,100 cover every tail length many times over.
-  constexpr size_t kMaxLen = 4100;
-  Rng rng(0xC3C32);
-  std::vector<uint8_t> buf(kMaxLen + 8);
-  for (uint8_t& b : buf) b = static_cast<uint8_t>(rng.Next());
-  for (size_t offset = 0; offset < 8; ++offset) {
-    const uint8_t* data = buf.data() + offset;
-    uint32_t reference = 0xFFFFFFFFu;  // over data[0, len)
-    for (size_t len = 0; len <= kMaxLen; ++len) {
-      ASSERT_EQ(Crc32(data, len), reference ^ 0xFFFFFFFFu)
-          << "offset " << offset << ", length " << len;
-      if (len < kMaxLen) reference = BitwiseCrcStep(reference, data[len]);
-    }
+  const wire_internal::Crc32Kernels& kernels = wire_internal::GetCrc32Kernels();
+  {
+    SCOPED_TRACE("portable kernel (slicing-by-8)");
+    ASSERT_NO_FATAL_FAILURE(ExpectMatchesBitwiseReference(kernels.portable));
   }
+  if (kernels.fold == nullptr) {
+    GTEST_SKIP() << "this CPU reports no PCLMUL and SSE4.1 (or the build is "
+                    "not x86-64): the fold kernel's cases are skipped";
+  }
+  SCOPED_TRACE("fold kernel (PCLMULQDQ)");
+  ExpectMatchesBitwiseReference(kernels.fold);
+}
+
+TEST(Crc32Test, TheFoldIsChosenWheneverTheCpuHasIt) {
+  // A broken selection would cost every frame 10x silently; here it fails.
+  const wire_internal::Crc32Kernels& kernels = wire_internal::GetCrc32Kernels();
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+  __builtin_cpu_init();
+  const bool cpu_has_fold =
+      __builtin_cpu_supports("pclmul") && __builtin_cpu_supports("sse4.1");
+#else
+  const bool cpu_has_fold = false;
+#endif
+  if (!cpu_has_fold) {
+    EXPECT_EQ(kernels.fold, nullptr);
+    EXPECT_EQ(kernels.chosen, kernels.portable);
+    GTEST_SKIP() << "this CPU reports no PCLMUL and SSE4.1 (or the build is "
+                    "not x86-64): Crc32 runs the portable kernel";
+  }
+  ASSERT_NE(kernels.fold, nullptr);
+  EXPECT_EQ(kernels.chosen, kernels.fold);
 }
 
 TEST(Crc32Test, SealedFrameBytesArePinned) {
@@ -585,6 +626,211 @@ TEST(WireBlockFuzzTest, ForgedBlockHeaderDoesNotAllocate) {
   auto n2 = r2.GetRowBlock(&decoded);
   ASSERT_FALSE(n2.ok());
   EXPECT_EQ(n2.status().code(), StatusCode::kIOError);
+}
+
+// ---------------------------------------------------------------------------
+// Codec differential: the sized, pointer-writing block and tuple encoders
+// against a reference that writes the format one value and one byte at a
+// time, and the inline decoder back, over every kind of value and the edges
+// of each.
+
+std::string RandomLetters(Rng* rng, size_t n) {
+  std::string s(n, 'x');
+  for (char& c : s) c = static_cast<char>('a' + rng->Below(26));
+  return s;
+}
+
+// One value of `kind` (0 int, 1 double, 2 string, anything else any kind),
+// NULL now and then, edges often: INT64_MIN/MAX, NaN, -0.0, the infinities,
+// the empty string, 15 and 16 bytes (the short-string boundary) and long
+// strings.
+Value EdgeValue(Rng* rng, uint64_t kind) {
+  if (kind > 2) kind = rng->Below(3);
+  if (rng->Below(8) == 0) return Value::Null();
+  switch (kind) {
+    case 0:
+      switch (rng->Below(4)) {
+        case 0: return Value(std::numeric_limits<int64_t>::min());
+        case 1: return Value(std::numeric_limits<int64_t>::max());
+        default: return Value(static_cast<int64_t>(rng->Next()));
+      }
+    case 1:
+      switch (rng->Below(6)) {
+        case 0: return Value(std::numeric_limits<double>::quiet_NaN());
+        case 1: return Value(-0.0);
+        case 2: return Value(std::numeric_limits<double>::infinity());
+        case 3: return Value(-std::numeric_limits<double>::infinity());
+        default: return Value(static_cast<double>(rng->Next()) / 7.0);
+      }
+    default:
+      switch (rng->Below(5)) {
+        case 0: return Value(std::string());
+        case 1: return Value(RandomLetters(rng, 15));
+        case 2: return Value(RandomLetters(rng, 16));
+        case 3: return Value(RandomLetters(rng, 64 + rng->Below(200)));
+        default: return Value(RandomLetters(rng, rng->Below(24)));
+      }
+  }
+}
+
+// Each column holds one kind, or (one in four) mixes them.
+RowBlock RandomEdgeBlock(Rng* rng, size_t max_rows, size_t max_cols) {
+  const size_t cols = 1 + rng->Below(max_cols);
+  const size_t rows = rng->Below(max_rows + 1);
+  std::vector<uint64_t> kinds(cols);
+  for (uint64_t& k : kinds) k = rng->Below(4);
+  RowBlock block(rows == 0 ? 1 : rows);
+  block.Reset(cols);
+  for (size_t c = 0; c < cols; ++c) {
+    for (size_t r = 0; r < rows; ++r) {
+      block.column(c).push_back(EdgeValue(rng, kinds[c]));
+    }
+  }
+  block.set_rows(rows);
+  return block;
+}
+
+// The wire format written one byte at a time, little-endian.
+struct ReferenceWriter {
+  std::vector<uint8_t> bytes;
+
+  void U32(uint32_t v) {
+    for (int i = 0; i < 4; ++i) bytes.push_back(static_cast<uint8_t>(v >> (8 * i)));
+  }
+  void U64(uint64_t v) {
+    for (int i = 0; i < 8; ++i) bytes.push_back(static_cast<uint8_t>(v >> (8 * i)));
+  }
+  void Put(const Value& v) {
+    if (v.is_null()) {
+      bytes.push_back(0);
+    } else if (v.is_int()) {
+      bytes.push_back(1);
+      U64(static_cast<uint64_t>(v.AsInt()));
+    } else if (v.is_double()) {
+      bytes.push_back(2);
+      const double d = v.AsDouble();
+      uint64_t bits;
+      std::memcpy(&bits, &d, 8);
+      U64(bits);
+    } else {
+      bytes.push_back(3);
+      U32(static_cast<uint32_t>(v.AsString().size()));
+      for (const char c : v.AsString()) bytes.push_back(static_cast<uint8_t>(c));
+    }
+  }
+  void Block(const RowBlock& block) {
+    U32(static_cast<uint32_t>(block.rows()));
+    U32(static_cast<uint32_t>(block.columns()));
+    for (size_t c = 0; c < block.columns(); ++c) {
+      for (size_t r = 0; r < block.rows(); ++r) Put(block.At(r, c));
+    }
+  }
+};
+
+// Same kind and the same value; doubles bit for bit (NaN, -0.0).
+bool IdenticalValue(const Value& a, const Value& b) {
+  if (a.is_double() && b.is_double()) {
+    const double x = a.AsDouble();
+    const double y = b.AsDouble();
+    return std::memcmp(&x, &y, sizeof(x)) == 0;
+  }
+  return SameValue(a, b);
+}
+
+TEST(WireBlockFuzzTest, OnePassCodecMatchesThePerValueReference) {
+  Rng rng(0xC0DEC);
+  for (int iter = 0; iter < 300; ++iter) {
+    const RowBlock block = RandomEdgeBlock(&rng, 40, 6);
+    ReferenceWriter reference;
+    reference.Block(block);
+    WireWriter writer;
+    writer.PutRowBlock(block);
+    ASSERT_EQ(writer.buffer(), reference.bytes) << "block " << iter;
+
+    RowBlock decoded(7);  // a stale shape and capacity must not leak through
+    decoded.AppendRow(Tuple{Value("stale")});
+    WireReader reader(writer.buffer());
+    auto n = reader.GetRowBlock(&decoded);
+    ASSERT_TRUE(n.ok()) << n.status().ToString();
+    ASSERT_EQ(n.ValueOrDie(), block.rows());
+    ASSERT_EQ(decoded.columns(), block.columns());
+    EXPECT_TRUE(reader.AtEnd());
+    for (size_t c = 0; c < block.columns(); ++c) {
+      ASSERT_EQ(decoded.column(c).size(), block.rows());
+      for (size_t r = 0; r < block.rows(); ++r) {
+        ASSERT_TRUE(IdenticalValue(decoded.At(r, c), block.At(r, c)))
+            << "block " << iter << ", row " << r << ", col " << c;
+      }
+    }
+
+    // Each row as a tuple: PutTuple, the value-at-a-time PutValue, GetTuple
+    // and the per-column TupleView.
+    TupleView view;
+    for (size_t r = 0; r < block.rows(); ++r) {
+      Tuple row;
+      block.CopyRowTo(r, &row);
+      ReferenceWriter ref_tuple;
+      ref_tuple.U32(static_cast<uint32_t>(row.size()));
+      for (const Value& v : row) ref_tuple.Put(v);
+      WireWriter tuple_writer;
+      tuple_writer.PutTuple(row);
+      ASSERT_EQ(tuple_writer.buffer(), ref_tuple.bytes);
+      WireWriter value_writer;
+      value_writer.PutU32(static_cast<uint32_t>(row.size()));
+      for (const Value& v : row) value_writer.PutValue(v);
+      ASSERT_EQ(value_writer.buffer(), ref_tuple.bytes);
+
+      WireReader tuple_reader(tuple_writer.buffer());
+      auto got = tuple_reader.GetTuple();
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      ASSERT_EQ(got.ValueOrDie().size(), row.size());
+      ASSERT_TRUE(view.Reset(tuple_writer.buffer().data(),
+                             tuple_writer.size()).ok());
+      for (size_t c = 0; c < row.size(); ++c) {
+        EXPECT_TRUE(IdenticalValue(got.ValueOrDie()[c], row[c])) << c;
+        auto col = view.Get(c);
+        ASSERT_TRUE(col.ok()) << col.status().ToString();
+        EXPECT_TRUE(IdenticalValue(col.ValueOrDie(), row[c])) << c;
+      }
+    }
+  }
+}
+
+TEST(WireBlockFuzzTest, EveryTruncatedPrefixFailsCleanly) {
+  // Each prefix sits in a heap block of exactly its length, so a decoder
+  // read past the end fails the ASan leg.
+  Rng rng(0x7A1C);
+  for (int iter = 0; iter < 60; ++iter) {
+    const RowBlock block = RandomEdgeBlock(&rng, 6, 4);
+    WireWriter block_writer;
+    block_writer.PutRowBlock(block);
+    const std::vector<uint8_t>& encoded = block_writer.buffer();
+    for (size_t cut = 0; cut < encoded.size(); ++cut) {
+      const std::vector<uint8_t> prefix(encoded.begin(),
+                                        encoded.begin() + static_cast<ptrdiff_t>(cut));
+      const auto exact = ExactCopy(prefix);
+      WireReader reader(exact.get(), cut);
+      RowBlock decoded;
+      auto n = reader.GetRowBlock(&decoded);
+      ASSERT_FALSE(n.ok()) << "block prefix " << cut << "/" << encoded.size();
+      EXPECT_EQ(n.status().code(), StatusCode::kIOError);
+    }
+    if (block.rows() == 0) continue;
+    Tuple row;
+    block.CopyRowTo(0, &row);
+    WireWriter tuple_writer;
+    tuple_writer.PutTuple(row);
+    const std::vector<uint8_t>& tuple = tuple_writer.buffer();
+    for (size_t cut = 0; cut < tuple.size(); ++cut) {
+      const std::vector<uint8_t> prefix(tuple.begin(),
+                                        tuple.begin() + static_cast<ptrdiff_t>(cut));
+      const auto exact = ExactCopy(prefix);
+      WireReader reader(exact.get(), cut);
+      auto got = reader.GetTuple();
+      ASSERT_FALSE(got.ok()) << "tuple prefix " << cut << "/" << tuple.size();
+      EXPECT_EQ(got.status().code(), StatusCode::kIOError);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
