@@ -1,6 +1,13 @@
 // E8: operator micro-benchmarks (google-benchmark).
 //
-// * TAGGR^M vs the TAGGR^D SQL shape (the asymmetry behind Figure 8);
+// * the middleware's block algorithms, each drained through one reused
+//   block so that the operator, not a Tuple per output row, is timed:
+//   TAGGR^M vs the TAGGR^D SQL shape (the asymmetry behind Figure 8),
+//   TJOIN^M on Q3's shape (an int key, a short name on each side, int
+//   periods), MERGEJOIN^M, and PROJECT over three int columns, moving the
+//   columns or computing one item. scripts/check.sh's Release leg prints
+//   these once, ungated (`--benchmark_filter='BM_TAggrMiddleware|
+//   BM_TJoinMiddleware|BM_MergeJoinMiddleware|BM_ProjectColumns'`);
 // * TRANSFER^M at different row-prefetch settings (§3.2 observes that the
 //   JDBC row-prefetch affects transfer performance);
 // * direct-path bulk load vs row-at-a-time INSERTs (§3.2's SQL*Loader
@@ -24,6 +31,7 @@
 #include "common/rng.h"
 #include "common/wire.h"
 #include "dbms/connection.h"
+#include "exec/basic.h"
 #include "exec/join.h"
 #include "exec/sort.h"
 #include "exec/taggr.h"
@@ -55,6 +63,18 @@ std::vector<Tuple> ProbeRows(size_t n, int64_t groups) {
   return rows;
 }
 
+/// Inits `cursor` and drains it through one reused block; returns the rows.
+size_t Drain(Cursor* cursor) {
+  if (!cursor->Init().ok()) return 0;
+  RowBlock block;
+  size_t rows = 0;
+  while (true) {
+    auto n = cursor->NextBatch(&block);
+    if (!n.ok() || n.ValueOrDie() == 0) return rows;
+    rows += n.ValueOrDie();
+  }
+}
+
 /// A DBMS preloaded with the probe relation (shared across iterations).
 struct ProbeDb {
   dbms::Engine db;
@@ -76,8 +96,7 @@ void BM_TAggrMiddleware(benchmark::State& state) {
     exec::TemporalAggregationCursor agg(
         std::make_unique<VectorCursor>(ProbeSchema(), rows), {0}, 2, 3,
         {{AggFunc::kCount, 0, false}}, out);
-    auto result = MaterializeAll(&agg);
-    benchmark::DoNotOptimize(result);
+    benchmark::DoNotOptimize(Drain(&agg));
   }
   state.SetItemsProcessed(static_cast<int64_t>(n) * state.iterations());
 }
@@ -161,11 +180,122 @@ void BM_MergeJoinMiddleware(benchmark::State& state) {
     exec::MergeJoinCursor join(
         std::make_unique<VectorCursor>(ProbeSchema(), left),
         std::make_unique<VectorCursor>(ProbeSchema(), right), {0}, {0});
-    auto out = MaterializeAll(&join);
-    benchmark::DoNotOptimize(out);
+    benchmark::DoNotOptimize(Drain(&join));
   }
 }
 BENCHMARK(BM_MergeJoinMiddleware);
+
+/// One side of Q3's TJOIN^M: (PosID, EmpName, T1, T2) sorted on PosID, a
+/// short name per row and int day-number periods.
+std::vector<Tuple> TJoinRows(size_t n, int64_t keys, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Tuple> rows;
+  rows.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    const int64_t t1 = rng.Uniform(3000, 10000);
+    rows.push_back({Value(rng.Uniform(1, keys)),
+                    Value("EMP" + std::to_string(rng.Uniform(0, 49971))),
+                    Value(t1), Value(t1 + rng.Uniform(30, 3000))});
+  }
+  std::sort(rows.begin(), rows.end(), [](const Tuple& a, const Tuple& b) {
+    return a[0] < b[0];
+  });
+  return rows;
+}
+
+void BM_TJoinMiddleware(benchmark::State& state) {
+  const Schema in({{"", "POSID", DataType::kInt},
+                   {"", "EMPNAME", DataType::kString},
+                   {"", "T1", DataType::kInt},
+                   {"", "T2", DataType::kInt}});
+  const Schema out({{"", "POSID", DataType::kInt},
+                    {"", "EMPNAME", DataType::kString},
+                    {"", "EMPNAME_2", DataType::kString},
+                    {"", "T1", DataType::kInt},
+                    {"", "T2", DataType::kInt}});
+  const auto left = TJoinRows(16384, 2048, 5);
+  const auto right = TJoinRows(16384, 2048, 6);
+  size_t rows = 0;
+  for (auto _ : state) {
+    exec::TemporalJoinCursor join(std::make_unique<VectorCursor>(in, left),
+                                  std::make_unique<VectorCursor>(in, right),
+                                  {0}, {0}, 2, 3, 2, 3, {0, 1}, {1}, out);
+    rows = Drain(&join);
+    benchmark::DoNotOptimize(rows);
+  }
+  state.counters["rows"] = static_cast<double>(rows);
+  state.SetItemsProcessed(static_cast<int64_t>(left.size() + right.size()) *
+                          state.iterations());
+}
+BENCHMARK(BM_TJoinMiddleware);
+
+/// Serves `blocks` copies of one block, copying its columns into the
+/// consumer's block as a scan fills it.
+class RepeatBlockCursor : public Cursor {
+ public:
+  RepeatBlockCursor(Schema schema, RowBlock block, size_t blocks)
+      : schema_(std::move(schema)), block_(std::move(block)), blocks_(blocks) {}
+  Status Init() override {
+    served_ = 0;
+    return Status::OK();
+  }
+  Result<size_t> NextBatch(RowBlock* block) override {
+    block->Reset(block_.columns());
+    if (served_ == blocks_) return 0;
+    ++served_;
+    for (size_t c = 0; c < block_.columns(); ++c) {
+      block->column(c) = block_.column(c);
+    }
+    block->set_rows(block_.rows());
+    return block_.rows();
+  }
+  const Schema& schema() const override { return schema_; }
+
+ private:
+  Schema schema_;
+  RowBlock block_;
+  size_t blocks_;
+  size_t served_ = 0;
+};
+
+/// PROJECT over 64 blocks of POSITION's (PosID, T1, T2): the DBMS SELECT
+/// list `SELECT PosID, T1, T2` moves the three columns; `computed` adds
+/// T2 - T1, evaluated row by row.
+void BM_ProjectColumns(benchmark::State& state, bool computed) {
+  const Schema in({{"", "POSID", DataType::kInt},
+                   {"", "T1", DataType::kInt},
+                   {"", "T2", DataType::kInt}});
+  Rng rng(19);
+  RowBlock block;
+  for (size_t r = 0; r < RowBlock::kDefaultCapacity; ++r) {
+    const int64_t t1 = rng.Uniform(3000, 10000);
+    block.AppendRow({Value(rng.Uniform(1, 2500)), Value(t1),
+                     Value(t1 + rng.Uniform(30, 3000))});
+  }
+  std::vector<ExprPtr> items;
+  Schema out;
+  for (const char* name : {"POSID", "T1", "T2"}) {
+    items.push_back(Bind(Expr::ColumnRef(name), in).ValueOrDie());
+    out.AddColumn(in.column(in.IndexOf(name).ValueOrDie()));
+  }
+  if (computed) {
+    items.push_back(Bind(Expr::Binary(BinaryOp::kSub, Expr::ColumnRef("T2"),
+                                      Expr::ColumnRef("T1")),
+                         in)
+                        .ValueOrDie());
+    out.AddColumn({"", "DUR", DataType::kInt});
+  }
+  constexpr size_t kBlocks = 64;
+  for (auto _ : state) {
+    exec::ProjectCursor project(
+        std::make_unique<RepeatBlockCursor>(in, block, kBlocks), items, out);
+    benchmark::DoNotOptimize(Drain(&project));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(kBlocks * block.rows()) *
+                          state.iterations());
+}
+BENCHMARK_CAPTURE(BM_ProjectColumns, moved, false);
+BENCHMARK_CAPTURE(BM_ProjectColumns, computed, true);
 
 void BM_JoinDbms(benchmark::State& state) {
   static ProbeDb probe(32768);

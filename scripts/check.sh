@@ -34,7 +34,11 @@
 # encode and decode on a Q1-like int block and a Q3-like block of names,
 # in MB/s (bench_operators with --benchmark_filter; a few seconds). Every
 # byte crossing either wire runs through these, so each log records their
-# speed on the host it ran on.
+# speed on the host it ran on. Next to it, also ungated, the middleware
+# operator ledger: TAGGR^M, TJOIN^M on Q3's shape, MERGEJOIN^M and PROJECT
+# (moving columns, and with one computed item), each drained through one
+# reused block (bench_operators again; about ten seconds), so each log also
+# records what the paper's own algorithms cost on that host.
 #
 # Last, the Release leg builds the repository benchmark (perfbench/, which
 # compiles ../src on its own into .bench_build/ and reads the middleware's
@@ -191,6 +195,9 @@ run_config() {
     echo "=== ${name}: wire codec ledger (bench_operators, ungated) ==="
     "${dir}/bench/bench_operators" \
       --benchmark_filter='BM_Crc32|BM_PutRowBlock|BM_GetRowBlock'
+    echo "=== ${name}: middleware operator ledger (bench_operators, ungated) ==="
+    "${dir}/bench/bench_operators" \
+      --benchmark_filter='BM_TAggrMiddleware|BM_TJoinMiddleware|BM_MergeJoinMiddleware|BM_ProjectColumns'
     echo "=== ${name}: benchmark build + smoke run (perfbench/test_smoke.py) ==="
     python3 perfbench/test_smoke.py
   fi

@@ -41,9 +41,10 @@ class Cursor {
 using CursorPtr = std::unique_ptr<Cursor>;
 
 /// \brief Base of the operators whose logic produces one row at a time:
-/// the merge and temporal joins, dup-elim, difference, coalesce, and the
-/// DBMS hash, nested-loop and index nested-loop joins, index scan and
-/// group aggregate.
+/// dup-elim, difference, coalesce, and the DBMS hash, nested-loop and index
+/// nested-loop joins, index scan and group aggregate. The middleware's own
+/// algorithms (TAGGR^M, MERGEJOIN^M, TJOIN^M, PROJECT^M) write their blocks
+/// column by column instead (DESIGN.md §11).
 ///
 /// `NextBatch` fills the block by looping the protected `NextRow`. A block
 /// that ends in exhaustion is handed over with its rows, and the consumer
@@ -69,8 +70,8 @@ class RowCursor : public Cursor {
 
 /// \brief Row-at-a-time view over a batched child.
 ///
-/// Operators whose control flow is inherently tuple-oriented (merge join,
-/// plane sweep, difference) read their children through this adapter: the
+/// The `RowCursor`s above (dup-elim, difference, coalesce, the DBMS joins
+/// and group aggregate) read their children through this adapter: the
 /// child is drained in whole blocks (one virtual call per block), and
 /// `Next` moves the rows out of the buffered block one at a time.
 class BatchedReader {

@@ -462,8 +462,7 @@ void GroupAggOp::Accumulate(const Tuple& row) {
     st.any = true;
     st.count += 1;
     if (a.arg != nullptr && v.is_numeric()) {
-      st.sum += v.AsDouble();
-      if (!v.is_int()) st.sum_is_int = false;
+      st.sum.Add(v);
       if (st.count == 1 || v < st.min) st.min = v;
       if (st.count == 1 || v > st.max) st.max = v;
     } else if (a.arg != nullptr) {
@@ -484,16 +483,11 @@ Tuple GroupAggOp::EmitGroup() {
         out.push_back(Value(st.count));
         break;
       case AggFunc::kSum:
-        if (!st.any) {
-          out.push_back(Value::Null());
-        } else if (st.sum_is_int) {
-          out.push_back(Value(static_cast<int64_t>(st.sum)));
-        } else {
-          out.push_back(Value(st.sum));
-        }
+        out.push_back(st.any ? st.sum.Get() : Value::Null());
         break;
       case AggFunc::kAvg:
-        out.push_back(st.any ? Value(st.sum / static_cast<double>(st.count))
+        out.push_back(st.any ? Value(st.sum.AsDouble() /
+                                     static_cast<double>(st.count))
                              : Value::Null());
         break;
       case AggFunc::kMin:

@@ -273,9 +273,8 @@ class GroupAggOp : public RowCursor {
 
   // Running state for one aggregate within the current group.
   struct AggState {
-    double sum = 0;
+    RunningSum sum;
     int64_t count = 0;
-    bool sum_is_int = true;
     Value min, max;
     bool any = false;
   };

@@ -1,5 +1,7 @@
 #include "exec/basic.h"
 
+#include <algorithm>
+
 namespace tango {
 namespace exec {
 
@@ -40,20 +42,59 @@ Result<size_t> FilterCursor::NextBatch(RowBlock* block) {
   return block->rows();
 }
 
-Result<size_t> ProjectCursor::NextBatch(RowBlock* block) {
-  block->Clear();
-  in_block_.set_capacity(block->capacity());
-  TANGO_ASSIGN_OR_RETURN(size_t n, child_->NextBatch(&in_block_));
-  if (n == 0) return 0;
-  Tuple in, out;
-  for (size_t i = 0; i < n; ++i) {
-    in_block_.MoveRowTo(i, &in);
-    out.clear();
-    out.reserve(exprs_.size());
-    for (const ExprPtr& e : exprs_) out.push_back(Eval(*e, in));
-    block->AppendRow(std::move(out));
+ProjectCursor::ProjectCursor(CursorPtr child, std::vector<ExprPtr> exprs,
+                             Schema out_schema)
+    : child_(std::move(child)),
+      exprs_(std::move(exprs)),
+      schema_(std::move(out_schema)),
+      source_(exprs_.size(), kComputed),
+      first_(exprs_.size()),
+      scratch_(child_->schema().num_columns()) {
+  for (size_t i = 0; i < exprs_.size(); ++i) {
+    const Expr& e = *exprs_[i];
+    if (e.kind == Expr::Kind::kColumn && e.index >= 0) {
+      source_[i] = static_cast<size_t>(e.index);
+      first_[i] = static_cast<size_t>(
+          std::find(source_.begin(), source_.begin() + i, source_[i]) -
+          source_.begin());
+      continue;
+    }
+    computed_.push_back(i);
+    for (const size_t c : BoundColumnIndexes(e)) scratch_columns_.push_back(c);
   }
-  return block->rows();
+  std::sort(scratch_columns_.begin(), scratch_columns_.end());
+  scratch_columns_.erase(
+      std::unique(scratch_columns_.begin(), scratch_columns_.end()),
+      scratch_columns_.end());
+}
+
+Result<size_t> ProjectCursor::NextBatch(RowBlock* block) {
+  block->Reset(exprs_.size());
+  in_block_.set_capacity(block->capacity());
+  TANGO_ASSIGN_OR_RETURN(const size_t n, child_->NextBatch(&in_block_));
+  if (n == 0) return 0;
+  // Computed items first, while every child column is still in place.
+  if (!computed_.empty()) {
+    for (size_t r = 0; r < n; ++r) {
+      // Copy-assignment keeps a scratch string's buffer.
+      for (const size_t c : scratch_columns_) scratch_[c] = in_block_.At(r, c);
+      for (const size_t i : computed_) {
+        block->column(i).push_back(Eval(*exprs_[i], scratch_));
+      }
+    }
+  }
+  // Then the columns: the first item naming a child column takes it whole,
+  // a repeat copies the output column that took it.
+  for (size_t i = 0; i < exprs_.size(); ++i) {
+    if (source_[i] == kComputed) continue;
+    if (first_[i] == i) {
+      block->column(i).swap(in_block_.column(source_[i]));
+    } else {
+      block->column(i) = block->column(first_[i]);
+    }
+  }
+  block->set_rows(n);
+  return n;
 }
 
 Result<bool> DupElimCursor::NextRow(Tuple* tuple) {

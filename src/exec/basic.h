@@ -33,24 +33,39 @@ class FilterCursor : public Cursor {
   RowBlock in_block_{RowBlock::kDefaultCapacity};
 };
 
-/// \brief PROJECT^M: middleware projection with computed expressions.
+/// \brief PROJECT^M: middleware projection with computed expressions; it
+/// also evaluates every DBMS SELECT list.
+///
+/// One child block in, one projected block out. An item that is a bound
+/// column takes the child's column vector whole (a swap, so neither side
+/// reallocates); an item naming a column already taken copies that output
+/// column. A computed item is evaluated row by row, from a scratch row
+/// reused across rows that holds only the columns the computed items read,
+/// straight into its output column — before any column is taken.
 class ProjectCursor : public Cursor {
  public:
   /// `exprs` must be bound against the child schema; `out_schema` parallel.
-  ProjectCursor(CursorPtr child, std::vector<ExprPtr> exprs, Schema out_schema)
-      : child_(std::move(child)),
-        exprs_(std::move(exprs)),
-        schema_(std::move(out_schema)) {}
+  ProjectCursor(CursorPtr child, std::vector<ExprPtr> exprs, Schema out_schema);
 
   Status Init() override { return child_->Init(); }
-  /// One child block in, one projected block out.
   Result<size_t> NextBatch(RowBlock* block) override;
   const Schema& schema() const override { return schema_; }
 
  private:
+  static constexpr size_t kComputed = static_cast<size_t>(-1);
+
   CursorPtr child_;
   std::vector<ExprPtr> exprs_;
   Schema schema_;
+  /// Per item: the child column it names, or kComputed.
+  std::vector<size_t> source_;
+  /// Per column item: the first item naming the same child column (itself
+  /// when it is the first), whose output column a repeat copies.
+  std::vector<size_t> first_;
+  /// The computed items, the child columns they read, and their scratch row.
+  std::vector<size_t> computed_;
+  std::vector<size_t> scratch_columns_;
+  Tuple scratch_;
   RowBlock in_block_{RowBlock::kDefaultCapacity};
 };
 

@@ -1,5 +1,7 @@
 #include "exec/join.h"
 
+#include <numeric>
+
 namespace tango {
 namespace exec {
 
@@ -19,12 +21,9 @@ JoinResidual::JoinResidual(ExprPtr residual, size_t left_arity,
 }
 
 bool JoinResidual::Match(const Tuple& left, const Tuple& right, Tuple* out) {
-  if (residual_ != nullptr) {
-    // Copy-assignment keeps a scratch string's buffer, so a rejected pair
-    // allocates nothing once the scratch strings have grown to fit.
-    for (const size_t c : left_columns_) scratch_[c] = left[c];
-    for (const size_t c : right_columns_) scratch_[left_arity_ + c] = right[c];
-    if (!EvalPredicate(*residual_, scratch_)) return false;
+  if (!Passes([&left](size_t c) -> const Value& { return left[c]; },
+              [&right](size_t c) -> const Value& { return right[c]; })) {
+    return false;
   }
   out->clear();
   out->reserve(left.size() + right.size());
@@ -33,126 +32,202 @@ bool JoinResidual::Match(const Tuple& left, const Tuple& right, Tuple* out) {
   return true;
 }
 
+namespace {
+
+std::vector<size_t> AllColumns(const Schema& schema) {
+  std::vector<size_t> columns(schema.num_columns());
+  std::iota(columns.begin(), columns.end(), 0);
+  return columns;
+}
+
+}  // namespace
+
 MergeJoinCursor::MergeJoinCursor(CursorPtr left, CursorPtr right,
                                  std::vector<size_t> left_keys,
                                  std::vector<size_t> right_keys,
                                  ExprPtr residual)
     : left_(std::move(left)),
       right_(std::move(right)),
-      left_reader_(left_.get()),
-      right_reader_(right_.get()),
       left_keys_(std::move(left_keys)),
       right_keys_(std::move(right_keys)),
+      right_columns_(AllColumns(right_->schema())),
+      out_arity_(left_->schema().num_columns() +
+                 right_->schema().num_columns()),
       schema_(Schema::Concat(left_->schema(), right_->schema())),
       residual_(std::move(residual), left_->schema().num_columns(),
-                right_->schema().num_columns()) {}
-
-bool MergeJoinCursor::EmitPair(const Tuple& left, const Tuple& right,
-                               Tuple* out) {
-  return residual_.Match(left, right, out);
+                right_->schema().num_columns()) {
+  group_.key.resize(right_keys_.size());
+  group_.columns.resize(right_columns_.size());
 }
 
-int MergeJoinCursor::CompareKeys(const Tuple& l, const Tuple& r) const {
+MergeJoinCursor::MergeJoinCursor(CursorPtr left, CursorPtr right,
+                                 std::vector<size_t> left_keys,
+                                 std::vector<size_t> right_keys,
+                                 std::vector<size_t> right_columns,
+                                 size_t right_t1, size_t right_t2,
+                                 size_t out_arity, Schema schema)
+    : left_(std::move(left)),
+      right_(std::move(right)),
+      left_keys_(std::move(left_keys)),
+      right_keys_(std::move(right_keys)),
+      right_columns_(std::move(right_columns)),
+      right_t1_(right_t1),
+      right_t2_(right_t2),
+      out_arity_(out_arity),
+      schema_(std::move(schema)),
+      residual_(nullptr, 0, 0) {
+  group_.key.resize(right_keys_.size());
+  group_.columns.resize(right_columns_.size());
+}
+
+Status MergeJoinCursor::Init() {
+  TANGO_RETURN_IF_ERROR(left_->Init());
+  TANGO_RETURN_IF_ERROR(right_->Init());
+  left_block_.Clear();
+  right_block_.Clear();
+  left_pos_ = 0;
+  right_pos_ = 0;
+  left_done_ = false;
+  right_done_ = false;
+  have_group_ = false;
+  matching_ = false;
+  next_pair_ = 0;
+  done_ = false;
+  // Read the first block of each input now, left then right, so that an
+  // input failing on its first block fails Init.
+  TANGO_RETURN_IF_ERROR(LeftRow().status());
+  return RightRow().status();
+}
+
+Result<bool> MergeJoinCursor::LeftRow() {
+  while (left_pos_ >= left_block_.rows()) {
+    if (left_done_) return false;
+    TANGO_ASSIGN_OR_RETURN(const size_t n, left_->NextBatch(&left_block_));
+    left_pos_ = 0;
+    if (n == 0) left_done_ = true;
+  }
+  return true;
+}
+
+Result<bool> MergeJoinCursor::RightRow() {
+  while (right_pos_ >= right_block_.rows()) {
+    if (right_done_) return false;
+    TANGO_ASSIGN_OR_RETURN(const size_t n, right_->NextBatch(&right_block_));
+    right_pos_ = 0;
+    if (n == 0) right_done_ = true;
+  }
+  return true;
+}
+
+int MergeJoinCursor::CompareKeys(size_t row) const {
   for (size_t i = 0; i < left_keys_.size(); ++i) {
-    const int c = l[left_keys_[i]].Compare(r[right_keys_[i]]);
+    const int c = left_block_.At(row, left_keys_[i]).Compare(group_.key[i]);
     if (c != 0) return c;
   }
   return 0;
 }
 
-Status MergeJoinCursor::Init() {
-  TANGO_RETURN_IF_ERROR(left_reader_.Init());
-  TANGO_RETURN_IF_ERROR(right_reader_.Init());
-  right_group_.clear();
-  group_pos_ = 0;
-  group_matches_left_ = false;
-  TANGO_ASSIGN_OR_RETURN(left_valid_, left_reader_.Next(&left_row_));
-  TANGO_ASSIGN_OR_RETURN(right_pending_valid_,
-                         right_reader_.Next(&right_pending_));
-  return Status::OK();
-}
-
 Result<bool> MergeJoinCursor::FillRightGroup() {
-  right_group_.clear();
-  if (!right_pending_valid_) return false;
-  right_group_.push_back(right_pending_);
+  for (std::vector<Value>& column : group_.columns) column.clear();
+  group_.periods.Clear();
+  group_.rows = 0;
   while (true) {
-    Tuple t;
-    TANGO_ASSIGN_OR_RETURN(bool more, right_reader_.Next(&t));
-    if (!more) {
-      right_pending_valid_ = false;
-      break;
-    }
-    bool same = true;
-    for (size_t i = 0; i < right_keys_.size(); ++i) {
-      if (t[right_keys_[i]].Compare(right_group_.front()[right_keys_[i]]) != 0) {
-        same = false;
-        break;
+    TANGO_ASSIGN_OR_RETURN(const bool more, RightRow());
+    if (!more) break;
+    const size_t r = right_pos_;
+    if (group_.rows == 0) {
+      for (size_t i = 0; i < right_keys_.size(); ++i) {
+        group_.key[i] = right_block_.At(r, right_keys_[i]);
       }
-    }
-    if (same) {
-      right_group_.push_back(std::move(t));
     } else {
-      right_pending_ = std::move(t);
-      right_pending_valid_ = true;
-      break;
+      bool same = true;
+      for (size_t i = 0; i < right_keys_.size(); ++i) {
+        if (right_block_.At(r, right_keys_[i]).Compare(group_.key[i]) != 0) {
+          same = false;
+          break;
+        }
+      }
+      if (!same) break;  // the row stays in place: it opens the next group
     }
+    if (right_t1_ != kNoPeriod) {
+      group_.periods.Append(right_block_.At(r, right_t1_),
+                            right_block_.At(r, right_t2_));
+    }
+    // The row is read once: its buffered values move out of the block.
+    for (size_t i = 0; i < right_columns_.size(); ++i) {
+      group_.columns[i].push_back(std::move(right_block_.At(r, right_columns_[i])));
+    }
+    ++group_.rows;
+    ++right_pos_;
   }
-  return true;
+  return group_.rows > 0;
 }
 
-Result<bool> MergeJoinCursor::NextRow(Tuple* tuple) {
-  while (true) {
-    if (group_matches_left_ && group_pos_ < right_group_.size()) {
-      const Tuple& r = right_group_[group_pos_++];
-      if (EmitPair(left_row_, r, tuple)) return true;
-      continue;
+Result<size_t> MergeJoinCursor::NextBatch(RowBlock* block) {
+  block->Reset(out_arity_);
+  while (!done_ && !block->full()) {
+    if (matching_) {
+      EmitPairs(left_block_, left_pos_, group_, &next_pair_, block);
+      if (next_pair_ < group_.rows) break;  // the block is full
+      matching_ = false;
+      ++left_pos_;  // the next left row replays the group if its key is equal
     }
-    if (group_matches_left_) {
-      TANGO_ASSIGN_OR_RETURN(left_valid_, left_reader_.Next(&left_row_));
-      group_pos_ = 0;
-      if (!left_valid_) {
-        // Drop the match flag so a post-exhaustion call cannot replay the
-        // group against the stale left row: RowCursor asks again after the
-        // first false and must keep seeing false.
-        group_matches_left_ = false;
-        return false;
-      }
-      if (!right_group_.empty() &&
-          CompareKeys(left_row_, right_group_.front()) == 0) {
-        continue;  // next left row shares the key: replay the group
-      }
-      group_matches_left_ = false;
+    TANGO_ASSIGN_OR_RETURN(const bool have_left, LeftRow());
+    if (!have_left) {
+      done_ = true;
+      break;
     }
-    if (!left_valid_) return false;
-    // Advance the right group until its key is >= the left key.
-    while (right_group_.empty() ||
-           CompareKeys(left_row_, right_group_.front()) > 0) {
-      TANGO_ASSIGN_OR_RETURN(bool filled, FillRightGroup());
-      if (!filled) return false;  // right exhausted, no more matches possible
+    // Advance the right groups until their key is >= the left key.
+    while (!have_group_ || CompareKeys(left_pos_) > 0) {
+      TANGO_ASSIGN_OR_RETURN(have_group_, FillRightGroup());
+      if (!have_group_) break;
     }
-    const int c = CompareKeys(left_row_, right_group_.front());
-    if (c < 0) {
-      TANGO_ASSIGN_OR_RETURN(left_valid_, left_reader_.Next(&left_row_));
-      if (!left_valid_) return false;
+    if (!have_group_) {
+      done_ = true;  // right exhausted: no more matches possible
+      break;
+    }
+    if (CompareKeys(left_pos_) < 0) {
+      ++left_pos_;
       continue;
     }
     // Keys match; NULL keys never join.
     bool has_null = false;
-    for (size_t k : left_keys_) {
-      if (left_row_[k].is_null()) {
+    for (const size_t k : left_keys_) {
+      if (left_block_.At(left_pos_, k).is_null()) {
         has_null = true;
         break;
       }
     }
     if (has_null) {
-      TANGO_ASSIGN_OR_RETURN(left_valid_, left_reader_.Next(&left_row_));
-      if (!left_valid_) return false;
+      ++left_pos_;
       continue;
     }
-    group_matches_left_ = true;
-    group_pos_ = 0;
+    matching_ = true;
+    next_pair_ = 0;
   }
+  return block->rows();
+}
+
+void MergeJoinCursor::EmitPairs(const RowBlock& left, size_t row,
+                                const RightGroup& group, size_t* next,
+                                RowBlock* out) {
+  const size_t left_arity = left.columns();
+  size_t r = *next;
+  for (; r < group.rows && !out->full(); ++r) {
+    if (!residual_.Passes(
+            [&](size_t c) -> const Value& { return left.At(row, c); },
+            [&](size_t c) -> const Value& { return group.columns[c][r]; })) {
+      continue;
+    }
+    for (size_t c = 0; c < left_arity; ++c) {
+      out->column(c).push_back(left.At(row, c));
+    }
+    for (size_t c = 0; c < group.columns.size(); ++c) {
+      out->column(left_arity + c).push_back(group.columns[c][r]);
+    }
+    out->set_rows(out->rows() + 1);
+  }
+  *next = r;
 }
 
 TemporalJoinCursor::TemporalJoinCursor(
@@ -161,33 +236,58 @@ TemporalJoinCursor::TemporalJoinCursor(
     size_t right_t1, size_t right_t2, std::vector<size_t> left_out,
     std::vector<size_t> right_out, Schema schema)
     : MergeJoinCursor(std::move(left), std::move(right), std::move(left_keys),
-                      std::move(right_keys)),
+                      std::move(right_keys), right_out, right_t1, right_t2,
+                      left_out.size() + right_out.size() + 2,
+                      std::move(schema)),
       left_t1_(left_t1),
       left_t2_(left_t2),
-      right_t1_(right_t1),
-      right_t2_(right_t2),
-      left_out_(std::move(left_out)),
-      right_out_(std::move(right_out)),
-      schema_(std::move(schema)) {}
+      left_out_(std::move(left_out)) {}
 
-bool TemporalJoinCursor::EmitPair(const Tuple& left, const Tuple& right,
-                                  Tuple* out) {
-  // Overlap test on the closed-open periods: L.T1 < R.T2 AND L.T2 > R.T1.
-  const Value& lt1 = left[left_t1_];
-  const Value& lt2 = left[left_t2_];
-  const Value& rt1 = right[right_t1_];
-  const Value& rt2 = right[right_t2_];
-  if (lt1.is_null() || lt2.is_null() || rt1.is_null() || rt2.is_null()) {
-    return false;
+template <typename T>
+void TemporalJoinCursor::Append(const RowBlock& left, size_t row,
+                                const RightGroup& group, size_t r, const T& t1,
+                                const T& t2, RowBlock* out) const {
+  size_t c = 0;
+  for (const size_t i : left_out_) out->column(c++).push_back(left.At(row, i));
+  for (const std::vector<Value>& column : group.columns) {
+    out->column(c++).push_back(column[r]);
   }
-  if (!(lt1 < rt2 && lt2 > rt1)) return false;
-  out->clear();
-  out->reserve(left_out_.size() + right_out_.size() + 2);
-  for (size_t i : left_out_) out->push_back(left[i]);
-  for (size_t i : right_out_) out->push_back(right[i]);
-  out->push_back(lt1 > rt1 ? lt1 : rt1);  // GREATEST(T1)
-  out->push_back(lt2 < rt2 ? lt2 : rt2);  // LEAST(T2)
-  return true;
+  out->column(c++).emplace_back(t1);
+  out->column(c).emplace_back(t2);
+  out->set_rows(out->rows() + 1);
+}
+
+void TemporalJoinCursor::EmitPairs(const RowBlock& left, size_t row,
+                                   const RightGroup& group, size_t* next,
+                                   RowBlock* out) {
+  // Overlap test on the closed-open periods: L.T1 < R.T2 AND L.T2 > R.T1;
+  // the pair carries GREATEST(T1), LEAST(T2), the right's on a tie.
+  const Value& lt1 = left.At(row, left_t1_);
+  const Value& lt2 = left.At(row, left_t2_);
+  size_t r = *next;
+  if (lt1.is_null() || lt2.is_null()) {
+    r = group.rows;  // a NULL endpoint never joins
+  } else if (group.periods.ints && lt1.is_int() && lt2.is_int()) {
+    const int64_t l1 = lt1.AsInt();
+    const int64_t l2 = lt2.AsInt();
+    const std::vector<int64_t>& r1 = group.periods.t1;
+    const std::vector<int64_t>& r2 = group.periods.t2;
+    for (; r < group.rows && !out->full(); ++r) {
+      if (!(l1 < r2[r] && l2 > r1[r])) continue;
+      Append(left, row, group, r, l1 > r1[r] ? l1 : r1[r],
+             l2 < r2[r] ? l2 : r2[r], out);
+    }
+  } else {
+    for (; r < group.rows && !out->full(); ++r) {
+      const Value rt1 = group.periods.Start(r);
+      const Value rt2 = group.periods.End(r);
+      if (rt1.is_null() || rt2.is_null()) continue;
+      if (!(lt1 < rt2 && lt2 > rt1)) continue;
+      Append(left, row, group, r, lt1 > rt1 ? lt1 : rt1,
+             lt2 < rt2 ? lt2 : rt2, out);
+    }
+  }
+  *next = r;
 }
 
 }  // namespace exec

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/cursor.h"
+#include "exec/periods.h"
 #include "expr/expr.h"
 
 namespace tango {
@@ -29,6 +30,20 @@ class JoinResidual {
   /// false, with `*out` untouched, when it does not.
   bool Match(const Tuple& left, const Tuple& right, Tuple* out);
 
+  /// True when the pair passes the residual; `left(c)` and `right(c)` return
+  /// the pair's value of its left column c and of its right column c, and
+  /// are called only for the columns the residual reads. The merge join's
+  /// block kernel tests its candidates through this, where they lie.
+  template <typename LeftAt, typename RightAt>
+  bool Passes(const LeftAt& left, const RightAt& right) {
+    if (residual_ == nullptr) return true;
+    // Copy-assignment keeps a scratch string's buffer, so a rejected pair
+    // allocates nothing once the scratch strings have grown to fit.
+    for (const size_t c : left_columns_) scratch_[c] = left(c);
+    for (const size_t c : right_columns_) scratch_[left_arity_ + c] = right(c);
+    return EvalPredicate(*residual_, scratch_);
+  }
+
  private:
   ExprPtr residual_;
   size_t left_arity_;
@@ -37,55 +52,94 @@ class JoinResidual {
   Tuple scratch_;
 };
 
-/// \brief MERGEJOIN^M: sort-merge equijoin, for the middleware and for the
-/// DBMS planner's forced merge join.
+/// \brief MERGEJOIN^M: sort-merge equijoin, for the middleware, the DBMS
+/// planner's forced merge join and the calibrator's probes; with
+/// `TemporalJoinCursor`, the one block merge kernel.
 ///
-/// Inputs must arrive sorted on their key columns; duplicate key groups are
-/// buffered on the right side and replayed. NULL keys never join. An
-/// optional residual (bound to the output schema) is tested on each pair
-/// through `JoinResidual`. Output: left columns then right. Output order:
-/// the left keys (the algorithm is order preserving on them).
-class MergeJoinCursor : public RowCursor {
+/// Inputs must arrive sorted on their key columns and are read in place, a
+/// child block at a time. The right key group is buffered by column (its
+/// rows' values moved out of the right child's blocks); each left row whose
+/// key equals the group's pairs with the group's rows in order, and every
+/// pair that joins is written straight into the consumer's columns.
+/// Emission stops at the block's capacity, mid-group if need be, and the
+/// next call resumes it there. NULL keys never join. An optional residual
+/// (bound to the output schema) is tested on each pair through
+/// `JoinResidual`. Output: left columns then right. Output order: the left
+/// keys (the algorithm is order preserving on them).
+class MergeJoinCursor : public Cursor {
  public:
   MergeJoinCursor(CursorPtr left, CursorPtr right, std::vector<size_t> left_keys,
                   std::vector<size_t> right_keys, ExprPtr residual = nullptr);
 
+  /// Initializes both children and reads the first block of each.
   Status Init() override;
+  Result<size_t> NextBatch(RowBlock* block) override;
   const Schema& schema() const override { return schema_; }
 
  protected:
-  /// Hook for subclasses (the temporal join): accepts/reworks a candidate
-  /// pair. Returns true and fills `out` when the pair joins.
-  virtual bool EmitPair(const Tuple& left, const Tuple& right, Tuple* out);
+  /// The right key group: its rows' buffered columns (`right_columns`, in
+  /// that order) and, for TJOIN^M, their periods.
+  struct RightGroup {
+    Tuple key;  // the group's key values
+    std::vector<std::vector<Value>> columns;
+    PeriodColumns periods;
+    size_t rows = 0;
+  };
+
+  /// The kernel as TJOIN^M configures it: buffers the right `right_columns`
+  /// and, as the group's periods, [right_t1, right_t2); `out_arity` columns
+  /// per output row, whose schema is `schema`.
+  MergeJoinCursor(CursorPtr left, CursorPtr right, std::vector<size_t> left_keys,
+                  std::vector<size_t> right_keys,
+                  std::vector<size_t> right_columns, size_t right_t1,
+                  size_t right_t2, size_t out_arity, Schema schema);
+
+  /// Pairs row `row` of `left` with the group's rows from `*next` on,
+  /// appending each pair that joins to `out`, until the group ends or `out`
+  /// is full; leaves `*next` at the first group row not yet paired.
+  virtual void EmitPairs(const RowBlock& left, size_t row,
+                         const RightGroup& group, size_t* next, RowBlock* out);
 
  private:
-  Result<bool> NextRow(Tuple* tuple) override;
-  int CompareKeys(const Tuple& l, const Tuple& r) const;
+  /// Makes `left_pos_` a row of `left_block_`, reading blocks as needed;
+  /// false when the left input is exhausted. Likewise for the right input.
+  Result<bool> LeftRow();
+  Result<bool> RightRow();
+  /// Buffers the next right key group; false when the right input is
+  /// exhausted.
   Result<bool> FillRightGroup();
+  /// Left row `row`'s key against the group's: <0, 0 or >0.
+  int CompareKeys(size_t row) const;
+
+  static constexpr size_t kNoPeriod = static_cast<size_t>(-1);
 
   CursorPtr left_, right_;
-  /// Both inputs are drained in whole blocks; the merge logic reads rows
-  /// out of the buffered blocks.
-  BatchedReader left_reader_, right_reader_;
   std::vector<size_t> left_keys_, right_keys_;
+  std::vector<size_t> right_columns_;
+  size_t right_t1_ = kNoPeriod, right_t2_ = kNoPeriod;
+  size_t out_arity_;
   Schema schema_;
   JoinResidual residual_;
 
-  Tuple left_row_;
-  bool left_valid_ = false;
-  Tuple right_pending_;
-  bool right_pending_valid_ = false;
-  std::vector<Tuple> right_group_;
-  size_t group_pos_ = 0;
-  bool group_matches_left_ = false;
+  RowBlock left_block_, right_block_;
+  size_t left_pos_ = 0, right_pos_ = 0;
+  bool left_done_ = false, right_done_ = false;
+  RightGroup group_;
+  bool have_group_ = false;
+  bool matching_ = false;  // left row `left_pos_` pairs with the group
+  size_t next_pair_ = 0;   // the group row it pairs with next
+  bool done_ = false;
 };
 
-/// \brief TJOIN^M: middleware temporal join (sort-merge).
+/// \brief TJOIN^M: middleware temporal join (sort-merge), the merge
+/// kernel configured to buffer the right output columns and periods.
 ///
 /// Equijoin with the additional requirement that the two periods overlap;
-/// the output carries the intersection GREATEST(T1), LEAST(T2). Output
-/// schema follows the algebra: left columns without its period, right
-/// columns without the join attrs and its period, then T1, T2.
+/// the output carries the intersection GREATEST(T1), LEAST(T2). A pair of
+/// int periods is tested and intersected on int64; any other kind goes
+/// through `Value::Compare`, and a NULL endpoint never joins. Output schema
+/// follows the algebra: left columns without its period, right columns
+/// without the join attrs and its period, then T1, T2.
 class TemporalJoinCursor : public MergeJoinCursor {
  public:
   /// The index vectors address the respective child schemas; `schema` is the
@@ -96,14 +150,16 @@ class TemporalJoinCursor : public MergeJoinCursor {
                      size_t right_t2, std::vector<size_t> left_out,
                      std::vector<size_t> right_out, Schema schema);
 
-  const Schema& schema() const override { return schema_; }
-
  private:
-  bool EmitPair(const Tuple& left, const Tuple& right, Tuple* out) override;
+  void EmitPairs(const RowBlock& left, size_t row, const RightGroup& group,
+                 size_t* next, RowBlock* out) override;
+  /// Appends left row `row` ++ group row `r` ++ [t1, t2) to `out`.
+  template <typename T>
+  void Append(const RowBlock& left, size_t row, const RightGroup& group,
+              size_t r, const T& t1, const T& t2, RowBlock* out) const;
 
-  size_t left_t1_, left_t2_, right_t1_, right_t2_;
-  std::vector<size_t> left_out_, right_out_;
-  Schema schema_;
+  size_t left_t1_, left_t2_;
+  std::vector<size_t> left_out_;
 };
 
 }  // namespace exec

@@ -1,12 +1,13 @@
 #ifndef TANGO_EXEC_TAGGR_H_
 #define TANGO_EXEC_TAGGR_H_
 
+#include <cstdint>
 #include <memory>
 #include <set>
-#include <string>
 #include <vector>
 
 #include "common/cursor.h"
+#include "exec/periods.h"
 #include "expr/expr.h"
 
 namespace tango {
@@ -29,8 +30,16 @@ struct TAggrSpec {
 /// that maintains running aggregate state and emits one tuple per constant
 /// period during which the group is non-empty.
 ///
-/// COUNT/SUM/AVG use incrementally updatable counters; MIN/MAX keep a
-/// multiset because tuple expiry is not invertible for them.
+/// The child's blocks are read in place. A group is buffered by column: its
+/// key values once, its periods as int64 (`PeriodColumns`, with a Value
+/// path for endpoints that are not ints) and each aggregate's arguments;
+/// the T2 copy is a vector of row indices. The sweep writes each constant
+/// period straight into the consumer's columns and stops exactly at the
+/// block's capacity; the next call resumes it where it stopped.
+///
+/// COUNT/SUM/AVG use incrementally updatable counters (SUM exact over ints,
+/// `RunningSum`); MIN/MAX keep a multiset because tuple expiry is not
+/// invertible for them.
 ///
 /// Output: group values, T1, T2, aggregate values — ordered on
 /// (group columns..., T1), which is why "additional sorting is not needed"
@@ -42,8 +51,7 @@ class TemporalAggregationCursor : public Cursor {
                             Schema out_schema);
 
   Status Init() override;
-  /// Moves already-swept constant-interval tuples out in bulk, sweeping
-  /// further groups as needed to fill the block.
+  /// Sweeps groups into the block until it is full or the input ends.
   Result<size_t> NextBatch(RowBlock* block) override;
   const Schema& schema() const override { return schema_; }
 
@@ -51,37 +59,55 @@ class TemporalAggregationCursor : public Cursor {
   // Running aggregate state for one spec within the sweep.
   struct AggState {
     int64_t count = 0;
-    double sum = 0;
-    bool sum_is_int = true;
+    RunningSum sum;
     std::multiset<Value> values;  // only for MIN/MAX
   };
 
-  /// Reads the next group (consecutive rows with equal group columns) into
-  /// `group_rows_`; false when the input is exhausted.
+  /// Buffers the next group (consecutive rows with equal group columns,
+  /// periods non-empty); false when the input is exhausted.
   Result<bool> LoadNextGroup();
-
-  /// Runs the sweep over the loaded group, filling `output_`.
-  void SweepGroup();
-
-  void Add(const Tuple& row);
-  void Remove(const Tuple& row);
+  bool SameGroup(size_t row) const;
+  /// Sorts the T2 copy and resets the sweep to the group's first event.
+  void StartSweep();
+  /// Runs the sweep over the buffered group's periods `t1`/`t2` (the group
+  /// keeps one kind); true when the group is done, false when `block`
+  /// filled first.
+  template <typename T>
+  bool Sweep(const std::vector<T>& t1, const std::vector<T>& t2, T* prev,
+             RowBlock* block);
+  /// Adds (or, with `add` false, removes) group row `row` to the state.
+  void Apply(size_t row, bool add);
+  /// Appends the constant period [t1, t2) of the group to `block`.
+  template <typename T>
+  void Emit(const T& t1, const T& t2, RowBlock* block) const;
   Value CurrentValue(size_t agg_index) const;
 
   CursorPtr child_;
-  BatchedReader reader_;
   std::vector<size_t> group_cols_;
   size_t t1_, t2_;
   std::vector<TAggrSpec> aggs_;
   Schema schema_;
 
-  std::vector<Tuple> group_rows_;
-  Tuple pending_;
-  bool pending_valid_ = false;
+  // The child's current block, read in place from row `pos_`.
+  RowBlock in_block_;
+  size_t pos_ = 0;
   bool input_done_ = false;
 
+  // The buffered group, in T1 order.
+  Tuple group_key_;
+  PeriodColumns periods_;
+  std::vector<std::vector<Value>> args_;  // per aggregate; none for COUNT(*)
+  std::vector<uint32_t> by_t2_;           // the T2 copy, as row indices
+
+  // The sweep over the buffered group, resumable at any event.
+  bool sweeping_ = false;
+  size_t next_start_ = 0;  // next start event (rows in T1 order)
+  size_t next_end_ = 0;    // next end event (by_t2_)
+  int64_t active_ = 0;     // rows whose period covers the sweep line
+  bool have_prev_ = false;
+  int64_t prev_int_ = 0;
+  Value prev_value_;
   std::vector<AggState> states_;
-  std::vector<Tuple> output_;
-  size_t out_pos_ = 0;
 };
 
 }  // namespace exec

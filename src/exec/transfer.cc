@@ -1,5 +1,7 @@
 #include "exec/transfer.h"
 
+#include <algorithm>
+
 namespace tango {
 namespace exec {
 
@@ -93,15 +95,16 @@ Status TransferMCursor::Init() {
       TANGO_RETURN_IF_ERROR(CheckControl(control_));
     }
   }
-  cached_rows_ = nullptr;
-  cached_pos_ = 0;
+  cached_ = nullptr;
+  cached_block_ = 0;
+  cached_row_ = 0;
   delivered_ = 0;
   // One retry budget for the cursor's whole open + drain.
   retry_ = std::make_unique<RetryState>(policy_);
   // §7 refinement: identical statements within one plan transfer once.
   if (cache_ != nullptr) {
-    cached_rows_ = cache_->Get(sql_);
-    if (cached_rows_ != nullptr) {
+    cached_ = cache_->Get(sql_);
+    if (cached_ != nullptr) {
       if (obs_.cache_hits != nullptr) ++*obs_.cache_hits;
       return Status::OK();
     }
@@ -114,27 +117,42 @@ Status TransferMCursor::Init() {
     // cache is only written after a complete drain — a transfer dying
     // mid-materialization (even past its retry budget) leaves no partial
     // result behind for the other occurrences.
-    std::vector<Tuple> rows;
-    RowBlock block;
+    std::vector<RowBlock> blocks;
     while (true) {
+      RowBlock block;
       TANGO_ASSIGN_OR_RETURN(const size_t n, Fetch(&block));
       if (n == 0) break;
-      MoveRowsInto(&block, &rows);
+      blocks.push_back(std::move(block));
     }
     remote_.reset();
-    cache_->Put(sql_, std::move(rows));
-    cached_rows_ = cache_->Get(sql_);
+    cache_->Put(sql_, std::move(blocks));
+    cached_ = cache_->Get(sql_);
   }
   return Status::OK();
 }
 
 Result<size_t> TransferMCursor::NextBatch(RowBlock* block) {
-  if (cached_rows_ == nullptr) return Fetch(block);
-  block->Clear();
-  while (cached_pos_ < cached_rows_->size() && !block->full()) {
-    block->AppendRow((*cached_rows_)[cached_pos_++]);
+  if (cached_ == nullptr) return Fetch(block);
+  // Copy column ranges of the cached blocks, up to the block's capacity.
+  block->Reset(schema_.num_columns());
+  size_t rows = 0;
+  while (rows < block->capacity() && cached_block_ < cached_->blocks.size()) {
+    const RowBlock& from = cached_->blocks[cached_block_];
+    const size_t take =
+        std::min(block->capacity() - rows, from.rows() - cached_row_);
+    for (size_t c = 0; c < from.columns(); ++c) {
+      const auto begin = from.column(c).begin() + cached_row_;
+      block->column(c).insert(block->column(c).end(), begin, begin + take);
+    }
+    rows += take;
+    cached_row_ += take;
+    if (cached_row_ == from.rows()) {
+      ++cached_block_;
+      cached_row_ = 0;
+    }
   }
-  return block->rows();
+  block->set_rows(rows);
+  return rows;
 }
 
 Result<size_t> TransferMCursor::Fetch(RowBlock* block) {

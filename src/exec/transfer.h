@@ -40,7 +40,9 @@ struct TransferObservability {
 /// would be beneficial to issue only one T^M operation." The plan compiler
 /// marks SQL statements that occur more than once in a plan; the first
 /// TRANSFER^M to execute such a statement materializes the rows here, and
-/// later occurrences are served locally without a second round trip.
+/// later occurrences are served locally without a second round trip. The
+/// result is kept as the blocks it was fetched in, and each occurrence hands
+/// out column ranges of them, up to its consumer's capacity.
 /// Only complete result sets are ever stored: a transfer that fails
 /// mid-materialization (even after exhausting retries) must not poison the
 /// cache with a partial result for the other occurrences.
@@ -56,20 +58,31 @@ class TransferCache {
     return shared_.count(sql) != 0;
   }
 
-  std::shared_ptr<const std::vector<Tuple>> Get(const std::string& sql) const {
+  /// A shared statement's complete result, in its fetched blocks.
+  struct Blocks {
+    std::vector<RowBlock> blocks;
+    /// Rows over all blocks.
+    size_t size() const {
+      size_t n = 0;
+      for (const RowBlock& b : blocks) n += b.rows();
+      return n;
+    }
+  };
+
+  std::shared_ptr<const Blocks> Get(const std::string& sql) const {
     std::lock_guard<std::mutex> lock(mu_);
     const auto it = results_.find(sql);
     return it == results_.end() ? nullptr : it->second;
   }
-  void Put(const std::string& sql, std::vector<Tuple> rows) {
+  void Put(const std::string& sql, std::vector<RowBlock> blocks) {
     std::lock_guard<std::mutex> lock(mu_);
-    results_[sql] = std::make_shared<const std::vector<Tuple>>(std::move(rows));
+    results_[sql] = std::make_shared<const Blocks>(Blocks{std::move(blocks)});
   }
 
  private:
   std::set<std::string> shared_;
   mutable std::mutex mu_;
-  std::map<std::string, std::shared_ptr<const std::vector<Tuple>>> results_;
+  std::map<std::string, std::shared_ptr<const Blocks>> results_;
 };
 
 /// \brief TRANSFER^M: issues an SQL SELECT to the DBMS and streams the
@@ -96,8 +109,8 @@ class TransferMCursor : public Cursor {
                   RecoveryCounters* counters = nullptr);
 
   Status Init() override;
-  /// Hands whole decoded wire blocks downstream (or copies a block's worth
-  /// out of the shared cache). Remote fetch errors only surface at block
+  /// Hands whole decoded wire blocks downstream (or copies up to a block's
+  /// capacity of column ranges out of the shared cache). Remote fetch errors only surface at block
   /// boundaries, so `delivered_` — the restart-skip offset — stays
   /// block-aligned and a re-issued SELECT repositions on the same block
   /// grid.
@@ -134,9 +147,11 @@ class TransferMCursor : public Cursor {
   std::unique_ptr<RetryState> retry_;
   CursorPtr remote_;
   size_t delivered_ = 0;
-  // Set when serving from (or populating) the shared cache.
-  std::shared_ptr<const std::vector<Tuple>> cached_rows_;
-  size_t cached_pos_ = 0;
+  // Set when serving from (or populating) the shared cache: the next row to
+  // hand out is row `cached_row_` of block `cached_block_`.
+  std::shared_ptr<const TransferCache::Blocks> cached_;
+  size_t cached_block_ = 0;
+  size_t cached_row_ = 0;
 };
 
 /// \brief TRANSFER^D: creates a table in the DBMS and bulk-loads its

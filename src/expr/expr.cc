@@ -346,6 +346,25 @@ const Value& EvalOperand(const Expr& expr, const Tuple& tuple, Value* tmp) {
 
 }  // namespace
 
+void RunningSum::Step(const Value& v, bool remove) {
+  if (is_int_ && v.is_int()) {
+    int64_t next;
+    const bool overflow =
+        remove ? __builtin_sub_overflow(int_sum_, v.AsInt(), &next)
+               : __builtin_add_overflow(int_sum_, v.AsInt(), &next);
+    if (!overflow) {
+      int_sum_ = next;
+      return;
+    }
+  }
+  if (is_int_) {
+    is_int_ = false;
+    double_sum_ = static_cast<double>(int_sum_);
+  }
+  const double d = v.AsDouble();
+  double_sum_ = remove ? double_sum_ - d : double_sum_ + d;
+}
+
 Value Eval(const Expr& expr, const Tuple& tuple) {
   switch (expr.kind) {
     case Expr::Kind::kColumn:

@@ -27,6 +27,34 @@ enum class UnaryOp { kNot, kNeg, kIsNull, kIsNotNull };
 /// Aggregate functions supported by both aggregation implementations.
 enum class AggFunc { kCount, kSum, kMin, kMax, kAvg };
 
+/// \brief The running SUM of an aggregate's non-NULL arguments, for TAGGR^M's
+/// sweep and the DBMS's GROUP BY.
+///
+/// Int arguments add exactly, in int64 with a checked add, so the sum of
+/// 2^53 and 1 is 2^53 + 1 and a removal leaves no rounding residue. A double
+/// argument, or an int sum that would leave int64, turns the sum into a
+/// double from then on (until `Reset`), as a mixed int and double sum is.
+class RunningSum {
+ public:
+  void Add(const Value& v) { Step(v, false); }
+  /// Takes a previously added argument back out (TAGGR^M's expiring rows).
+  void Remove(const Value& v) { Step(v, true); }
+  void Reset() { *this = RunningSum(); }
+
+  /// The sum: an int while it is exact, otherwise a double.
+  Value Get() const { return is_int_ ? Value(int_sum_) : Value(double_sum_); }
+  double AsDouble() const {
+    return is_int_ ? static_cast<double>(int_sum_) : double_sum_;
+  }
+
+ private:
+  void Step(const Value& v, bool remove);
+
+  int64_t int_sum_ = 0;
+  double double_sum_ = 0;
+  bool is_int_ = true;
+};
+
 const char* BinaryOpName(BinaryOp op);   // SQL spelling, e.g. "<="
 const char* AggFuncName(AggFunc f);      // "COUNT", ...
 

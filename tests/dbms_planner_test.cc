@@ -231,6 +231,37 @@ TEST(PlannerTest, GreatestLeastInProjections) {
   EXPECT_LE(r.ValueOrDie().rows[9][1].AsInt(), 5);
 }
 
+TEST(PlannerTest, SelectListRepeatsAColumn) {
+  // The SELECT list's projection takes A's column whole for the first A and
+  // copies it for the second; C is dropped. 3,000 rows span several blocks.
+  Engine db;
+  ASSERT_TRUE(db.Execute("CREATE TABLE P (A VARCHAR, B INT, C INT)").ok());
+  std::vector<Tuple> rows;
+  for (int64_t i = 0; i < 3000; ++i) {
+    std::string a = "name";
+    a += std::to_string(i % 7);
+    if (i % 2 == 0) a += std::string(20, 'z');
+    rows.push_back({Value(std::move(a)), Value(i), Value(-i)});
+  }
+  ASSERT_TRUE(db.BulkLoad("P", rows).ok());
+  auto r = db.Execute("SELECT A, A, B FROM P");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  const QueryResult& got = r.ValueOrDie();
+  ASSERT_EQ(got.schema.num_columns(), 3u);
+  ASSERT_EQ(got.rows.size(), rows.size());
+  std::vector<bool> seen(rows.size(), false);
+  for (const Tuple& t : got.rows) {
+    ASSERT_EQ(t.size(), 3u);
+    const int64_t b = t[2].AsInt();
+    ASSERT_GE(b, 0);
+    ASSERT_LT(b, 3000);
+    EXPECT_FALSE(seen[b]) << b;
+    seen[b] = true;
+    EXPECT_EQ(t[0].AsString(), rows[b][0].AsString()) << b;
+    EXPECT_EQ(t[1].AsString(), rows[b][0].AsString()) << b;
+  }
+}
+
 // ------------------------------------------- projection pushdown vs. oracle
 
 /// A relation in the oracle: every column of every input, never narrowed.

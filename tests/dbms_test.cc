@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -134,6 +135,39 @@ TEST(EngineTest, GlobalAggregateOnEmptyInput) {
   ASSERT_EQ(r.ValueOrDie().rows.size(), 1u);
   EXPECT_EQ(r.ValueOrDie().rows[0][0].AsInt(), 0);
   EXPECT_TRUE(r.ValueOrDie().rows[0][1].is_null());
+}
+
+// GROUP BY's SUM over ints is exact: 2^53 + 1 has no double.
+TEST(EngineTest, IntegerSumIsExact) {
+  constexpr int64_t k2To53 = int64_t{1} << 53;
+  Engine db;
+  ASSERT_TRUE(db.Execute("CREATE TABLE S (K INT, V INT)").ok());
+  ASSERT_TRUE(db.BulkLoad("S", {{Value(int64_t{1}), Value(k2To53)},
+                                {Value(int64_t{1}), Value(int64_t{1})}})
+                  .ok());
+  auto r = db.Execute("SELECT K, SUM(V) AS S FROM S GROUP BY K");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r.ValueOrDie().rows.size(), 1u);
+  const Value& sum = r.ValueOrDie().rows[0][1];
+  ASSERT_TRUE(sum.is_int()) << sum.ToString();
+  EXPECT_EQ(sum.AsInt(), k2To53 + 1);
+}
+
+// A sum that leaves int64 is a double, never a cast back to int64.
+TEST(EngineTest, IntegerSumPastInt64FallsBackToDouble) {
+  Engine db;
+  ASSERT_TRUE(db.Execute("CREATE TABLE S (K INT, V INT)").ok());
+  ASSERT_TRUE(
+      db.BulkLoad("S", {{Value(int64_t{1}),
+                         Value(std::numeric_limits<int64_t>::max())},
+                        {Value(int64_t{1}), Value(int64_t{1})}})
+          .ok());
+  auto r = db.Execute("SELECT K, SUM(V) AS S FROM S GROUP BY K");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r.ValueOrDie().rows.size(), 1u);
+  const Value& sum = r.ValueOrDie().rows[0][1];
+  ASSERT_TRUE(sum.is_double()) << sum.ToString();
+  EXPECT_EQ(sum.AsDouble(), 9223372036854775808.0);
 }
 
 TEST(EngineTest, AggregatesSkipNulls) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
 #include "common/rng.h"
 #include "dbms/connection.h"
@@ -317,6 +318,61 @@ TEST(TemporalAggregationCursorTest, NoGroupingSweepsWholeRelation) {
   // [1,2):1  [2,4):2  [4,6):1
   ASSERT_EQ(got.size(), 3u);
   EXPECT_EQ(got[1][2].AsInt(), 2);
+}
+
+// SUM over ints is exact: 2^53 + 1 has no double, so a sum kept in a double
+// reads 2^53 over [0,5) and, once the 1 expires, 2^53 - 1 over [5,10).
+TEST(TemporalAggregationCursorTest, IntegerSumIsExact) {
+  constexpr int64_t k2To53 = int64_t{1} << 53;
+  Schema in({{"", "K", DataType::kInt},
+             {"", "V", DataType::kInt},
+             {"", "T1", DataType::kInt},
+             {"", "T2", DataType::kInt}});
+  std::vector<Tuple> rows = {
+      {Value(int64_t{1}), Value(k2To53), Value(int64_t{0}), Value(int64_t{10})},
+      {Value(int64_t{1}), Value(int64_t{1}), Value(int64_t{0}), Value(int64_t{5})},
+  };
+  Schema out({{"", "K", DataType::kInt},
+              {"", "T1", DataType::kInt},
+              {"", "T2", DataType::kInt},
+              {"", "S", DataType::kInt}});
+  TemporalAggregationCursor agg(std::make_unique<VectorCursor>(in, rows), {0},
+                                2, 3, {{AggFunc::kSum, 1, false}}, out);
+  auto got = MaterializeAll(&agg).ValueOrDie();
+  ASSERT_EQ(got.size(), 2u);
+  ASSERT_TRUE(got[0][3].is_int());
+  EXPECT_EQ(got[0][3].AsInt(), k2To53 + 1);
+  ASSERT_TRUE(got[1][3].is_int());
+  EXPECT_EQ(got[1][3].AsInt(), k2To53);
+}
+
+// An int sum that leaves int64 becomes a double (casting it back would be
+// undefined behaviour) and stays one for the rest of the group.
+TEST(TemporalAggregationCursorTest, IntegerSumPastInt64FallsBackToDouble) {
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  Schema in({{"", "K", DataType::kInt},
+             {"", "V", DataType::kInt},
+             {"", "T1", DataType::kInt},
+             {"", "T2", DataType::kInt}});
+  std::vector<Tuple> rows = {
+      {Value(int64_t{1}), Value(kMax), Value(int64_t{0}), Value(int64_t{10})},
+      {Value(int64_t{1}), Value(int64_t{1}), Value(int64_t{0}), Value(int64_t{5})},
+  };
+  Schema out({{"", "K", DataType::kInt},
+              {"", "T1", DataType::kInt},
+              {"", "T2", DataType::kInt},
+              {"", "S", DataType::kInt},
+              {"", "A", DataType::kDouble}});
+  TemporalAggregationCursor agg(
+      std::make_unique<VectorCursor>(in, rows), {0}, 2, 3,
+      {{AggFunc::kSum, 1, false}, {AggFunc::kAvg, 1, false}}, out);
+  auto got = MaterializeAll(&agg).ValueOrDie();
+  ASSERT_EQ(got.size(), 2u);
+  ASSERT_TRUE(got[0][3].is_double());
+  EXPECT_EQ(got[0][3].AsDouble(), 9223372036854775808.0);
+  EXPECT_EQ(got[0][4].AsDouble(), 9223372036854775808.0 / 2);
+  ASSERT_TRUE(got[1][3].is_double());
+  EXPECT_EQ(got[1][3].AsDouble(), 9223372036854775808.0);
 }
 
 // Property: for random inputs, temporal COUNT aggregation conserves
